@@ -2,10 +2,11 @@
 
 Subcommands build towers and code specs from JSON files, run the checks, and
 write canonical JSON reports (schema "twistgab/1").  Reports are byte-stable
-for a fixed seed: collections are sorted, JSON keys are sorted, and worker
-parallelism only partitions work below the deterministic merge.  Wall-clock
-timings go to stderr (or into the report with --timings, which intentionally
-trades away byte-stability).
+for a fixed seed: collections are sorted and JSON keys are sorted.  Every
+command runs in one thread; ``--workers`` is accepted for compatibility and
+ignored, because the work is CPU-bound Python that a thread pool only slowed
+down.  Wall-clock timings go to stderr (or into the report with --timings,
+which intentionally trades away byte-stability).
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
 consistency failure (two verification routes disagreed -- the most important
@@ -19,9 +20,8 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import codes, covering, mrdcheck
 from .budget import Budgets, default_budgets
@@ -43,21 +43,6 @@ EXIT_CONSISTENCY = 4
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _chunked_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving order; chunks run on a thread pool, merged by index."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunks = [items[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ch: [fn(x) for x in ch], chunks))
-    out = [None] * len(items)
-    for ci, part in enumerate(parts):
-        for oi, val in enumerate(part):
-            out[ci + oi * workers] = val
-    return out
 
 
 def _load_json(path: str):
@@ -181,9 +166,7 @@ def cmd_classify(args) -> dict:
     if args.sweep:
         grid = _load_json(args.sweep)
         specs = _sweep_specs(tower, grid, budgets)
-        entries = _chunked_map(
-            lambda s: _classify_one(tower, s, budgets), specs, args.workers
-        )
+        entries = [_classify_one(tower, s, budgets) for s in specs]
         return {"schema": SCHEMA, "command": "classify", "entries": entries}
     if not args.code:
         raise ValueError("classify needs --code or --sweep")
@@ -365,7 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--budget-subspaces", type=int, default=None)
     ap.add_argument("--budget-codewords", type=int, default=None)
     ap.add_argument("--budget-ambient", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and ignored: every command runs in a single thread",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--grid", type=int, default=16, help="deephole family grid size")
     ap.add_argument("--sample", type=int, default=64, help="deephole sampled iff checks")

@@ -8,7 +8,7 @@ Packing is bijective, so the integer *is* the coordinate vector; use
 :meth:`FieldTower.coords` / :meth:`FieldTower.from_coords` for the unpacked view.
 
 Multiplication, inversion, Frobenius and norm run on log/antilog tables built
-once per tower; addition is XOR when p == 2 and table-driven otherwise.
+once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
 Towers are immutable after construction and safe to share across threads.
 """
 
@@ -21,11 +21,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FieldConstructionError
+from .errors import ConsistencyError, FieldConstructionError
 
 Element = int  # index encoding of an element of F_(q^m)
 
-_ODD_P_TABLE_LIMIT = 1 << 12  # odd characteristic needs an addition table
+_ODD_P_ORDER_LIMIT = 1 << 12  # odd-p addition runs digit by digit, not as XOR
 
 
 def _is_prime(n: int) -> bool:
@@ -241,6 +241,63 @@ def _find_irreducible(sf: _SmallField, deg: int, want_primitive_y: bool = False)
     raise FieldConstructionError(f"no irreducible of degree {deg} over F_{q} found")
 
 
+# ---------------------------------------------------------------------------
+# linear algebra over any field object with sub/mul/inv/neg (F_q or F_(q^m))
+
+def _gauss_jordan(field, rows: Sequence[Sequence[int]]):
+    """Reduced row echelon form by Gauss-Jordan elimination over `field`.
+
+    Returns (pivot columns, rref rows without zero rows, det).  det is the
+    product of the pivots, negated once per row swap, for a square matrix of
+    full rank, and 0 otherwise.  The single elimination behind det, rank,
+    null space and F_q echelon forms; deterministic.
+    """
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    det = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = field.neg(det)
+        pv = rows[r][c]
+        det = field.mul(det, pv)
+        if pv != 1:
+            s = field.inv(pv)
+            rows[r] = [field.mul(s, v) for v in rows[r]]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    if not r == len(rows) == ncols:
+        det = 0
+    return pivots, rows[:r], det
+
+
+def _nullspace(field, rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Basis of {x : rows . x^T = 0}, one vector per non-pivot column of the rref."""
+    pivots, rref, _ = _gauss_jordan(field, rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for row, pc in zip(rref, pivots):
+            vec[pc] = field.neg(row[j])
+        basis.append(vec)
+    return basis
+
+
 @dataclass(frozen=True)
 class TowerParams:
     """Construction data for the tower F_p <= F_q <= F_(q^m).
@@ -270,9 +327,9 @@ class FieldTower:
         self.p, self.e, self.m = p, e, m
         self.q = p**e
         self.order = self.q**m
-        if p != 2 and self.order > _ODD_P_TABLE_LIMIT:
+        if p != 2 and self.order > _ODD_P_ORDER_LIMIT:
             raise FieldConstructionError(
-                f"odd-characteristic towers supported up to order {_ODD_P_TABLE_LIMIT}"
+                f"odd-characteristic towers supported up to order {_ODD_P_ORDER_LIMIT}"
             )
 
         base = params.base_modulus
@@ -320,12 +377,6 @@ class FieldTower:
         self.zero: Element = 0
         self.one: Element = 1
         self._build_log_tables()
-        self._add_np = None
-        if p != 2 and self.order <= 1024:
-            self._add_np = np.empty((self.order, self.order), dtype=np.int64)
-            for a in range(self.order):
-                for b in range(self.order):
-                    self._add_np[a, b] = self._add_digitwise(a, b)
         self._exp_np = np.array(self._exp, dtype=np.int64)
         log = np.full(self.order, -1, dtype=np.int64)
         for x in range(1, self.order):
@@ -350,11 +401,6 @@ class FieldTower:
         for d in reversed(ds):
             v = v * self.q + d
         return v
-
-    def _add_digitwise(self, a: int, b: int) -> int:
-        sf = self._sf
-        da, db = self._digits_of(a), self._digits_of(b)
-        return self._pack_digits([sf.add(x, y) for x, y in zip(da, db)])
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Schoolbook polynomial product mod top_modulus; used for bootstrap only."""
@@ -434,7 +480,9 @@ class FieldTower:
     def add(self, a: Element, b: Element) -> Element:
         if self.p == 2:
             return a ^ b
-        return self._add_digitwise(a, b)
+        sf = self._sf
+        da, db = self._digits_of(a), self._digits_of(b)
+        return self._pack_digits([sf.add(x, y) for x, y in zip(da, db)])
 
     def neg(self, a: Element) -> Element:
         if self.p == 2:
@@ -510,7 +558,8 @@ class FieldTower:
             return 0
         s = self._group // (self.q - 1)
         out = self._exp[(self._log[x] * s) % self._group]
-        assert out < self.q, "norm left the base field"
+        if out >= self.q:
+            raise ConsistencyError(f"norm of {x} is {out}, outside the base field F_{self.q}")
         return out
 
     def subfield_membership(self, x: Element, s: int) -> bool:
@@ -574,28 +623,8 @@ class FieldTower:
 
         Returns (pivot column list, rref rows without zero rows); deterministic.
         """
-        sf = self._sf
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            s = sf.inv(rows[r][c])
-            if s != 1:
-                rows[r] = [sf.mul(s, v) for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [sf.sub(a, sf.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return pivots, rows[:r]
+        pivots, rref, _ = _gauss_jordan(self._sf, rows)
+        return pivots, rref
 
     def fq_rank(self, vec: Sequence[Element]) -> int:
         """Rank weight: dimension over F_q of the span of the components."""
@@ -642,9 +671,15 @@ class FieldTower:
     def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self._add_np is None:
-            raise NotImplementedError("vectorized addition needs order <= 1024 for odd p")
-        return self._add_np[a, b]
+        # an index is the base-p residue vector of all e*m F_p coordinates
+        p = self.p
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        place = 1
+        for _ in range(self.e * self.m):
+            out += (a // place + b // place) % p * place
+            place *= p
+        return out
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(

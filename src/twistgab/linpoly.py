@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .fieldtower import Element, FieldTower
+from .fieldtower import Element, FieldTower, _nullspace
 
 
 class LinearizedPoly:
@@ -124,18 +124,7 @@ class LinearizedPoly:
         if self.is_zero:
             raise ValueError("kernel of the zero polynomial is the whole field")
         t = self.tower
-        mat = self.as_fq_matrix()
-        m = t.m
-        pivots, rref = t.fq_echelon(mat)
-        free = [j for j in range(m) if j not in pivots]
-        basis = []
-        for j in free:
-            vec = [0] * m
-            vec[j] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = t.q_neg(rref[r][j])
-            basis.append(t.from_coords(vec))
-        _, rows = t.fq_echelon([list(t.coords(b)) for b in basis])
+        _, rows = t.fq_echelon(_nullspace(t._sf, self.as_fq_matrix(), t.m))
         return [t.from_coords(r) for r in rows]
 
     def right_divmod(self, d: "LinearizedPoly"):

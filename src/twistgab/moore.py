@@ -12,12 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fieldtower import Element, FieldTower
-
-
-def as_matrix(entries, rows: int, cols: int) -> np.ndarray:
-    M = np.asarray(entries, dtype=np.int64).reshape(rows, cols)
-    return M
+from .fieldtower import Element, FieldTower, _gauss_jordan, _nullspace
 
 
 def matrix_to_json(tower: FieldTower, M: np.ndarray) -> list:
@@ -72,86 +67,23 @@ def matmul(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def det_fqm(tower: FieldTower, M: np.ndarray) -> Element:
     """Determinant by Gaussian elimination over the field; exact."""
-    M = np.array(M, dtype=np.int64)
+    M = np.asarray(M, dtype=np.int64)
     r, c = M.shape
     if r != c:
         raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for col in range(c):
-        piv = next((i for i in range(col, r) if M[i, col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            det = tower.neg(det)
-        pv = int(M[col, col])
-        det = tower.mul(det, pv)
-        pinv = tower.inv(pv)
-        for i in range(col + 1, r):
-            f = int(M[i, col])
-            if f:
-                f = tower.mul(f, pinv)
-                for j in range(col, c):
-                    M[i, j] = tower.sub(int(M[i, j]), tower.mul(f, int(M[col, j])))
-    return det
+    return _gauss_jordan(tower, M.tolist())[2]
 
 
 def rank_fqm(tower: FieldTower, M: np.ndarray) -> int:
     """Rank over F_(q^m) by elimination."""
-    M = np.array(M, dtype=np.int64)
-    if M.size == 0:
-        return 0
-    r, c = M.shape
-    rank = 0
-    for col in range(c):
-        piv = next((i for i in range(rank, r) if M[i, col] != 0), None)
-        if piv is None:
-            continue
-        M[[rank, piv]] = M[[piv, rank]]
-        pinv = tower.inv(int(M[rank, col]))
-        for i in range(rank + 1, r):
-            f = int(M[i, col])
-            if f:
-                f = tower.mul(f, pinv)
-                for j in range(col, c):
-                    M[i, j] = tower.sub(int(M[i, j]), tower.mul(f, int(M[rank, j])))
-        rank += 1
-        if rank == r:
-            break
-    return rank
+    return len(_gauss_jordan(tower, np.asarray(M, dtype=np.int64).tolist())[0])
 
 
 def nullspace_fqm(tower: FieldTower, M: np.ndarray) -> np.ndarray:
     """Rows form a basis of the right null space {x : M x^T = 0}; echelonized."""
-    M = np.array(M, dtype=np.int64)
-    r, c = M.shape
-    # reduced row echelon form
-    pivots = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i, col] != 0), None)
-        if piv is None:
-            continue
-        M[[row, piv]] = M[[piv, row]]
-        pinv = tower.inv(int(M[row, col]))
-        for j in range(c):
-            M[row, j] = tower.mul(int(M[row, j]), pinv)
-        for i in range(r):
-            if i != row and M[i, col] != 0:
-                f = int(M[i, col])
-                for j in range(c):
-                    M[i, j] = tower.sub(int(M[i, j]), tower.mul(f, int(M[row, j])))
-        pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    free = [j for j in range(c) if j not in pivots]
-    basis = np.zeros((len(free), c), dtype=np.int64)
-    for bi, j in enumerate(free):
-        basis[bi, j] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = tower.neg(int(M[ri, j]))
-    return basis
+    M = np.asarray(M, dtype=np.int64)
+    c = M.shape[1]
+    return np.array(_nullspace(tower, M.tolist(), c), dtype=np.int64).reshape(-1, c)
 
 
 def moore_det_product(tower: FieldTower, alpha: Sequence[Element]) -> Element:

@@ -64,6 +64,18 @@ class TestClassify:
             "classify", "--field", field, "--sweep", sweep, "--budget-codewords", "100",
         ]) == 3
 
+    def test_odd_p_tower_above_order_1024(self, tmp_path, capsys):
+        # F_3^7 (order 2187): vectorized addition must cover every odd-p tower
+        field = tmp_path / "f3_7.json"
+        field.write_text(json.dumps({"p": 3, "e": 1, "m": 7}))
+        alpha = [[int(i == j) for i in range(7)] for j in range(4)]
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps({
+            "alpha": alpha, "k": 2, "h": 0, "twists": [{"t": 0, "eta": [0, 1, 0, 0, 0, 0, 0]}],
+        }))
+        assert run_main(["classify", "--field", field, "--code", code]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"][0]["routes_agree"]
+
     def test_missing_code(self, files):
         _, field, _ = files
         assert run_main(["classify", "--field", field]) == 2

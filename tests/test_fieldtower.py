@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from twistgab.errors import FieldConstructionError
-from twistgab.fieldtower import TowerParams, tower_build, tower_from_json, tower_to_json
+from twistgab.errors import ConsistencyError, FieldConstructionError
+from twistgab.fieldtower import (
+    TowerParams,
+    default_tower,
+    tower_build,
+    tower_from_json,
+    tower_to_json,
+)
 
 W = 2  # index of the class of y in any tower with e = 1
 
@@ -93,9 +99,10 @@ class TestArithmetic:
                 assert t.mul(a, e) == 1
 
     def test_vectorized_ops_match_scalar(self, f16, f9, rng):
-        for t in (f16, f9):
-            a = np.array([t.random_element(rng) for _ in range(64)])
-            b = np.array([t.random_element(rng) for _ in range(64)])
+        odd = [default_tower(*pem) for pem in ((3, 2, 3), (5, 1, 3), (3, 1, 4), (3, 1, 7))]
+        for t in (f16, f9, *odd):
+            a = np.array([t.random_element(rng) for _ in range(256)])
+            b = np.array([t.random_element(rng) for _ in range(256)])
             assert all(int(x) == t.mul(int(u), int(v)) for x, u, v in zip(t.mul_many(a, b), a, b))
             assert all(int(x) == t.add(int(u), int(v)) for x, u, v in zip(t.add_many(a, b), a, b))
             assert all(int(x) == t.frobenius(int(u), 2) for x, u in zip(t.frob_many(a, 2), a))
@@ -190,6 +197,12 @@ class TestNorm:
             for x in t.elements():
                 for y in t.elements():
                     assert t.norm(t.mul(x, y)) == t.q_mul(t.norm(x), t.norm(y))
+
+    def test_corrupted_table_raises_consistency_error(self):
+        t = tower_build(TowerParams(2, 1, 4))  # fresh: the cached tower stays intact
+        t._exp[0] = t.q  # every norm in F_16 is exp[0] = 1; now it leaves F_2
+        with pytest.raises(ConsistencyError):
+            t.norm(W)
 
     def test_lands_in_and_surjects_onto_fq(self, f16, f9, f4_tower, f256):
         for t in (f16, f9, f4_tower, f256):
