@@ -78,9 +78,9 @@ def _write_report(args, report: dict) -> None:
 def _budgets_from_args(args) -> Budgets:
     base = default_budgets()
     return Budgets(
-        subspaces=args.budget_subspaces or base.subspaces,
-        codewords=args.budget_codewords or base.codewords,
-        ambient=args.budget_ambient or base.ambient,
+        subspaces=base.subspaces if args.budget_subspaces is None else args.budget_subspaces,
+        codewords=base.codewords if args.budget_codewords is None else args.budget_codewords,
+        ambient=base.ambient if args.budget_ambient is None else args.budget_ambient,
     )
 
 

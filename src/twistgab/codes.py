@@ -192,19 +192,26 @@ def projective_class_count(order: int, k: int) -> int:
     return (order**k - 1) // (order - 1)
 
 
-def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
-    """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space."""
-    k, n = G.shape
-    check_budget("codeword", projective_class_count(tower.order, k), budget)
-    rows = [[int(x) for x in G[i]] for i in range(k)]
-    best_r, best_h = n + 1, n + 1
-    wit_r, wit_h = None, None
-    for msg in _scalar_class_messages(tower.order, k):
+def _codewords(tower: FieldTower, G: np.ndarray, messages):
+    """Encode each message of the stream with the rows of G, as a list of ints."""
+    rows = [[int(x) for x in row] for row in G]
+    n = G.shape[1]
+    for msg in messages:
         word = [0] * n
         for i, fi in enumerate(msg):
             if fi:
                 ri = rows[i]
                 word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
+        yield word
+
+
+def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
+    """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space."""
+    k, n = G.shape
+    check_budget("codeword", projective_class_count(tower.order, k), budget)
+    best_r, best_h = n + 1, n + 1
+    wit_r, wit_h = None, None
+    for word in _codewords(tower, G, _scalar_class_messages(tower.order, k)):
         wr = tower.fq_rank(word)
         if wr < best_r:
             best_r, wit_r = wr, tuple(word)
@@ -220,8 +227,7 @@ def min_rank_distance(spec: CodeSpec, budget: Optional[int] = None) -> DistanceR
     The NMDS flag needs the dual's minimum Hamming distance, which is obtained
     by the same enumeration on a dual basis.
     """
-    budgets = default_budgets()
-    cap = budgets.codewords if budget is None else budget
+    cap = default_budgets().codewords if budget is None else budget
     t = spec.tower
     n, k = spec.n, spec.k
     G = generator_matrix(spec)
@@ -243,8 +249,7 @@ def min_rank_distance(spec: CodeSpec, budget: Optional[int] = None) -> DistanceR
 
 
 def min_hamming_distance(spec: CodeSpec, budget: Optional[int] = None) -> int:
-    budgets = default_budgets()
-    cap = budgets.codewords if budget is None else budget
+    cap = default_budgets().codewords if budget is None else budget
     _, _, d_h, _ = _min_weights_of_matrix(spec.tower, generator_matrix(spec), cap)
     return d_h
 

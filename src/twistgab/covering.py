@@ -2,9 +2,10 @@
 
 The exhaustive covering radius walks the whole ambient space once, grouped by
 syndrome: the distance from a vector to the code is the minimum rank weight in
-its coset, so one weight per ambient vector suffices.  The q = 2 path is
-vectorized over numpy int arrays (components are bit-packed coordinate rows);
-other fields fall back to a scalar loop, which only ever runs on tiny towers.
+its coset, so one weight per ambient vector suffices.  The pass is one numpy
+scan for every field: syndromes come from the vectorized field operations,
+rank weights from :meth:`FieldTower.fq_rank_many`.  The distance route
+(:func:`distance_to_code`) stays scalar and independent of the scan.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import moore
 from .budget import Budgets, check_budget, default_budgets
-from .codes import CodeSpec, encode, generator_matrix
+from .codes import CodeSpec, _codewords, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .mrdcheck import matrix_is_mrd
@@ -64,20 +65,6 @@ class CoveringReport:
         }
 
 
-def _all_codewords(spec: CodeSpec) -> list[tuple[int, ...]]:
-    t = spec.tower
-    G = generator_matrix(spec)
-    rows = [[int(x) for x in G[i]] for i in range(spec.k)]
-    words = []
-    for msg in iproduct(range(t.order), repeat=spec.k):
-        word = [0] * spec.n
-        for fi, row in zip(msg, rows):
-            if fi:
-                word = [t.add(w, t.mul(fi, c)) for w, c in zip(word, row)]
-        words.append(tuple(word))
-    return words
-
-
 def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
     """True iff u lies in the code's row space."""
     t = spec.tower
@@ -93,7 +80,8 @@ def distance_to_code(u: Sequence[Element], spec: CodeSpec, budget: Optional[int]
     check_budget("codeword", t.order**spec.k, cap)
     u = [int(x) for x in u]
     best = spec.n
-    for c in _all_codewords(spec):
+    messages = iproduct(range(t.order), repeat=spec.k)
+    for c in _codewords(t, generator_matrix(spec), messages):
         diff = [t.sub(a, b) for a, b in zip(u, c)]
         w = t.fq_rank(diff)
         if w < best:
@@ -117,68 +105,35 @@ def covering_bounds(spec: CodeSpec) -> tuple[int, int]:
     return 0, n - k
 
 
-def _scan_gf2(spec: CodeSpec) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Vectorized ambient scan for q = 2: per-vector syndrome and rank weight."""
+def _scan(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ambient pass: per-vector syndrome and rank weight, per-coset minimum.
+
+    Vectors are visited in index order (component j is digit j of the index
+    in base q^m).  The syndrome H.u^T packs its n-k entries base q^m, so it is
+    already a dense coset id in [0, q^(m(n-k))).
+    """
     t = spec.tower
-    n, k = spec.n, spec.k
     N = t.order
-    total = N**n
-    G = generator_matrix(spec)
-    H = moore.nullspace_fqm(t, G)
-    r = H.shape[0]
-    idx = np.arange(total, dtype=np.int64)
-    comps = [(idx // (N**j)) % N for j in range(n)]
-    synd = np.zeros(total, dtype=np.int64)
-    for i in range(r):
-        s_i = np.zeros(total, dtype=np.int64)
-        for j in range(n):
-            s_i ^= t.mul_many(np.int64(int(H[i, j])), comps[j])
+    H = moore.nullspace_fqm(t, generator_matrix(spec))
+    idx = np.arange(N**spec.n, dtype=np.int64)
+    comps = [idx // N**j % N for j in range(spec.n)]
+    # peak memory: free the index, and let the rank elimination's slot arrays
+    # go before the syndrome arrays are built
+    del idx
+    rank = t.fq_rank_many(comps)
+    synd = np.zeros_like(rank)
+    for row in H:
+        s_i = np.zeros_like(rank)
+        for hj, col in zip(row, comps):
+            s_i = t.add_many(s_i, t.mul_many(np.int64(hj), col))
         synd = synd * N + s_i
-    m = t.m
-    slots = [np.zeros(total, dtype=np.int64) for _ in range(m)]
-    rank = np.zeros(total, dtype=np.int64)
-    for col in comps:
-        v = col.copy()
-        for hb in range(m - 1, -1, -1):
-            bit = ((v >> hb) & 1).astype(bool)
-            if not bit.any():
-                continue
-            have = bit & (slots[hb] != 0)
-            v = np.where(have, v ^ slots[hb], v)
-            place = bit & (slots[hb] == 0) & (((v >> hb) & 1).astype(bool))
-            slots[hb][place] = v[place]
-            rank[place] += 1
-            v = np.where(place, 0, v)
-    return {}, synd, rank
-
-
-def _scan_generic(spec: CodeSpec) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Scalar ambient scan; used for odd characteristic or q > 2."""
-    t = spec.tower
-    n = spec.n
-    N = t.order
-    total = N**n
-    G = generator_matrix(spec)
-    H = moore.nullspace_fqm(t, G)
-    r = H.shape[0]
-    hrows = [[int(x) for x in H[i]] for i in range(r)]
-    synd = np.zeros(total, dtype=np.int64)
-    rank = np.zeros(total, dtype=np.int64)
-    for u_idx in range(total):
-        x = u_idx
-        comps = []
-        for _ in range(n):
-            comps.append(x % N)
-            x //= N
-        s = 0
-        for row in hrows:
-            acc = 0
-            for hj, uj in zip(row, comps):
-                acc = t.add(acc, t.mul(hj, uj))
-            s = s * N + acc
-        synd[u_idx] = s
-        rank[u_idx] = t.fq_rank(comps)
-    return {}, synd, rank
+    coset_count = N ** (spec.n - spec.k)
+    hits = np.bincount(synd, minlength=coset_count)
+    if len(hits) != coset_count or not hits.all():
+        raise ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets exactly")
+    coset_min = np.full(coset_count, spec.n + 1, dtype=np.int64)
+    np.minimum.at(coset_min, synd, rank)
+    return synd, rank, coset_min
 
 
 def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
@@ -210,24 +165,15 @@ def covering_radius_exhaustive(
             n=n, k=k, rho=None, rho_method=None,
             lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
         )
-    scan = _scan_gf2 if t.q == 2 else _scan_generic
-    _, synd, rank = scan(spec)
-    coset_count = t.order ** (n - k)
-    coset_min = np.full(coset_count, n + 1, dtype=np.int64)
-    # syndromes from nullspace rows are arbitrary field elements packed N-ary;
-    # compress to dense ids for the minimum table
-    uniq, dense = np.unique(synd, return_inverse=True)
-    if len(uniq) != coset_count:
-        raise ConsistencyError("syndrome count disagrees with q^(m(n-k))")
-    np.minimum.at(coset_min, dense, rank)
+    synd, rank, coset_min = _scan(spec)
     rho = int(coset_min.max())
     # one representative per maximal coset: the first minimum-weight vector,
     # capped to keep reports small
-    is_leader = (rank == coset_min[dense]) & (coset_min[dense] == rho)
+    is_leader = (rank == rho) & (coset_min[synd] == rho)
     deep_holes = []
     seen = set()
     for i in np.flatnonzero(is_leader):
-        s = int(dense[i])
+        s = int(synd[i])
         if s in seen:
             continue
         seen.add(s)
@@ -239,7 +185,7 @@ def covering_radius_exhaustive(
         lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
         deep_holes=deep_holes,
         maximal_coset_count=int((coset_min == rho).sum()),
-        coset_count=coset_count,
+        coset_count=len(coset_min),
     )
 
 

@@ -491,6 +491,8 @@ class FieldTower:
         return self._pack_digits([sf.neg(d) for d in self._digits_of(a)])
 
     def sub(self, a: Element, b: Element) -> Element:
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: Element, b: Element) -> Element:
@@ -680,6 +682,44 @@ class FieldTower:
             out += (a // place + b // place) % p * place
             place *= p
         return out
+
+    def fq_rank_many(self, comps: Sequence[np.ndarray]) -> np.ndarray:
+        """Rank weight of a batch of vectors, given as its n component arrays.
+
+        Eliminates digit position by digit position, highest first: slot j
+        holds, per vector, a reduced component whose leading F_q digit sits at
+        position j and equals 1.  A component is scaled by an F_q^* element
+        before it is reduced or placed, which leaves the rank unchanged.
+        :meth:`fq_rank` is the scalar oracle.
+        """
+        q = self.q
+        if self.p == 2:
+            bits = q.bit_length() - 1
+            digit = lambda v, j: (v >> (bits * j)) & (q - 1)
+        else:
+            digit = lambda v, j: v // q**j % q
+        # scale[d] takes digit d to 1 and neg_scale[d] to -1; 0 stays put
+        inv = self._sf.inv_t[1:]
+        scale = np.array([1] + inv, dtype=np.int64)
+        neg_scale = np.array([1] + [self._sf.neg(c) for c in inv], dtype=np.int64)
+        slots = [np.zeros(len(comps[0]), dtype=np.int64) for _ in range(self.m)]
+        rank = np.zeros(len(comps[0]), dtype=np.int64)
+        for col in comps:
+            v = np.asarray(col, dtype=np.int64)
+            for j in range(self.m - 1, -1, -1):
+                d = digit(v, j)
+                lead = d != 0
+                if not lead.any():
+                    continue
+                filled = slots[j] != 0
+                if q > 2:  # F_2^* = {1}: nothing to scale
+                    v = self.mul_many(np.where(filled, neg_scale[d], scale[d]), v)
+                v = np.where(lead & filled, self.add_many(v, slots[j]), v)
+                place = lead & ~filled
+                slots[j][place] = v[place]
+                rank += place
+                v = np.where(place, 0, v)
+        return rank
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(

@@ -35,3 +35,13 @@ def test_env_budget_reaches_enumeration(monkeypatch, f16, alpha4):
     monkeypatch.setenv("TWISTGAB_BUDGET_CODEWORDS", "3")
     with pytest.raises(BudgetExceededError):
         min_rank_distance(CodeSpec(f16, alpha4, 2))
+
+
+def test_explicit_budget_ignores_environment(monkeypatch, f16, alpha4):
+    from twistgab.codes import CodeSpec, min_hamming_distance, min_rank_distance
+
+    monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
+    monkeypatch.setenv("TWISTGAB_BUDGET_CODEWORDS", "abc")
+    spec = CodeSpec(f16, alpha4, 2)
+    assert min_rank_distance(spec, budget=1000).d_rank == 3
+    assert min_hamming_distance(spec, budget=1000) == 3

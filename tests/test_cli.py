@@ -265,6 +265,13 @@ class TestConstructAndCovering:
         assert report["report"]["rho"] is None
         assert report["report"]["lower_bound"]["value"] == 2
 
+    @pytest.mark.parametrize("flag", ["--budget-subspaces", "--budget-codewords", "--budget-ambient"])
+    def test_zero_budget_is_an_input_error(self, files, capsys, flag):
+        _, field, code = files
+        assert run_main(["covering", "--field", field, "--code", code, flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err and "Traceback" not in err
+
     def test_deephole_report(self, files, capsys):
         _, field, code = files
         assert run_main([

@@ -2,11 +2,29 @@ import numpy as np
 import pytest
 
 from twistgab import covering as cov
+from twistgab import moore
 from twistgab.budget import Budgets
-from twistgab.codes import CodeSpec, encode
-from twistgab.errors import SpecInvariantError
+from twistgab.codes import CodeSpec, encode, generator_matrix
+from twistgab.errors import ConsistencyError, SpecInvariantError
+from twistgab.fieldtower import TowerParams, default_tower, tower_build
 
 W = 2
+
+# one-twist t = 0 codes (tower, n, k, eta) small enough to check every vector
+SCAN_SPECS = {
+    "F16": (default_tower(2, 1, 4), 3, 1, W),
+    "F4<=F16": (
+        tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))), 2, 1, 3
+    ),
+    "F9": (default_tower(3, 1, 2), 2, 1, 5),
+    "F27": (default_tower(3, 1, 3), 3, 1, 5),
+}
+
+
+def one_twist_spec(name):
+    t, n, k, eta = SCAN_SPECS[name]
+    y = t.from_coords([0, 1] + [0] * (t.m - 2))
+    return CodeSpec(t, tuple(t.pow_(y, i) for i in range(n)), k, 0, ((0, eta),))
 
 
 @pytest.fixture
@@ -82,9 +100,6 @@ class TestExhaustiveCoveringRadius:
             assert cov.distance_to_code(list(u), c1_spec) == rep.rho
 
     def test_one_witness_per_maximal_coset(self, f16, c1_spec):
-        from twistgab import moore
-        from twistgab.codes import generator_matrix
-
         rep = cov.covering_radius_exhaustive(c1_spec, max_witnesses=16)
         H = moore.nullspace_fqm(f16, generator_matrix(c1_spec))
         syndromes = set()
@@ -96,10 +111,40 @@ class TestExhaustiveCoveringRadius:
             syndromes.add(s)
         assert len(rep.deep_holes) == min(16, rep.maximal_coset_count)
 
-    def test_scan_paths_agree(self, f16, c1_spec):
-        _, s1, r1 = cov._scan_gf2(c1_spec)
-        _, s2, r2 = cov._scan_generic(c1_spec)
-        assert (s1 == s2).all() and (r1 == r2).all()
+    @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
+    def test_scan_matches_scalar_syndrome_and_rank(self, name):
+        spec = one_twist_spec(name)
+        t, n, N = spec.tower, spec.n, spec.tower.order
+        H = moore.nullspace_fqm(t, generator_matrix(spec))
+        synd, rank, _ = cov._scan(spec)
+        assert len(synd) == len(rank) == N**n
+        for i in range(N**n):
+            u = cov._unpack_vector(N, n, i)
+            s = 0
+            for row in H:
+                acc = 0
+                for h, c in zip(row, u):
+                    acc = t.add(acc, t.mul(int(h), c))
+                s = s * N + acc
+            assert synd[i] == s
+            assert rank[i] == t.fq_rank(u)
+
+    @pytest.mark.parametrize("name", ["F4<=F16", "F9"])
+    def test_coset_minimum_is_distance_to_code(self, name):
+        spec = one_twist_spec(name)
+        N, n = spec.tower.order, spec.n
+        synd, _, coset_min = cov._scan(spec)
+        for i in range(N**n):
+            u = cov._unpack_vector(N, n, i)
+            assert coset_min[synd[i]] == cov.distance_to_code(u, spec)
+
+    def test_uncovered_coset_raises_consistency_error(self, monkeypatch):
+        spec = one_twist_spec("F27")
+        H = moore.nullspace_fqm(spec.tower, generator_matrix(spec))
+        # a repeated parity row reaches only q^m of the q^(2m) syndromes
+        monkeypatch.setattr(cov.moore, "nullspace_fqm", lambda t, G: H[[0, 0]])
+        with pytest.raises(ConsistencyError, match="cosets"):
+            cov.covering_radius_exhaustive(spec)
 
     def test_odd_characteristic_scan(self, f9):
         spec = CodeSpec(f9, (1, 3), 1, 0, ((0, 5),))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistgab.errors import ConsistencyError, FieldConstructionError
 from twistgab.fieldtower import (
@@ -63,6 +65,7 @@ class TestArithmetic:
                 assert t.mul(a, t.inv(a)) == 1
             for b in xs:
                 assert t.add(a, b) == t.add(b, a)
+                assert t.sub(t.add(a, b), b) == a
                 assert t.mul(a, b) == t.mul(b, a)
                 for c in xs:
                     assert t.mul(t.mul(a, b), c) == t.mul(a, t.mul(b, c))
@@ -259,6 +262,42 @@ class TestRankWeight:
         assert f4_tower.fq_rank([1, x]) == 1  # x in F_4: dependent over F_q = F_4
         y = f4_tower.from_coords([0, 1])
         assert f4_tower.fq_rank([1, y]) == 2
+
+
+RANK_TOWERS = {
+    "F16": default_tower(2, 1, 4),
+    "F16-alt": tower_build(TowerParams(2, 1, 4, top_modulus=(1, 0, 0, 1, 1))),
+    "F9": default_tower(3, 1, 2),
+    "F4<=F16": tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
+    "F4<=F64": default_tower(2, 2, 3),
+    "F5^3": default_tower(5, 1, 3),
+    "F27": default_tower(3, 1, 3),
+}
+
+
+@st.composite
+def low_rank_vectors(draw, t, n):
+    """A length-n vector whose components are F_q-combinations of 1..n
+    random elements, so rank-deficient vectors are common."""
+    basis = draw(st.lists(st.integers(0, t.order - 1), min_size=1, max_size=n))
+    vec = []
+    for _ in range(n):
+        acc = 0
+        for b in basis:
+            acc = t.add(acc, t.mul(draw(st.integers(0, t.q - 1)), b))
+        vec.append(acc)
+    return vec
+
+
+@pytest.mark.parametrize("name", sorted(RANK_TOWERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fq_rank_many_matches_scalar_fq_rank(name, data):
+    t = RANK_TOWERS[name]
+    n = data.draw(st.integers(1, t.m + 1))
+    vecs = data.draw(st.lists(low_rank_vectors(t, n), min_size=1, max_size=8))
+    comps = [np.array([v[j] for v in vecs], dtype=np.int64) for j in range(n)]
+    assert t.fq_rank_many(comps).tolist() == [t.fq_rank(v) for v in vecs]
 
 
 class TestRepresentationIndependence:
