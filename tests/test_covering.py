@@ -27,6 +27,17 @@ def one_twist_spec(name):
     return CodeSpec(t, tuple(t.pow_(y, i) for i in range(n)), k, 0, ((0, eta),))
 
 
+def scalar_syndrome(t, H, u):
+    """H.u^T with scalar field operations, entries packed base q^m."""
+    s = 0
+    for row in H:
+        acc = 0
+        for h, c in zip(row, u):
+            acc = t.add(acc, t.mul(int(h), c))
+        s = s * t.order + acc
+    return s
+
+
 @pytest.fixture
 def c1_spec(f16, alpha4):
     return CodeSpec(f16, alpha4, 2, 0, ((0, W),))
@@ -120,14 +131,22 @@ class TestExhaustiveCoveringRadius:
         assert len(synd) == len(rank) == N**n
         for i in range(N**n):
             u = cov._unpack_vector(N, n, i)
-            s = 0
-            for row in H:
-                acc = 0
-                for h, c in zip(row, u):
-                    acc = t.add(acc, t.mul(int(h), c))
-                s = s * N + acc
-            assert synd[i] == s
+            assert synd[i] == scalar_syndrome(t, H, u)
             assert rank[i] == t.fq_rank(u)
+
+    def test_scan_paths_agree(self, f16, c1_spec, rng):
+        # the vectorized scan against the scalar route (H.u^T, fq_rank and
+        # distance_to_code) on the n = 4, k = 2 code, sampled vectors
+        N, n = f16.order, c1_spec.n
+        H = moore.nullspace_fqm(f16, generator_matrix(c1_spec))
+        synd, rank, coset_min = cov._scan(c1_spec)
+        assert len(coset_min) == N ** (n - c1_spec.k)
+        for j, i in enumerate(rng.sample(range(N**n), 400)):
+            u = cov._unpack_vector(N, n, i)
+            assert synd[i] == scalar_syndrome(f16, H, u)
+            assert rank[i] == f16.fq_rank(u)
+            if j < 40:
+                assert coset_min[synd[i]] == cov.distance_to_code(u, c1_spec)
 
     @pytest.mark.parametrize("name", ["F4<=F16", "F9"])
     def test_coset_minimum_is_distance_to_code(self, name):
