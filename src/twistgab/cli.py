@@ -76,7 +76,9 @@ def _write_report(args, report: dict) -> None:
 
 
 def _budgets_from_args(args) -> Budgets:
-    base = default_budgets()
+    flags = (args.budget_subspaces, args.budget_codewords, args.budget_ambient)
+    # the environment is read only for a budget that no flag gives
+    base = default_budgets() if None in flags else Budgets()
     return Budgets(
         subspaces=base.subspaces if args.budget_subspaces is None else args.budget_subspaces,
         codewords=base.codewords if args.budget_codewords is None else args.budget_codewords,

@@ -7,7 +7,13 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
-enforced up front.
+enforced up front.  The classes are encoded and weighed with numpy in blocks of
+at most ``_BLOCK_ROWS`` messages, so memory stays bounded whatever the budget;
+rank weights come from :meth:`FieldTower.fq_rank_many`.  :func:`_codewords` is
+the scalar encoder, one codeword at a time.  The distance route of the
+covering-radius check (``covering.distance_to_code``) runs on it and on scalar
+``fq_rank``, so it stays independent of the vectorized covering scan it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -166,26 +172,35 @@ def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     return out
 
 
-def _hamming_weight(vec) -> int:
-    return int(np.count_nonzero(np.asarray(vec)))
+# rows per message block of the distance enumeration
+_BLOCK_ROWS = 1 << 14
 
 
-def _scalar_class_messages(order: int, k: int):
-    """One representative per F_(q^m)^*-class of non-zero messages, lexicographic.
+def _class_message_blocks(order: int, k: int):
+    """One representative per F_(q^m)^*-class of non-zero messages, lexicographic,
+    as int64 arrays of at most ``_BLOCK_ROWS`` rows.
 
     The leading non-zero coordinate is normalized to 1; later coordinates run
-    through all values in counting order.
+    through all values in counting order, the first of them fastest.  Block b
+    holds classes [b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS) of the sequence.
     """
-    for lead in range(k):
-        tail = k - 1 - lead
-        for idx in range(order**tail):
-            msg = [0] * k
-            msg[lead] = 1
-            x = idx
-            for pos in range(lead + 1, k):
-                msg[pos] = x % order
-                x //= order
-            yield msg
+    total = projective_class_count(order, k)
+    for start in range(0, total, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, total)
+        parts, first = [], 0  # first: sequence index of this lead's first class
+        for lead in range(k):
+            size = order ** (k - 1 - lead)
+            lo, hi = max(start, first), min(stop, first + size)
+            if lo < hi:
+                idx = np.arange(lo - first, hi - first, dtype=np.int64)
+                msgs = np.zeros((hi - lo, k), dtype=np.int64)
+                msgs[:, lead] = 1
+                for pos in range(lead + 1, k):
+                    msgs[:, pos] = idx % order
+                    idx //= order
+                parts.append(msgs)
+            first += size
+        yield np.concatenate(parts)
 
 
 def projective_class_count(order: int, k: int) -> int:
@@ -193,7 +208,11 @@ def projective_class_count(order: int, k: int) -> int:
 
 
 def _codewords(tower: FieldTower, G: np.ndarray, messages):
-    """Encode each message of the stream with the rows of G, as a list of ints."""
+    """Encode each message of the stream with the rows of G, as a list of ints.
+
+    The scalar encoder, one codeword per message; distance enumeration encodes
+    whole blocks with numpy instead.
+    """
     rows = [[int(x) for x in row] for row in G]
     n = G.shape[1]
     for msg in messages:
@@ -206,18 +225,27 @@ def _codewords(tower: FieldTower, G: np.ndarray, messages):
 
 
 def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
-    """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space."""
+    """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space.
+
+    A witness is the first codeword, in class enumeration order, of minimum
+    weight: a later block replaces it only with a strictly smaller weight.
+    """
     k, n = G.shape
     check_budget("codeword", projective_class_count(tower.order, k), budget)
     best_r, best_h = n + 1, n + 1
     wit_r, wit_h = None, None
-    for word in _codewords(tower, G, _scalar_class_messages(tower.order, k)):
-        wr = tower.fq_rank(word)
-        if wr < best_r:
-            best_r, wit_r = wr, tuple(word)
-        wh = sum(1 for c in word if c)
-        if wh < best_h:
-            best_h, wit_h = wh, tuple(word)
+    for msgs in _class_message_blocks(tower.order, k):
+        words = np.zeros((len(msgs), n), dtype=np.int64)
+        for i in range(k):
+            words = tower.add_many(words, tower.mul_many(msgs[:, i : i + 1], G[i]))
+        ranks = tower.fq_rank_many(list(words.T))
+        i = int(np.argmin(ranks))
+        if ranks[i] < best_r:
+            best_r, wit_r = int(ranks[i]), tuple(int(c) for c in words[i])
+        weights = np.count_nonzero(words, axis=1)
+        i = int(np.argmin(weights))
+        if weights[i] < best_h:
+            best_h, wit_h = int(weights[i]), tuple(int(c) for c in words[i])
     return best_r, wit_r, best_h, wit_h
 
 

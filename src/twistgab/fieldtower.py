@@ -599,7 +599,11 @@ class FieldTower:
         return tuple(out)
 
     def lift_fq(self, digit: int) -> Element:
-        """Embed an F_q digit as a constant of F_(q^m)."""
+        """Embed an F_q digit as a constant of F_(q^m).
+
+        The embedding is the identity on indices: the constant's index is the
+        digit itself, so internal code multiplies by digits directly.
+        """
         if not 0 <= digit < self.q:
             raise ValueError("not an F_q digit")
         return digit
@@ -653,7 +657,7 @@ class FieldTower:
         basis = [self._pack_digits(r) for r in basis_rows]
         out = [0]
         for b in basis:
-            scaled = [self.mul(self.lift_fq(c), b) for c in range(self.q)]
+            scaled = [self.mul(c, b) for c in range(self.q)]
             out = [self.add(u, s) for s in scaled for u in out]
         return tuple(sorted(out))
 

@@ -101,7 +101,7 @@ def moore_det_product(tower: FieldTower, alpha: Sequence[Element]) -> Element:
         for bs in product(range(tower.q), repeat=j):
             s = 0
             for b, a in zip(bs, alpha):
-                s = tower.add(s, tower.mul(tower.lift_fq(b), int(a)))
+                s = tower.add(s, tower.mul(b, int(a)))
             acc = tower.mul(acc, tower.sub(int(alpha[j]), s))
             if acc == 0:
                 return 0

@@ -75,7 +75,10 @@ def enumerate_subspaces(n: int, k: int, q: int, budget: Optional[int] = None) ->
 
 
 def _v_g_transpose(tower: FieldTower, V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """V (digits over F_q) times G^T (elements), exactly."""
+    """V (digits over F_q) times G^T (elements), exactly.
+
+    An F_q digit is already the index of that constant of F_(q^m).
+    """
     k_v, n = V.shape
     k_g = G.shape[0]
     out = np.zeros((k_v, k_g), dtype=np.int64)
@@ -85,7 +88,7 @@ def _v_g_transpose(tower: FieldTower, V: np.ndarray, G: np.ndarray) -> np.ndarra
             for j in range(n):
                 d = int(V[a, j])
                 if d:
-                    acc = tower.add(acc, tower.mul(tower.lift_fq(d), int(G[b, j])))
+                    acc = tower.add(acc, tower.mul(d, int(G[b, j])))
             out[a, b] = acc
     return out
 
@@ -507,14 +510,14 @@ def norm_mrd_condition(spec: CodeSpec) -> bool:
     t = spec.tower
     eta = spec.twists[0][1]
     sign = t.one if (t.m * spec.k) % 2 == 0 else t.neg(t.one)
-    target = t.mul(sign, t.lift_fq(int(t.norm(eta))))
+    target = t.mul(sign, t.norm(eta))
     norm_values = sorted({t.norm(x) for x in t.nonzero_elements()})
     if spec.h == 0:
         pairs = [(a, a) for a in norm_values]
     else:
         pairs = [(a, b) for a in norm_values for b in norm_values]
     for nf0, nfh in pairs:
-        if t.lift_fq(int(nf0)) == t.mul(target, t.lift_fq(int(nfh))):
+        if nf0 == t.mul(target, nfh):
             return False
     return True
 

@@ -272,6 +272,18 @@ class TestConstructAndCovering:
         err = capsys.readouterr().err
         assert "must be positive" in err and "Traceback" not in err
 
+    def test_explicit_budgets_ignore_environment(self, files, capsys, monkeypatch):
+        _, field, code = files
+        monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
+        assert run_main([
+            "covering", "--field", field, "--code", code, "--budget-subspaces", "5",
+            "--budget-codewords", "5", "--budget-ambient", "10000",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # 16^4 ambient vectors exceed the flag's 10000: bounds only
+        assert report["report"]["rho"] is None
+        assert report["report"]["lower_bound"]["value"] == 2
+
     def test_deephole_report(self, files, capsys):
         _, field, code = files
         assert run_main([

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twistgab import moore
+from twistgab import codes, moore
 from twistgab.codes import (
     CodeSpec,
+    _class_message_blocks,
+    _codewords,
+    _min_weights_of_matrix,
     classify,
     encode,
     generator_matrix,
@@ -15,6 +20,7 @@ from twistgab.codes import (
     nmds_conditions,
 )
 from twistgab.errors import BudgetExceededError, SpecInvariantError
+from twistgab.fieldtower import TowerParams, default_tower, tower_build
 from twistgab.mrdcheck import omega_one
 
 W = 2
@@ -166,6 +172,76 @@ class TestDistances:
         rep = min_rank_distance(spec)
         assert f16.fq_rank(rep.rank_witness) == rep.d_rank
         assert sum(1 for c in rep.hamming_witness if c) == rep.d_hamming
+
+
+def _scalar_class_messages(order: int, k: int):
+    """One representative per F_(q^m)^*-class of non-zero messages, lexicographic.
+
+    The leading non-zero coordinate is normalized to 1; later coordinates run
+    through all values in counting order.
+    """
+    for lead in range(k):
+        tail = k - 1 - lead
+        for idx in range(order**tail):
+            msg = [0] * k
+            msg[lead] = 1
+            x = idx
+            for pos in range(lead + 1, k):
+                msg[pos] = x % order
+                x //= order
+            yield msg
+
+
+def scalar_min_weights(t, G):
+    """Oracle for _min_weights_of_matrix: one codeword at a time, scalar fq_rank."""
+    best_r = best_h = G.shape[1] + 1
+    wit_r = wit_h = None
+    for word in _codewords(t, G, _scalar_class_messages(t.order, G.shape[0])):
+        wr = t.fq_rank(word)
+        if wr < best_r:
+            best_r, wit_r = wr, tuple(word)
+        wh = sum(1 for c in word if c)
+        if wh < best_h:
+            best_h, wit_h = wh, tuple(word)
+    return best_r, wit_r, best_h, wit_h
+
+
+ENUM_TOWERS = {
+    "F16": default_tower(2, 1, 4),
+    "F9": default_tower(3, 1, 2),
+    "F4<=F16": tower_build(
+        TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))
+    ),
+    "F27": default_tower(3, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_TOWERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_enumeration_matches_scalar_oracle(name, data):
+    t = ENUM_TOWERS[name]
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(k, 5))
+    entries = st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n)
+    G = np.array(data.draw(st.lists(entries, min_size=k, max_size=k)), dtype=np.int64)
+    assume(moore.rank_fqm(t, G) == k)
+    got = _min_weights_of_matrix(t, G, 1 << 24)
+    assert got == scalar_min_weights(t, G)
+    assert all(type(c) is int for c in got[1] + got[3])
+
+
+def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, monkeypatch):
+    monkeypatch.setattr(codes, "_BLOCK_ROWS", 3)
+    for order, k in ((16, 2), (16, 3), (9, 3), (4, 1)):
+        blocks = list(_class_message_blocks(order, k))
+        assert all(1 <= len(b) <= 3 for b in blocks)
+        assert np.concatenate(blocks).tolist() == list(_scalar_class_messages(order, k))
+    # minimum-weight codewords recur in later blocks; the witness is the first
+    for spec in (CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4, 2, 0, ((0, W),))):
+        G = generator_matrix(spec)
+        for M in (G, moore.nullspace_fqm(f16, G)):
+            assert _min_weights_of_matrix(f16, M, 1 << 24) == scalar_min_weights(f16, M)
 
 
 class TestNmdsConditions:
