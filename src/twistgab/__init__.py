@@ -69,10 +69,8 @@ from .mrdcheck import (
     matrix_is_mrd,
     mrd_membership_multi,
     norm_mrd_condition,
-    omega_ell_witness,
     omega_one,
     omega_one_prime,
-    omega_two_witness,
     omega_witness,
     sum_product_free_test,
 )
@@ -128,10 +126,8 @@ __all__ = [
     "mrd_membership_multi",
     "nmds_conditions",
     "norm_mrd_condition",
-    "omega_ell_witness",
     "omega_one",
     "omega_one_prime",
-    "omega_two_witness",
     "omega_witness",
     "rank_fqm",
     "sum_product_free_test",

@@ -7,6 +7,12 @@ the little-endian base-p residue vector with respect to ``{1, x, ..., x^(e-1)}``
 Packing is bijective, so the integer *is* the coordinate vector; use
 :meth:`FieldTower.coords` / :meth:`FieldTower.from_coords` for the unpacked view.
 
+One class serves both levels.  For e > 1, F_q is itself a ``FieldTower``
+F_p <= F_p <= F_q whose top modulus is ``base_modulus``, so its digit codec,
+schoolbook product and modulus checks are the same code as the top level's.
+Under it, and directly under F_(q^m) when e = 1, sits the base case F_p:
+arithmetic mod p, with no tables.
+
 Multiplication, inversion, Frobenius and norm run on log/antilog tables built
 once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
 Towers are immutable after construction and safe to share across threads.
@@ -53,93 +59,33 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class _SmallField:
-    """Table-driven arithmetic for the middle field F_q = F_p[x]/(base_modulus)."""
+class _PrimeField:
+    """F_p by arithmetic mod p: the base case under every tower; no tables."""
 
-    def __init__(self, p: int, e: int, modulus: Optional[tuple[int, ...]]):
-        self.p = p
-        self.e = e
-        self.q = p**e
-        self.modulus = modulus  # little-endian over F_p, length e+1, monic; None iff e == 1
-        if e == 1:
-            add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            add = [[self._add_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-            mul = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-        self.add_t = add
-        self.mul_t = mul
-        self.neg_t = [self._neg_raw(a) for a in range(self.q)]
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise FieldConstructionError(
-                    f"element {a} has no inverse: base modulus is not irreducible"
-                )
-        self.inv_t = inv
+    def __init__(self, p: int):
+        self.p = self.order = p
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def _pack(self, ds: Sequence[int]) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def _add_raw(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([(x + y) % self.p for x, y in zip(da, db)])
+    def neg(self, a: int) -> int:
+        return -a % self.p
 
-    def _neg_raw(self, a: int) -> int:
-        return self._pack([(-x) % self.p for x in self._digits(a)])
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        mod = list(self.modulus)
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return self._pack(prod[:e])
-
-    # digit-level API used throughout the package
-    def add(self, a, b):
-        return self.add_t[a][b]
-
-    def sub(self, a, b):
-        return self.add_t[a][self.neg_t[b]]
-
-    def neg(self, a):
-        return self.neg_t[a]
-
-    def mul(self, a, b):
-        return self.mul_t[a][b]
-
-    def inv(self, a):
+    def inv(self, a: int) -> int:
         if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return self.inv_t[a]
+            raise ZeroDivisionError("inverse of zero in F_p")
+        return pow(a, self.p - 2, self.p)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_q (coefficient lists of digits, little-endian)
+# polynomial helpers over a field object with add/sub/mul/inv and an order:
+# coefficient lists of its elements, little-endian
 
 def _poly_trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
@@ -147,7 +93,7 @@ def _poly_trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _poly_mul(sf: _SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _poly_mul(field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -155,43 +101,43 @@ def _poly_mul(sf: _SmallField, a: Sequence[int], b: Sequence[int]) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = sf.add(out[i + j], sf.mul(x, y))
+                    out[i + j] = field.add(out[i + j], field.mul(x, y))
     return _poly_trim(out)
 
 
-def _poly_divmod(sf: _SmallField, a: Sequence[int], b: Sequence[int]):
+def _poly_divmod(field, a: Sequence[int], b: Sequence[int]):
     a = list(a)
     _poly_trim(a)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = sf.inv(b[-1])
+    lead_inv = field.inv(b[-1])
     db = len(b) - 1
     quot = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
-        c = sf.mul(a[-1], lead_inv)
+        c = field.mul(a[-1], lead_inv)
         s = len(a) - 1 - db
         quot[s] = c
         for j, y in enumerate(b):
-            a[s + j] = sf.sub(a[s + j], sf.mul(c, y))
+            a[s + j] = field.sub(a[s + j], field.mul(c, y))
         _poly_trim(a)
     return quot, a
 
 
-def _poly_powmod(sf: _SmallField, base: Sequence[int], exp: int, mod: Sequence[int]) -> list[int]:
+def _poly_powmod(field, base: Sequence[int], exp: int, mod: Sequence[int]) -> list[int]:
     result = [1]
-    cur = list(_poly_divmod(sf, base, mod)[1])
+    cur = list(_poly_divmod(field, base, mod)[1])
     while exp:
         if exp & 1:
-            result = _poly_divmod(sf, _poly_mul(sf, result, cur), mod)[1]
-        cur = _poly_divmod(sf, _poly_mul(sf, cur, cur), mod)[1]
+            result = _poly_divmod(field, _poly_mul(field, result, cur), mod)[1]
+        cur = _poly_divmod(field, _poly_mul(field, cur, cur), mod)[1]
         exp >>= 1
     return result
 
 
-def _find_factor(sf: _SmallField, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _find_factor(field, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Return a nontrivial monic factor of `poly` by trial division, or None."""
     deg = len(poly) - 1
-    q = sf.q
+    q = field.order
     for d in range(1, deg // 2 + 1):
         # all monic candidates of degree d, low coefficients in counting order
         for tail in range(q**d):
@@ -201,20 +147,20 @@ def _find_factor(sf: _SmallField, poly: Sequence[int]) -> Optional[tuple[int, ..
                 cand.append(t % q)
                 t //= q
             cand.append(1)
-            _, rem = _poly_divmod(sf, poly, cand)
+            _, rem = _poly_divmod(field, poly, cand)
             if not rem:
                 return tuple(cand)
     return None
 
 
-def _find_irreducible(sf: _SmallField, deg: int, want_primitive_y: bool = False) -> tuple[int, ...]:
-    """Smallest-in-counting-order monic irreducible of given degree over F_q.
+def _find_irreducible(field, deg: int, want_primitive_y: bool = False) -> tuple[int, ...]:
+    """Smallest-in-counting-order monic irreducible of given degree over `field`.
 
     With ``want_primitive_y`` the search continues until the class of y
     generates the multiplicative group (used so big default towers get a fast
     antilog construction); a plain irreducible is returned if none is found.
     """
-    q = sf.q
+    q = field.order
     group = q**deg - 1
     rs = _prime_factors(group)
     first_irreducible = None
@@ -227,14 +173,14 @@ def _find_irreducible(sf: _SmallField, deg: int, want_primitive_y: bool = False)
         cand.append(1)
         if cand[0] == 0:
             continue  # divisible by y
-        if _find_factor(sf, cand) is not None:
+        if _find_factor(field, cand) is not None:
             continue
         if not want_primitive_y:
             return tuple(cand)
         if first_irreducible is None:
             first_irreducible = tuple(cand)
         y = [0, 1]
-        if all(_poly_powmod(sf, y, group // r, cand) != [1] for r in rs):
+        if all(_poly_powmod(field, y, group // r, cand) != [1] for r in rs):
             return tuple(cand)
     if first_irreducible is not None:
         return first_irreducible
@@ -316,7 +262,11 @@ class TowerParams:
 
 
 class FieldTower:
-    """The tower F_p <= F_q <= F_(q^m) with table-driven exact arithmetic."""
+    """The tower F_p <= F_q <= F_(q^m) with table-driven exact arithmetic.
+
+    Its F_q level (``_sf``) is an F_p-tower for e > 1 and the prime field for
+    e = 1; the ``q_*`` methods, ``fq_echelon`` and F_q digit handling use it.
+    """
 
     def __init__(self, params: TowerParams):
         p, e, m = params.p, params.e, params.m
@@ -338,22 +288,21 @@ class FieldTower:
             if base is not None:
                 b = tuple(int(c) for c in base)
                 if len(b) != 2 or b[-1] != 1:
-                    raise FieldConstructionError("base_modulus must be monic of degree e")
+                    raise FieldConstructionError("base_modulus must be monic of degree 1")
             base = None
-            self._sf = _SmallField(p, 1, None)
+            self._sf = _PrimeField(p)
         else:
+            # F_q is itself a tower F_p <= F_p <= F_q whose top modulus is
+            # base_modulus, so its constructor checks the base modulus
             if base is None:
-                base = _find_irreducible(_SmallField(p, 1, None), e)
-            base = tuple(int(c) for c in base)
-            if len(base) != e + 1 or base[-1] != 1:
-                raise FieldConstructionError("base_modulus must be monic of degree e")
-            factor = _find_factor(_SmallField(p, 1, None), base)
-            if factor is not None:
+                base = _find_irreducible(_PrimeField(p), e)
+            try:
+                self._sf = FieldTower(TowerParams(p, 1, e, None, tuple(base)))
+            except FieldConstructionError as exc:
                 raise FieldConstructionError(
-                    f"base_modulus {list(base)} is reducible over F_{p}: "
-                    f"factor {list(factor)} found"
-                )
-            self._sf = _SmallField(p, e, base)
+                    str(exc).replace("top_modulus", "base_modulus")
+                ) from None
+            base = self._sf.top_modulus
         self.base_modulus = base
 
         top = params.top_modulus
@@ -361,9 +310,9 @@ class FieldTower:
             top = _find_irreducible(self._sf, m, want_primitive_y=(self.order > 4096))
         top = tuple(int(c) for c in top)
         if len(top) != m + 1 or top[-1] != 1:
-            raise FieldConstructionError("top_modulus must be monic of degree m")
+            raise FieldConstructionError(f"top_modulus must be monic of degree {m}")
         if any(not 0 <= c < self.q for c in top):
-            raise FieldConstructionError("top_modulus coefficients must be F_q digits")
+            raise FieldConstructionError(f"top_modulus coefficients must lie in [0, {self.q})")
         if m > 1:
             factor = _find_factor(self._sf, top)
             if factor is not None:
@@ -587,16 +536,12 @@ class FieldTower:
     def from_coords(self, ds: Iterable[int]) -> Element:
         ds = list(ds)
         if len(ds) != self.m or any(not 0 <= d < self.q for d in ds):
-            raise ValueError("expected m little-endian F_q digits")
+            raise ValueError(f"expected {self.m} little-endian digits in [0, {self.q})")
         return self._pack_digits(ds)
 
     def coord_residues(self, digit: int) -> tuple[int, ...]:
-        """Little-endian F_p residues of one F_q digit."""
-        out = []
-        for _ in range(self.e):
-            out.append(digit % self.p)
-            digit //= self.p
-        return tuple(out)
+        """Little-endian F_p residues of one F_q digit: its coordinates in F_q."""
+        return self._sf.coords(digit) if self.e > 1 else (digit,)
 
     def lift_fq(self, digit: int) -> Element:
         """Embed an F_q digit as a constant of F_(q^m).
@@ -703,7 +648,7 @@ class FieldTower:
         else:
             digit = lambda v, j: v // q**j % q
         # scale[d] takes digit d to 1 and neg_scale[d] to -1; 0 stays put
-        inv = self._sf.inv_t[1:]
+        inv = [self._sf.inv(c) for c in range(1, q)]
         scale = np.array([1] + inv, dtype=np.int64)
         neg_scale = np.array([1] + [self._sf.neg(c) for c in inv], dtype=np.int64)
         slots = [np.zeros(len(comps[0]), dtype=np.int64) for _ in range(self.m)]
@@ -772,7 +717,7 @@ class FieldTower:
         ds = self._digits_of(x)
         if self.e == 1:
             return ds
-        return [list(self.coord_residues(d)) for d in ds]
+        return [list(self._sf.coords(d)) for d in ds]
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or len(obj) != self.m:
@@ -782,17 +727,10 @@ class FieldTower:
             if isinstance(c, (list, tuple)):
                 if len(c) != self.e:
                     raise ValueError(f"each F_q coordinate needs {self.e} residues")
-                d = 0
-                for r in reversed(c):
-                    if not 0 <= int(r) < self.p:
-                        raise ValueError("residue out of range")
-                    d = d * self.p + int(r)
-            else:
-                d = int(c)
-                if not 0 <= d < self.q:
-                    raise ValueError("coordinate out of range")
-            ds.append(d)
-        return self._pack_digits(ds)
+                rs = [_json_int(r) for r in c]
+                c = self._sf.from_coords(rs) if self.e > 1 else rs[0]
+            ds.append(_json_int(c))
+        return self.from_coords(ds)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, order={self.order})"
@@ -809,17 +747,25 @@ def default_tower(p: int, e: int, m: int) -> FieldTower:
     return FieldTower(TowerParams(p, e, m))
 
 
+def _json_int(x) -> int:
+    """int(x) for a JSON number; null or an array is a ValueError, not a TypeError."""
+    try:
+        return int(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
+
+
 def tower_from_json(obj: dict) -> FieldTower:
     """Build a tower from the field-spec JSON object."""
     base = obj.get("base_modulus")
     top = obj.get("top_modulus")
     return tower_build(
         TowerParams(
-            p=int(obj["p"]),
-            e=int(obj["e"]),
-            m=int(obj["m"]),
-            base_modulus=tuple(int(c) for c in base) if base else None,
-            top_modulus=tuple(int(c) for c in top) if top else None,
+            p=_json_int(obj["p"]),
+            e=_json_int(obj["e"]),
+            m=_json_int(obj["m"]),
+            base_modulus=tuple(_json_int(c) for c in base) if base else None,
+            top_modulus=tuple(_json_int(c) for c in top) if top else None,
         )
     )
 

@@ -50,7 +50,11 @@ def modified_moore_matrix(
 
 
 def matmul(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product over F_(q^m)."""
+    """Exact matrix product over F_(q^m); zero entries of A cost no field call.
+
+    A may hold F_q digits (an F_q digit is already the index of that constant
+    of F_(q^m)), so V G^T for a subspace representative V is matmul(V, G.T).
+    """
     ra, ca = A.shape
     rb, cb = B.shape
     if ca != rb:
@@ -60,7 +64,9 @@ def matmul(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for j in range(cb):
             acc = 0
             for s in range(ca):
-                acc = tower.add(acc, tower.mul(int(A[i, s]), int(B[s, j])))
+                a = int(A[i, s])
+                if a:
+                    acc = tower.add(acc, tower.mul(a, int(B[s, j])))
             out[i, j] = acc
     return out
 

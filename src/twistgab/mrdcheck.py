@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -74,30 +75,11 @@ def enumerate_subspaces(n: int, k: int, q: int, budget: Optional[int] = None) ->
         )
 
 
-def _v_g_transpose(tower: FieldTower, V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """V (digits over F_q) times G^T (elements), exactly.
-
-    An F_q digit is already the index of that constant of F_(q^m).
-    """
-    k_v, n = V.shape
-    k_g = G.shape[0]
-    out = np.zeros((k_v, k_g), dtype=np.int64)
-    for a in range(k_v):
-        for b in range(k_g):
-            acc = 0
-            for j in range(n):
-                d = int(V[a, j])
-                if d:
-                    acc = tower.add(acc, tower.mul(d, int(G[b, j])))
-            out[a, b] = acc
-    return out
-
-
 def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budget: Optional[int] = None) -> bool:
     """Subspace criterion on an arbitrary full-rank generator matrix."""
     k, n = G.shape
     for V in enumerate_subspaces(n, k, tower.q, budget):
-        if moore.rank_fqm(tower, _v_g_transpose(tower, V, G)) != k:
+        if moore.rank_fqm(tower, moore.matmul(tower, V, G.T)) != k:
             return False
     return True
 
@@ -175,13 +157,13 @@ def forbidden_eta_set_one_twist(
     Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
     for V in enumerate_subspaces(n, k, tower.q, budget):
-        den = moore.det_fqm(tower, _v_g_transpose(tower, V, M))
+        den = moore.det_fqm(tower, moore.matmul(tower, V, M.T))
         if den == 0:
             raise ConsistencyError(
                 "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
                 f"the MRD property, V = {V.tolist()}"
             )
-        num = moore.det_fqm(tower, _v_g_transpose(tower, V, Mht))
+        num = moore.det_fqm(tower, moore.matmul(tower, V, Mht.T))
         eta = tower.neg(tower.div(num, den))
         key = (eta,)
         if key not in out.entries:
@@ -202,7 +184,7 @@ def omega_one(
     if tower.fq_rank(alpha) != n:
         raise SpecInvariantError("alpha components must be F_q-independent")
     cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", _ncr(n, k), cap)
+    check_budget("k-subset", comb(n, k), cap)
     out = ForbiddenSet(arity=1, provenance="omega1")
     for subset in combinations(range(n), k):
         coeffs = AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in subset])
@@ -229,7 +211,7 @@ def omega_one_prime(
     if tower.fq_rank(alpha) != n:
         raise SpecInvariantError("alpha components must be F_q-independent")
     cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", _ncr(n, k), cap)
+    check_budget("k-subset", comb(n, k), cap)
     out = ForbiddenSet(arity=1, provenance="omega1-prime")
     for subset in combinations(range(n), k):
         coeffs = AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in subset])
@@ -239,13 +221,6 @@ def omega_one_prime(
     via_g = omega_one(tower, alpha, k, h, 0, budget)
     if via_g.values() != out.values():
         raise ConsistencyError("omega1(t=0) differs from omega1-prime")
-    return out
-
-
-def _ncr(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
     return out
 
 
@@ -280,34 +255,6 @@ def omega_witness(spec: CodeSpec) -> Optional[tuple[int, ...]]:
     return None
 
 
-def omega_two_witness(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    k: int,
-    h: int,
-    t1: int,
-    t2: int,
-    eta1: Element,
-    eta2: Element,
-) -> Optional[tuple[int, ...]]:
-    """Membership witness for the two-twist forbidden set."""
-    spec = CodeSpec(tower, tuple(alpha), k, h, ((t1, eta1), (t2, eta2)))
-    return omega_witness(spec)
-
-
-def omega_ell_witness(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    k: int,
-    h: int,
-    ts: Sequence[int],
-    etas: Sequence[Element],
-) -> Optional[tuple[int, ...]]:
-    """Membership witness for the many-twist forbidden set."""
-    spec = CodeSpec(tower, tuple(alpha), k, h, tuple(zip(ts, etas)))
-    return omega_witness(spec)
-
-
 def omega_two_materialize(
     tower: FieldTower,
     alpha: Sequence[Element],
@@ -323,7 +270,7 @@ def omega_two_materialize(
     out = ForbiddenSet(arity=2, provenance="omega2")
     for e1 in tower.nonzero_elements():
         for e2 in tower.nonzero_elements():
-            wit = omega_two_witness(tower, alpha, k, h, t1, t2, e1, e2)
+            wit = omega_witness(CodeSpec(tower, tuple(alpha), k, h, ((t1, e1), (t2, e2))))
             if wit is not None:
                 out.entries[(e1, e2)] = list(wit)
     return out
@@ -345,9 +292,9 @@ def mrd_membership_multi(
         for tj, _ in spec.twists
     ] if spec.twists else []
     for V in enumerate_subspaces(spec.n, spec.k, t.q, budget):
-        acc = moore.det_fqm(t, _v_g_transpose(t, V, M))
+        acc = moore.det_fqm(t, moore.matmul(t, V, M.T))
         for (tj, ej), Mj in zip(spec.twists, mods):
-            acc = t.add(acc, t.mul(ej, moore.det_fqm(t, _v_g_transpose(t, V, Mj))))
+            acc = t.add(acc, t.mul(ej, moore.det_fqm(t, moore.matmul(t, V, Mj.T))))
         if acc == 0:
             return False, V.tolist()
     return True, None
@@ -558,7 +505,7 @@ def hamming_class_via_omega(spec: CodeSpec, budget: Optional[int] = None) -> Ham
     t = spec.tower
     n, k = spec.n, spec.k
     cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", _ncr(n, k) + _ncr(n, k + 1), cap)
+    check_budget("k-subset", comb(n, k) + comb(n, k + 1), cap)
     if not spec.twists:
         return HammingClassification(label="MDS")
     vanishing = {

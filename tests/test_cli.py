@@ -92,6 +92,18 @@ class TestClassify:
         code.write_text(json.dumps({**CODE16, "twists": [{"t": 0, "eta": [0, 0, 0, 0]}]}))
         assert run_main(["classify", "--field", field, "--code", code]) == 2
 
+    @pytest.mark.parametrize("field_obj, alpha", [
+        ({"p": 2, "e": 1, "m": 4}, [*ALPHA16[:3], [0, 0, 1, None]]),
+        ({"p": 2, "e": 2, "m": 2, "base_modulus": [1, None, 1]}, ALPHA16),
+    ], ids=["null-coordinate", "null-modulus-coefficient"])
+    def test_json_null_is_an_input_error(self, tmp_path, capsys, field_obj, alpha):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(field_obj))
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps({**CODE16, "alpha": alpha}))
+        assert run_main(["classify", "--field", field, "--code", code]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_exit_code(self, files):
         _, field, code = files
         assert run_main(["classify", "--field", field, "--code", code, "--budget-codewords", "3"]) == 3

@@ -40,6 +40,17 @@ class TestConstruction:
         with pytest.raises(FieldConstructionError, match="factor"):
             tower_build(TowerParams(2, 2, 2, base_modulus=(1, 0, 1), top_modulus=(2, 1, 1)))
 
+    @pytest.mark.parametrize("base, match", [
+        ((1, 0, 1), r"base_modulus \[1, 0, 1\] is reducible over F_2: factor \[1, 1\]"),
+        ((1, 1, 2), "base_modulus must be monic of degree 2"),
+        ((1, 1, 1, 0), "base_modulus must be monic of degree 2"),
+        ((1, 3, 1), r"base_modulus coefficients must lie in \[0, 2\)"),
+    ])
+    def test_base_modulus_errors_name_base_modulus(self, base, match):
+        # the F_q-level tower checks the base modulus as its own top modulus
+        with pytest.raises(FieldConstructionError, match=match):
+            tower_build(TowerParams(2, 2, 2, base_modulus=base))
+
     def test_p_not_prime(self):
         with pytest.raises(FieldConstructionError, match="prime"):
             tower_build(TowerParams(4, 1, 2))

@@ -85,7 +85,6 @@ class TestSubspaceCriterion:
 
     def test_rowspace_invariance_under_gl(self, f16, alpha4, rng):
         from twistgab import moore
-        from twistgab.mrdcheck import _v_g_transpose
 
         G = generator_matrix(CodeSpec(f16, alpha4, 2, 0, ((0, W),)))
         for V in list(mc.enumerate_subspaces(4, 2, 2))[:10]:
@@ -95,8 +94,8 @@ class TestSubspaceCriterion:
                 if (R[0][0] & R[1][1]) ^ (R[0][1] & R[1][0]):
                     break
             RV = (R @ V) % 2
-            r1 = moore.rank_fqm(f16, _v_g_transpose(f16, V, G))
-            r2 = moore.rank_fqm(f16, _v_g_transpose(f16, RV.astype(np.uint8), G))
+            r1 = moore.rank_fqm(f16, moore.matmul(f16, V, G.T))
+            r2 = moore.rank_fqm(f16, moore.matmul(f16, RV.astype(np.uint8), G.T))
             assert r1 == r2
 
 
@@ -171,7 +170,7 @@ class TestOmegaWitnesses:
 
         for e1 in t.nonzero_elements():
             for e2 in t.nonzero_elements():
-                got = mc.omega_two_witness(t, alpha4, k, h, 0, 1, e1, e2)
+                got = mc.omega_witness(CodeSpec(t, alpha4, k, h, ((0, e1), (1, e2))))
                 expect = closed_form_witness(e1, e2)
                 assert (got is None) == (expect is None)
                 if got is not None:
@@ -180,15 +179,26 @@ class TestOmegaWitnesses:
     def test_witness_implies_not_mrd(self, f16, alpha4, rng):
         for _ in range(40):
             e1, e2 = f16.random_nonzero(rng), f16.random_nonzero(rng)
-            wit = mc.omega_two_witness(f16, alpha4, 1, 0, 0, 1, e1, e2)
-            if wit is not None:
-                spec = CodeSpec(f16, alpha4, 1, 0, ((0, e1), (1, e2)))
+            spec = CodeSpec(f16, alpha4, 1, 0, ((0, e1), (1, e2)))
+            if mc.omega_witness(spec) is not None:
                 assert min_rank_distance(spec).d_rank <= 3
 
-    def test_ell_witness_wrapper(self, f16, alpha4):
-        wit = mc.omega_ell_witness(f16, alpha4, 1, 0, (0, 1, 2), (W, W, W))
-        spec = CodeSpec(f16, alpha4, 1, 0, ((0, W), (1, W), (2, W)))
-        assert wit == mc.omega_witness(spec)
+    def test_many_twist_witness_is_first_vanishing_minor(self, f16, alpha4):
+        # three twists: the witness is the first k-subset whose maximal minor
+        # of the generator vanishes, read off the matrix directly
+        from twistgab import moore
+
+        found = 0
+        for e1, e2, e3 in product((1, W, 7), repeat=3):
+            spec = CodeSpec(f16, alpha4, 1, 0, ((0, e1), (1, e2), (2, e3)))
+            G = generator_matrix(spec)
+            vanishing = (
+                s for s in combinations(range(4), 1) if moore.det_fqm(f16, G[:, list(s)]) == 0
+            )
+            wit = mc.omega_witness(spec)
+            assert wit == next(vanishing, None)
+            found += wit is not None
+        assert found > 0
 
     def test_gabidulin_has_no_witness(self, f16, alpha4):
         assert mc.omega_witness(CodeSpec(f16, alpha4, 2)) is None
@@ -197,7 +207,7 @@ class TestOmegaWitnesses:
         full = mc.omega_two_materialize(f16, alpha4, 1, 0, 0, 1)
         for e1 in f16.nonzero_elements():
             for e2 in f16.nonzero_elements():
-                wit = mc.omega_two_witness(f16, alpha4, 1, 0, 0, 1, e1, e2)
+                wit = mc.omega_witness(CodeSpec(f16, alpha4, 1, 0, ((0, e1), (1, e2))))
                 assert ((e1, e2) in full) == (wit is not None)
 
 
@@ -228,7 +238,6 @@ class TestMrdMembershipMulti:
 
     def test_violating_v_zeroes_the_expansion(self, f16, alpha4):
         from twistgab import moore
-        from twistgab.mrdcheck import _v_g_transpose
 
         # pick a non-MRD spec and confirm the reported V kills |V G^T|
         from twistgab.gcoeff import g_of_subset
@@ -239,7 +248,7 @@ class TestMrdMembershipMulti:
         assert not ok
         V = np.array(vio, dtype=np.uint8)
         G = generator_matrix(spec)
-        assert moore.det_fqm(f16, _v_g_transpose(f16, V, G)) == 0
+        assert moore.det_fqm(f16, moore.matmul(f16, V, G.T)) == 0
 
 
 class TestConstructions:
