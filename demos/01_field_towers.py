@@ -35,6 +35,6 @@ print("rank weight of the power basis:", t.fq_rank([t.pow_(w, i) for i in range(
 # a tower with a non-prime base field: F_4 = F_2[x]/(x^2+x+1), then F_16 over F_4
 t4 = tower_build(TowerParams(p=2, e=2, m=2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
 print("\nF_4 -> F_16 tower:", t4)
-x = t4.lift_fq(2)  # the F_4 generator, embedded as a constant
+x = 2  # the F_4 generator: F_q digits embed as themselves
 print("norm onto F_4 of the class of y:", t4.norm(t4.from_coords([0, 1])))
 print("rank over F_4 of [1, x]:", t4.fq_rank([1, x]), "(both lie in F_4: dependent)")

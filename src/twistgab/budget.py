@@ -23,9 +23,11 @@ class Budgets:
     """Caps for the three enumeration axes.
 
     subspaces: RREF representatives / column subsets visited by structural checks.
-               It is shared: the same cap also bounds the k-subset counts of
-               ``omega_one``, ``omega_one_prime`` and ``hamming_class_via_omega``
-               (k- plus (k+1)-subsets), the eta-pair count of
+               It is shared: the same cap also bounds the k-subset count of
+               every ``KSubsetTable`` (the table behind ``omega_one``,
+               ``omega_one_prime``, ``omega_witness``, ``omega_two_materialize``
+               and the Hamming route), the k- plus (k+1)-subset count of
+               ``hamming_class``, the eta-pair count of
                ``omega_two_materialize`` and the tuple count of
                ``sum_product_free_test``; each count is checked on its own.
     codewords: message classes visited by distance enumeration.

@@ -5,8 +5,8 @@ write canonical JSON reports (schema "twistgab/1").  Reports are byte-stable
 for a fixed seed: collections are sorted and JSON keys are sorted.  Every
 command runs in one thread; ``--workers`` is accepted for compatibility and
 ignored, because the work is CPU-bound Python that a thread pool only slowed
-down.  Wall-clock timings go to stderr (or into the report with --timings,
-which intentionally trades away byte-stability).
+down.  The wall-clock time of a command goes to stderr as a ``[timing]`` line,
+never into the report.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
 consistency failure (two verification routes disagreed -- the most important
@@ -31,7 +31,7 @@ from .errors import (
     FieldConstructionError,
     SpecInvariantError,
 )
-from .fieldtower import FieldTower, tower_from_json
+from .fieldtower import FieldTower, json_array, json_int, json_object, tower_from_json
 
 SCHEMA = "twistgab/1"
 
@@ -61,7 +61,7 @@ def _load_tower(args) -> FieldTower:
 
 def _load_spec(tower: FieldTower, path: str) -> codes.CodeSpec:
     obj = _load_json(path)
-    if "code" in obj:  # output of `construct`
+    if isinstance(obj, dict) and "code" in obj:  # output of `construct`
         obj = obj["code"]
     return codes.CodeSpec.from_json_dict(tower, obj)
 
@@ -86,11 +86,13 @@ def _budgets_from_args(args) -> Budgets:
     )
 
 
-def _classify_one(tower: FieldTower, spec: codes.CodeSpec, budgets: Budgets) -> dict:
+def _classify_one(
+    tower: FieldTower, spec: codes.CodeSpec, budgets: Budgets, table: mrdcheck.KSubsetTable
+) -> dict:
     report = codes.classify(spec, budgets)
     subspace_mrd = mrdcheck.is_mrd_subspace_criterion(spec, budgets.subspaces)
-    witness = mrdcheck.omega_witness(spec)
-    hclass = mrdcheck.hamming_class_via_omega(spec, budgets.subspaces)
+    hclass = mrdcheck.hamming_class(table, spec.h, spec.twists)
+    witness = hclass.vanishing_subset
     agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
     if hclass.label == "MDS":
         agree_hamming = report.is_mds
@@ -127,18 +129,26 @@ def _classify_one(tower: FieldTower, spec: codes.CodeSpec, budgets: Budgets) -> 
     }
 
 
+def _elements(tower: FieldTower, obj, what: str) -> list:
+    return [tower.element_from_json(e) for e in json_array(obj, what)]
+
+
 def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.CodeSpec]:
-    alpha = tuple(tower.element_from_json(a) for a in grid["alpha"])
-    k = int(grid["k"])
+    grid = json_object(grid, "a sweep grid")
+    alpha = tuple(_elements(tower, grid["alpha"], "alpha"))
+    k = json_int(grid["k"])
     hs = grid.get("h", [0])
-    if isinstance(hs, int):
-        hs = [hs]
-    ts = tuple(int(x) for x in grid.get("ts", [0]))
+    hs = [json_int(h) for h in ([hs] if isinstance(hs, int) else json_array(hs, "h"))]
+    ts = tuple(json_int(x) for x in json_array(grid.get("ts", [0]), "ts"))
     etas = grid.get("etas", "all")
     if etas == "all":
         eta_tuples = _all_eta_tuples(tower, len(ts))
     else:
-        eta_tuples = [tuple(tower.element_from_json(e) for e in tup) for tup in etas]
+        eta_tuples = [
+            tuple(_elements(tower, tup, "an eta tuple")) for tup in json_array(etas, "etas")
+        ]
+        if any(len(tup) != len(ts) for tup in eta_tuples):
+            raise ValueError(f"each eta tuple needs one eta per entry of ts = {list(ts)}")
     n_specs = len(hs) * len(eta_tuples)
     per_spec = codes.projective_class_count(tower.order, k) + codes.projective_class_count(
         tower.order, len(alpha) - k
@@ -151,7 +161,7 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
     specs = []
     for h in hs:
         for tup in eta_tuples:
-            specs.append(codes.CodeSpec(tower, alpha, k, int(h), tuple(zip(ts, tup))))
+            specs.append(codes.CodeSpec(tower, alpha, k, h, tuple(zip(ts, tup))))
     return specs
 
 
@@ -166,15 +176,17 @@ def cmd_classify(args) -> dict:
     tower = _load_tower(args)
     budgets = _budgets_from_args(args)
     if args.sweep:
-        grid = _load_json(args.sweep)
-        specs = _sweep_specs(tower, grid, budgets)
-        entries = [_classify_one(tower, s, budgets) for s in specs]
-        return {"schema": SCHEMA, "command": "classify", "entries": entries}
-    if not args.code:
+        specs = _sweep_specs(tower, _load_json(args.sweep), budgets)
+    elif args.code:
+        specs = [_load_spec(tower, args.code)]
+    else:
         raise ValueError("classify needs --code or --sweep")
-    spec = _load_spec(tower, args.code)
-    entry = _classify_one(tower, spec, budgets)
-    return {"schema": SCHEMA, "command": "classify", "entries": [entry]}
+    entries = []
+    if specs:
+        # every spec of a sweep shares alpha and k, hence the k-subset table
+        table = mrdcheck.KSubsetTable(tower, specs[0].alpha, specs[0].k, budgets)
+        entries = [_classify_one(tower, s, budgets, table) for s in specs]
+    return {"schema": SCHEMA, "command": "classify", "entries": entries}
 
 
 def cmd_forbidden(args) -> dict:
@@ -197,9 +209,12 @@ def cmd_forbidden(args) -> dict:
                 tower, spec.alpha, spec.k, spec.h, budgets.subspaces
             ).to_json_dict(tower)
     elif spec.ell >= 2:
-        witness = mrdcheck.omega_witness(spec)
-        out["omega_witness"] = list(witness) if witness is not None else None
-        out["certifies_non_mrd"] = witness is not None
+        # the first vanishing subset is omega_witness(spec), here on a table
+        # checked against this run's budgets
+        table = mrdcheck.KSubsetTable(tower, spec.alpha, spec.k, budgets)
+        vanishing = table.vanishing(spec.h, spec.twists)
+        out["omega_witness"] = list(vanishing[0]) if vanishing else None
+        out["certifies_non_mrd"] = bool(vanishing)
     else:
         raise ValueError("forbidden sets are defined for twisted codes (l >= 1)")
     return out
@@ -210,29 +225,28 @@ def cmd_construct(args) -> dict:
     budgets = _budgets_from_args(args)
     if not args.task:
         raise ValueError("construct needs --task with the construction description")
-    task = _load_json(args.task)
+    task = json_object(_load_json(args.task), "a construction task")
     mode = task.get("mode", "nested")
-    alpha = tuple(tower.element_from_json(a) for a in task["alpha"])
-    k = int(task["k"])
-    h = int(task.get("h", 0))
-    ts = [int(x) for x in task["ts"]]
+    alpha = tuple(_elements(tower, task["alpha"], "alpha"))
+    k = json_int(task["k"])
+    h = json_int(task.get("h", 0))
+    ts = [json_int(x) for x in json_array(task["ts"], "ts")]
     if mode in ("nested", "scalar"):
+        degrees = [json_int(s) for s in json_array(task["degrees"], "degrees")]
+        etas = _elements(tower, task["etas"], "etas")
+        if not degrees or not etas:
+            raise ValueError(f"{mode} mode needs non-empty degrees and etas")
         if mode == "nested":
-            chain = mrdcheck.SubfieldChain.nested(
-                [int(s) for s in task["degrees"]],
-                [tower.element_from_json(e) for e in task["etas"]],
-            )
+            chain = mrdcheck.SubfieldChain.nested(degrees, etas)
         else:
             chain = mrdcheck.SubfieldChain.scalar_multiple(
-                int(task["degrees"][0]),
-                tower.element_from_json(task["etas"][0]),
-                [tower.element_from_json(b) for b in task.get("scalars", [])],
+                degrees[0], etas[0], _elements(tower, task.get("scalars", []), "scalars")
             )
         spec = mrdcheck.construct_chain_mrd(tower, chain, alpha, k, h, ts, budgets)
         verified = mrdcheck.gaussian_binomial(len(alpha), k, tower.q) <= budgets.subspaces
     elif mode == "sum-product-free":
-        s = int(task["s"])
-        etas = [tower.element_from_json(e) for e in task["etas"]]
+        s = json_int(task["s"])
+        etas = _elements(tower, task["etas"], "etas")
         if not mrdcheck.sum_product_free_test(tower, etas, s, 1, budgets.subspaces):
             raise SpecInvariantError("etas are not 1-sum-product free over F_(q^s)")
         for i, a in enumerate(alpha):
@@ -360,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", type=int, default=16, help="deephole family grid size")
     ap.add_argument("--sample", type=int, default=64, help="deephole sampled iff checks")
     ap.add_argument("--out", help="report output path (stdout when omitted)")
-    ap.add_argument(
-        "--timings",
-        action="store_true",
-        help="embed wall-clock timings in the report (breaks byte-stability)",
-    )
     return ap
 
 
@@ -382,10 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, SpecInvariantError, FieldConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    elapsed = time.perf_counter() - t0
-    if args.timings:
-        report["timing_ms"] = round(elapsed * 1000.0, 3)
-    print(f"[timing] {args.command}: {elapsed:.3f}s", file=sys.stderr)
+    print(f"[timing] {args.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     _write_report(args, report)
     return EXIT_OK
 

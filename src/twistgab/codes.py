@@ -27,7 +27,7 @@ import numpy as np
 from . import moore
 from .budget import Budgets, check_budget, default_budgets
 from .errors import ConsistencyError, SpecInvariantError
-from .fieldtower import Element, FieldTower
+from .fieldtower import Element, FieldTower, json_array, json_int, json_object
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,15 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, tower: FieldTower, obj: dict) -> "CodeSpec":
-        alpha = tuple(tower.element_from_json(a) for a in obj["alpha"])
-        twists = tuple(
-            (int(tw["t"]), tower.element_from_json(tw["eta"]))
-            for tw in obj.get("twists", [])
-        )
+        obj = json_object(obj, "a code spec")
+        alpha = tuple(tower.element_from_json(a) for a in json_array(obj["alpha"], "alpha"))
+        twists = []
+        for tw in json_array(obj.get("twists", []), "twists"):
+            tw = json_object(tw, "a twist")
+            twists.append((json_int(tw["t"]), tower.element_from_json(tw["eta"])))
         h = obj.get("h")
-        return cls(tower, alpha, int(obj["k"]), None if h is None else int(h), twists)
+        h = None if h is None else json_int(h)
+        return cls(tower, alpha, json_int(obj["k"]), h, tuple(twists))
 
 
 @dataclass

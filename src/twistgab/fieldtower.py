@@ -265,7 +265,8 @@ class FieldTower:
     """The tower F_p <= F_q <= F_(q^m) with table-driven exact arithmetic.
 
     Its F_q level (``_sf``) is an F_p-tower for e > 1 and the prime field for
-    e = 1; the ``q_*`` methods, ``fq_echelon`` and F_q digit handling use it.
+    e = 1; ``fq_echelon`` and F_q digit handling use it.  F_q embeds as the
+    identity on indices, so an F_q digit is also the element it names.
     """
 
     def __init__(self, params: TowerParams):
@@ -539,36 +540,6 @@ class FieldTower:
             raise ValueError(f"expected {self.m} little-endian digits in [0, {self.q})")
         return self._pack_digits(ds)
 
-    def coord_residues(self, digit: int) -> tuple[int, ...]:
-        """Little-endian F_p residues of one F_q digit: its coordinates in F_q."""
-        return self._sf.coords(digit) if self.e > 1 else (digit,)
-
-    def lift_fq(self, digit: int) -> Element:
-        """Embed an F_q digit as a constant of F_(q^m).
-
-        The embedding is the identity on indices: the constant's index is the
-        digit itself, so internal code multiplies by digits directly.
-        """
-        if not 0 <= digit < self.q:
-            raise ValueError("not an F_q digit")
-        return digit
-
-    # F_q digit arithmetic, for callers doing linear algebra over the base field
-    def q_add(self, a: int, b: int) -> int:
-        return self._sf.add(a, b)
-
-    def q_sub(self, a: int, b: int) -> int:
-        return self._sf.sub(a, b)
-
-    def q_neg(self, a: int) -> int:
-        return self._sf.neg(a)
-
-    def q_mul(self, a: int, b: int) -> int:
-        return self._sf.mul(a, b)
-
-    def q_inv(self, a: int) -> int:
-        return self._sf.inv(a)
-
     def fq_echelon(self, rows: list[list[int]]):
         """Reduced row echelon form of a digit matrix over F_q.
 
@@ -727,9 +698,9 @@ class FieldTower:
             if isinstance(c, (list, tuple)):
                 if len(c) != self.e:
                     raise ValueError(f"each F_q coordinate needs {self.e} residues")
-                rs = [_json_int(r) for r in c]
+                rs = [json_int(r) for r in c]
                 c = self._sf.from_coords(rs) if self.e > 1 else rs[0]
-            ds.append(_json_int(c))
+            ds.append(json_int(c))
         return self.from_coords(ds)
 
     def __repr__(self):
@@ -747,7 +718,7 @@ def default_tower(p: int, e: int, m: int) -> FieldTower:
     return FieldTower(TowerParams(p, e, m))
 
 
-def _json_int(x) -> int:
+def json_int(x) -> int:
     """int(x) for a JSON number; null or an array is a ValueError, not a TypeError."""
     try:
         return int(x)
@@ -755,17 +726,35 @@ def _json_int(x) -> int:
         raise ValueError(f"expected an integer, got {x!r}") from None
 
 
+def json_array(x, what: str) -> list:
+    """x if it is a JSON array; any other shape is a ValueError naming `what`."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON array, got {x!r}")
+    return x
+
+
+def json_object(x, what: str) -> dict:
+    """x if it is a JSON object; any other shape is a ValueError naming `what`."""
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be a JSON object, got {x!r}")
+    return x
+
+
 def tower_from_json(obj: dict) -> FieldTower:
     """Build a tower from the field-spec JSON object."""
-    base = obj.get("base_modulus")
-    top = obj.get("top_modulus")
+    obj = json_object(obj, "a field spec")
+
+    def modulus(key):  # absent or [] picks the default
+        cs = obj.get(key)
+        return None if cs is None else tuple(json_int(c) for c in json_array(cs, key)) or None
+
     return tower_build(
         TowerParams(
-            p=_json_int(obj["p"]),
-            e=_json_int(obj["e"]),
-            m=_json_int(obj["m"]),
-            base_modulus=tuple(_json_int(c) for c in base) if base else None,
-            top_modulus=tuple(_json_int(c) for c in top) if top else None,
+            p=json_int(obj["p"]),
+            e=json_int(obj["e"]),
+            m=json_int(obj["m"]),
+            base_modulus=modulus("base_modulus"),
+            top_modulus=modulus("top_modulus"),
         )
     )
 

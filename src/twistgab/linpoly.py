@@ -74,10 +74,6 @@ class LinearizedPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return LinearizedPoly(t, (t.sub(self.coeff(i), other.coeff(i)) for i in range(n)))
 
-    def scalar_mul(self, c: Element) -> "LinearizedPoly":
-        t = self.tower
-        return LinearizedPoly(t, (t.mul(c, f) for f in self.coeffs))
-
     def __mul__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """Skew product f o g: coefficient k is sum_i f_i * sigma^i(g_(k-i))."""
         if self.is_zero or other.is_zero:

@@ -8,8 +8,9 @@ q^(kn) matrices to the Gaussian binomial count.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
-points through the g_h^(t) scalars, or per subspace V through determinant
-ratios.
+points through the g_h^(t) scalars (one ``KSubsetTable`` per (alpha, k) holds
+the subsets, their annihilators and the g columns), or per subspace V through
+determinant ratios.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class ForbiddenSet:
     def values(self) -> set[tuple[Element, ...]]:
         return set(self.entries)
 
-    def scalars(self) -> set[Element]:
-        if self.arity != 1:
-            raise ValueError("scalars() is only defined for arity-1 sets")
-        return {v[0] for v in self.entries}
-
     def __contains__(self, eta) -> bool:
         if isinstance(eta, int):
             eta = (eta,)
@@ -124,9 +120,7 @@ class ForbiddenSet:
             "entries": [
                 {
                     "value": [tower.element_to_json(v) for v in val],
-                    "witness": self.entries[val]
-                    if isinstance(self.entries[val], (list, tuple))
-                    else self.entries[val],
+                    "witness": self.entries[val],
                 }
                 for val in ordered
             ],
@@ -171,6 +165,58 @@ def forbidden_eta_set_one_twist(
     return out
 
 
+class KSubsetTable:
+    """The k-subsets of the evaluation points with their subspace polynomials.
+
+    Built once per (tower, alpha, k): subsets are listed in lexicographic
+    order next to the annihilator coefficients of {alpha_i : i in I}, and the
+    column of g_h^(t)(I) over all subsets is computed the first time (h, t)
+    is asked for.  Every Omega route reads its scalars from here.
+    """
+
+    def __init__(self, tower: FieldTower, alpha: Sequence[Element], k: int, budgets: Budgets):
+        n = len(alpha)
+        if tower.fq_rank(alpha) != n:
+            raise SpecInvariantError("alpha components must be F_q-independent")
+        check_budget("k-subset", comb(n, k), budgets.subspaces)
+        self.tower, self.n, self.k, self.budgets = tower, n, k, budgets
+        self.subsets = list(combinations(range(n), k))
+        self.coeffs = [
+            AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in s]) for s in self.subsets
+        ]
+        self._g: dict[tuple[int, int], list[Element]] = {}
+
+    def g(self, h: int, t: int) -> list[Element]:
+        """g_h^(t)(I) for every subset I, in subset order."""
+        if (h, t) not in self._g:
+            self._g[h, t] = [g_coefficient(c, h, t) for c in self.coeffs]
+        return self._g[h, t]
+
+    def vanishing(self, h: int, twists: Sequence[tuple[int, Element]]) -> list[tuple[int, ...]]:
+        """The subsets I, in order, with 1 + sum_j eta_j g_h^(t_j)(I) = 0.
+
+        These are exactly the k-subsets of columns whose maximal minor of the
+        twisted generator vanishes.
+        """
+        tw = self.tower
+        cols = [(eta, self.g(h, t)) for t, eta in twists]
+        out = []
+        for i, subset in enumerate(self.subsets):
+            acc = 1
+            for eta, col in cols:
+                acc = tw.add(acc, tw.mul(eta, col[i]))
+            if acc == 0:
+                out.append(subset)
+        return out
+
+
+def _table(
+    tower: FieldTower, alpha: Sequence[Element], k: int, budget: Optional[int]
+) -> KSubsetTable:
+    budgets = default_budgets() if budget is None else Budgets(subspaces=budget)
+    return KSubsetTable(tower, alpha, k, budgets)
+
+
 def omega_one(
     tower: FieldTower,
     alpha: Sequence[Element],
@@ -180,18 +226,10 @@ def omega_one(
     budget: Optional[int] = None,
 ) -> ForbiddenSet:
     """The set of -g_h^(t)(I) over all k-subsets I; eta^(-1) inside => not MRD."""
-    n = len(alpha)
-    if tower.fq_rank(alpha) != n:
-        raise SpecInvariantError("alpha components must be F_q-independent")
-    cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", comb(n, k), cap)
+    table = _table(tower, alpha, k, budget)
     out = ForbiddenSet(arity=1, provenance="omega1")
-    for subset in combinations(range(n), k):
-        coeffs = AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in subset])
-        val = tower.neg(g_coefficient(coeffs, h, t))
-        key = (val,)
-        if key not in out.entries:
-            out.entries[key] = list(subset)
+    for subset, g in zip(table.subsets, table.g(h, t)):
+        out.entries.setdefault((tower.neg(g),), list(subset))
     return out
 
 
@@ -205,39 +243,15 @@ def omega_one_prime(
     """The t = 0 specialization, stored as the annihilator coefficients c_(k-h).
 
     Elementwise equal to omega_one(..., t=0) because g_h^(0) = -c_(k-h); the
-    equality is asserted here as a permanent cross-check.
+    equality is asserted here, subset by subset, as a permanent cross-check.
     """
-    n = len(alpha)
-    if tower.fq_rank(alpha) != n:
-        raise SpecInvariantError("alpha components must be F_q-independent")
-    cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", comb(n, k), cap)
+    table = _table(tower, alpha, k, budget)
     out = ForbiddenSet(arity=1, provenance="omega1-prime")
-    for subset in combinations(range(n), k):
-        coeffs = AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in subset])
-        key = (coeffs.at(k - h),)
-        if key not in out.entries:
-            out.entries[key] = list(subset)
-    via_g = omega_one(tower, alpha, k, h, 0, budget)
-    if via_g.values() != out.values():
-        raise ConsistencyError("omega1(t=0) differs from omega1-prime")
+    for subset, coeffs, g in zip(table.subsets, table.coeffs, table.g(h, 0)):
+        if coeffs.at(k - h) != tower.neg(g):
+            raise ConsistencyError("omega1(t=0) differs from omega1-prime")
+        out.entries.setdefault((coeffs.at(k - h),), list(subset))
     return out
-
-
-def _vanishing_value(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    subset: Sequence[int],
-    k: int,
-    h: int,
-    twists: Sequence[tuple[int, Element]],
-) -> Element:
-    """1 + sum_j eta_j g_h^(t_j)(I); zero iff the minor at columns I vanishes."""
-    coeffs = AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in subset])
-    acc = 1
-    for tj, ej in twists:
-        acc = tower.add(acc, tower.mul(ej, g_coefficient(coeffs, h, tj)))
-    return acc
 
 
 def omega_witness(spec: CodeSpec) -> Optional[tuple[int, ...]]:
@@ -248,11 +262,8 @@ def omega_witness(spec: CodeSpec) -> Optional[tuple[int, ...]]:
     """
     if not spec.twists:
         return None
-    t = spec.tower
-    for subset in combinations(range(spec.n), spec.k):
-        if _vanishing_value(t, spec.alpha, subset, spec.k, spec.h, spec.twists) == 0:
-            return subset
-    return None
+    vanishing = _table(spec.tower, spec.alpha, spec.k, None).vanishing(spec.h, spec.twists)
+    return vanishing[0] if vanishing else None
 
 
 def omega_two_materialize(
@@ -267,12 +278,13 @@ def omega_two_materialize(
     """Exhaustive materialization of the two-twist forbidden set (tiny fields only)."""
     cap = default_budgets().subspaces if budget is None else budget
     check_budget("eta-pair", (tower.order - 1) ** 2, cap)
+    table = _table(tower, alpha, k, budget)
     out = ForbiddenSet(arity=2, provenance="omega2")
     for e1 in tower.nonzero_elements():
         for e2 in tower.nonzero_elements():
-            wit = omega_witness(CodeSpec(tower, tuple(alpha), k, h, ((t1, e1), (t2, e2))))
-            if wit is not None:
-                out.entries[(e1, e2)] = list(wit)
+            vanishing = table.vanishing(h, ((t1, e1), (t2, e2)))
+            if vanishing:
+                out.entries[(e1, e2)] = list(vanishing[0])
     return out
 
 
@@ -494,7 +506,9 @@ class HammingClassification:
         }
 
 
-def hamming_class_via_omega(spec: CodeSpec, budget: Optional[int] = None) -> HammingClassification:
+def hamming_class(
+    table: KSubsetTable, h: int, twists: Sequence[tuple[int, Element]]
+) -> HammingClassification:
     """MDS/AMDS/NMDS classification through the forbidden-set theorems.
 
     MDS iff no k-subset minor vanishes.  Inside the forbidden set, AMDS iff
@@ -502,24 +516,21 @@ def hamming_class_via_omega(spec: CodeSpec, budget: Optional[int] = None) -> Ham
     to NMDS when h is 0 or k-1.  "none" means the Hamming distance is below
     n-k.  The verdict must match the column-rank conditions on the generator.
     """
-    t = spec.tower
-    n, k = spec.n, spec.k
-    cap = default_budgets().subspaces if budget is None else budget
-    check_budget("k-subset", comb(n, k) + comb(n, k + 1), cap)
-    if not spec.twists:
-        return HammingClassification(label="MDS")
-    vanishing = {
-        subset
-        for subset in combinations(range(n), k)
-        if _vanishing_value(t, spec.alpha, subset, k, spec.h, spec.twists) == 0
-    }
+    n, k = table.n, table.k
+    check_budget("k-subset", comb(n, k) + comb(n, k + 1), table.budgets.subspaces)
+    vanishing = table.vanishing(h, twists)
     if not vanishing:
         return HammingClassification(label="MDS")
-    first = min(vanishing)
     for sup in combinations(range(n), k + 1):
         if all(sub in vanishing for sub in combinations(sup, k)):
             return HammingClassification(
-                label="none", vanishing_subset=first, failing_superset=sup
+                label="none", vanishing_subset=vanishing[0], failing_superset=sup
             )
-    label = "NMDS" if spec.h in (0, k - 1) else "AMDS"
-    return HammingClassification(label=label, vanishing_subset=first)
+    label = "NMDS" if h in (0, k - 1) else "AMDS"
+    return HammingClassification(label=label, vanishing_subset=vanishing[0])
+
+
+def hamming_class_via_omega(spec: CodeSpec, budget: Optional[int] = None) -> HammingClassification:
+    """hamming_class on the k-subset table of the spec's alpha and k."""
+    table = _table(spec.tower, spec.alpha, spec.k, budget)
+    return hamming_class(table, spec.h, spec.twists)

@@ -44,6 +44,39 @@ class TestClassify:
         assert len(report["entries"]) == 30
         assert not any(e["report"]["is_mrd"] for e in report["entries"])
 
+    def test_sweep_entries_match_specs_classified_alone(self, files, capsys):
+        # the sweep shares one k-subset table across h and eta; a spec run on
+        # its own builds a fresh one, so a cache keyed without h shows up here
+        tmp, field, _ = files
+        sweep = tmp / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": [0, 1], "ts": [0], "etas": "all"}))
+        assert run_main(["classify", "--field", field, "--sweep", sweep]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert {e["spec"]["h"] for e in entries} == {0, 1} and len(entries) == 30
+        code = tmp / "alone.json"
+        for entry in entries:
+            code.write_text(json.dumps(entry["spec"]))
+            assert run_main(["classify", "--field", field, "--code", code]) == 0
+            assert json.loads(capsys.readouterr().out)["entries"] == [entry]
+
+    def test_sweep_builds_each_annihilator_once(self, files, capsys, monkeypatch):
+        from twistgab.gcoeff import AnnihilatorCoeffs
+
+        calls = []
+        from_span = AnnihilatorCoeffs.from_span.__func__
+
+        def counted(cls, tower, gens):
+            calls.append(tuple(gens))
+            return from_span(cls, tower, gens)
+
+        monkeypatch.setattr(AnnihilatorCoeffs, "from_span", classmethod(counted))
+        tmp, field, _ = files
+        sweep = tmp / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": [0, 1], "ts": [0, 1], "etas": "all"}))
+        assert run_main(["classify", "--field", field, "--sweep", sweep]) == 0
+        assert len(json.loads(capsys.readouterr().out)["entries"]) == 2 * 15 * 15
+        assert len(calls) == len(set(calls)) == 6  # C(4, 2)
+
     def test_sweep_with_explicit_eta_list(self, files, capsys):
         tmp, field, _ = files
         sweep = tmp / "explicit.json"
@@ -104,15 +137,33 @@ class TestClassify:
         assert run_main(["classify", "--field", field, "--code", code]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field_obj, code_obj", [
+        ([1, 2], CODE16),
+        ({**FIELD16, "base_modulus": 5}, CODE16),
+        (FIELD16, {"alpha": 5, "k": 1}),
+        (FIELD16, [1]),
+    ], ids=["field-array", "base-modulus-number", "alpha-number", "code-array"])
+    def test_json_of_wrong_shape_is_an_input_error(self, tmp_path, capsys, field_obj, code_obj):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(field_obj))
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps(code_obj))
+        assert run_main(["classify", "--field", field, "--code", code]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_exit_code(self, files):
         _, field, code = files
         assert run_main(["classify", "--field", field, "--code", code, "--budget-codewords", "3"]) == 3
 
     def test_timings_flag(self, files, capsys):
+        # the time goes to stderr only; --timings, which put it in the report, is gone
         _, field, code = files
-        assert run_main(["classify", "--field", field, "--code", code, "--timings"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "timing_ms" in report
+        assert run_main(["classify", "--field", field, "--code", code]) == 0
+        captured = capsys.readouterr()
+        assert "[timing] classify: " in captured.err
+        assert "timing_ms" not in json.loads(captured.out)
+        with pytest.raises(SystemExit):
+            run_main(["classify", "--field", field, "--code", code, "--timings"])
 
     def test_gabidulin_code(self, files, capsys):
         tmp, field, _ = files
@@ -195,7 +246,7 @@ class TestForbidden:
         code.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "twists": []}))
         assert run_main(["forbidden", "--field", field, "--code", code]) == 2
 
-    def test_two_twist_witness(self, files, capsys):
+    def test_two_twist_witness(self, files, capsys, monkeypatch):
         tmp, field, _ = files
         code = tmp / "two.json"
         code.write_text(json.dumps({
@@ -205,6 +256,11 @@ class TestForbidden:
         assert run_main(["forbidden", "--field", field, "--code", code]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "omega_witness" in report
+        # with every budget given by a flag, the environment is not read
+        monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
+        flags = ["--budget-subspaces", "100", "--budget-codewords", "100", "--budget-ambient", "100"]
+        assert run_main(["forbidden", "--field", field, "--code", code, *flags]) == 0
+        assert json.loads(capsys.readouterr().out) == report
 
 
 class TestConstructAndCovering:
@@ -235,6 +291,21 @@ class TestConstructAndCovering:
         assert run_main(["classify", "--field", field, "--code", spec_out]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["entries"][0]["report"]["is_mrd"]
+
+    @pytest.mark.parametrize("command, flag, obj", [
+        ("classify", "--sweep", [1]),
+        ("classify", "--sweep", {"alpha": ALPHA16, "k": 1, "ts": [0, 1], "etas": [[[0, 1, 0, 0]]]}),
+        ("construct", "--task", [1]),
+        ("construct", "--task", {
+            "mode": "scalar", "degrees": [], "etas": [], "alpha": ALPHA16[:2], "k": 1, "ts": [0],
+        }),
+    ], ids=["sweep-array", "sweep-short-eta-tuple", "task-array", "task-empty-degrees"])
+    def test_sweep_and_task_of_wrong_shape(self, files, capsys, command, flag, obj):
+        tmp, field, _ = files
+        path = tmp / "input.json"
+        path.write_text(json.dumps(obj))
+        assert run_main([command, "--field", field, flag, path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sum_product_free_mode(self, tmp_path):
         field = tmp_path / "f256.json"

@@ -1,17 +1,19 @@
 """The two levels of the tower against fixed values and external oracles.
 
 F_q is itself a tower over the table-free prime field, so these tests pin the
-default moduli every report depends on, check products against sympy's
-finite-field routines, and exercise the largest prime field the constructor
-accepts.
+default moduli every report depends on, check with sympy that they are
+irreducible, check products against sympy's finite-field routines, and
+exercise the largest prime field the constructor accepts.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from sympy import Poly, resultant, symbols
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_mul, gf_rem
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from twistgab.fieldtower import TowerParams, default_tower, tower_build, tower_to_json
 
@@ -50,6 +52,37 @@ def test_default_moduli_are_pinned(pem):
     assert tower_to_json(default_tower(*pem)) == DEFAULT_MODULI[pem]
 
 
+def _over_fp(modulus, p, e):
+    """A modulus over F_q as a polynomial over F_p, big-endian, whose
+    irreducibility implies the modulus's own.
+
+    Over F_p (e = 1, or every coefficient in F_p and m coprime to e) this is
+    the modulus itself.  Otherwise it is the norm Res_x(base(x), f(x, y)) from
+    F_q[y] to F_p[y]: a factorization of f over F_q would factor its norm.
+    """
+    coeffs, base = modulus["top_modulus"], modulus.get("base_modulus")
+    m = len(coeffs) - 1
+    if e == 1 or (all(c < p for c in coeffs) and math.gcd(m, e) == 1):
+        return [c % p for c in reversed(coeffs)]
+    x, y = symbols("x y")
+    as_poly = lambda d: sum((d // p**i % p) * x**i for i in range(e))  # an F_q digit
+    f = sum(as_poly(c) * y**j for j, c in enumerate(coeffs))
+    b = sum(c * x**i for i, c in enumerate(base))
+    norm = resultant(Poly(b, x, y, modulus=p), Poly(f, x, y, modulus=p), x)
+    return [int(c) % p for c in Poly(norm, y, modulus=p).all_coeffs()]
+
+
+@pytest.mark.parametrize("pem", sorted(DEFAULT_MODULI), ids=lambda pem: "F_%d^%d^%d" % pem)
+def test_default_moduli_are_irreducible(pem):
+    p, e, m = pem
+    modulus = DEFAULT_MODULI[pem]
+    if e > 1:
+        assert gf_irreducible_p(list(reversed(modulus["base_modulus"])), p, ZZ)
+    fp = _over_fp(modulus, p, e)
+    assert len(fp) - 1 in (m, e * m)
+    assert gf_irreducible_p(fp, p, ZZ)
+
+
 def sympy_product(a, b, modulus, p):
     """a * b mod `modulus` over F_p; little-endian coefficient lists."""
     be = lambda cs: [int(c) for c in reversed(cs)]  # sympy is big-endian
@@ -81,11 +114,13 @@ E_EQ_1 = {
 
 @pytest.mark.parametrize("name", sorted(E_GT_1))
 def test_fq_level_products_match_sympy(name):
-    # every product of two F_q digits, through the F_q-level tower
+    # every product of two F_q digits, through the F_q-level tower and through
+    # the whole tower, where F_q digits embed as themselves
     t = E_GT_1[name]
     for a, b in itertools.product(range(t.q), repeat=2):
-        want = sympy_product(t.coord_residues(a), t.coord_residues(b), t.base_modulus, t.p)
-        assert t.coord_residues(t.q_mul(a, b)) == tuple(want)
+        want = sympy_product(t._sf.coords(a), t._sf.coords(b), t.base_modulus, t.p)
+        assert t._sf.coords(t._sf.mul(a, b)) == tuple(want)
+        assert t.mul(a, b) == t._sf.mul(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(E_EQ_1))
@@ -113,6 +148,6 @@ def test_largest_prime_field_is_modular_arithmetic():
         assert t.sub(a, b) == (a - b) % p
         assert t.neg(b) == -b % p
         assert t.mul(a, b) == a * b % p
-        assert t.q_mul(a, b) == a * b % p
+        assert t._sf.mul(a, b) == a * b % p
         assert t.inv(b) == t.inv_euclid(b) == pow(b, -1, p)
         assert b * t.inv(b) % p == 1

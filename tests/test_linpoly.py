@@ -33,7 +33,7 @@ class TestEvaluate:
             for x in t.elements():
                 for y in t.elements():
                     assert f(t.add(x, y)) == t.add(f(x), f(y))
-                assert f(t.mul(t.lift_fq(lam), x)) == t.mul(t.lift_fq(lam), f(x))
+                assert f(t.mul(lam, x)) == t.mul(lam, f(x))
             break  # one poly exhaustively is plenty per representation
 
 

@@ -204,11 +204,22 @@ class TestOmegaWitnesses:
         assert mc.omega_witness(CodeSpec(f16, alpha4, 2)) is None
 
     def test_materialized_omega_two_matches_witness_scan(self, f16, alpha4):
-        full = mc.omega_two_materialize(f16, alpha4, 1, 0, 0, 1)
-        for e1 in f16.nonzero_elements():
-            for e2 in f16.nonzero_elements():
-                wit = mc.omega_witness(CodeSpec(f16, alpha4, 1, 0, ((0, e1), (1, e2))))
-                assert ((e1, e2) in full) == (wit is not None)
+        # against the generator itself: (eta_1, eta_2) is in Omega_2 iff some
+        # maximal minor vanishes, and the witness is the first such k-subset
+        from twistgab import moore
+
+        for k, h in ((1, 0), (2, 1)):
+            full = mc.omega_two_materialize(f16, alpha4, k, h, 0, 1)
+            for e1 in f16.nonzero_elements():
+                for e2 in f16.nonzero_elements():
+                    G = generator_matrix(CodeSpec(f16, alpha4, k, h, ((0, e1), (1, e2))))
+                    vanishing = (
+                        list(s)
+                        for s in combinations(range(4), k)
+                        if moore.det_fqm(f16, G[:, list(s)]) == 0
+                    )
+                    assert full.entries.get((e1, e2)) == next(vanishing, None)
+            assert 0 < len(full.entries) < 15 * 15
 
 
 class TestMrdMembershipMulti:
