@@ -8,6 +8,7 @@ completely different tests agree, then classify the Hamming-metric behaviour.
 
 from twistgab import (
     CodeSpec,
+    KSubsetTable,
     classify,
     default_tower,
     forbidden_eta_set_one_twist,
@@ -35,7 +36,7 @@ print(generator_matrix(spec))
 # route 2: rank(V G^T) = k over all 35 subspace representatives
 # route 3: eta avoids the minor-ratio forbidden set
 ratio_set = forbidden_eta_set_one_twist(t, alpha, 2, 0, 0)
-o1 = omega_one(t, alpha, 2, 0, 0)
+o1 = omega_one(KSubsetTable(t, alpha, 2), 0, 0)
 print(f"\nforbidden ratio set has {len(ratio_set.entries)} values; "
       f"Omega_1 has {len(o1.entries)}")
 

@@ -5,7 +5,7 @@ AMDS / NMDS criterion with independent brute-force verification, and covering
 radii with deep-hole certification.
 """
 
-from .budget import Budgets, default_budgets
+from .budget import Budgets
 from .codes import (
     CodeSpec,
     DistanceReport,
@@ -59,6 +59,7 @@ from .moore import (
 from .mrdcheck import (
     ForbiddenSet,
     HammingClassification,
+    KSubsetTable,
     SubfieldChain,
     construct_chain_mrd,
     enumerate_subspaces,
@@ -102,7 +103,6 @@ __all__ = [
     "covering_radius_exhaustive",
     "deep_hole_family",
     "deep_hole_via_extension",
-    "default_budgets",
     "default_tower",
     "det_fqm",
     "distance_to_code",
@@ -115,6 +115,7 @@ __all__ = [
     "generator_matrix",
     "hamming_class_via_omega",
     "HammingClassification",
+    "KSubsetTable",
     "is_deep_hole",
     "is_mrd_subspace_criterion",
     "matrix_is_mrd",

@@ -2,13 +2,14 @@
 
 Every brute-force routine checks its workload against a cap before starting.
 Exceeding a cap raises :class:`~twistgab.errors.BudgetExceededError` instead of
-silently sampling.  Caps can be overridden per call, via :class:`Budgets`, or
-globally through the ``TWISTGAB_BUDGET_*`` environment variables.
+silently sampling.  A cap travels one way only: each enumerating routine takes
+a ``budgets: Budgets`` argument (defaults ``DEFAULT_*``) and reads its own axis;
+the CLI builds that object from its ``--budget-*`` flags.  Nothing reads the
+environment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -42,19 +43,6 @@ class Budgets:
         for name in ("subspaces", "codewords", "ambient"):
             if getattr(self, name) < 1:
                 raise ValueError(f"budget {name!r} must be positive")
-
-
-def default_budgets() -> Budgets:
-    """Budgets from the environment (``TWISTGAB_BUDGET_SUBSPACES`` etc.)."""
-    def _env(name, fallback):
-        raw = os.environ.get(f"TWISTGAB_BUDGET_{name}")
-        return int(raw) if raw else fallback
-
-    return Budgets(
-        subspaces=_env("SUBSPACES", DEFAULT_SUBSPACES),
-        codewords=_env("CODEWORDS", DEFAULT_CODEWORDS),
-        ambient=_env("AMBIENT", DEFAULT_AMBIENT),
-    )
 
 
 def check_budget(kind: str, needed: int, cap: int) -> None:

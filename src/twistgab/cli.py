@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands build towers and code specs from JSON files, run the checks, and
-write canonical JSON reports (schema "twistgab/1").  Reports are byte-stable
+write canonical JSON reports (schema "twistgab/1").  The ``--budget-*`` flags
+(default ``DEFAULT_*`` of :mod:`twistgab.budget`) are the only way to set the
+enumeration caps; the environment is not read.  Reports are byte-stable
 for a fixed seed: collections are sorted and JSON keys are sorted.  Every
 command runs in one thread; ``--workers`` is accepted for compatibility and
 ignored, because the work is CPU-bound Python that a thread pool only slowed
@@ -24,7 +26,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import codes, covering, mrdcheck
-from .budget import Budgets, default_budgets
+from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -76,21 +78,14 @@ def _write_report(args, report: dict) -> None:
 
 
 def _budgets_from_args(args) -> Budgets:
-    flags = (args.budget_subspaces, args.budget_codewords, args.budget_ambient)
-    # the environment is read only for a budget that no flag gives
-    base = default_budgets() if None in flags else Budgets()
-    return Budgets(
-        subspaces=base.subspaces if args.budget_subspaces is None else args.budget_subspaces,
-        codewords=base.codewords if args.budget_codewords is None else args.budget_codewords,
-        ambient=base.ambient if args.budget_ambient is None else args.budget_ambient,
-    )
+    return Budgets(args.budget_subspaces, args.budget_codewords, args.budget_ambient)
 
 
 def _classify_one(
     tower: FieldTower, spec: codes.CodeSpec, budgets: Budgets, table: mrdcheck.KSubsetTable
 ) -> dict:
     report = codes.classify(spec, budgets)
-    subspace_mrd = mrdcheck.is_mrd_subspace_criterion(spec, budgets.subspaces)
+    subspace_mrd = mrdcheck.is_mrd_subspace_criterion(spec, budgets)
     hclass = mrdcheck.hamming_class(table, spec.h, spec.twists)
     witness = hclass.vanishing_subset
     agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
@@ -199,22 +194,17 @@ def cmd_forbidden(args) -> dict:
     if spec.ell == 1:
         t0, _ = spec.twists[0]
         ratio = mrdcheck.forbidden_eta_set_one_twist(
-            tower, spec.alpha, spec.k, spec.h, t0, budgets.subspaces
+            tower, spec.alpha, spec.k, spec.h, t0, budgets
         )
-        o1 = mrdcheck.omega_one(tower, spec.alpha, spec.k, spec.h, t0, budgets.subspaces)
-        out["ratio_set"] = ratio.to_json_dict(tower)
-        out["omega_one"] = o1.to_json_dict(tower)
-        if t0 == 0:
-            out["omega_one_prime"] = mrdcheck.omega_one_prime(
-                tower, spec.alpha, spec.k, spec.h, budgets.subspaces
-            ).to_json_dict(tower)
-    elif spec.ell >= 2:
-        # the first vanishing subset is omega_witness(spec), here on a table
-        # checked against this run's budgets
         table = mrdcheck.KSubsetTable(tower, spec.alpha, spec.k, budgets)
-        vanishing = table.vanishing(spec.h, spec.twists)
-        out["omega_witness"] = list(vanishing[0]) if vanishing else None
-        out["certifies_non_mrd"] = bool(vanishing)
+        out["ratio_set"] = ratio.to_json_dict(tower)
+        out["omega_one"] = mrdcheck.omega_one(table, spec.h, t0).to_json_dict(tower)
+        if t0 == 0:
+            out["omega_one_prime"] = mrdcheck.omega_one_prime(table, spec.h).to_json_dict(tower)
+    elif spec.ell >= 2:
+        witness = mrdcheck.omega_witness(spec, budgets)
+        out["omega_witness"] = list(witness) if witness is not None else None
+        out["certifies_non_mrd"] = witness is not None
     else:
         raise ValueError("forbidden sets are defined for twisted codes (l >= 1)")
     return out
@@ -247,7 +237,7 @@ def cmd_construct(args) -> dict:
     elif mode == "sum-product-free":
         s = json_int(task["s"])
         etas = _elements(tower, task["etas"], "etas")
-        if not mrdcheck.sum_product_free_test(tower, etas, s, 1, budgets.subspaces):
+        if not mrdcheck.sum_product_free_test(tower, etas, s, 1, budgets):
             raise SpecInvariantError("etas are not 1-sum-product free over F_(q^s)")
         for i, a in enumerate(alpha):
             if not tower.subfield_membership(a, s):
@@ -255,7 +245,7 @@ def cmd_construct(args) -> dict:
         spec = codes.CodeSpec(tower, alpha, k, h, tuple(zip(ts, etas)))
         verified = False
         if mrdcheck.gaussian_binomial(len(alpha), k, tower.q) <= budgets.subspaces:
-            ok, vio = mrdcheck.mrd_membership_multi(spec, budgets.subspaces)
+            ok, vio = mrdcheck.mrd_membership_multi(spec, budgets)
             if not ok:
                 raise ConsistencyError(f"construction not MRD, violating V = {vio}")
             verified = True
@@ -322,7 +312,7 @@ def cmd_deephole(args) -> dict:
         if covering.contains(spec, u):
             continue
         sample_total += 1
-        via_ext = covering.deep_hole_via_extension(u, spec, budgets.subspaces)
+        via_ext = covering.deep_hole_via_extension(u, spec, budgets)
         via_dist = covering.is_deep_hole(u, spec, report, budgets)
         if via_ext == via_dist:
             sample_agree += 1
@@ -361,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--code", help="code-spec JSON path")
     ap.add_argument("--sweep", help="sweep-grid JSON path (classify only)")
     ap.add_argument("--task", help="construction description JSON path (construct only)")
-    ap.add_argument("--budget-subspaces", type=int, default=None)
-    ap.add_argument("--budget-codewords", type=int, default=None)
-    ap.add_argument("--budget-ambient", type=int, default=None)
+    ap.add_argument("--budget-subspaces", type=int, default=DEFAULT_SUBSPACES)
+    ap.add_argument("--budget-codewords", type=int, default=DEFAULT_CODEWORDS)
+    ap.add_argument("--budget-ambient", type=int, default=DEFAULT_AMBIENT)
     ap.add_argument(
         "--workers",
         type=int,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import moore
-from .budget import Budgets, check_budget, default_budgets
+from .budget import Budgets, check_budget
 from .errors import ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower, json_array, json_int, json_object
 
@@ -251,19 +251,18 @@ def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
     return best_r, wit_r, best_h, wit_h
 
 
-def min_rank_distance(spec: CodeSpec, budget: Optional[int] = None) -> DistanceReport:
+def min_rank_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
     """Exact minimum rank distance by scalar-class enumeration; fills all flags.
 
     The NMDS flag needs the dual's minimum Hamming distance, which is obtained
     by the same enumeration on a dual basis.
     """
-    cap = default_budgets().codewords if budget is None else budget
     t = spec.tower
     n, k = spec.n, spec.k
     G = generator_matrix(spec)
-    d_r, wit_r, d_h, wit_h = _min_weights_of_matrix(t, G, cap)
+    d_r, wit_r, d_h, wit_h = _min_weights_of_matrix(t, G, budgets.codewords)
     H = moore.nullspace_fqm(t, G)
-    _, _, d_h_dual, _ = _min_weights_of_matrix(t, H, cap)
+    _, _, d_h_dual, _ = _min_weights_of_matrix(t, H, budgets.codewords)
     return DistanceReport(
         n=n,
         k=k,
@@ -278,9 +277,9 @@ def min_rank_distance(spec: CodeSpec, budget: Optional[int] = None) -> DistanceR
     )
 
 
-def min_hamming_distance(spec: CodeSpec, budget: Optional[int] = None) -> int:
-    cap = default_budgets().codewords if budget is None else budget
-    _, _, d_h, _ = _min_weights_of_matrix(spec.tower, generator_matrix(spec), cap)
+def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
+    G = generator_matrix(spec)
+    _, _, d_h, _ = _min_weights_of_matrix(spec.tower, G, budgets.codewords)
     return d_h
 
 
@@ -308,15 +307,14 @@ def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]
     return cond_i, cond_ii, cond_iii
 
 
-def classify(spec: CodeSpec, budgets: Optional[Budgets] = None) -> DistanceReport:
+def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
     """Full report with the brute-force and structural routes cross-checked.
 
     The enumeration route computes exact distances (code and dual); the
     structural route classifies via column ranks of the generator matrix.
     Any disagreement raises ConsistencyError with a witness description.
     """
-    budgets = budgets or default_budgets()
-    report = min_rank_distance(spec, budget=budgets.codewords)
+    report = min_rank_distance(spec, budgets)
     G = generator_matrix(spec)
     cond_i, cond_ii, cond_iii = nmds_conditions(spec.tower, G)
     structural = {

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import moore
-from .budget import Budgets, check_budget, default_budgets
+from .budget import Budgets, check_budget
 from .codes import CodeSpec, _codewords, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
@@ -73,11 +73,10 @@ def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
     return moore.rank_fqm(t, stacked) == spec.k
 
 
-def distance_to_code(u: Sequence[Element], spec: CodeSpec, budget: Optional[int] = None) -> int:
+def distance_to_code(u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
     """Exact min over all q^(mk) codewords of the rank weight of u - c."""
     t = spec.tower
-    cap = default_budgets().codewords if budget is None else budget
-    check_budget("codeword", t.order**spec.k, cap)
+    check_budget("codeword", t.order**spec.k, budgets.codewords)
     u = [int(x) for x in u]
     best = spec.n
     messages = iproduct(range(t.order), repeat=spec.k)
@@ -136,6 +135,10 @@ def _scan(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return synd, rank, coset_min
 
 
+# deep holes listed per report, to keep reports small
+MAX_DEEP_HOLES = 16
+
+
 def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -144,18 +147,13 @@ def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def covering_radius_exhaustive(
-    spec: CodeSpec,
-    budgets: Optional[Budgets] = None,
-    max_witnesses: int = 16,
-) -> CoveringReport:
+def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> CoveringReport:
     """Exact covering radius by one ambient pass grouped by syndrome.
 
     Reported deep holes are coset leaders (minimum-weight vectors of maximal
-    cosets) in ascending vector order, capped at `max_witnesses`.  If the
+    cosets) in ascending vector order, capped at ``MAX_DEEP_HOLES``.  If the
     ambient space exceeds the budget the report carries theorem bounds only.
     """
-    budgets = budgets or default_budgets()
     t = spec.tower
     n, k = spec.n, spec.k
     lo, hi = covering_bounds(spec)
@@ -178,7 +176,7 @@ def covering_radius_exhaustive(
             continue
         seen.add(s)
         deep_holes.append(_unpack_vector(t.order, n, int(i)))
-        if len(deep_holes) >= max_witnesses:
+        if len(deep_holes) >= MAX_DEEP_HOLES:
             break
     return CoveringReport(
         n=n, k=k, rho=rho, rho_method="exhaustive",
@@ -193,21 +191,20 @@ def is_deep_hole(
     u: Sequence[Element],
     spec: CodeSpec,
     report: Optional[CoveringReport] = None,
-    budgets: Optional[Budgets] = None,
+    budgets: Budgets = Budgets(),
 ) -> bool:
     """True iff the distance from u to the code equals the covering radius."""
-    budgets = budgets or default_budgets()
     if report is None or report.rho is None:
         report = covering_radius_exhaustive(spec, budgets)
     if report.rho is None:
         raise BudgetExceededError(
             "covering radius unknown: ambient space too large for brute force"
         )
-    return distance_to_code(u, spec, budgets.codewords) == report.rho
+    return distance_to_code(u, spec, budgets) == report.rho
 
 
 def deep_hole_via_extension(
-    u: Sequence[Element], spec: CodeSpec, budget: Optional[int] = None
+    u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()
 ) -> bool:
     """Deep-hole test for the single-twist t = 0 family via code extension.
 
@@ -221,7 +218,7 @@ def deep_hole_via_extension(
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
     G = generator_matrix(spec)
     stacked = np.vstack([G, np.asarray(u, dtype=np.int64)])
-    return matrix_is_mrd(t, stacked, budget)
+    return matrix_is_mrd(t, stacked, budgets)
 
 
 def deep_hole_family(
@@ -239,13 +236,13 @@ def deep_hole_family(
         raise SpecInvariantError("deep-hole families are defined for one twist with t = 0")
     if g == 0:
         raise SpecInvariantError("g must be non-zero (g = 0 would land in the code)")
-    if flavor not in ("x^[k]", "x^[h]", "k", "h"):
+    if flavor not in ("x^[k]", "x^[h]"):
         raise ValueError("flavor must be 'x^[k]' or 'x^[h]'")
     t = spec.tower
     f_coeffs = list(f_coeffs) or [0] * spec.k
     if len(f_coeffs) != spec.k:
         raise ValueError(f"f needs {spec.k} coefficients")
-    exponent = spec.k if flavor in ("x^[k]", "k") else spec.h
+    exponent = spec.k if flavor == "x^[k]" else spec.h
     a = np.asarray(spec.alpha, dtype=np.int64)
     u = t.mul_many(np.int64(int(g)), t.frob_many(a, exponent))
     return t.add_many(u, encode(spec, f_coeffs))

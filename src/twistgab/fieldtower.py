@@ -332,7 +332,6 @@ class FieldTower:
         for x in range(1, self.order):
             log[x] = self._log[x]
         self._log_np = log
-        self._frob_matrices: dict[int, np.ndarray] = {}
         self._subfield_cache: dict[int, tuple[Element, ...]] = {}
 
     # -- construction internals ------------------------------------------------
@@ -577,17 +576,6 @@ class FieldTower:
             out = [self.add(u, s) for s in scaled for u in out]
         return tuple(sorted(out))
 
-    def frobenius_matrix(self, i: int = 1) -> np.ndarray:
-        """m x m digit matrix over F_q realizing x -> x^(q^i) on coordinates."""
-        i %= self.m
-        if i not in self._frob_matrices:
-            cols = []
-            for j in range(self.m):
-                basis_elt = self._pack_digits([1 if t == j else 0 for t in range(self.m)])
-                cols.append(self._digits_of(self.frobenius(basis_elt, i)))
-            self._frob_matrices[i] = np.array(cols, dtype=np.int64).T
-        return self._frob_matrices[i]
-
     # -- vectorized operations (numpy arrays of element indices) ------------------
 
     def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -699,8 +687,9 @@ class FieldTower:
                 if len(c) != self.e:
                     raise ValueError(f"each F_q coordinate needs {self.e} residues")
                 rs = [json_int(r) for r in c]
-                c = self._sf.from_coords(rs) if self.e > 1 else rs[0]
-            ds.append(json_int(c))
+                ds.append(self._sf.from_coords(rs) if self.e > 1 else rs[0])
+            else:
+                ds.append(json_int(c))
         return self.from_coords(ds)
 
     def __repr__(self):
@@ -719,11 +708,10 @@ def default_tower(p: int, e: int, m: int) -> FieldTower:
 
 
 def json_int(x) -> int:
-    """int(x) for a JSON number; null or an array is a ValueError, not a TypeError."""
-    try:
-        return int(x)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {x!r}") from None
+    """x if it is a JSON integer; a bool, float, string, null or array is a ValueError."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def json_array(x, what: str) -> list:

@@ -15,17 +15,6 @@ import numpy as np
 from .fieldtower import Element, FieldTower, _gauss_jordan, _nullspace
 
 
-def matrix_to_json(tower: FieldTower, M: np.ndarray) -> list:
-    """Nested arrays of element coordinate arrays, row-major."""
-    return [[tower.element_to_json(int(x)) for x in row] for row in M]
-
-
-def matrix_from_json(tower: FieldTower, obj) -> np.ndarray:
-    return np.array(
-        [[tower.element_from_json(x) for x in row] for row in obj], dtype=np.int64
-    )
-
-
 def moore_matrix(tower: FieldTower, alpha: Sequence[Element], k: int) -> np.ndarray:
     """k x n matrix whose i-th row is alpha raised componentwise to q^i."""
     if k < 1:

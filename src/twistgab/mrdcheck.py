@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import moore
-from .budget import Budgets, check_budget, default_budgets
+from .budget import Budgets, check_budget
 from .codes import CodeSpec, generator_matrix
 from .errors import ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
@@ -41,7 +41,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n: int, k: int, q: int, budget: Optional[int] = None) -> Iterator[np.ndarray]:
+def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
     """All RREF representatives of k-dimensional row spaces of F_q^(k x n).
 
     Yields k x n uint8 digit matrices, pivot sets in lexicographic order and
@@ -50,8 +50,7 @@ def enumerate_subspaces(n: int, k: int, q: int, budget: Optional[int] = None) ->
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
     expected = gaussian_binomial(n, k, q)
-    cap = (default_budgets().subspaces if budget is None else budget)
-    check_budget("subspace", expected, cap)
+    check_budget("subspace", expected, budgets.subspaces)
     emitted = 0
     for pivots in combinations(range(n), k):
         free_pos = [
@@ -76,18 +75,18 @@ def enumerate_subspaces(n: int, k: int, q: int, budget: Optional[int] = None) ->
         )
 
 
-def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budget: Optional[int] = None) -> bool:
+def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()) -> bool:
     """Subspace criterion on an arbitrary full-rank generator matrix."""
     k, n = G.shape
-    for V in enumerate_subspaces(n, k, tower.q, budget):
+    for V in enumerate_subspaces(n, k, tower.q, budgets):
         if moore.rank_fqm(tower, moore.matmul(tower, V, G.T)) != k:
             return False
     return True
 
 
-def is_mrd_subspace_criterion(spec: CodeSpec, budget: Optional[int] = None) -> bool:
+def is_mrd_subspace_criterion(spec: CodeSpec, budgets: Budgets = Budgets()) -> bool:
     """True iff rank(V G^T) = k for every subspace representative V."""
-    return matrix_is_mrd(spec.tower, generator_matrix(spec), budget)
+    return matrix_is_mrd(spec.tower, generator_matrix(spec), budgets)
 
 
 @dataclass
@@ -133,7 +132,7 @@ def forbidden_eta_set_one_twist(
     k: int,
     h: int,
     t: int,
-    budget: Optional[int] = None,
+    budgets: Budgets = Budgets(),
 ) -> ForbiddenSet:
     """All eta for which some maximal minor of the one-twist generator vanishes.
 
@@ -150,7 +149,7 @@ def forbidden_eta_set_one_twist(
     M = moore.moore_matrix(tower, alpha, k)
     Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
-    for V in enumerate_subspaces(n, k, tower.q, budget):
+    for V in enumerate_subspaces(n, k, tower.q, budgets):
         den = moore.det_fqm(tower, moore.matmul(tower, V, M.T))
         if den == 0:
             raise ConsistencyError(
@@ -174,7 +173,9 @@ class KSubsetTable:
     is asked for.  Every Omega route reads its scalars from here.
     """
 
-    def __init__(self, tower: FieldTower, alpha: Sequence[Element], k: int, budgets: Budgets):
+    def __init__(
+        self, tower: FieldTower, alpha: Sequence[Element], k: int, budgets: Budgets = Budgets()
+    ):
         n = len(alpha)
         if tower.fq_rank(alpha) != n:
             raise SpecInvariantError("alpha components must be F_q-independent")
@@ -210,42 +211,22 @@ class KSubsetTable:
         return out
 
 
-def _table(
-    tower: FieldTower, alpha: Sequence[Element], k: int, budget: Optional[int]
-) -> KSubsetTable:
-    budgets = default_budgets() if budget is None else Budgets(subspaces=budget)
-    return KSubsetTable(tower, alpha, k, budgets)
-
-
-def omega_one(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    k: int,
-    h: int,
-    t: int,
-    budget: Optional[int] = None,
-) -> ForbiddenSet:
+def omega_one(table: KSubsetTable, h: int, t: int) -> ForbiddenSet:
     """The set of -g_h^(t)(I) over all k-subsets I; eta^(-1) inside => not MRD."""
-    table = _table(tower, alpha, k, budget)
+    tower = table.tower
     out = ForbiddenSet(arity=1, provenance="omega1")
     for subset, g in zip(table.subsets, table.g(h, t)):
         out.entries.setdefault((tower.neg(g),), list(subset))
     return out
 
 
-def omega_one_prime(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    k: int,
-    h: int,
-    budget: Optional[int] = None,
-) -> ForbiddenSet:
+def omega_one_prime(table: KSubsetTable, h: int) -> ForbiddenSet:
     """The t = 0 specialization, stored as the annihilator coefficients c_(k-h).
 
-    Elementwise equal to omega_one(..., t=0) because g_h^(0) = -c_(k-h); the
+    Elementwise equal to omega_one(table, h, 0) because g_h^(0) = -c_(k-h); the
     equality is asserted here, subset by subset, as a permanent cross-check.
     """
-    table = _table(tower, alpha, k, budget)
+    tower, k = table.tower, table.k
     out = ForbiddenSet(arity=1, provenance="omega1-prime")
     for subset, coeffs, g in zip(table.subsets, table.coeffs, table.g(h, 0)):
         if coeffs.at(k - h) != tower.neg(g):
@@ -254,7 +235,7 @@ def omega_one_prime(
     return out
 
 
-def omega_witness(spec: CodeSpec) -> Optional[tuple[int, ...]]:
+def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tuple[int, ...]]:
     """First k-subset I (lexicographic) with 1 + sum_j eta_j g_h^(t_j)(I) = 0.
 
     A witness certifies a vanishing maximal minor, hence a non-MRD code; None
@@ -262,23 +243,15 @@ def omega_witness(spec: CodeSpec) -> Optional[tuple[int, ...]]:
     """
     if not spec.twists:
         return None
-    vanishing = _table(spec.tower, spec.alpha, spec.k, None).vanishing(spec.h, spec.twists)
+    table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
+    vanishing = table.vanishing(spec.h, spec.twists)
     return vanishing[0] if vanishing else None
 
 
-def omega_two_materialize(
-    tower: FieldTower,
-    alpha: Sequence[Element],
-    k: int,
-    h: int,
-    t1: int,
-    t2: int,
-    budget: Optional[int] = None,
-) -> ForbiddenSet:
+def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> ForbiddenSet:
     """Exhaustive materialization of the two-twist forbidden set (tiny fields only)."""
-    cap = default_budgets().subspaces if budget is None else budget
-    check_budget("eta-pair", (tower.order - 1) ** 2, cap)
-    table = _table(tower, alpha, k, budget)
+    tower = table.tower
+    check_budget("eta-pair", (tower.order - 1) ** 2, table.budgets.subspaces)
     out = ForbiddenSet(arity=2, provenance="omega2")
     for e1 in tower.nonzero_elements():
         for e2 in tower.nonzero_elements():
@@ -289,7 +262,7 @@ def omega_two_materialize(
 
 
 def mrd_membership_multi(
-    spec: CodeSpec, budget: Optional[int] = None
+    spec: CodeSpec, budgets: Budgets = Budgets()
 ) -> tuple[bool, Optional[list]]:
     """MRD test via |V M_k^T| + sum_j eta_j |V M_k^(h,k+t_j)^T| != 0 over all V.
 
@@ -303,7 +276,7 @@ def mrd_membership_multi(
         moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj)
         for tj, _ in spec.twists
     ] if spec.twists else []
-    for V in enumerate_subspaces(spec.n, spec.k, t.q, budget):
+    for V in enumerate_subspaces(spec.n, spec.k, t.q, budgets):
         acc = moore.det_fqm(t, moore.matmul(t, V, M.T))
         for (tj, ej), Mj in zip(spec.twists, mods):
             acc = t.add(acc, t.mul(ej, moore.det_fqm(t, moore.matmul(t, V, Mj.T))))
@@ -348,16 +321,14 @@ def construct_chain_mrd(
     k: int,
     h: int,
     ts: Sequence[int],
-    budgets: Optional[Budgets] = None,
-    verify: bool = True,
+    budgets: Budgets = Budgets(),
 ) -> CodeSpec:
     """Build a CodeSpec that the subfield constructions guarantee to be MRD.
 
     Checks every membership hypothesis (naming the failing level) and, when
-    `verify` and the subspace count fits the budget, re-verifies MRD via
+    the subspace count fits the budget, re-verifies MRD via
     mrd_membership_multi.
     """
-    budgets = budgets or default_budgets()
     ts = tuple(int(x) for x in ts)
     n = len(alpha)
     degrees = chain.degrees
@@ -408,8 +379,8 @@ def construct_chain_mrd(
     if len(ts) != len(etas):
         raise SpecInvariantError("need one twist exponent per eta")
     spec = CodeSpec(tower, tuple(alpha), k, h, tuple(zip(ts, etas)))
-    if verify and gaussian_binomial(n, k, tower.q) <= budgets.subspaces:
-        ok, vio = mrd_membership_multi(spec, budgets.subspaces)
+    if gaussian_binomial(n, k, tower.q) <= budgets.subspaces:
+        ok, vio = mrd_membership_multi(spec, budgets)
         if not ok:
             raise ConsistencyError(
                 f"construction claimed MRD but V = {vio} violates the criterion"
@@ -422,7 +393,7 @@ def sum_product_free_test(
     etas: Sequence[Element],
     s: int,
     t: int = 1,
-    budget: Optional[int] = None,
+    budgets: Budgets = Budgets(),
 ) -> bool:
     """Exhaustive t-sum-product-freeness of `etas` over the subfield F_(q^s).
 
@@ -438,8 +409,7 @@ def sum_product_free_test(
         ss for size in range(1, t + 1) for ss in combinations(range(ell), size)
     ]
     sub = tower.subfield_elements(s)
-    cap = default_budgets().subspaces if budget is None else budget
-    check_budget("sum-product tuple", len(sub) ** len(subsets), cap)
+    check_budget("sum-product tuple", len(sub) ** len(subsets), budgets.subspaces)
     sub_set = frozenset(sub)
     prods = []
     for ss in subsets:
@@ -530,7 +500,7 @@ def hamming_class(
     return HammingClassification(label=label, vanishing_subset=vanishing[0])
 
 
-def hamming_class_via_omega(spec: CodeSpec, budget: Optional[int] = None) -> HammingClassification:
+def hamming_class_via_omega(spec: CodeSpec, budgets: Budgets = Budgets()) -> HammingClassification:
     """hamming_class on the k-subset table of the spec's alpha and k."""
-    table = _table(spec.tower, spec.alpha, spec.k, budget)
+    table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
     return hamming_class(table, spec.h, spec.twists)

@@ -178,7 +178,7 @@ def test_criterion_5_omega_soundness(f16, alpha4):
     t = f16
     # one twist, t = 0: eta^(-1) in Omega_1 certifies non-MRD
     for h in (0, 1):
-        o1 = mc.omega_one(t, alpha4, 2, h, 0)
+        o1 = mc.omega_one(mc.KSubsetTable(t, alpha4, 2), h, 0)
         for eta in t.nonzero_elements():
             if (t.inv(eta),) in o1:
                 spec = CodeSpec(t, alpha4, 2, h, ((0, eta),))

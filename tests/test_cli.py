@@ -24,6 +24,22 @@ def run_main(args):
     return main([str(a) for a in args])
 
 
+@pytest.fixture
+def annihilator_calls(monkeypatch):
+    """The span of every AnnihilatorCoeffs.from_span call, in call order."""
+    from twistgab.gcoeff import AnnihilatorCoeffs
+
+    calls = []
+    from_span = AnnihilatorCoeffs.from_span.__func__
+
+    def counted(cls, tower, gens):
+        calls.append(tuple(gens))
+        return from_span(cls, tower, gens)
+
+    monkeypatch.setattr(AnnihilatorCoeffs, "from_span", classmethod(counted))
+    return calls
+
+
 class TestClassify:
     def test_single_code(self, files, capsys):
         _, field, code = files
@@ -59,23 +75,13 @@ class TestClassify:
             assert run_main(["classify", "--field", field, "--code", code]) == 0
             assert json.loads(capsys.readouterr().out)["entries"] == [entry]
 
-    def test_sweep_builds_each_annihilator_once(self, files, capsys, monkeypatch):
-        from twistgab.gcoeff import AnnihilatorCoeffs
-
-        calls = []
-        from_span = AnnihilatorCoeffs.from_span.__func__
-
-        def counted(cls, tower, gens):
-            calls.append(tuple(gens))
-            return from_span(cls, tower, gens)
-
-        monkeypatch.setattr(AnnihilatorCoeffs, "from_span", classmethod(counted))
+    def test_sweep_builds_each_annihilator_once(self, files, capsys, annihilator_calls):
         tmp, field, _ = files
         sweep = tmp / "sweep.json"
         sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": [0, 1], "ts": [0, 1], "etas": "all"}))
         assert run_main(["classify", "--field", field, "--sweep", sweep]) == 0
         assert len(json.loads(capsys.readouterr().out)["entries"]) == 2 * 15 * 15
-        assert len(calls) == len(set(calls)) == 6  # C(4, 2)
+        assert len(annihilator_calls) == len(set(annihilator_calls)) == 6  # C(4, 2)
 
     def test_sweep_with_explicit_eta_list(self, files, capsys):
         tmp, field, _ = files
@@ -142,7 +148,14 @@ class TestClassify:
         ({**FIELD16, "base_modulus": 5}, CODE16),
         (FIELD16, {"alpha": 5, "k": 1}),
         (FIELD16, [1]),
-    ], ids=["field-array", "base-modulus-number", "alpha-number", "code-array"])
+        (FIELD16, {**CODE16, "k": 2.7}),
+        (FIELD16, {**CODE16, "k": "2"}),
+        (FIELD16, {**CODE16, "alpha": [[True, 0, 0, 0], *ALPHA16[1:]]}),
+        ({**FIELD16, "m": 4.0}, CODE16),
+    ], ids=[
+        "field-array", "base-modulus-number", "alpha-number", "code-array",
+        "k-float", "k-string", "coordinate-bool", "m-float",
+    ])
     def test_json_of_wrong_shape_is_an_input_error(self, tmp_path, capsys, field_obj, code_obj):
         field = tmp_path / "field.json"
         field.write_text(json.dumps(field_obj))
@@ -154,6 +167,15 @@ class TestClassify:
     def test_budget_exit_code(self, files):
         _, field, code = files
         assert run_main(["classify", "--field", field, "--code", code, "--budget-codewords", "3"]) == 3
+
+    def test_environment_sets_no_budget(self, files, capsys, monkeypatch):
+        # budgets come from the flags alone; a cap in the environment is ignored
+        _, field, code = files
+        assert run_main(["classify", "--field", field, "--code", code]) == 0
+        report = capsys.readouterr().out
+        monkeypatch.setenv("TWISTGAB_BUDGET_CODEWORDS", "1")
+        assert run_main(["classify", "--field", field, "--code", code]) == 0
+        assert capsys.readouterr().out == report
 
     def test_timings_flag(self, files, capsys):
         # the time goes to stderr only; --timings, which put it in the report, is gone
@@ -232,13 +254,15 @@ class TestDeterminism:
 
 
 class TestForbidden:
-    def test_one_twist_sets(self, files, capsys):
+    def test_one_twist_sets(self, files, capsys, annihilator_calls):
         _, field, code = files
         assert run_main(["forbidden", "--field", field, "--code", code]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ratio_set"]["size"] == 15  # every eta forbidden at q = 2
         assert report["omega_one"]["size"] >= 1
         assert "omega_one_prime" in report
+        # omega_one and omega_one_prime read one k-subset table
+        assert len(annihilator_calls) == len(set(annihilator_calls)) == 6  # C(4, 2)
 
     def test_gabidulin_rejected(self, files):
         tmp, field, _ = files
@@ -246,7 +270,7 @@ class TestForbidden:
         code.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "twists": []}))
         assert run_main(["forbidden", "--field", field, "--code", code]) == 2
 
-    def test_two_twist_witness(self, files, capsys, monkeypatch):
+    def test_two_twist_witness(self, files, capsys):
         tmp, field, _ = files
         code = tmp / "two.json"
         code.write_text(json.dumps({
@@ -256,8 +280,6 @@ class TestForbidden:
         assert run_main(["forbidden", "--field", field, "--code", code]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "omega_witness" in report
-        # with every budget given by a flag, the environment is not read
-        monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
         flags = ["--budget-subspaces", "100", "--budget-codewords", "100", "--budget-ambient", "100"]
         assert run_main(["forbidden", "--field", field, "--code", code, *flags]) == 0
         assert json.loads(capsys.readouterr().out) == report
@@ -354,18 +376,6 @@ class TestConstructAndCovering:
         assert run_main(["covering", "--field", field, "--code", code, flag, "0"]) == 2
         err = capsys.readouterr().err
         assert "must be positive" in err and "Traceback" not in err
-
-    def test_explicit_budgets_ignore_environment(self, files, capsys, monkeypatch):
-        _, field, code = files
-        monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
-        assert run_main([
-            "covering", "--field", field, "--code", code, "--budget-subspaces", "5",
-            "--budget-codewords", "5", "--budget-ambient", "10000",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        # 16^4 ambient vectors exceed the flag's 10000: bounds only
-        assert report["report"]["rho"] is None
-        assert report["report"]["lower_bound"]["value"] == 2
 
     def test_deephole_report(self, files, capsys):
         _, field, code = files

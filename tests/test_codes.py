@@ -19,9 +19,10 @@ from twistgab.codes import (
     min_rank_distance,
     nmds_conditions,
 )
+from twistgab.budget import Budgets
 from twistgab.errors import BudgetExceededError, SpecInvariantError
 from twistgab.fieldtower import TowerParams, default_tower, tower_build
-from twistgab.mrdcheck import omega_one
+from twistgab.mrdcheck import KSubsetTable, omega_one
 
 W = 2
 
@@ -147,7 +148,7 @@ class TestDistances:
             assert rep.d_rank == 4 - k + 1 and rep.is_mrd
 
     def test_forbidden_eta_drops_rank_distance(self, f16, alpha4):
-        o1 = omega_one(f16, alpha4, 2, 0, 0)
+        o1 = omega_one(KSubsetTable(f16, alpha4, 2), 0, 0)
         bad = next(v for (v,) in o1.entries if v != 0)
         spec = CodeSpec(f16, alpha4, 2, 0, ((0, f16.inv(bad)),))
         rep = min_rank_distance(spec)
@@ -165,7 +166,7 @@ class TestDistances:
 
     def test_budget_exceeded(self, f16, alpha4):
         with pytest.raises(BudgetExceededError, match="brute force"):
-            min_rank_distance(CodeSpec(f16, alpha4, 2), budget=5)
+            min_rank_distance(CodeSpec(f16, alpha4, 2), Budgets(codewords=5))
 
     def test_witness_has_minimum_weight(self, f16, alpha4):
         spec = CodeSpec(f16, alpha4, 2, 0, ((0, W),))
@@ -295,7 +296,7 @@ class TestClassify:
         found = 0
         for eta in f16.nonzero_elements():
             spec = CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
-            if (f16.inv(eta),) in omega_one(f16, alpha4, 2, 0, 0):
+            if (f16.inv(eta),) in omega_one(KSubsetTable(f16, alpha4, 2), 0, 0):
                 if hamming_class_via_omega(spec).label in ("AMDS", "NMDS"):
                     assert min_hamming_distance(spec) == 2
                     found += 1

@@ -111,7 +111,7 @@ class TestExhaustiveCoveringRadius:
             assert cov.distance_to_code(list(u), c1_spec) == rep.rho
 
     def test_one_witness_per_maximal_coset(self, f16, c1_spec):
-        rep = cov.covering_radius_exhaustive(c1_spec, max_witnesses=16)
+        rep = cov.covering_radius_exhaustive(c1_spec)
         H = moore.nullspace_fqm(f16, generator_matrix(c1_spec))
         syndromes = set()
         for u in rep.deep_holes:
@@ -120,7 +120,7 @@ class TestExhaustiveCoveringRadius:
             )
             assert s not in syndromes
             syndromes.add(s)
-        assert len(rep.deep_holes) == min(16, rep.maximal_coset_count)
+        assert len(rep.deep_holes) == min(cov.MAX_DEEP_HOLES, rep.maximal_coset_count)
 
     @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
     def test_scan_matches_scalar_syndrome_and_rank(self, name):

@@ -178,17 +178,10 @@ class TestFrobenius:
 
     def test_matrix_powers_compose(self, f16):
         t = f16
-        mats = [t.frobenius_matrix(i) for i in range(t.m)]
-        for i in range(t.m):
-            for j in range(t.m):
-                prod = np.zeros((t.m, t.m), dtype=np.int64)
-                for r in range(t.m):
-                    for c in range(t.m):
-                        acc = 0
-                        for s in range(t.m):
-                            acc = t._sf.add(acc, t._sf.mul(int(mats[i][r, s]), int(mats[j][s, c])))
-                        prod[r, c] = acc
-                assert (prod == mats[(i + j) % t.m]).all()
+        for x in t.elements():
+            for i in range(t.m):
+                for j in range(t.m):
+                    assert t.frobenius(t.frobenius(x, i), j) == t.frobenius(x, i + j)
 
 
 class TestNorm:

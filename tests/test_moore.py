@@ -166,10 +166,3 @@ class TestNullspace:
         H = moore.nullspace_fqm(f9, G)
         assert H.shape == (2, 3)
         assert (moore.matmul(f9, G, H.T) == 0).all()
-
-
-class TestMatrixJson:
-    def test_roundtrip(self, f16, alpha4):
-        M = moore.moore_matrix(f16, alpha4, 2)
-        again = moore.matrix_from_json(f16, moore.matrix_to_json(f16, M))
-        assert (again == M).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twistgab import mrdcheck as mc
+from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, generator_matrix, min_rank_distance
 from twistgab.errors import BudgetExceededError, SpecInvariantError
 from twistgab.fieldtower import default_tower
@@ -60,7 +61,7 @@ class TestSubspaceEnumeration:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            list(mc.enumerate_subspaces(4, 2, 2, budget=10))
+            list(mc.enumerate_subspaces(4, 2, 2, Budgets(subspaces=10)))
 
     def test_deterministic_order(self):
         first = [V.tolist() for V in mc.enumerate_subspaces(4, 2, 2)]
@@ -116,13 +117,13 @@ class TestForbiddenSets:
     def test_omega_one_within_ratio_inverses(self, f16, alpha4):
         for h in (0, 1):
             fset = mc.forbidden_eta_set_one_twist(f16, alpha4, 2, h, 0)
-            o1 = mc.omega_one(f16, alpha4, 2, h, 0)
+            o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), h, 0)
             for (v,) in o1.entries:
                 if v != 0:
                     assert (f16.inv(v),) in fset
 
     def test_omega_one_soundness(self, f16, alpha4):
-        o1 = mc.omega_one(f16, alpha4, 2, 0, 1)
+        o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), 0, 1)
         for eta in f16.nonzero_elements():
             if (f16.inv(eta),) in o1:
                 spec = CodeSpec(f16, alpha4, 2, 0, ((1, eta),))
@@ -132,17 +133,18 @@ class TestForbiddenSets:
         t = f16_any
         alpha = tuple(t.pow_(2, i) for i in range(4))
         for h in (0, 1):
-            o1 = mc.omega_one(t, alpha, 2, h, 0)
-            o1p = mc.omega_one_prime(t, alpha, 2, h)
+            table = mc.KSubsetTable(t, alpha, 2)
+            o1 = mc.omega_one(table, h, 0)
+            o1p = mc.omega_one_prime(table, h)
             assert o1.values() == o1p.values()
 
     def test_witnesses_recorded(self, f16, alpha4):
-        o1 = mc.omega_one(f16, alpha4, 2, 0, 0)
+        o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), 0, 0)
         for val, wit in o1.entries.items():
             assert len(wit) == 2 and all(0 <= i < 4 for i in wit)
 
     def test_json_serialization(self, f16, alpha4):
-        o1 = mc.omega_one(f16, alpha4, 2, 0, 0)
+        o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), 0, 0)
         d = o1.to_json_dict(f16)
         assert d["size"] == len(o1.entries) and d["provenance"] == "omega1"
 
@@ -209,7 +211,7 @@ class TestOmegaWitnesses:
         from twistgab import moore
 
         for k, h in ((1, 0), (2, 1)):
-            full = mc.omega_two_materialize(f16, alpha4, k, h, 0, 1)
+            full = mc.omega_two_materialize(mc.KSubsetTable(f16, alpha4, k), h, 0, 1)
             for e1 in f16.nonzero_elements():
                 for e2 in f16.nonzero_elements():
                     G = generator_matrix(CodeSpec(f16, alpha4, k, h, ((0, e1), (1, e2))))
@@ -371,7 +373,7 @@ class TestSumProductFree:
 
     def test_budget(self, f256):
         with pytest.raises(BudgetExceededError):
-            mc.sum_product_free_test(f256, [3, 5, 9], 4, 1, budget=10)
+            mc.sum_product_free_test(f256, [3, 5, 9], 4, 1, Budgets(subspaces=10))
 
 
 class TestNormCondition:
