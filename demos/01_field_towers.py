@@ -5,7 +5,7 @@ F_q, so 0 is zero, 1 is one, and 2 is the class of y (the generator of the
 power basis) whenever e = 1.
 """
 
-from twistgab import TowerParams, default_tower, tower_build
+from twistgab import FieldTower, TowerParams, default_tower
 
 # F_16 = F_2[y]/(y^4 + y + 1), picked and verified automatically
 t = default_tower(2, 1, 4)
@@ -33,7 +33,7 @@ print("\nrank weight of [1, w, 1+w, 0]:", t.fq_rank(vec), "(third entry is depen
 print("rank weight of the power basis:", t.fq_rank([t.pow_(w, i) for i in range(4)]))
 
 # a tower with a non-prime base field: F_4 = F_2[x]/(x^2+x+1), then F_16 over F_4
-t4 = tower_build(TowerParams(p=2, e=2, m=2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
+t4 = FieldTower(TowerParams(p=2, e=2, m=2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
 print("\nF_4 -> F_16 tower:", t4)
 x = 2  # the F_4 generator: F_q digits embed as themselves
 print("norm onto F_4 of the class of y:", t4.norm(t4.from_coords([0, 1])))

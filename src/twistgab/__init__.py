@@ -37,7 +37,6 @@ from .fieldtower import (
     FieldTower,
     TowerParams,
     default_tower,
-    tower_build,
     tower_from_json,
     tower_to_json,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "omega_witness",
     "rank_fqm",
     "sum_product_free_test",
-    "tower_build",
     "tower_from_json",
     "tower_to_json",
     "triangular_inverse",

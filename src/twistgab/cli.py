@@ -22,6 +22,7 @@ import json
 import random
 import sys
 import time
+from itertools import islice, product
 from math import comb
 from typing import Optional, Sequence
 
@@ -137,14 +138,17 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
     ts = tuple(json_int(x) for x in json_array(grid.get("ts", [0]), "ts"))
     etas = grid.get("etas", "all")
     if etas == "all":
-        eta_tuples = _all_eta_tuples(tower, len(ts))
+        # counted here, listed only once the budget admits them
+        eta_tuples = product(tower.nonzero_elements(), repeat=len(ts))
+        n_etas = (tower.order - 1) ** len(ts)
     else:
         eta_tuples = [
             tuple(_elements(tower, tup, "an eta tuple")) for tup in json_array(etas, "etas")
         ]
         if any(len(tup) != len(ts) for tup in eta_tuples):
             raise ValueError(f"each eta tuple needs one eta per entry of ts = {list(ts)}")
-    n_specs = len(hs) * len(eta_tuples)
+        n_etas = len(eta_tuples)
+    n_specs = len(hs) * n_etas
     per_spec = codes.projective_class_count(tower.order, k) + codes.projective_class_count(
         tower.order, len(alpha) - k
     )
@@ -153,18 +157,10 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
             f"sweep needs {n_specs * per_spec} enumeration steps, over the "
             f"codeword budget {budgets.codewords}; refusing to truncate"
         )
-    specs = []
-    for h in hs:
-        for tup in eta_tuples:
-            specs.append(codes.CodeSpec(tower, alpha, k, h, tuple(zip(ts, tup))))
-    return specs
-
-
-def _all_eta_tuples(tower: FieldTower, ell: int) -> list[tuple[int, ...]]:
-    tuples = [()]
-    for _ in range(ell):
-        tuples = [t + (e,) for t in tuples for e in tower.nonzero_elements()]
-    return tuples
+    return [
+        codes.CodeSpec(tower, alpha, k, h, tuple(zip(ts, tup)))
+        for h, tup in product(hs, eta_tuples)
+    ]
 
 
 def cmd_classify(args) -> dict:
@@ -277,6 +273,8 @@ def cmd_covering(args) -> dict:
 
 
 def cmd_deephole(args) -> dict:
+    if args.grid < 0 or args.sample < 0:
+        raise ValueError("--grid and --sample must be >= 0")
     tower = _load_tower(args)
     budgets = _budgets_from_args(args)
     if not args.code:
@@ -285,26 +283,22 @@ def cmd_deephole(args) -> dict:
     rng = random.Random(args.seed)
     report = covering.covering_radius_exhaustive(spec, budgets)
     family_entries = []
-    grid = 0
-    for g in sorted(tower.nonzero_elements()):
-        for flavor in ("x^[k]", "x^[h]"):
-            f = [tower.random_element(rng) for _ in range(spec.k)]
-            u = covering.deep_hole_family(spec, g, flavor, f)
-            ok = covering.is_deep_hole(list(u), spec, report, budgets)
-            family_entries.append(
-                {
-                    "flavor": flavor,
-                    "g": tower.element_to_json(g),
-                    "f": [tower.element_to_json(c) for c in f],
-                    "vector": [tower.element_to_json(int(c)) for c in u],
-                    "verified": ok,
-                }
-            )
-            grid += 1
-            if grid >= args.grid:
-                break
-        if grid >= args.grid:
-            break
+    families = islice(
+        product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid
+    )
+    for g, flavor in families:
+        f = [tower.random_element(rng) for _ in range(spec.k)]
+        u = covering.deep_hole_family(spec, g, flavor, f)
+        ok = covering.is_deep_hole(list(u), spec, report, budgets)
+        family_entries.append(
+            {
+                "flavor": flavor,
+                "g": tower.element_to_json(g),
+                "f": [tower.element_to_json(c) for c in f],
+                "vector": [tower.element_to_json(int(c)) for c in u],
+                "verified": ok,
+            }
+        )
     sample_agree = 0
     sample_total = 0
     for _ in range(args.sample):

@@ -15,7 +15,11 @@ arithmetic mod p, with no tables.
 
 Multiplication, inversion, Frobenius and norm run on log/antilog tables built
 once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
-Towers are immutable after construction and safe to share across threads.
+Construction (modulus search, irreducibility check, generator search, table
+build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
+the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
+2^16 for every p, is checked before any other work.  Towers are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,21 +36,15 @@ from .errors import ConsistencyError, FieldConstructionError
 
 Element = int  # index encoding of an element of F_(q^m)
 
-_ODD_P_ORDER_LIMIT = 1 << 12  # odd-p addition runs digit by digit, not as XOR
+_ORDER_LIMIT = 1 << 16  # for every p; F_2^16 is the largest tower the tests and demos build
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+# above this order the default top modulus makes the class of y primitive; the
+# threshold is what fixes the pinned default moduli of F_2^16 and other big towers
+_PRIMITIVE_Y_ABOVE = 1 << 12
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending; [n] exactly when n is prime."""
     out = []
     d = 2
     while d * d <= n:
@@ -113,12 +112,13 @@ def _poly_divmod(field, a: Sequence[int], b: Sequence[int]):
     lead_inv = field.inv(b[-1])
     db = len(b) - 1
     quot = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = field.mul(a[-1], lead_inv)
-        s = len(a) - 1 - db
+    while len(a) > db:
+        c = field.mul(a.pop(), lead_inv)  # c * b cancels the popped leading term
+        s = len(a) - db
         quot[s] = c
-        for j, y in enumerate(b):
-            a[s + j] = field.sub(a[s + j], field.mul(c, y))
+        for j in range(db):
+            if b[j]:
+                a[s + j] = field.sub(a[s + j], field.mul(c, b[j]))
         _poly_trim(a)
     return quot, a
 
@@ -134,21 +134,33 @@ def _poly_powmod(field, base: Sequence[int], exp: int, mod: Sequence[int]) -> li
     return result
 
 
+def _is_primitive(field, x: Sequence[int], mod: Sequence[int]) -> bool:
+    """True iff x generates the multiplicative group of field[y]/(mod).
+
+    mod is irreducible of degree d over a field of order q: x is primitive iff
+    x^((q^d - 1)/r) != 1 for every prime r dividing q^d - 1.
+    """
+    group = field.order ** (len(mod) - 1) - 1
+    return all(_poly_powmod(field, x, group // r, mod) != [1] for r in _prime_factors(group))
+
+
+def _monic(q: int, d: int, tail: int) -> list[int]:
+    """The monic degree-d polynomial whose low coefficients are the base-q digits of tail."""
+    cs = []
+    for _ in range(d):
+        tail, c = divmod(tail, q)
+        cs.append(c)
+    return cs + [1]
+
+
 def _find_factor(field, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Return a nontrivial monic factor of `poly` by trial division, or None."""
     deg = len(poly) - 1
     q = field.order
     for d in range(1, deg // 2 + 1):
-        # all monic candidates of degree d, low coefficients in counting order
         for tail in range(q**d):
-            cand = []
-            t = tail
-            for _ in range(d):
-                cand.append(t % q)
-                t //= q
-            cand.append(1)
-            _, rem = _poly_divmod(field, poly, cand)
-            if not rem:
+            cand = _monic(q, d, tail)
+            if not _poly_divmod(field, poly, cand)[1]:
                 return tuple(cand)
     return None
 
@@ -157,31 +169,21 @@ def _find_irreducible(field, deg: int, want_primitive_y: bool = False) -> tuple[
     """Smallest-in-counting-order monic irreducible of given degree over `field`.
 
     With ``want_primitive_y`` the search continues until the class of y
-    generates the multiplicative group (used so big default towers get a fast
-    antilog construction); a plain irreducible is returned if none is found.
+    generates the multiplicative group; a plain irreducible is returned if
+    none is found.
     """
     q = field.order
-    group = q**deg - 1
-    rs = _prime_factors(group)
     first_irreducible = None
     for tail in range(1, q**deg):
-        cand = []
-        t = tail
-        for _ in range(deg):
-            cand.append(t % q)
-            t //= q
-        cand.append(1)
+        cand = _monic(q, deg, tail)
         if cand[0] == 0:
             continue  # divisible by y
         if _find_factor(field, cand) is not None:
             continue
-        if not want_primitive_y:
+        if not want_primitive_y or _is_primitive(field, [0, 1], cand):
             return tuple(cand)
         if first_irreducible is None:
             first_irreducible = tuple(cand)
-        y = [0, 1]
-        if all(_poly_powmod(field, y, group // r, cand) != [1] for r in rs):
-            return tuple(cand)
     if first_irreducible is not None:
         return first_irreducible
     raise FieldConstructionError(f"no irreducible of degree {deg} over F_{q} found")
@@ -271,17 +273,17 @@ class FieldTower:
 
     def __init__(self, params: TowerParams):
         p, e, m = params.p, params.e, params.m
-        if not _is_prime(p):
-            raise FieldConstructionError(f"p = {p} is not prime")
         if e < 1 or m < 1:
             raise FieldConstructionError("extension degrees must be >= 1")
+        # p^(e*m) >= 2^bits for p >= 2, so p**(e*m) is evaluated only when small
+        bits = (p.bit_length() - 1) * e * m
+        if p >= 2 and (bits >= _ORDER_LIMIT.bit_length() or p ** (e * m) > _ORDER_LIMIT):
+            raise FieldConstructionError(f"towers are supported up to order {_ORDER_LIMIT}")
+        if _prime_factors(p) != [p]:
+            raise FieldConstructionError(f"p = {p} is not prime")
         self.p, self.e, self.m = p, e, m
         self.q = p**e
         self.order = self.q**m
-        if p != 2 and self.order > _ODD_P_ORDER_LIMIT:
-            raise FieldConstructionError(
-                f"odd-characteristic towers supported up to order {_ODD_P_ORDER_LIMIT}"
-            )
 
         base = params.base_modulus
         if e == 1:
@@ -308,7 +310,9 @@ class FieldTower:
 
         top = params.top_modulus
         if top is None:
-            top = _find_irreducible(self._sf, m, want_primitive_y=(self.order > 4096))
+            top = _find_irreducible(
+                self._sf, m, want_primitive_y=self.order > _PRIMITIVE_Y_ABOVE
+            )
         top = tuple(int(c) for c in top)
         if len(top) != m + 1 or top[-1] != 1:
             raise FieldConstructionError(f"top_modulus must be monic of degree {m}")
@@ -327,11 +331,6 @@ class FieldTower:
         self.zero: Element = 0
         self.one: Element = 1
         self._build_log_tables()
-        self._exp_np = np.array(self._exp, dtype=np.int64)
-        log = np.full(self.order, -1, dtype=np.int64)
-        for x in range(1, self.order):
-            log[x] = self._log[x]
-        self._log_np = log
         self._subfield_cache: dict[int, tuple[Element, ...]] = {}
 
     # -- construction internals ------------------------------------------------
@@ -351,98 +350,55 @@ class FieldTower:
             v = v * self.q + d
         return v
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Schoolbook polynomial product mod top_modulus; used for bootstrap only."""
-        if a == 0 or b == 0:
-            return 0
-        sf, m = self._sf, self.m
-        da, db = self._digits_of(a), self._digits_of(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = sf.add(prod[i + j], sf.mul(x, y))
-        mod = self.top_modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = sf.sub(prod[i - m + j], sf.mul(c, mod[j]))
-        return self._pack_digits(prod[:m])
+    def _digitwise(self, op, a: int, b: int) -> int:
+        """op applied to each pair of F_q coordinate digits of a and b."""
+        return self._pack_digits(list(map(op, self._digits_of(a), self._digits_of(b))))
 
-    def _mul_by_y(self, a: int) -> int:
-        """Shift-and-reduce: a * y, in the packed representation."""
-        sf, m = self._sf, self.m
-        ds = self._digits_of(a)
-        lead = ds[m - 1]
-        ds = [0] + ds[: m - 1]
-        if lead:
-            for j in range(m):
-                ds[j] = sf.sub(ds[j], sf.mul(lead, self.top_modulus[j]))
-        return self._pack_digits(ds)
+    def _mul_raw(self, a: int, b: int) -> int:
+        """Table-free product: the polynomial product mod top_modulus."""
+        sf = self._sf
+        prod = _poly_mul(sf, self._digits_of(a), self._digits_of(b))
+        return self._pack_digits(_poly_divmod(sf, prod, self.top_modulus)[1])
 
     def _build_log_tables(self) -> None:
-        n1 = self.order - 1
-        self._group = n1
-        if n1 == 1:
-            self.generator: Element = 1
-            self._exp, self._log = [1], [0, 0]
-            return
-        rs = _prime_factors(n1)
+        """Powers of the generator, the first primitive element in counting order.
 
-        def order_is_full(g: int) -> bool:
-            for r in rs:
-                acc, e2, base = 1, n1 // r, g
-                while e2:
-                    if e2 & 1:
-                        acc = self._mul_raw(acc, base)
-                    base = self._mul_raw(base, base)
-                    e2 >>= 1
-                if acc == 1:
-                    return False
-            return True
-
-        y = self.q if self.m > 1 else None  # index of the class of y
-        if y is not None and order_is_full(y):
-            gen, step = y, self._mul_by_y
-        else:
-            gen = next((c for c in range(2, self.order) if order_is_full(c)), None)
-            if gen is None:
-                raise FieldConstructionError("no multiplicative generator found")
-            step = lambda a, g=gen: self._mul_raw(a, g)
-        exp = [1] * n1
-        log = [0] * self.order
-        val = 1
+        For m > 1 the search starts in effect at y = q: 1, ..., q - 1 lie in
+        F_q^*, whose orders divide q - 1.
+        """
+        n1 = self._group = self.order - 1
+        sf, top = self._sf, self.top_modulus
+        gen = next(
+            (c for c in range(1, self.order) if _is_primitive(sf, self._digits_of(c), top)), None
+        )
+        if gen is None:
+            raise FieldConstructionError("no multiplicative generator found")
+        g = _poly_trim(self._digits_of(gen))
+        exp, cur = [1] * n1, [1]
         for i in range(n1):
-            exp[i] = val
-            log[val] = i
-            val = step(val)
-        if val != 1:
+            exp[i] = self._pack_digits(cur)
+            cur = _poly_divmod(sf, _poly_mul(sf, cur, g), top)[1]
+        if cur != [1]:
             raise FieldConstructionError("generator order check failed")
-        self.generator = gen
+        log = [0] * self.order
+        for i, x in enumerate(exp):
+            log[x] = i
+        self.generator: Element = gen
         self._exp, self._log = exp, log
+        self._exp_np = np.array(exp, dtype=np.int64)
+        self._log_np = np.array(log, dtype=np.int64)
+        self._log_np[0] = -1
 
     # -- scalar field operations -------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        if self.p == 2:
-            return a ^ b
-        sf = self._sf
-        da, db = self._digits_of(a), self._digits_of(b)
-        return self._pack_digits([sf.add(x, y) for x, y in zip(da, db)])
+        return a ^ b if self.p == 2 else self._digitwise(self._sf.add, a, b)
 
     def neg(self, a: Element) -> Element:
-        if self.p == 2:
-            return a
-        sf = self._sf
-        return self._pack_digits([sf.neg(d) for d in self._digits_of(a)])
+        return a if self.p == 2 else self._digitwise(self._sf.sub, 0, a)
 
     def sub(self, a: Element, b: Element) -> Element:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return a ^ b if self.p == 2 else self._digitwise(self._sf.sub, a, b)
 
     def mul(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
@@ -471,19 +427,13 @@ class FieldTower:
         while len(r1) > 1:
             q, r = _poly_divmod(sf, r0, r1)
             qs = _poly_mul(sf, q, s1)
-            new_s = [0] * max(len(s0), len(qs))
-            for i in range(len(new_s)):
-                x = s0[i] if i < len(s0) else 0
-                y = qs[i] if i < len(qs) else 0
-                new_s[i] = sf.sub(x, y)
+            new_s = [sf.sub(x, y) for x, y in zip_longest(s0, qs, fillvalue=0)]
             r0, r1 = r1, r
             s0, s1 = s1, _poly_trim(new_s)
         if not r1:
             raise ZeroDivisionError("element not invertible: modulus reducible?")
         c = sf.inv(r1[0])
-        out = [sf.mul(c, x) for x in s1]
-        out += [0] * (self.m - len(out))
-        return self._pack_digits(out[: self.m])
+        return self._pack_digits([sf.mul(c, x) for x in s1])  # deg s1 < m
 
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
@@ -696,11 +646,6 @@ class FieldTower:
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, order={self.order})"
 
 
-def tower_build(params: TowerParams) -> FieldTower:
-    """Build and verify a tower; moduli are checked, never assumed irreducible."""
-    return FieldTower(params)
-
-
 @functools.lru_cache(maxsize=None)
 def default_tower(p: int, e: int, m: int) -> FieldTower:
     """Cached tower with verified default moduli for (p, e, m)."""
@@ -736,7 +681,7 @@ def tower_from_json(obj: dict) -> FieldTower:
         cs = obj.get(key)
         return None if cs is None else tuple(json_int(c) for c in json_array(cs, key)) or None
 
-    return tower_build(
+    return FieldTower(
         TowerParams(
             p=json_int(obj["p"]),
             e=json_int(obj["e"]),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistgab.fieldtower import FieldTower, TowerParams, default_tower, tower_build
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def f16():
 @pytest.fixture(scope="session")
 def f16_alt():
     # same field, different representation: y^4 + y^3 + 1
-    return tower_build(TowerParams(2, 1, 4, top_modulus=(1, 0, 0, 1, 1)))
+    return FieldTower(TowerParams(2, 1, 4, top_modulus=(1, 0, 0, 1, 1)))
 
 
 @pytest.fixture(scope="session", params=["default", "alt"])
@@ -30,7 +30,7 @@ def f9():
 @pytest.fixture(scope="session")
 def f4_tower():
     # F_4 = F_2[x]/(x^2+x+1), F_16 = F_4[y]/(y^2+y+x)
-    return tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
+    return FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
 
 
 @pytest.fixture(scope="session")

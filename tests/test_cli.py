@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,6 +103,31 @@ class TestClassify:
         assert run_main([
             "classify", "--field", field, "--sweep", sweep, "--budget-codewords", "100",
         ]) == 3
+
+    def test_sweep_counts_eta_tuples_before_listing_them(self, files):
+        # 15^6 eta tuples: the budget refuses them before any is built
+        tmp, field, _ = files
+        sweep = tmp / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "ts": [0, 1, 2, 3, 4, 5]}))
+        t0 = time.perf_counter()
+        assert run_main(["classify", "--field", field, "--sweep", sweep]) == 3
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("field_obj", [
+        {"p": 2, "e": 1, "m": 17},
+        {"p": 2, "e": 1, "m": 40},
+        {"p": 2, "e": 1000000000, "m": 1},
+        {"p": 1000000000000000003, "e": 1, "m": 1},
+    ])
+    def test_oversize_field_is_refused_before_any_work(self, files, capsys, field_obj):
+        tmp, _, code = files
+        field = tmp / "big.json"
+        field.write_text(json.dumps(field_obj))
+        t0 = time.perf_counter()
+        assert run_main(["classify", "--field", field, "--code", code]) == 2
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert "up to order 65536" in err and "Traceback" not in err
 
     def test_odd_p_tower_above_order_1024(self, tmp_path, capsys):
         # F_3^7 (order 2187): vectorized addition must cover every odd-p tower
@@ -386,3 +412,19 @@ class TestConstructAndCovering:
         assert report["all_families_verified"]
         assert report["sampled_iff_checks"]["agree"] == report["sampled_iff_checks"]["total"]
         assert report["rho"] == {"value": 2, "method": "exhaustive"}
+
+    def test_deephole_grid_zero_lists_no_family(self, files, capsys):
+        _, field, code = files
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--grid", 0, "--sample", 0,
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["families"] == []
+        assert report["sampled_iff_checks"] == {"agree": 0, "total": 0}
+
+    @pytest.mark.parametrize("flag", ["--grid", "--sample"])
+    def test_negative_deephole_count_is_an_input_error(self, files, capsys, flag):
+        _, field, code = files
+        assert run_main(["deephole", "--field", field, "--code", code, flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "must be >= 0" in err and "Traceback" not in err

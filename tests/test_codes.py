@@ -21,7 +21,7 @@ from twistgab.codes import (
 )
 from twistgab.budget import Budgets
 from twistgab.errors import BudgetExceededError, SpecInvariantError
-from twistgab.fieldtower import TowerParams, default_tower, tower_build
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 from twistgab.mrdcheck import KSubsetTable, omega_one
 
 W = 2
@@ -210,7 +210,7 @@ def scalar_min_weights(t, G):
 ENUM_TOWERS = {
     "F16": default_tower(2, 1, 4),
     "F9": default_tower(3, 1, 2),
-    "F4<=F16": tower_build(
+    "F4<=F16": FieldTower(
         TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))
     ),
     "F27": default_tower(3, 1, 3),

@@ -6,7 +6,7 @@ from twistgab import moore
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix
 from twistgab.errors import ConsistencyError, SpecInvariantError
-from twistgab.fieldtower import TowerParams, default_tower, tower_build
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
 W = 2
 
@@ -14,7 +14,7 @@ W = 2
 SCAN_SPECS = {
     "F16": (default_tower(2, 1, 4), 3, 1, W),
     "F4<=F16": (
-        tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))), 2, 1, 3
+        FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))), 2, 1, 3
     ),
     "F9": (default_tower(3, 1, 2), 2, 1, 5),
     "F27": (default_tower(3, 1, 3), 3, 1, 5),

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistgab import moore
-from twistgab.fieldtower import TowerParams, default_tower, tower_build
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
 TOWERS = {
     "F16": default_tower(2, 1, 4),
     "F9": default_tower(3, 1, 2),
-    "F4<=F16": tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
+    "F4<=F16": FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
 }
 
 pytestmark = pytest.mark.parametrize("name", sorted(TOWERS))

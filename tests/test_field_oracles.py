@@ -15,7 +15,7 @@ from sympy import Poly, resultant, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-from twistgab.fieldtower import TowerParams, default_tower, tower_build, tower_to_json
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower, tower_to_json
 
 # tower_to_json(default_tower(p, e, m)) for every (p, e, m) that the test
 # fixtures and the benchmark workloads build (m = 1: the benchmark's F_q
@@ -46,10 +46,26 @@ DEFAULT_MODULI = {
     (7, 1, 3): {"e": 1, "m": 3, "p": 7, "top_modulus": [2, 0, 0, 1]},
 }
 
+# default_tower(p, e, m).generator: the first primitive element in counting
+# order; with the modulus it fixes every log/antilog table
+DEFAULT_GENERATORS = {
+    (2, 1, 1): 1, (2, 1, 4): 2, (2, 1, 5): 2, (2, 1, 6): 2, (2, 1, 7): 2,
+    (2, 1, 8): 3, (2, 1, 16): 2, (2, 2, 1): 2, (2, 2, 3): 5, (3, 1, 1): 2,
+    (3, 1, 2): 4, (3, 1, 4): 3, (3, 1, 5): 3, (3, 1, 7): 5, (3, 2, 1): 4,
+    (3, 2, 3): 10, (5, 1, 1): 2, (5, 1, 3): 9, (7, 1, 1): 3, (7, 1, 3): 22,
+}
+
 
 @pytest.mark.parametrize("pem", sorted(DEFAULT_MODULI), ids=lambda pem: "F_%d^%d^%d" % pem)
 def test_default_moduli_are_pinned(pem):
     assert tower_to_json(default_tower(*pem)) == DEFAULT_MODULI[pem]
+
+
+@pytest.mark.parametrize("pem", sorted(DEFAULT_GENERATORS), ids=lambda pem: "F_%d^%d^%d" % pem)
+def test_default_generators_are_pinned(pem):
+    t = default_tower(*pem)
+    assert t.generator == DEFAULT_GENERATORS[pem]
+    assert sorted(t._exp) == list(t.nonzero_elements())  # it generates F_(q^m)^*
 
 
 def _over_fp(modulus, p, e):
@@ -92,7 +108,7 @@ def sympy_product(a, b, modulus, p):
 
 
 E_GT_1 = {
-    "F4<=F16": tower_build(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
+    "F4<=F16": FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
     "F4<=F64": default_tower(2, 2, 3),
     "F9<=F729": default_tower(3, 2, 3),
     "F8<=F64": default_tower(2, 3, 2),
@@ -101,7 +117,7 @@ E_GT_1 = {
 
 E_EQ_1 = {
     "F16": default_tower(2, 1, 4),
-    "F16-alt": tower_build(TowerParams(2, 1, 4, top_modulus=(1, 0, 0, 1, 1))),
+    "F16-alt": FieldTower(TowerParams(2, 1, 4, top_modulus=(1, 0, 0, 1, 1))),
     "F9": default_tower(3, 1, 2),
     "F27": default_tower(3, 1, 3),
     "F5^3": default_tower(5, 1, 3),
@@ -139,8 +155,8 @@ def test_whole_field_products_match_sympy(name):
 
 
 def test_largest_prime_field_is_modular_arithmetic():
-    p = 4093  # the largest prime below the odd-p order limit 4096
-    t = tower_build(TowerParams(p, 1, 1))
+    p = 65521  # the largest prime below the order limit 65536
+    t = FieldTower(TowerParams(p, 1, 1))
     rng = random.Random(p)
     for _ in range(2000):
         a, b = rng.randrange(p), rng.randrange(1, p)
