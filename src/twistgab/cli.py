@@ -71,11 +71,14 @@ def _load_spec(tower: FieldTower, path: str) -> codes.CodeSpec:
 
 def _write_report(args, report: dict) -> None:
     text = canonical_json(report)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write report to {args.out}: {exc}") from exc
 
 
 def _budgets_from_args(args) -> Budgets:
@@ -299,7 +302,6 @@ def cmd_deephole(args) -> dict:
                 "verified": ok,
             }
         )
-    sample_agree = 0
     sample_total = 0
     for _ in range(args.sample):
         u = [tower.random_element(rng) for _ in range(spec.n)]
@@ -307,13 +309,8 @@ def cmd_deephole(args) -> dict:
             continue
         sample_total += 1
         via_ext = covering.deep_hole_via_extension(u, spec, budgets)
-        via_dist = covering.is_deep_hole(u, spec, report, budgets)
-        if via_ext == via_dist:
-            sample_agree += 1
-        else:
-            raise ConsistencyError(
-                f"extension route and distance route disagree on u = {u}"
-            )
+        if via_ext != covering.is_deep_hole(u, spec, report, budgets):
+            raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
     return {
         "schema": SCHEMA,
         "command": "deephole",
@@ -321,7 +318,7 @@ def cmd_deephole(args) -> dict:
         "rho": {"value": report.rho, "method": report.rho_method},
         "families": family_entries,
         "all_families_verified": all(e["verified"] for e in family_entries),
-        "sampled_iff_checks": {"agree": sample_agree, "total": sample_total},
+        "sampled_iff_checks": {"agree": sample_total, "total": sample_total},
     }
 
 
@@ -366,6 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
+        print(f"[timing] {args.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+        _write_report(args, report)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -375,8 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, SpecInvariantError, FieldConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(f"[timing] {args.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    _write_report(args, report)
     return EXIT_OK
 
 

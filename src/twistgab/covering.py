@@ -1,11 +1,14 @@
 """Covering radii and deep holes in the rank metric.
 
-The exhaustive covering radius walks the whole ambient space once, grouped by
-syndrome: the distance from a vector to the code is the minimum rank weight in
-its coset, so one weight per ambient vector suffices.  The pass is one numpy
-scan for every field: syndromes come from the vectorized field operations,
-rank weights from :meth:`FieldTower.fq_rank_many`.  The distance route
-(:func:`distance_to_code`) stays scalar and independent of the scan.
+The exhaustive covering radius walks F_(q^m)^n once as (components 1..n-1, the
+prefix) x (component 0), grouped by syndrome: a vector's distance to the code is
+the least rank weight in its coset.  A prefix's F_q-span is scattered into a
+membership grid, so rank(u) = rank(prefix) + [u_0 not in span(prefix)] needs no
+elimination; a syndrome entry is a sum of q^m-entry tables h_ij * c.  Chunks of
+whole prefixes fold into one int64 per coset, min(rank * q^(mn) + index): its
+minimum and first minimum-weight vector.  Memory is O(prefix tables + chunk +
+cosets).  The distance route (:func:`distance_to_code`) stays scalar and
+independent; scalar ``fq_rank`` and H.u^T are the scan's test oracles.
 """
 
 from __future__ import annotations
@@ -40,12 +43,11 @@ class CoveringReport:
     coset_count: Optional[int] = None
 
     def __post_init__(self):
-        if self.rho is not None:
-            if not self.lower_bound <= self.rho <= self.upper_bound:
-                raise ConsistencyError(
-                    f"exhaustive rho = {self.rho} violates theorem bounds "
-                    f"[{self.lower_bound}, {self.upper_bound}]"
-                )
+        if self.rho is not None and not self.lower_bound <= self.rho <= self.upper_bound:
+            raise ConsistencyError(
+                f"exhaustive rho = {self.rho} violates theorem bounds "
+                f"[{self.lower_bound}, {self.upper_bound}]"
+            )
 
     def to_json_dict(self, tower: FieldTower) -> dict:
         def tagged(value, method):
@@ -67,10 +69,8 @@ class CoveringReport:
 
 def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
     """True iff u lies in the code's row space."""
-    t = spec.tower
-    G = generator_matrix(spec)
-    stacked = np.vstack([G, np.asarray(u, dtype=np.int64)])
-    return moore.rank_fqm(t, stacked) == spec.k
+    stacked = np.vstack([generator_matrix(spec), np.asarray(u, dtype=np.int64)])
+    return moore.rank_fqm(spec.tower, stacked) == spec.k
 
 
 def distance_to_code(u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
@@ -104,35 +104,55 @@ def covering_bounds(spec: CodeSpec) -> tuple[int, int]:
     return 0, n - k
 
 
-def _scan(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ambient pass: per-vector syndrome and rank weight, per-coset minimum.
+# ambient vectors per chunk of the scan, rounded down to whole prefixes
+_CHUNK_VECTORS = 1 << 14
 
-    Vectors are visited in index order (component j is digit j of the index
-    in base q^m).  The syndrome H.u^T packs its n-k entries base q^m, so it is
-    already a dense coset id in [0, q^(m(n-k))).
-    """
-    t = spec.tower
-    N = t.order
+
+def _scan_blocks(spec: CodeSpec):
+    """(index, syndrome, rank) per chunk.  Component j is digit j of the index base
+    q^m; the syndrome H.u^T packs its n-k entries base q^m, a dense coset id."""
+    t, n, N, q = spec.tower, spec.n, spec.tower.order, spec.tower.q
     H = moore.nullspace_fqm(t, generator_matrix(spec))
-    idx = np.arange(N**spec.n, dtype=np.int64)
-    comps = [idx // N**j % N for j in range(spec.n)]
-    # peak memory: free the index, and let the rank elimination's slot arrays
-    # go before the syndrome arrays are built
-    del idx
-    rank = t.fq_rank_many(comps)
-    synd = np.zeros_like(rank)
-    for row in H:
-        s_i = np.zeros_like(rank)
-        for hj, col in zip(row, comps):
-            s_i = t.add_many(s_i, t.mul_many(np.int64(hj), col))
-        synd = synd * N + s_i
-    coset_count = N ** (spec.n - spec.k)
-    hits = np.bincount(synd, minlength=coset_count)
-    if len(hits) != coset_count or not hits.all():
-        raise ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets exactly")
-    coset_min = np.full(coset_count, spec.n + 1, dtype=np.int64)
-    np.minimum.at(coset_min, synd, rank)
-    return synd, rank, coset_min
+    x = np.arange(N, dtype=np.int64)
+    tables = [[t.mul_many(np.int64(h), x) for h in row] for row in H]  # h_ij * c
+    multiples = t.mul_many(x[:, None], np.arange(q, dtype=np.int64))  # [c, a] = a * c
+    prefixes, step = N ** (n - 1), max(1, _CHUNK_VECTORS // N)
+    for lo in range(0, prefixes, step):
+        pre = np.arange(lo, min(lo + step, prefixes), dtype=np.int64)
+        comps = [pre // N**j % N for j in range(n - 1)]
+        span = np.zeros((len(pre), 1), dtype=np.int64)
+        for c in comps:
+            span = t.add_many(span[:, :, None], multiples[c][:, None, :]).reshape(len(pre), -1)
+        member = np.zeros((len(pre), N), dtype=bool)
+        member[np.arange(len(pre))[:, None], span] = True
+        prefix_rank = np.searchsorted(q ** np.arange(n), np.count_nonzero(member, axis=1))
+        rank = prefix_rank[:, None] + ~member
+        synd = np.zeros_like(rank)
+        for row in tables:
+            s_pre = np.zeros_like(pre)
+            for tab, c in zip(row[1:], comps):
+                s_pre = t.add_many(s_pre, tab[c])
+            synd = synd * N + t.add_many(s_pre[:, None], row[0])
+        yield np.arange(lo * N, (lo + len(pre)) * N), synd.ravel(), rank.ravel()
+
+
+def _scan(spec: CodeSpec) -> np.ndarray:
+    """Per coset, min(rank * q^(mn) + index) over its vectors: the quotient is the
+    coset's distance to the code, the remainder its first minimum-weight vector."""
+    total = spec.tower.order**spec.n
+    coset_count = spec.tower.order ** (spec.n - spec.k)
+    best = np.full(coset_count, (spec.n + 1) * total, dtype=np.int64)
+    hits = np.zeros(coset_count, dtype=np.int64)
+    uncovered = ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets exactly")
+    for index, synd, rank in _scan_blocks(spec):
+        chunk_hits = np.bincount(synd, minlength=coset_count)
+        if len(chunk_hits) != coset_count:
+            raise uncovered
+        hits += chunk_hits
+        np.minimum.at(best, synd, rank * total + index)
+    if not hits.all():
+        raise uncovered
+    return best
 
 
 # deep holes listed per report, to keep reports small
@@ -140,11 +160,7 @@ MAX_DEEP_HOLES = 16
 
 
 def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(u_idx % order)
-        u_idx //= order
-    return tuple(out)
+    return tuple(u_idx // order**j % order for j in range(n))
 
 
 def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> CoveringReport:
@@ -163,27 +179,16 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
             n=n, k=k, rho=None, rho_method=None,
             lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
         )
-    synd, rank, coset_min = _scan(spec)
+    best = _scan(spec)
+    coset_min = best // total
     rho = int(coset_min.max())
-    # one representative per maximal coset: the first minimum-weight vector,
-    # capped to keep reports small
-    is_leader = (rank == rho) & (coset_min[synd] == rho)
-    deep_holes = []
-    seen = set()
-    for i in np.flatnonzero(is_leader):
-        s = int(synd[i])
-        if s in seen:
-            continue
-        seen.add(s)
-        deep_holes.append(_unpack_vector(t.order, n, int(i)))
-        if len(deep_holes) >= MAX_DEEP_HOLES:
-            break
+    leaders = np.sort(best[coset_min == rho] % total)
     return CoveringReport(
         n=n, k=k, rho=rho, rho_method="exhaustive",
         lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
-        deep_holes=deep_holes,
-        maximal_coset_count=int((coset_min == rho).sum()),
-        coset_count=len(coset_min),
+        deep_holes=[_unpack_vector(t.order, n, int(i)) for i in leaders[:MAX_DEEP_HOLES]],
+        maximal_coset_count=len(leaders),
+        coset_count=len(best),
     )
 
 
@@ -213,12 +218,10 @@ def deep_hole_via_extension(
     """
     if spec.ell != 1 or spec.twists[0][0] != 0:
         raise SpecInvariantError("extension test applies to a single twist with t = 0")
-    t = spec.tower
     if contains(spec, u):
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
-    G = generator_matrix(spec)
-    stacked = np.vstack([G, np.asarray(u, dtype=np.int64)])
-    return matrix_is_mrd(t, stacked, budgets)
+    stacked = np.vstack([generator_matrix(spec), np.asarray(u, dtype=np.int64)])
+    return matrix_is_mrd(spec.tower, stacked, budgets)
 
 
 def deep_hole_family(

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -150,6 +153,15 @@ class TestClassify:
         bad = tmp / "bad.json"
         bad.write_text("{не json")
         assert run_main(["classify", "--field", field, "--code", bad]) == 2
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_an_input_error(self, files, capsys, target):
+        # a missing directory, then a directory itself
+        tmp, field, code = files
+        out = tmp / target
+        assert run_main(["covering", "--field", field, "--code", code, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write report to {out}" in err and "Traceback" not in err
 
     def test_invalid_spec(self, files):
         tmp, field, _ = files
@@ -428,3 +440,37 @@ class TestConstructAndCovering:
         assert run_main(["deephole", "--field", field, "--code", code, flag, "-1"]) == 2
         err = capsys.readouterr().err
         assert "must be >= 0" in err and "Traceback" not in err
+
+
+class TestCoveringMemory:
+    # F_2^8, n = 3, k = 1, one twist at t = 0: 2^24 ambient vectors, the
+    # largest scan inside the default budget.  Report pinned from the
+    # whole-space scan, which needed about 2.2 GB.
+    FIELD = {"p": 2, "e": 1, "m": 8}
+    CODE = {
+        "alpha": [[int(i == j) for i in range(8)] for j in range(3)],
+        "k": 1, "h": 0, "twists": [{"t": 0, "eta": [1, 1, 0, 0, 0, 0, 0, 0]}],
+    }
+    DEEP_HOLES = [(i, 1, 0) for i in (2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)]
+    SHA256 = "58f9c6fddfdb5ad4dbed785419df5931a40044bf7887336a17715a48f6e6381e"
+
+    def test_largest_default_scan_fits_in_one_gib(self, tmp_path):
+        field, code = tmp_path / "field.json", tmp_path / "code.json"
+        field.write_text(json.dumps(self.FIELD))
+        code.write_text(json.dumps(self.CODE))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistgab", "covering", "--field", str(field), "--code", str(code)],
+            capture_output=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        report = json.loads(proc.stdout)["report"]
+        assert report["rho"] == {"value": 2, "method": "exhaustive"}
+        assert report["maximal_coset_count"] == 63750
+        holes = [tuple(sum(b << i for i, b in enumerate(c)) for c in u) for u in report["deep_holes"]]
+        assert holes == self.DEEP_HOLES
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.SHA256

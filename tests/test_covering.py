@@ -1,11 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix
-from twistgab.errors import ConsistencyError, SpecInvariantError
+from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
 W = 2
@@ -127,19 +131,25 @@ class TestExhaustiveCoveringRadius:
         spec = one_twist_spec(name)
         t, n, N = spec.tower, spec.n, spec.tower.order
         H = moore.nullspace_fqm(t, generator_matrix(spec))
-        synd, rank, _ = cov._scan(spec)
-        assert len(synd) == len(rank) == N**n
-        for i in range(N**n):
-            u = cov._unpack_vector(N, n, i)
-            assert synd[i] == scalar_syndrome(t, H, u)
-            assert rank[i] == t.fq_rank(u)
+        blocks = list(cov._scan_blocks(spec))
+        visited = np.concatenate([index for index, _, _ in blocks])
+        assert np.array_equal(np.sort(visited), np.arange(N**n))
+        for index, synd, rank in blocks:
+            assert len(index) == len(synd) == len(rank)
+            for i, s, r in zip(index, synd, rank):
+                u = cov._unpack_vector(N, n, int(i))
+                assert s == scalar_syndrome(t, H, u)
+                assert r == t.fq_rank(u)
 
     def test_scan_paths_agree(self, f16, c1_spec, rng):
-        # the vectorized scan against the scalar route (H.u^T, fq_rank and
+        # the chunked scan against the scalar route (H.u^T, fq_rank and
         # distance_to_code) on the n = 4, k = 2 code, sampled vectors
         N, n = f16.order, c1_spec.n
         H = moore.nullspace_fqm(f16, generator_matrix(c1_spec))
-        synd, rank, coset_min = cov._scan(c1_spec)
+        synd, rank = np.empty((2, N**n), dtype=np.int64)
+        for index, s, r in cov._scan_blocks(c1_spec):
+            synd[index], rank[index] = s, r
+        coset_min = cov._scan(c1_spec) // N**n
         assert len(coset_min) == N ** (n - c1_spec.k)
         for j, i in enumerate(rng.sample(range(N**n), 400)):
             u = cov._unpack_vector(N, n, i)
@@ -152,10 +162,24 @@ class TestExhaustiveCoveringRadius:
     def test_coset_minimum_is_distance_to_code(self, name):
         spec = one_twist_spec(name)
         N, n = spec.tower.order, spec.n
-        synd, _, coset_min = cov._scan(spec)
-        for i in range(N**n):
-            u = cov._unpack_vector(N, n, i)
-            assert coset_min[synd[i]] == cov.distance_to_code(u, spec)
+        coset_min = cov._scan(spec) // N**n
+        for index, synd, _ in cov._scan_blocks(spec):
+            for i, s in zip(index, synd):
+                u = cov._unpack_vector(N, n, int(i))
+                assert coset_min[s] == cov.distance_to_code(u, spec)
+
+    @pytest.mark.parametrize("name", ["F16-n4", "F27", "F4<=F16", "F9"])
+    def test_chunk_split_leaves_report_unchanged(self, name, f16, alpha4, monkeypatch):
+        if name == "F16-n4":
+            spec = CodeSpec(f16, alpha4, 2, 0, ((0, W),))
+        else:
+            spec = one_twist_spec(name)
+        N = spec.tower.order
+        default = cov.covering_radius_exhaustive(spec)
+        # one prefix per chunk, then five prefixes with a ragged last chunk
+        for chunk in (1, 5 * N + 3):
+            monkeypatch.setattr(cov, "_CHUNK_VECTORS", chunk)
+            assert cov.covering_radius_exhaustive(spec) == default
 
     def test_uncovered_coset_raises_consistency_error(self, monkeypatch):
         spec = one_twist_spec("F27")
@@ -257,3 +281,65 @@ class TestMonotonicity:
         r_small = cov.covering_radius_exhaustive(small).rho
         r_large = cov.covering_radius_exhaustive(large).rho
         assert r_small >= r_large
+
+
+# (p, e, m, n) with q^(mn) <= 2^12 and 2 <= n <= m
+SMALL_AMBIENTS = [
+    (2, 1, 2, 2), (2, 1, 3, 2), (2, 1, 3, 3), (2, 1, 4, 2), (2, 1, 4, 3), (2, 1, 5, 2),
+    (2, 1, 6, 2), (2, 2, 2, 2), (2, 2, 3, 2), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2, 2),
+]
+
+
+@lru_cache(maxsize=None)
+def tower_from(p, e, m, tail):
+    """The tower whose top modulus is the first irreducible monic one at or
+    after y^m + tail (tail read base q, little-endian), cycling."""
+    q = p**e
+    for off in range(q**m):
+        c = (tail + off) % q**m
+        top = tuple(c // q**i % q for i in range(m)) + (1,)
+        try:
+            return FieldTower(TowerParams(p, e, m, top_modulus=top))
+        except FieldConstructionError:
+            continue
+    raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
+
+
+@st.composite
+def small_twisted_codes(draw):
+    p, e, m, n = draw(st.sampled_from(SMALL_AMBIENTS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    alpha = draw(st.lists(st.integers(1, t.order - 1), min_size=n, max_size=n))
+    assume(t.fq_rank(alpha) == n)
+    k = draw(st.integers(1, n - 1))
+    ell = draw(st.integers(1, min(2, n - k)))
+    ts = sorted(draw(st.sets(st.integers(0, n - k - 1), min_size=ell, max_size=ell)))
+    etas = draw(st.lists(st.integers(1, t.order - 1), min_size=ell, max_size=ell))
+    return CodeSpec(t, tuple(alpha), k, draw(st.integers(0, k - 1)), tuple(zip(ts, etas)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_twisted_codes())
+def test_covering_report_over_random_towers(spec):
+    t, n, k, N = spec.tower, spec.n, spec.k, spec.tower.order
+    total = N**n
+    rep = cov.covering_radius_exhaustive(spec)
+    lo, hi = cov.covering_bounds(spec)
+    assert lo <= rep.rho <= hi
+    if spec.ell == 1 and spec.twists[0][0] == 0:
+        assert rep.rho == n - k
+    # scalar brute force: per coset, the least rank * q^(mn) + index
+    H = moore.nullspace_fqm(t, generator_matrix(spec))
+    brute = [(n + 1) * total] * N ** (n - k)
+    for i in range(total):
+        u = cov._unpack_vector(N, n, i)
+        s = scalar_syndrome(t, H, u)
+        brute[s] = min(brute[s], t.fq_rank(u) * total + i)
+    assert cov._scan(spec).tolist() == brute
+    assert rep.maximal_coset_count == sum(key // total == rep.rho for key in brute)
+    assert len(rep.deep_holes) == min(cov.MAX_DEEP_HOLES, rep.maximal_coset_count)
+    indices = [sum(c * N**j for j, c in enumerate(u)) for u in rep.deep_holes]
+    assert indices == sorted(set(indices))
+    assert len({scalar_syndrome(t, H, u) for u in rep.deep_holes}) == len(rep.deep_holes)
+    for u in rep.deep_holes:
+        assert cov.distance_to_code(list(u), spec) == rep.rho
