@@ -136,6 +136,9 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
     grid = json_object(grid, "a sweep grid")
     alpha = tuple(_elements(tower, grid["alpha"], "alpha"))
     k = json_int(grid["k"])
+    if not 1 <= k < len(alpha):
+        # checked before the class counts below, which k outside [1, n) breaks
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={len(alpha)}")
     hs = grid.get("h", [0])
     hs = [json_int(h) for h in ([hs] if isinstance(hs, int) else json_array(hs, "h"))]
     ts = tuple(json_int(x) for x in json_array(grid.get("ts", [0]), "ts"))

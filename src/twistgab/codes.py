@@ -7,13 +7,11 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
-enforced up front.  The classes are encoded and weighed with numpy in blocks of
-at most ``_BLOCK_ROWS`` messages, so memory stays bounded whatever the budget;
-rank weights come from :meth:`FieldTower.fq_rank_many`.  :func:`_codewords` is
-the scalar encoder, one codeword at a time.  The distance route of the
-covering-radius check (``covering.distance_to_code``) runs on it and on scalar
-``fq_rank``, so it stays independent of the vectorized covering scan it
-cross-checks.
+enforced up front.  :func:`_class_message_blocks` yields the classes as numpy
+blocks of at most ``_BLOCK_ROWS`` messages and :func:`_encode` turns a block
+into codewords, so memory stays bounded whatever the budget; rank weights come
+from :meth:`FieldTower.fq_rank_many`.  The same blocks, taken over the stacked
+matrix [u; G], enumerate a coset u + C for ``covering.distance_to_code``.
 """
 
 from __future__ import annotations
@@ -165,13 +163,16 @@ def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     """Evaluate the message polynomial (twist coefficients tied to f_h) at alpha."""
     if len(message) != spec.k:
         raise ValueError(f"message must have length k = {spec.k}")
-    t = spec.tower
-    G = generator_matrix(spec)
-    out = np.zeros(spec.n, dtype=np.int64)
-    for i, fi in enumerate(message):
-        if fi:
-            out = t.add_many(out, t.mul_many(np.int64(int(fi)), G[i]))
-    return out
+    msgs = np.asarray([message], dtype=np.int64)
+    return _encode(spec.tower, generator_matrix(spec), msgs)[0]
+
+
+def _encode(tower: FieldTower, G: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+    """The (B, n) codewords msgs . G of a (B, k) block of messages."""
+    words = np.zeros((len(msgs), G.shape[1]), dtype=np.int64)
+    for i in range(G.shape[0]):
+        words = tower.add_many(words, tower.mul_many(msgs[:, i : i + 1], G[i]))
+    return words
 
 
 # rows per message block of the distance enumeration
@@ -209,23 +210,6 @@ def projective_class_count(order: int, k: int) -> int:
     return (order**k - 1) // (order - 1)
 
 
-def _codewords(tower: FieldTower, G: np.ndarray, messages):
-    """Encode each message of the stream with the rows of G, as a list of ints.
-
-    The scalar encoder, one codeword per message; distance enumeration encodes
-    whole blocks with numpy instead.
-    """
-    rows = [[int(x) for x in row] for row in G]
-    n = G.shape[1]
-    for msg in messages:
-        word = [0] * n
-        for i, fi in enumerate(msg):
-            if fi:
-                ri = rows[i]
-                word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
-        yield word
-
-
 def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
     """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space.
 
@@ -237,9 +221,7 @@ def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
     best_r, best_h = n + 1, n + 1
     wit_r, wit_h = None, None
     for msgs in _class_message_blocks(tower.order, k):
-        words = np.zeros((len(msgs), n), dtype=np.int64)
-        for i in range(k):
-            words = tower.add_many(words, tower.mul_many(msgs[:, i : i + 1], G[i]))
+        words = _encode(tower, G, msgs)
         ranks = tower.fq_rank_many(list(words.T))
         i = int(np.argmin(ranks))
         if ranks[i] < best_r:

@@ -7,21 +7,24 @@ membership grid, so rank(u) = rank(prefix) + [u_0 not in span(prefix)] needs no
 elimination; a syndrome entry is a sum of q^m-entry tables h_ij * c.  Chunks of
 whole prefixes fold into one int64 per coset, min(rank * q^(mn) + index): its
 minimum and first minimum-weight vector.  Memory is O(prefix tables + chunk +
-cosets).  The distance route (:func:`distance_to_code`) stays scalar and
-independent; scalar ``fq_rank`` and H.u^T are the scan's test oracles.
+cosets).  Scalar ``fq_rank`` and H.u^T are the scan's test oracles.
+
+The distance route (:func:`distance_to_code`) shares nothing with the scan: it
+walks the coset u + C as the message classes of the stacked matrix [u; G] led
+by u, in the numpy blocks of the distance enumeration, and weighs them with
+``fq_rank_many``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import moore
 from .budget import Budgets, check_budget
-from .codes import CodeSpec, _codewords, encode, generator_matrix
+from .codes import CodeSpec, _class_message_blocks, _encode, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .mrdcheck import matrix_is_mrd
@@ -74,19 +77,25 @@ def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
 
 
 def distance_to_code(u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
-    """Exact min over all q^(mk) codewords of the rank weight of u - c."""
+    """Exact min over all q^(mk) codewords c of the rank weight of u - c.
+
+    The message classes of [u; G] led by u's coordinate, messages (1, m), are
+    the vectors u + c, c in C, and come first in the enumeration; the walk
+    stops at the first block without one, or at distance 0.
+    """
+    if len(u) != spec.n:
+        raise ValueError(f"u must have length n = {spec.n}")
     t = spec.tower
     check_budget("codeword", t.order**spec.k, budgets.codewords)
-    u = [int(x) for x in u]
+    stacked = np.vstack([np.asarray(u, dtype=np.int64), generator_matrix(spec)])
     best = spec.n
-    messages = iproduct(range(t.order), repeat=spec.k)
-    for c in _codewords(t, generator_matrix(spec), messages):
-        diff = [t.sub(a, b) for a, b in zip(u, c)]
-        w = t.fq_rank(diff)
-        if w < best:
-            best = w
-            if best == 0:
-                break
+    for msgs in _class_message_blocks(t.order, spec.k + 1):
+        msgs = msgs[msgs[:, 0] == 1]
+        if not len(msgs):
+            break
+        best = min(best, int(t.fq_rank_many(list(_encode(t, stacked, msgs).T)).min()))
+        if best == 0:
+            break
     return best
 
 

@@ -499,20 +499,6 @@ class FieldTower:
 
     def fq_rank(self, vec: Sequence[Element]) -> int:
         """Rank weight: dimension over F_q of the span of the components."""
-        if self.q == 2:
-            slots = [0] * self.m
-            rank = 0
-            for v in vec:
-                v = int(v)
-                while v:
-                    hb = v.bit_length() - 1
-                    if slots[hb]:
-                        v ^= slots[hb]
-                    else:
-                        slots[hb] = v
-                        rank += 1
-                        break
-            return rank
         pivots, _ = self.fq_echelon([list(self._digits_of(v)) for v in vec])
         return len(pivots)
 
@@ -595,14 +581,6 @@ class FieldTower:
         nz = x != 0
         e = (self._log_np[x[nz]] * pow(self.q, i % self.m, self._group)) % self._group
         out[nz] = self._exp_np[e]
-        return out
-
-    def norm_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        out = np.zeros_like(x)
-        nz = x != 0
-        s = self._group // (self.q - 1) if self.q > 1 else 1
-        out[nz] = self._exp_np[(self._log_np[x[nz]] * s) % self._group]
         return out
 
     # -- element universe ----------------------------------------------------------

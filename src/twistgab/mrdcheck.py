@@ -402,8 +402,8 @@ def sum_product_free_test(
     additionally ranges over products of up to t etas; the tuple count
     q^(s * #subsets) is budget-gated.
     """
-    if tower.m % s != 0:
-        raise ValueError("s must divide m")
+    if s < 1 or tower.m % s != 0:
+        raise ValueError("s must be a positive divisor of m")
     ell = len(etas)
     subsets = [
         ss for size in range(1, t + 1) for ss in combinations(range(ell), size)

@@ -68,8 +68,9 @@ def _sigma_and_norm_exhaustive(t):
     assert (t.frob_many(t.mul_many(a2, b2), 1) == t.mul_many(t.frob_many(a2, 1), t.frob_many(b2, 1))).all()
     assert (t.frob_many(t.add_many(a2, b2), 1) == t.add_many(t.frob_many(a2, 1), t.frob_many(b2, 1))).all()
     assert (t.frob_many(xs, t.m) == xs).all()
-    na, nb = t.norm_many(a2), t.norm_many(b2)
-    prod_norm = t.norm_many(t.mul_many(a2, b2))
+    norm = np.array([t.norm(x) for x in xs], dtype=np.int64)
+    na, nb = norm[a2], norm[b2]
+    prod_norm = norm[t.mul_many(a2, b2)]
     table = np.zeros((t.q, t.q), dtype=np.int64)
     for x in range(t.q):
         for y in range(t.q):

@@ -359,13 +359,25 @@ class TestConstructAndCovering:
         ("construct", "--task", {
             "mode": "scalar", "degrees": [], "etas": [], "alpha": ALPHA16[:2], "k": 1, "ts": [0],
         }),
-    ], ids=["sweep-array", "sweep-short-eta-tuple", "task-array", "task-empty-degrees"])
+        # k outside [1, n) is refused before the enumeration steps are counted
+        ("classify", "--sweep", {"alpha": ALPHA16[:3], "k": 20, "etas": [[[0, 1, 0, 0]]]}),
+        ("classify", "--sweep", {"alpha": ALPHA16[:3], "k": 400, "etas": [[[0, 1, 0, 0]]]}),
+        ("classify", "--sweep", {"alpha": ALPHA16[:3], "k": 0, "etas": [[[0, 1, 0, 0]]]}),
+        ("construct", "--task", {
+            "mode": "sum-product-free", "s": 0, "etas": [[0, 1, 0, 0]],
+            "alpha": ALPHA16[:2], "k": 1, "ts": [0],
+        }),
+    ], ids=[
+        "sweep-array", "sweep-short-eta-tuple", "task-array", "task-empty-degrees",
+        "sweep-k-20", "sweep-k-400", "sweep-k-0", "task-s-0",
+    ])
     def test_sweep_and_task_of_wrong_shape(self, files, capsys, command, flag, obj):
         tmp, field, _ = files
         path = tmp / "input.json"
         path.write_text(json.dumps(obj))
         assert run_main([command, "--field", field, flag, path]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_sum_product_free_mode(self, tmp_path):
         field = tmp_path / "f256.json"

@@ -10,7 +10,6 @@ from twistgab import codes, moore
 from twistgab.codes import (
     CodeSpec,
     _class_message_blocks,
-    _codewords,
     _min_weights_of_matrix,
     classify,
     encode,
@@ -193,11 +192,25 @@ def _scalar_class_messages(order: int, k: int):
             yield msg
 
 
+def scalar_codewords(tower, G, messages):
+    """The scalar encoder: each message of the stream times the rows of G, one
+    codeword at a time, as a list of ints."""
+    rows = [[int(x) for x in row] for row in G]
+    n = G.shape[1]
+    for msg in messages:
+        word = [0] * n
+        for i, fi in enumerate(msg):
+            if fi:
+                ri = rows[i]
+                word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
+        yield word
+
+
 def scalar_min_weights(t, G):
     """Oracle for _min_weights_of_matrix: one codeword at a time, scalar fq_rank."""
     best_r = best_h = G.shape[1] + 1
     wit_r = wit_h = None
-    for word in _codewords(t, G, _scalar_class_messages(t.order, G.shape[0])):
+    for word in scalar_codewords(t, G, _scalar_class_messages(t.order, G.shape[0])):
         wr = t.fq_rank(word)
         if wr < best_r:
             best_r, wit_r = wr, tuple(word)
@@ -230,6 +243,21 @@ def test_batched_enumeration_matches_scalar_oracle(name, data):
     got = _min_weights_of_matrix(t, G, 1 << 24)
     assert got == scalar_min_weights(t, G)
     assert all(type(c) is int for c in got[1] + got[3])
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_TOWERS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_encode_matches_scalar_encoder(name, data):
+    t = ENUM_TOWERS[name]
+    n = data.draw(st.integers(2, t.m))
+    k = data.draw(st.integers(1, n - 1))
+    y = t.from_coords([0, 1] + [0] * (t.m - 2))
+    twists = ((0, data.draw(st.integers(1, t.order - 1))),)
+    spec = CodeSpec(t, tuple(t.pow_(y, i) for i in range(n)), k, 0, twists)
+    msg = data.draw(st.lists(st.integers(0, t.order - 1), min_size=k, max_size=k))
+    (expect,) = scalar_codewords(t, generator_matrix(spec), [msg])
+    assert encode(spec, msg).tolist() == expect
 
 
 def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, monkeypatch):

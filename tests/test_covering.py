@@ -1,14 +1,17 @@
 from functools import lru_cache
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_codes import scalar_codewords
+from twistgab import codes
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
-from twistgab.codes import CodeSpec, encode, generator_matrix
+from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
 from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
@@ -61,6 +64,18 @@ class TestDistanceToCode:
     def test_family_vector_reaches_n_minus_k(self, f16, c1_spec):
         u = cov.deep_hole_family(c1_spec, 1, "x^[k]")
         assert cov.distance_to_code(list(u), c1_spec) == 2
+
+    def test_vector_farther_than_the_minimum_distance(self, f16, alpha4):
+        # d_R = 2 < rho = 3: the codewords of rank 2 must not count as u + c
+        spec = CodeSpec(f16, alpha4, 1, 0, ((1, 1),))
+        u = [9, 2, 1, 0]
+        assert min_rank_distance(spec).d_rank == 2
+        assert cov.distance_to_code(u, spec) == scalar_distance(u, spec) == 3
+
+    def test_wrong_length_is_rejected(self, c1_spec):
+        for u in ([1, 2, 3], [1, 2, 3, 4, 5]):
+            with pytest.raises(ValueError, match="length"):
+                cov.distance_to_code(u, c1_spec)
 
 
 class TestCoveringBounds:
@@ -343,3 +358,52 @@ def test_covering_report_over_random_towers(spec):
     assert len({scalar_syndrome(t, H, u) for u in rep.deep_holes}) == len(rep.deep_holes)
     for u in rep.deep_holes:
         assert cov.distance_to_code(list(u), spec) == rep.rho
+
+
+def scalar_distance(u, spec):
+    """Oracle for distance_to_code: every message, the scalar encoder, scalar fq_rank."""
+    t = spec.tower
+    words = scalar_codewords(t, generator_matrix(spec), iproduct(range(t.order), repeat=spec.k))
+    return min(t.fq_rank([t.sub(a, c) for a, c in zip(u, word)]) for word in words)
+
+
+# (p, e, m) of the towers of the distance property, order <= 256
+DISTANCE_TOWERS = [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3),
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2),
+]
+
+
+@st.composite
+def distance_cases(draw):
+    """A code with q^(mk) <= 2^12 and n <= 4, plain or with one or two twists,
+    and a vector u that is a codeword or drawn at random."""
+    p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    n = draw(st.integers(2, min(m, 4)))
+    alpha = draw(st.lists(st.integers(1, t.order - 1), min_size=n, max_size=n))
+    assume(t.fq_rank(alpha) == n)
+    k = draw(st.integers(1, max(k for k in range(1, n) if t.order**k <= 1 << 12)))
+    ell = draw(st.integers(0, min(2, n - k)))
+    ts = sorted(draw(st.sets(st.integers(0, n - k - 1), min_size=ell, max_size=ell)))
+    etas = draw(st.lists(st.integers(1, t.order - 1), min_size=ell, max_size=ell))
+    h = draw(st.integers(0, k - 1)) if ell else None
+    spec = CodeSpec(t, tuple(alpha), k, h, tuple(zip(ts, etas)))
+    if draw(st.booleans()):
+        u = encode(spec, draw(st.lists(st.integers(0, t.order - 1), min_size=k, max_size=k)))
+    else:
+        u = draw(st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n))
+    return spec, [int(c) for c in u]
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@settings(max_examples=25, deadline=None)
+@given(case=distance_cases())
+def test_distance_to_code_matches_scalar_oracle(block_rows, case):
+    # with 3-row blocks the q^(mk) classes led by u span several blocks, and
+    # unless 3 divides q^(mk) the last of them also holds classes led by G
+    spec, u = case
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+        assert cov.distance_to_code(u, spec) == scalar_distance(u, spec)

@@ -128,7 +128,6 @@ class TestArithmetic:
             assert all(int(x) == t.mul(int(u), int(v)) for x, u, v in zip(t.mul_many(a, b), a, b))
             assert all(int(x) == t.add(int(u), int(v)) for x, u, v in zip(t.add_many(a, b), a, b))
             assert all(int(x) == t.frobenius(int(u), 2) for x, u in zip(t.frob_many(a, 2), a))
-            assert all(int(x) == t.norm(int(u)) for x, u in zip(t.norm_many(a), a))
 
 
 class TestFrobenius:
