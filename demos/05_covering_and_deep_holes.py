@@ -35,8 +35,8 @@ print("sample deep hole:", report.deep_holes[0])
 rng = random.Random(0)
 for flavor in ("x^[k]", "x^[h]"):
     u = deep_hole_family(spec, g=w, flavor=flavor, f_coeffs=[rng.randrange(16) for _ in range(2)])
-    print(f"family {flavor}: distance {distance_to_code(list(u), spec)} -> deep hole:",
-          is_deep_hole(list(u), spec, report))
+    print(f"family {flavor}: distance {distance_to_code(spec, list(u))} -> deep hole:",
+          is_deep_hole(spec, list(u), report))
 
 # deep hole <=> stacking the vector under G gives an MRD extension
 hits = 0
@@ -44,8 +44,8 @@ for _ in range(200):
     u = [t.random_element(rng) for _ in range(4)]
     if contains(spec, u):
         continue
-    assert deep_hole_via_extension(u, spec) == is_deep_hole(u, spec, report)
-    hits += int(is_deep_hole(u, spec, report))
+    assert deep_hole_via_extension(spec, u) == is_deep_hole(spec, u, report)
+    hits += int(is_deep_hole(spec, u, report))
 print(f"\nextension test agreed with the distance test on 200 samples "
       f"({hits} deep holes among them)")
 

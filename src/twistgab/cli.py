@@ -295,7 +295,7 @@ def cmd_deephole(args) -> dict:
     for g, flavor in families:
         f = [tower.random_element(rng) for _ in range(spec.k)]
         u = covering.deep_hole_family(spec, g, flavor, f)
-        ok = covering.is_deep_hole(list(u), spec, report, budgets)
+        ok = covering.is_deep_hole(spec, u, report, budgets)
         family_entries.append(
             {
                 "flavor": flavor,
@@ -311,8 +311,8 @@ def cmd_deephole(args) -> dict:
         if covering.contains(spec, u):
             continue
         sample_total += 1
-        via_ext = covering.deep_hole_via_extension(u, spec, budgets)
-        if via_ext != covering.is_deep_hole(u, spec, report, budgets):
+        via_ext = covering.deep_hole_via_extension(spec, u, budgets)
+        if via_ext != covering.is_deep_hole(spec, u, report, budgets):
             raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
     return {
         "schema": SCHEMA,

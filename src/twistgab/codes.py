@@ -8,9 +8,9 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
 enforced up front.  :func:`_class_message_blocks` yields the classes as numpy
-blocks of at most ``_BLOCK_ROWS`` messages and :func:`_encode` turns a block
-into codewords, so memory stays bounded whatever the budget; rank weights come
-from :meth:`FieldTower.fq_rank_many`.  The same blocks, taken over the stacked
+blocks of at most ``_BLOCK_ROWS`` messages, ``moore.matmul`` encodes a block,
+so memory stays bounded whatever the budget; rank weights come from
+:meth:`FieldTower.fq_rank_many`.  The same blocks, taken over the stacked
 matrix [u; G], enumerate a coset u + C for ``covering.distance_to_code``.
 """
 
@@ -161,18 +161,7 @@ def generator_matrix(spec: CodeSpec) -> np.ndarray:
 
 def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     """Evaluate the message polynomial (twist coefficients tied to f_h) at alpha."""
-    if len(message) != spec.k:
-        raise ValueError(f"message must have length k = {spec.k}")
-    msgs = np.asarray([message], dtype=np.int64)
-    return _encode(spec.tower, generator_matrix(spec), msgs)[0]
-
-
-def _encode(tower: FieldTower, G: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    """The (B, n) codewords msgs . G of a (B, k) block of messages."""
-    words = np.zeros((len(msgs), G.shape[1]), dtype=np.int64)
-    for i in range(G.shape[0]):
-        words = tower.add_many(words, tower.mul_many(msgs[:, i : i + 1], G[i]))
-    return words
+    return moore.matmul(spec.tower, message, generator_matrix(spec))
 
 
 # rows per message block of the distance enumeration
@@ -221,7 +210,7 @@ def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
     best_r, best_h = n + 1, n + 1
     wit_r, wit_h = None, None
     for msgs in _class_message_blocks(tower.order, k):
-        words = _encode(tower, G, msgs)
+        words = moore.matmul(tower, msgs, G)
         ranks = tower.fq_rank_many(list(words.T))
         i = int(np.argmin(ranks))
         if ranks[i] < best_r:

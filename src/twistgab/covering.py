@@ -11,8 +11,8 @@ cosets).  Scalar ``fq_rank`` and H.u^T are the scan's test oracles.
 
 The distance route (:func:`distance_to_code`) shares nothing with the scan: it
 walks the coset u + C as the message classes of the stacked matrix [u; G] led
-by u, in the numpy blocks of the distance enumeration, and weighs them with
-``fq_rank_many``.
+by u, in the numpy blocks of the distance enumeration, encodes them with
+``moore.matmul`` and weighs them with ``fq_rank_many``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import moore
 from .budget import Budgets, check_budget
-from .codes import CodeSpec, _class_message_blocks, _encode, encode, generator_matrix
+from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .mrdcheck import matrix_is_mrd
@@ -70,30 +70,37 @@ class CoveringReport:
         }
 
 
+def _vector(spec: CodeSpec, u: Sequence[Element]) -> np.ndarray:
+    """u as an int64 array, once it is known to be a vector of F_(q^m)^n; every
+    public function takes u after the spec, f(spec, u, ...)."""
+    v, order = np.asarray(u, dtype=np.int64), spec.tower.order
+    if v.shape != (spec.n,) or ((v < 0) | (v >= order)).any():
+        raise ValueError(f"u must have length n = {spec.n} and entries in [0, {order})")
+    return v
+
+
 def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
     """True iff u lies in the code's row space."""
-    stacked = np.vstack([generator_matrix(spec), np.asarray(u, dtype=np.int64)])
+    stacked = np.vstack([generator_matrix(spec), _vector(spec, u)])
     return moore.rank_fqm(spec.tower, stacked) == spec.k
 
 
-def distance_to_code(u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
+def distance_to_code(spec: CodeSpec, u: Sequence[Element], budgets: Budgets = Budgets()) -> int:
     """Exact min over all q^(mk) codewords c of the rank weight of u - c.
 
     The message classes of [u; G] led by u's coordinate, messages (1, m), are
     the vectors u + c, c in C, and come first in the enumeration; the walk
     stops at the first block without one, or at distance 0.
     """
-    if len(u) != spec.n:
-        raise ValueError(f"u must have length n = {spec.n}")
+    stacked = np.vstack([_vector(spec, u), generator_matrix(spec)])
     t = spec.tower
     check_budget("codeword", t.order**spec.k, budgets.codewords)
-    stacked = np.vstack([np.asarray(u, dtype=np.int64), generator_matrix(spec)])
     best = spec.n
     for msgs in _class_message_blocks(t.order, spec.k + 1):
         msgs = msgs[msgs[:, 0] == 1]
         if not len(msgs):
             break
-        best = min(best, int(t.fq_rank_many(list(_encode(t, stacked, msgs).T)).min()))
+        best = min(best, int(t.fq_rank_many(list(moore.matmul(t, msgs, stacked).T)).min()))
         if best == 0:
             break
     return best
@@ -202,35 +209,36 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
 
 
 def is_deep_hole(
-    u: Sequence[Element],
     spec: CodeSpec,
+    u: Sequence[Element],
     report: Optional[CoveringReport] = None,
     budgets: Budgets = Budgets(),
 ) -> bool:
     """True iff the distance from u to the code equals the covering radius."""
+    _vector(spec, u)
     if report is None or report.rho is None:
         report = covering_radius_exhaustive(spec, budgets)
     if report.rho is None:
         raise BudgetExceededError(
             "covering radius unknown: ambient space too large for brute force"
         )
-    return distance_to_code(u, spec, budgets) == report.rho
+    return distance_to_code(spec, u, budgets) == report.rho
 
 
 def deep_hole_via_extension(
-    u: Sequence[Element], spec: CodeSpec, budgets: Budgets = Budgets()
+    spec: CodeSpec, u: Sequence[Element], budgets: Budgets = Budgets()
 ) -> bool:
     """Deep-hole test for the single-twist t = 0 family via code extension.
 
     Stacks u under the generator and tests the (k+1)-row matrix for MRD; by
     the extension theorem this is equivalent to u being a deep hole.
     """
+    v = _vector(spec, u)
     if spec.ell != 1 or spec.twists[0][0] != 0:
         raise SpecInvariantError("extension test applies to a single twist with t = 0")
-    if contains(spec, u):
+    if contains(spec, v):
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
-    stacked = np.vstack([generator_matrix(spec), np.asarray(u, dtype=np.int64)])
-    return matrix_is_mrd(spec.tower, stacked, budgets)
+    return matrix_is_mrd(spec.tower, np.vstack([generator_matrix(spec), v]), budgets)
 
 
 def deep_hole_family(

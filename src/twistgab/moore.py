@@ -39,24 +39,17 @@ def modified_moore_matrix(
 
 
 def matmul(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product over F_(q^m); zero entries of A cost no field call.
+    """Exact product A.B over F_(q^m): the sum over s of A[..., s] times B[s].
 
-    A may hold F_q digits (an F_q digit is already the index of that constant
-    of F_(q^m)), so V G^T for a subspace representative V is matmul(V, G.T).
+    A may carry leading batch axes and hold F_q digits (a digit is the index of
+    that constant of F_(q^m)): V G^T for a (B, k, n) block V is matmul(V, G.T).
     """
-    ra, ca = A.shape
-    rb, cb = B.shape
-    if ca != rb:
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    if B.ndim != 2 or A.shape[-1] != B.shape[0]:
         raise ValueError("shape mismatch")
-    out = np.zeros((ra, cb), dtype=np.int64)
-    for i in range(ra):
-        for j in range(cb):
-            acc = 0
-            for s in range(ca):
-                a = int(A[i, s])
-                if a:
-                    acc = tower.add(acc, tower.mul(a, int(B[s, j])))
-            out[i, j] = acc
+    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    for s in range(B.shape[0]):
+        out = tower.add_many(out, tower.mul_many(A[..., s : s + 1], B[s]))
     return out
 
 

@@ -4,7 +4,9 @@ The subspace criterion quantifies rank(V G^T) = k over one reduced
 row-echelon representative per k-dimensional row space of F_q^(k x n): left
 multiplication by an invertible matrix scales each maximal minor by a non-zero
 factor, so row spaces are the right granularity and the search shrinks from
-q^(kn) matrices to the Gaussian binomial count.
+q^(kn) matrices to the Gaussian binomial count.  Each route takes V M^T for a
+block of representatives at once (:func:`_subspace_blocks`, ``moore.matmul``)
+and eliminates V by V in order, so a witness is the first V in that order.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
@@ -22,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import moore
+from . import codes, moore
 from .budget import Budgets, check_budget
 from .codes import CodeSpec, generator_matrix
 from .errors import ConsistencyError, SpecInvariantError
@@ -41,11 +43,12 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
-    """All RREF representatives of k-dimensional row spaces of F_q^(k x n).
+def _subspace_blocks(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
+    """All RREF representatives of k-dimensional row spaces of F_q^(k x n), as
+    (B, k, n) int64 blocks of at most ``codes._BLOCK_ROWS`` digit matrices.
 
-    Yields k x n uint8 digit matrices, pivot sets in lexicographic order and
-    free entries in counting order, so the stream is deterministic.
+    Pivot sets come in lexicographic order and no block spans two; within a set
+    the free entries (row by row) count base q, the last fastest.
     """
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
@@ -53,21 +56,17 @@ def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) ->
     check_budget("subspace", expected, budgets.subspaces)
     emitted = 0
     for pivots in combinations(range(n), k):
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        base = np.zeros((k, n), dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        for vals in product(range(q), repeat=len(free_pos)):
-            V = base.copy()
-            for (i, j), v in zip(free_pos, vals):
-                V[i, j] = v
-            emitted += 1
-            yield V
+        free_pos = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        size = q ** len(free_pos)
+        for start in range(0, size, codes._BLOCK_ROWS):
+            idx = np.arange(start, min(start + codes._BLOCK_ROWS, size), dtype=np.int64)
+            block = np.zeros((len(idx), k, n), dtype=np.int64)
+            block[:, range(k), pivots] = 1
+            for i, j in reversed(free_pos):
+                block[:, i, j] = idx % q
+                idx //= q
+            emitted += len(block)
+            yield block
     if emitted != expected:
         raise ConsistencyError(
             f"subspace enumeration produced {emitted} representatives, "
@@ -75,11 +74,19 @@ def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) ->
         )
 
 
+def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
+    """The representatives of :func:`_subspace_blocks` one at a time, as uint8."""
+    if q > 256:
+        raise ValueError("uint8 digit matrices need q <= 256")
+    for block in _subspace_blocks(n, k, q, budgets):
+        yield from block.astype(np.uint8)
+
+
 def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()) -> bool:
     """Subspace criterion on an arbitrary full-rank generator matrix."""
     k, n = G.shape
-    for V in enumerate_subspaces(n, k, tower.q, budgets):
-        if moore.rank_fqm(tower, moore.matmul(tower, V, G.T)) != k:
+    for Vs in _subspace_blocks(n, k, tower.q, budgets):
+        if any(moore.rank_fqm(tower, P) != k for P in moore.matmul(tower, Vs, G.T)):
             return False
     return True
 
@@ -149,18 +156,17 @@ def forbidden_eta_set_one_twist(
     M = moore.moore_matrix(tower, alpha, k)
     Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
-    for V in enumerate_subspaces(n, k, tower.q, budgets):
-        den = moore.det_fqm(tower, moore.matmul(tower, V, M.T))
-        if den == 0:
-            raise ConsistencyError(
-                "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
-                f"the MRD property, V = {V.tolist()}"
-            )
-        num = moore.det_fqm(tower, moore.matmul(tower, V, Mht.T))
-        eta = tower.neg(tower.div(num, den))
-        key = (eta,)
-        if key not in out.entries:
-            out.entries[key] = V.tolist()
+    for Vs in _subspace_blocks(n, k, tower.q, budgets):
+        dens, nums = moore.matmul(tower, Vs, M.T), moore.matmul(tower, Vs, Mht.T)
+        for V, VMt, VMht in zip(Vs, dens, nums):
+            den = moore.det_fqm(tower, VMt)
+            if den == 0:
+                raise ConsistencyError(
+                    "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
+                    f"the MRD property, V = {V.tolist()}"
+                )
+            eta = tower.neg(tower.div(moore.det_fqm(tower, VMht), den))
+            out.entries.setdefault((eta,), V.tolist())
     return out
 
 
@@ -271,17 +277,18 @@ def mrd_membership_multi(
     twisted row.
     """
     t = spec.tower
-    M = moore.moore_matrix(t, spec.alpha, spec.k)
-    mods = [
-        moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj)
-        for tj, _ in spec.twists
-    ] if spec.twists else []
-    for V in enumerate_subspaces(spec.n, spec.k, t.q, budgets):
-        acc = moore.det_fqm(t, moore.matmul(t, V, M.T))
-        for (tj, ej), Mj in zip(spec.twists, mods):
-            acc = t.add(acc, t.mul(ej, moore.det_fqm(t, moore.matmul(t, V, Mj.T))))
-        if acc == 0:
-            return False, V.tolist()
+    terms = [(t.one, moore.moore_matrix(t, spec.alpha, spec.k))] + [
+        (ej, moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj))
+        for tj, ej in spec.twists
+    ]
+    for Vs in _subspace_blocks(spec.n, spec.k, t.q, budgets):
+        products = [(e, moore.matmul(t, Vs, X.T)) for e, X in terms]
+        for b, V in enumerate(Vs):
+            acc = 0
+            for e, P in products:
+                acc = t.add(acc, t.mul(e, moore.det_fqm(t, P[b])))
+            if acc == 0:
+                return False, V.tolist()
     return True, None
 
 

@@ -307,8 +307,8 @@ def test_criterion_8_covering(f16, alpha4):
         u = [t.random_element(rng) for _ in range(4)]
         if cov.contains(spec, u):
             continue
-        via_ext = cov.deep_hole_via_extension(u, spec)
-        via_dist = cov.distance_to_code(u, spec) == rep.rho
+        via_ext = cov.deep_hole_via_extension(spec, u)
+        via_dist = cov.distance_to_code(spec, u) == rep.rho
         assert via_ext == via_dist, u
         sampled += 1
     # both deep-hole families on a grid of >= 64 (g, f) points
@@ -318,7 +318,7 @@ def test_criterion_8_covering(f16, alpha4):
             f = [t.random_element(rng) for _ in range(2)]
             for flavor in ("x^[k]", "x^[h]"):
                 u = cov.deep_hole_family(spec, g, flavor, f)
-                assert cov.is_deep_hole(list(u), spec, rep)
+                assert cov.is_deep_hole(spec, list(u), rep)
                 grid += 1
     assert grid >= 64
     _report(f"8 covering (exact rho, {sampled} iff samples, {grid} family points)", started, 600)

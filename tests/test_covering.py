@@ -53,29 +53,43 @@ def c1_spec(f16, alpha4):
 class TestDistanceToCode:
     def test_codeword_distance_zero(self, f16, c1_spec, rng):
         msg = [f16.random_element(rng), f16.random_element(rng)]
-        assert cov.distance_to_code(list(encode(c1_spec, msg)), c1_spec) == 0
+        assert cov.distance_to_code(c1_spec, list(encode(c1_spec, msg))) == 0
 
     def test_rank_one_offset(self, f16, c1_spec, rng):
         msg = [f16.random_element(rng), f16.random_element(rng)]
         u = list(encode(c1_spec, msg))
         u[2] = f16.add(u[2], 1)  # rank-1 error
-        assert cov.distance_to_code(u, c1_spec) <= 1
+        assert cov.distance_to_code(c1_spec, u) <= 1
 
     def test_family_vector_reaches_n_minus_k(self, f16, c1_spec):
         u = cov.deep_hole_family(c1_spec, 1, "x^[k]")
-        assert cov.distance_to_code(list(u), c1_spec) == 2
+        assert cov.distance_to_code(c1_spec, list(u)) == 2
 
     def test_vector_farther_than_the_minimum_distance(self, f16, alpha4):
         # d_R = 2 < rho = 3: the codewords of rank 2 must not count as u + c
         spec = CodeSpec(f16, alpha4, 1, 0, ((1, 1),))
         u = [9, 2, 1, 0]
         assert min_rank_distance(spec).d_rank == 2
-        assert cov.distance_to_code(u, spec) == scalar_distance(u, spec) == 3
+        assert cov.distance_to_code(spec, u) == scalar_distance(spec, u) == 3
 
     def test_wrong_length_is_rejected(self, c1_spec):
         for u in ([1, 2, 3], [1, 2, 3, 4, 5]):
             with pytest.raises(ValueError, match="length"):
-                cov.distance_to_code(u, c1_spec)
+                cov.distance_to_code(c1_spec, u)
+
+    @pytest.mark.parametrize("u", [[16, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 255]])
+    def test_entry_outside_the_field_is_rejected(self, c1_spec, u):
+        # -1 used to wrap around to a distance of 1, 16 to raise IndexError
+        rep = cov.covering_radius_exhaustive(c1_spec)
+        calls = [
+            lambda: cov.contains(c1_spec, u),
+            lambda: cov.distance_to_code(c1_spec, u),
+            lambda: cov.is_deep_hole(c1_spec, u, rep),
+            lambda: cov.deep_hole_via_extension(c1_spec, u),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"\[0, 16\)"):
+                call()
 
 
 class TestCoveringBounds:
@@ -127,7 +141,7 @@ class TestExhaustiveCoveringRadius:
         rep = cov.covering_radius_exhaustive(c1_spec)
         assert rep.deep_holes
         for u in rep.deep_holes[:4]:
-            assert cov.distance_to_code(list(u), c1_spec) == rep.rho
+            assert cov.distance_to_code(c1_spec, list(u)) == rep.rho
 
     def test_one_witness_per_maximal_coset(self, f16, c1_spec):
         rep = cov.covering_radius_exhaustive(c1_spec)
@@ -171,7 +185,7 @@ class TestExhaustiveCoveringRadius:
             assert synd[i] == scalar_syndrome(f16, H, u)
             assert rank[i] == f16.fq_rank(u)
             if j < 40:
-                assert coset_min[synd[i]] == cov.distance_to_code(u, c1_spec)
+                assert coset_min[synd[i]] == cov.distance_to_code(c1_spec, u)
 
     @pytest.mark.parametrize("name", ["F4<=F16", "F9"])
     def test_coset_minimum_is_distance_to_code(self, name):
@@ -181,7 +195,7 @@ class TestExhaustiveCoveringRadius:
         for index, synd, _ in cov._scan_blocks(spec):
             for i, s in zip(index, synd):
                 u = cov._unpack_vector(N, n, int(i))
-                assert coset_min[s] == cov.distance_to_code(u, spec)
+                assert coset_min[s] == cov.distance_to_code(spec, u)
 
     @pytest.mark.parametrize("name", ["F16-n4", "F27", "F4<=F16", "F9"])
     def test_chunk_split_leaves_report_unchanged(self, name, f16, alpha4, monkeypatch):
@@ -232,7 +246,7 @@ class TestDeepHoles:
     def test_codeword_never_deep(self, f16, c1_spec, rng):
         rep = cov.covering_radius_exhaustive(c1_spec)
         msg = [f16.random_element(rng), f16.random_element(rng)]
-        assert not cov.is_deep_hole(list(encode(c1_spec, msg)), c1_spec, rep)
+        assert not cov.is_deep_hole(c1_spec, list(encode(c1_spec, msg)), rep)
 
     def test_family_vectors_are_deep(self, f16, c1_spec, rng):
         rep = cov.covering_radius_exhaustive(c1_spec)
@@ -240,7 +254,7 @@ class TestDeepHoles:
             for flavor in ("x^[k]", "x^[h]"):
                 f = [f16.random_element(rng) for _ in range(2)]
                 u = cov.deep_hole_family(c1_spec, g, flavor, f)
-                assert cov.is_deep_hole(list(u), c1_spec, rep)
+                assert cov.is_deep_hole(c1_spec, list(u), rep)
 
     def test_extension_iff(self, f16, c1_spec, rng):
         rep = cov.covering_radius_exhaustive(c1_spec)
@@ -249,31 +263,31 @@ class TestDeepHoles:
             u = [f16.random_element(rng) for _ in range(4)]
             if cov.contains(c1_spec, u):
                 continue
-            assert cov.deep_hole_via_extension(u, c1_spec) == cov.is_deep_hole(
-                u, c1_spec, rep
+            assert cov.deep_hole_via_extension(c1_spec, u) == cov.is_deep_hole(
+                c1_spec, u, rep
             )
             checked += 1
 
     def test_moore_row_extension_is_gabidulin(self, f16, alpha4, c1_spec):
         # u = alpha^[k] extends the code to the (k+1)-dimensional Gabidulin code
         u = [f16.frobenius(a, 2) for a in alpha4]
-        assert cov.deep_hole_via_extension(u, c1_spec)
-        assert cov.is_deep_hole(u, c1_spec)
+        assert cov.deep_hole_via_extension(c1_spec, u)
+        assert cov.is_deep_hole(c1_spec, u)
 
     def test_rank_one_offset_not_deep(self, f16, c1_spec):
         u = list(encode(c1_spec, [1, W]))
         u[0] = f16.add(u[0], 1)
-        assert not cov.deep_hole_via_extension(u, c1_spec)
+        assert not cov.deep_hole_via_extension(c1_spec, u)
 
     def test_codeword_rejected_by_extension(self, f16, c1_spec):
         u = list(encode(c1_spec, [1, 0]))
         with pytest.raises(SpecInvariantError):
-            cov.deep_hole_via_extension(u, c1_spec)
+            cov.deep_hole_via_extension(c1_spec, u)
 
     def test_extension_requires_t0(self, f16, alpha4):
         spec = CodeSpec(f16, alpha4, 2, 0, ((1, W),))
         with pytest.raises(SpecInvariantError):
-            cov.deep_hole_via_extension([1, 0, 0, 0], spec)
+            cov.deep_hole_via_extension(spec, [1, 0, 0, 0])
 
     def test_family_g_zero_rejected(self, f16, c1_spec):
         with pytest.raises(SpecInvariantError):
@@ -357,10 +371,10 @@ def test_covering_report_over_random_towers(spec):
     assert indices == sorted(set(indices))
     assert len({scalar_syndrome(t, H, u) for u in rep.deep_holes}) == len(rep.deep_holes)
     for u in rep.deep_holes:
-        assert cov.distance_to_code(list(u), spec) == rep.rho
+        assert cov.distance_to_code(spec, list(u)) == rep.rho
 
 
-def scalar_distance(u, spec):
+def scalar_distance(spec, u):
     """Oracle for distance_to_code: every message, the scalar encoder, scalar fq_rank."""
     t = spec.tower
     words = scalar_codewords(t, generator_matrix(spec), iproduct(range(t.order), repeat=spec.k))
@@ -406,4 +420,4 @@ def test_distance_to_code_matches_scalar_oracle(block_rows, case):
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(codes, "_BLOCK_ROWS", block_rows)
-        assert cov.distance_to_code(u, spec) == scalar_distance(u, spec)
+        assert cov.distance_to_code(spec, u) == scalar_distance(spec, u)

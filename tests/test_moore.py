@@ -2,7 +2,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from test_covering import DISTANCE_TOWERS, tower_from
 from twistgab import moore
 from twistgab.fieldtower import default_tower
 
@@ -166,3 +170,56 @@ class TestNullspace:
         H = moore.nullspace_fqm(f9, G)
         assert H.shape == (2, 3)
         assert (moore.matmul(f9, G, H.T) == 0).all()
+
+
+def scalar_matmul(tower, A, B):
+    """Oracle for moore.matmul: the 2-D product, one scalar field call at a time."""
+    ra, ca = A.shape
+    rb, cb = B.shape
+    if ca != rb:
+        raise ValueError("shape mismatch")
+    out = np.zeros((ra, cb), dtype=np.int64)
+    for i in range(ra):
+        for j in range(cb):
+            acc = 0
+            for s in range(ca):
+                a = int(A[i, s])
+                if a:
+                    acc = tower.add(acc, tower.mul(a, int(B[s, j])))
+            out[i, j] = acc
+    return out
+
+
+@st.composite
+def matmul_cases(draw):
+    """A random tower of order <= 256 with p in {2, 3, 5}, a left factor of
+    shape (r, s) or (batch, r, s), either field elements or uint8 F_q digits,
+    and a right factor of shape (s, c)."""
+    p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    r, s, c = (draw(st.integers(1, 4)) for _ in range(3))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    if draw(st.booleans()):
+        A = draw(arrays(np.uint8, batch + (r, s), elements=st.integers(0, t.q - 1)))
+    else:
+        A = draw(arrays(np.int64, batch + (r, s), elements=st.integers(0, t.order - 1)))
+    B = draw(arrays(np.int64, (s, c), elements=st.integers(0, t.order - 1)))
+    return t, A, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=matmul_cases())
+def test_matmul_matches_scalar_oracle(case):
+    t, A, B = case
+    out = moore.matmul(t, A, B)
+    assert out.dtype == np.int64 and out.shape == A.shape[:-1] + B.shape[1:]
+    if A.ndim == 2:
+        assert (out == scalar_matmul(t, A, B)).all()
+    else:
+        for a, o in zip(A, out):
+            assert (o == scalar_matmul(t, a, B)).all()
+
+
+def test_matmul_shape_mismatch(f16):
+    with pytest.raises(ValueError, match="shape"):
+        moore.matmul(f16, np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))

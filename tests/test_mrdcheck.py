@@ -1,12 +1,19 @@
 from itertools import combinations, product
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import polynomial_basis
+from test_moore import scalar_matmul
+from twistgab import codes, moore
 from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, generator_matrix, min_rank_distance
-from twistgab.errors import BudgetExceededError, SpecInvariantError
+from twistgab.errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from twistgab.fieldtower import default_tower
 from twistgab.gcoeff import AnnihilatorCoeffs
 from twistgab.mrdcheck import SubfieldChain
@@ -23,6 +30,54 @@ def f16_subbasis(f256, n):
         if len(basis) == n:
             break
     return tuple(basis)
+
+
+def scalar_subspaces(n, k, q):
+    """Oracle for the block walk: the RREF representatives one at a time, as
+    k x n uint8 matrices, pivot sets in lexicographic order and the free
+    entries through itertools.product."""
+    for pivots in combinations(range(n), k):
+        free_pos = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        base = np.zeros((k, n), dtype=np.uint8)
+        for i, p in enumerate(pivots):
+            base[i, p] = 1
+        for vals in product(range(q), repeat=len(free_pos)):
+            V = base.copy()
+            for (i, j), v in zip(free_pos, vals):
+                V[i, j] = v
+            yield V
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_subspace_blocks_match_scalar_oracle(block_rows, n, data):
+    k = data.draw(st.integers(1, n))
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+        blocks = list(mc._subspace_blocks(n, k, q))
+        limit = codes._BLOCK_ROWS
+    expected = [V.tolist() for V in scalar_subspaces(n, k, q)]
+    assert len(expected) == mc.gaussian_binomial(n, k, q)
+    assert [V.tolist() for b in blocks for V in b] == expected
+    for b in blocks:
+        assert b.dtype == np.int64 and b.shape[1:] == (k, n) and 1 <= len(b) <= limit
+        # one pivot set per block: the leading-one positions of every row agree
+        assert len({tuple(np.argmax(V != 0, axis=1)) for V in b}) == 1
+    assert [V.tolist() for V in mc.enumerate_subspaces(n, k, q)] == expected
+
+
+def test_subspace_count_mismatch_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(mc, "gaussian_binomial", lambda n, k, q: 36)
+    with pytest.raises(ConsistencyError, match="36"):
+        list(mc._subspace_blocks(4, 2, 2))
 
 
 class TestSubspaceEnumeration:
@@ -62,6 +117,10 @@ class TestSubspaceEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             list(mc.enumerate_subspaces(4, 2, 2, Budgets(subspaces=10)))
+
+    def test_digits_beyond_uint8_are_refused(self):
+        with pytest.raises(ValueError, match="q <= 256"):
+            next(mc.enumerate_subspaces(2, 1, 257))
 
     def test_deterministic_order(self):
         first = [V.tolist() for V in mc.enumerate_subspaces(4, 2, 2)]
@@ -262,6 +321,102 @@ class TestMrdMembershipMulti:
         V = np.array(vio, dtype=np.uint8)
         G = generator_matrix(spec)
         assert moore.det_fqm(f16, moore.matmul(f16, V, G.T)) == 0
+
+
+def random_twisted_spec(t, rng, max_twists):
+    """A code on random F_q-independent points with 1..max_twists twists."""
+    while True:
+        n = rng.randrange(2, t.m + 1)
+        alpha = [t.random_nonzero(rng) for _ in range(n)]
+        if t.fq_rank(alpha) == n:
+            break
+    k = rng.randrange(1, n)
+    ell = rng.randrange(1, min(max_twists, n - k) + 1)
+    ts = sorted(rng.sample(range(n - k), ell))
+    twists = tuple((tj, t.random_nonzero(rng)) for tj in ts)
+    return CodeSpec(t, tuple(alpha), k, rng.randrange(k), twists)
+
+
+WITNESS_TOWERS = {"F16": default_tower(2, 1, 4), "F27": default_tower(3, 1, 3)}
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("name", sorted(WITNESS_TOWERS))
+class TestBlockWalkWitnesses:
+    """The block walk must report the witness a scalar per-V walk finds first."""
+
+    def test_violating_v_is_the_first_of_the_scalar_walk(self, monkeypatch, name, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        t, rng = WITNESS_TOWERS[name], random.Random(name)
+        verdicts = set()
+        for _ in range(30):
+            spec = random_twisted_spec(t, rng, max_twists=2)
+            G = generator_matrix(spec)
+            first = next(
+                (V.tolist() for V in scalar_subspaces(spec.n, spec.k, t.q)
+                 if moore.det_fqm(t, scalar_matmul(t, V, G.T)) == 0),
+                None,
+            )
+            ok, vio = mc.mrd_membership_multi(spec)
+            assert (ok, vio) == (first is None, first)
+            assert mc.matrix_is_mrd(t, G) == ok
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_forbidden_witnesses_are_the_first_of_the_scalar_walk(
+        self, monkeypatch, name, block_rows
+    ):
+        if block_rows is not None:
+            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        t, rng = WITNESS_TOWERS[name], random.Random(name)
+        for _ in range(6):
+            spec = random_twisted_spec(t, rng, max_twists=1)
+            (tj, _), = spec.twists
+            M = moore.moore_matrix(t, spec.alpha, spec.k)
+            Mht = moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj)
+            expected = {}
+            for V in scalar_subspaces(spec.n, spec.k, t.q):
+                den = moore.det_fqm(t, scalar_matmul(t, V, M.T))
+                num = moore.det_fqm(t, scalar_matmul(t, V, Mht.T))
+                expected.setdefault((t.neg(t.div(num, den)),), V.tolist())
+            fset = mc.forbidden_eta_set_one_twist(t, spec.alpha, spec.k, spec.h, tj)
+            assert fset.entries == expected
+
+
+def test_block_walk_memory_bound(monkeypatch):
+    # q = 4, n = 6, k = 3: the first pivot set alone has 4^9 representatives.
+    # G is dual to [w; a Gabidulin [6, 2] generator] with w = (1, 0, 0, 0, 1, 0):
+    # every other vector of that row space has rank weight >= 5 - 1 > 3, so the
+    # first violating V is the first one whose row space holds w, which is
+    # representative 4^7 = _BLOCK_ROWS, the first row of the second block
+    t = default_tower(2, 2, 6)
+    n, k = 6, 3
+    W = np.vstack([[1, 0, 0, 0, 1, 0], moore.moore_matrix(t, polynomial_basis(t, n), 2)])
+    G = moore.nullspace_fqm(t, W)
+    assert G.shape == (k, n)
+    limit = codes._BLOCK_ROWS
+    assert limit == 4**7
+    sizes = [len(b) for b in mc._subspace_blocks(n, k, t.q)]
+    assert max(sizes) <= limit < 4**9
+    assert sum(sizes) == mc.gaussian_binomial(n, k, t.q)
+
+    first = next(
+        i for i, V in enumerate(scalar_subspaces(n, k, t.q))
+        if moore.rank_fqm(t, scalar_matmul(t, V, G.T)) != k
+    )
+    assert first == limit
+    walked = []
+    blocks = mc._subspace_blocks
+
+    def spy(*args):
+        for b in blocks(*args):
+            walked.append(len(b))
+            yield b
+
+    monkeypatch.setattr(mc, "_subspace_blocks", spy)
+    assert not mc.matrix_is_mrd(t, G)
+    assert walked == [limit, limit]
 
 
 class TestConstructions:
