@@ -9,9 +9,16 @@ Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
 enforced up front.  :func:`_class_message_blocks` yields the classes as numpy
 blocks of at most ``_BLOCK_ROWS`` messages, ``moore.matmul`` encodes a block,
-so memory stays bounded whatever the budget; rank weights come from
-:meth:`FieldTower.fq_rank_many`.  The same blocks, taken over the stacked
-matrix [u; G], enumerate a coset u + C for ``covering.distance_to_code``.
+so memory stays bounded whatever the budget, and each block is folded once per
+weight asked for: the code is weighed by rank (:meth:`FieldTower.fq_rank_many`)
+and by Hamming weight, its dual and :func:`min_hamming_distance` by Hamming
+weight alone.  The same blocks, taken over the stacked matrix [u; G],
+enumerate a coset u + C for ``covering.distance_to_code``.
+
+The structural route, :func:`nmds_conditions`, reads column ranks of the
+generator by batched elimination (:meth:`FieldTower.rank_many`,
+:meth:`FieldTower.det_many`) over the stack of column subsets, and nothing
+from the enumeration.
 """
 
 from __future__ import annotations
@@ -199,41 +206,53 @@ def projective_class_count(order: int, k: int) -> int:
     return (order**k - 1) // (order - 1)
 
 
-def _min_weights_of_matrix(tower: FieldTower, G: np.ndarray, budget: int):
-    """Exact (d_rank, rank_witness, d_hamming, hamming_witness) of the row space.
+def _rank_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
+    return tower.fq_rank_many(list(words.T))
 
-    A witness is the first codeword, in class enumeration order, of minimum
-    weight: a later block replaces it only with a strictly smaller weight.
+
+def _hamming_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(words, axis=1)
+
+
+def _min_weights_of_matrix(
+    tower: FieldTower, G: np.ndarray, budget: int, weights=(_rank_weights, _hamming_weights)
+) -> tuple:
+    """Exact minimum and witness of the row space under each weight, flattened:
+    (d_rank, rank_witness, d_hamming, hamming_witness) for the default weights.
+
+    The class blocks are encoded once and folded per weight.  A witness is the
+    first codeword, in class enumeration order, of minimum weight: a later
+    block replaces it only with a strictly smaller weight.
     """
     k, n = G.shape
     check_budget("codeword", projective_class_count(tower.order, k), budget)
-    best_r, best_h = n + 1, n + 1
-    wit_r, wit_h = None, None
+    best = [(n + 1, None)] * len(weights)
     for msgs in _class_message_blocks(tower.order, k):
         words = moore.matmul(tower, msgs, G)
-        ranks = tower.fq_rank_many(list(words.T))
-        i = int(np.argmin(ranks))
-        if ranks[i] < best_r:
-            best_r, wit_r = int(ranks[i]), tuple(int(c) for c in words[i])
-        weights = np.count_nonzero(words, axis=1)
-        i = int(np.argmin(weights))
-        if weights[i] < best_h:
-            best_h, wit_h = int(weights[i]), tuple(int(c) for c in words[i])
-    return best_r, wit_r, best_h, wit_h
+        for j, weigh in enumerate(weights):
+            w = weigh(tower, words)
+            i = int(np.argmin(w))
+            if w[i] < best[j][0]:
+                best[j] = (int(w[i]), tuple(int(c) for c in words[i]))
+    return tuple(x for pair in best for x in pair)
 
 
-def min_rank_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
+def min_rank_distance(
+    spec: CodeSpec, budgets: Budgets = Budgets(), *, G: Optional[np.ndarray] = None
+) -> DistanceReport:
     """Exact minimum rank distance by scalar-class enumeration; fills all flags.
 
     The NMDS flag needs the dual's minimum Hamming distance, which is obtained
-    by the same enumeration on a dual basis.
+    by the same enumeration on a dual basis, weighed by Hamming weight only.
+    G, when given, is ``generator_matrix(spec)``, built once by the caller.
     """
     t = spec.tower
     n, k = spec.n, spec.k
-    G = generator_matrix(spec)
+    if G is None:
+        G = generator_matrix(spec)
     d_r, wit_r, d_h, wit_h = _min_weights_of_matrix(t, G, budgets.codewords)
     H = moore.nullspace_fqm(t, G)
-    _, _, d_h_dual, _ = _min_weights_of_matrix(t, H, budgets.codewords)
+    d_h_dual, _ = _min_weights_of_matrix(t, H, budgets.codewords, (_hamming_weights,))
     return DistanceReport(
         n=n,
         k=k,
@@ -250,8 +269,16 @@ def min_rank_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceR
 
 def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
     G = generator_matrix(spec)
-    _, _, d_h, _ = _min_weights_of_matrix(spec.tower, G, budgets.codewords)
+    d_h, _ = _min_weights_of_matrix(spec.tower, G, budgets.codewords, (_hamming_weights,))
     return d_h
+
+
+def _column_stack(G: np.ndarray, size: int) -> np.ndarray:
+    """The k x size column submatrices of G, one per size-subset in
+    lexicographic order, as a (C(n, size), k, size) stack."""
+    subsets = list(combinations(range(G.shape[1]), size))
+    cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), size)
+    return G[:, cols].transpose(1, 0, 2)
 
 
 def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]:
@@ -259,22 +286,15 @@ def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]
 
     (i) every k-1 columns independent, (ii) some k columns dependent,
     (iii) every k+1 columns of rank k.  NMDS iff i and ii and iii;
-    AMDS iff ii and iii; MDS iff not ii.
+    AMDS iff ii and iii; MDS iff not ii.  Each condition is one batched
+    elimination over the stack of its column subsets.
     """
     k, n = G.shape
-    if moore.rank_fqm(tower, G) != k:
+    if tower.rank_many(G[None])[0] != k:
         raise SpecInvariantError("generator matrix must have full rank k")
-    cond_i = all(
-        moore.rank_fqm(tower, G[:, cols]) == k - 1
-        for cols in combinations(range(n), k - 1)
-    )
-    cond_ii = any(
-        moore.det_fqm(tower, G[:, cols]) == 0 for cols in combinations(range(n), k)
-    )
-    cond_iii = all(
-        moore.rank_fqm(tower, G[:, cols]) == k
-        for cols in combinations(range(n), k + 1)
-    )
+    cond_i = bool((tower.rank_many(_column_stack(G, k - 1)) == k - 1).all())
+    cond_ii = bool((tower.det_many(_column_stack(G, k)) == 0).any())
+    cond_iii = bool((tower.rank_many(_column_stack(G, k + 1)) == k).all())
     return cond_i, cond_ii, cond_iii
 
 
@@ -285,8 +305,8 @@ def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
     structural route classifies via column ranks of the generator matrix.
     Any disagreement raises ConsistencyError with a witness description.
     """
-    report = min_rank_distance(spec, budgets)
     G = generator_matrix(spec)
+    report = min_rank_distance(spec, budgets, G=G)
     cond_i, cond_ii, cond_iii = nmds_conditions(spec.tower, G)
     structural = {
         "is_mds": not cond_ii,

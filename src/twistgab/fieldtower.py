@@ -15,6 +15,9 @@ arithmetic mod p, with no tables.
 
 Multiplication, inversion, Frobenius and norm run on log/antilog tables built
 once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
+The ``*_many`` methods apply them to numpy arrays of indices, and
+``rank_many`` / ``det_many`` eliminate stacks of matrices at once, with the
+scalar ``_gauss_jordan`` as their oracle.
 Construction (modulus search, irreducibility check, generator search, table
 build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
 the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
@@ -385,9 +388,15 @@ class FieldTower:
             log[x] = i
         self.generator: Element = gen
         self._exp, self._log = exp, log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
-        self._log_np[0] = -1
+        # log 0 is the sentinel 2 * n1: a sum of two logs indexes the doubled
+        # exp table below 2 * n1 - 1 when both factors are non-zero, and its
+        # zero tail [2 * n1, 4 * n1] otherwise
+        self._log_z = np.array(log, dtype=np.int64)
+        self._log_z[0] = 2 * n1
+        self._exp_z = np.zeros(4 * n1 + 1, dtype=np.int64)
+        self._exp_z[: 2 * n1] = np.tile(exp, 2)
+        self._inv_z = np.zeros(self.order, dtype=np.int64)
+        self._inv_z[1:] = self._exp_z[-self._log_z[1:] % n1]
 
     # -- scalar field operations -------------------------------------------------
 
@@ -566,22 +575,69 @@ class FieldTower:
         return rank
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        )
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        s = (self._log_np[a[nz]] + self._log_np[b[nz]]) % self._group
-        out[nz] = self._exp_np[s]
-        return out
+        """Elementwise product of two broadcastable integer arrays (or scalars)."""
+        return self._exp_z[self._log_z[a] + self._log_z[b]]
+
+    def inv_many(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse; 0 maps to 0."""
+        return self._inv_z[a]
+
+    def neg_many(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise negation: the product with -1 of F_p, whose index is p - 1."""
+        return a if self.p == 2 else self.mul_many(a, self.p - 1)
 
     def frob_many(self, x: np.ndarray, i: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         out = np.zeros_like(x)
         nz = x != 0
-        e = (self._log_np[x[nz]] * pow(self.q, i % self.m, self._group)) % self._group
-        out[nz] = self._exp_np[e]
+        e = (self._log_z[x[nz]] * pow(self.q, i % self.m, self._group)) % self._group
+        out[nz] = self._exp_z[e]
         return out
+
+    def _eliminate_many(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Jordan elimination of a (B, r, c) stack: (rank, det) per matrix.
+
+        Column by column, every matrix takes as pivot its first row not yet
+        used with a non-zero entry (``argmax`` of ``!= 0``), swaps it up to the
+        next pivot row, scales it to 1 and clears the column in every other
+        row.  det is the product of the pivots, negated once per swap, for a
+        square matrix of full rank and 0 otherwise, as in ``_gauss_jordan``,
+        the scalar oracle.
+        """
+        M = np.array(M, dtype=np.int64)  # a copy, eliminated in place
+        B, r, c = M.shape
+        rank = np.zeros(B, dtype=np.int64)
+        det = np.ones(B, dtype=np.int64)
+        at, row = np.arange(B), np.arange(r)
+        for j in range(c):
+            cand = (M[:, :, j] != 0) & (row >= rank[:, None])
+            found = cand.any(axis=1)
+            if not found.any():
+                continue
+            top = np.minimum(rank, r - 1)  # where a pivot row goes; a no-op without one
+            piv = np.where(found, cand.argmax(axis=1), top)
+            det = np.where(piv != top, self.neg_many(det), det)
+            swapped = M[at, piv]
+            M[at, piv] = M[at, top]
+            pv = np.where(found, swapped[:, j], 1)
+            det = self.mul_many(det, pv)
+            prow = self.mul_many(self.inv_many(pv)[:, None], swapped)
+            f = np.where(found[:, None], M[:, :, j], 0)
+            f[at, top] = 0
+            M = self.add_many(M, self.mul_many(self.neg_many(f)[:, :, None], prow[:, None, :]))
+            M[at, top] = prow
+            rank += found
+        return rank, np.where((rank == r) & (r == c), det, 0)
+
+    def rank_many(self, M: np.ndarray) -> np.ndarray:
+        """Rank over F_(q^m) of each matrix of a (B, r, c) stack."""
+        return self._eliminate_many(M)[0]
+
+    def det_many(self, M: np.ndarray) -> np.ndarray:
+        """Determinant of each matrix of a (B, r, r) stack."""
+        if np.shape(M)[-1] != np.shape(M)[-2]:
+            raise ValueError("determinant of a non-square matrix")
+        return self._eliminate_many(M)[1]
 
     # -- element universe ----------------------------------------------------------
 

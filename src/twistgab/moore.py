@@ -3,6 +3,12 @@
 Matrices are numpy int64 arrays of element indices; the owning tower is passed
 explicitly.  Row/column indices are 0-based here; reports and docs speaking of
 "the (h+1)-th row" follow the 1-based convention of the generator layouts.
+
+:func:`matmul` is the one matrix product, batched over leading axes.
+:func:`det_fqm`, :func:`rank_fqm` and :func:`nullspace_fqm` eliminate one
+matrix with the scalar ``_gauss_jordan``; stacks of matrices go through
+:meth:`FieldTower.rank_many` and :meth:`FieldTower.det_many`, which these
+scalar forms check in the tests.
 """
 
 from __future__ import annotations

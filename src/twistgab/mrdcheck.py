@@ -6,7 +6,10 @@ multiplication by an invertible matrix scales each maximal minor by a non-zero
 factor, so row spaces are the right granularity and the search shrinks from
 q^(kn) matrices to the Gaussian binomial count.  Each route takes V M^T for a
 block of representatives at once (:func:`_subspace_blocks`, ``moore.matmul``)
-and eliminates V by V in order, so a witness is the first V in that order.
+and eliminates the whole block in one batched Gauss-Jordan
+(:meth:`FieldTower.rank_many`, :meth:`FieldTower.det_many`); blocks come in
+enumeration order and a witness is the first V of its block in row order, so
+it is the first V in that order.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
@@ -86,7 +89,7 @@ def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()
     """Subspace criterion on an arbitrary full-rank generator matrix."""
     k, n = G.shape
     for Vs in _subspace_blocks(n, k, tower.q, budgets):
-        if any(moore.rank_fqm(tower, P) != k for P in moore.matmul(tower, Vs, G.T)):
+        if (tower.rank_many(moore.matmul(tower, Vs, G.T)) != k).any():
             return False
     return True
 
@@ -157,16 +160,19 @@ def forbidden_eta_set_one_twist(
     Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
     for Vs in _subspace_blocks(n, k, tower.q, budgets):
-        dens, nums = moore.matmul(tower, Vs, M.T), moore.matmul(tower, Vs, Mht.T)
-        for V, VMt, VMht in zip(Vs, dens, nums):
-            den = moore.det_fqm(tower, VMt)
-            if den == 0:
-                raise ConsistencyError(
-                    "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
-                    f"the MRD property, V = {V.tolist()}"
-                )
-            eta = tower.neg(tower.div(moore.det_fqm(tower, VMht), den))
-            out.entries.setdefault((eta,), V.tolist())
+        dens = tower.det_many(moore.matmul(tower, Vs, M.T))
+        zero = np.flatnonzero(dens == 0)
+        if len(zero):
+            raise ConsistencyError(
+                "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
+                f"the MRD property, V = {Vs[zero[0]].tolist()}"
+            )
+        nums = tower.det_many(moore.matmul(tower, Vs, Mht.T))
+        etas = tower.neg_many(tower.mul_many(nums, tower.inv_many(dens)))
+        # the first row of each eta value in the block, in row order
+        _, first = np.unique(etas, return_index=True)
+        for i in np.sort(first):
+            out.entries.setdefault((int(etas[i]),), Vs[i].tolist())
     return out
 
 
@@ -282,13 +288,12 @@ def mrd_membership_multi(
         for tj, ej in spec.twists
     ]
     for Vs in _subspace_blocks(spec.n, spec.k, t.q, budgets):
-        products = [(e, moore.matmul(t, Vs, X.T)) for e, X in terms]
-        for b, V in enumerate(Vs):
-            acc = 0
-            for e, P in products:
-                acc = t.add(acc, t.mul(e, moore.det_fqm(t, P[b])))
-            if acc == 0:
-                return False, V.tolist()
+        acc = 0
+        for e, X in terms:
+            acc = t.add_many(acc, t.mul_many(e, t.det_many(moore.matmul(t, Vs, X.T))))
+        zero = np.flatnonzero(acc == 0)
+        if len(zero):
+            return False, Vs[zero[0]].tolist()
     return True, None
 
 

@@ -1,5 +1,7 @@
-"""Properties of the one Gauss-Jordan elimination behind det, rank, null space
-and F_q echelon forms, over F_16, F_9 and the F_4 <= F_16 tower."""
+"""Properties of the scalar Gauss-Jordan elimination behind det, rank, null
+space and F_q echelon forms, over F_16, F_9 and the F_4 <= F_16 tower, and of
+the batched elimination (``rank_many``, ``det_many``) against it over random
+towers."""
 
 from itertools import permutations
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from test_covering import DISTANCE_TOWERS, tower_from
 from twistgab import moore
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
@@ -17,7 +21,7 @@ TOWERS = {
     "F4<=F16": FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1))),
 }
 
-pytestmark = pytest.mark.parametrize("name", sorted(TOWERS))
+each_tower = pytest.mark.parametrize("name", sorted(TOWERS))
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
@@ -50,6 +54,7 @@ def leibniz(t, M):
     return acc
 
 
+@each_tower
 @PROPERTY
 @given(data=st.data())
 def test_rank_nullity_and_annihilation(name, data):
@@ -62,6 +67,7 @@ def test_rank_nullity_and_annihilation(name, data):
     assert (moore.matmul(t, M, H.T) == 0).all()
 
 
+@each_tower
 @PROPERTY
 @given(data=st.data())
 def test_det_nonzero_iff_full_rank_and_matches_leibniz(name, data):
@@ -72,6 +78,7 @@ def test_det_nonzero_iff_full_rank_and_matches_leibniz(name, data):
     assert det == leibniz(t, M)
 
 
+@each_tower
 @PROPERTY
 @given(data=st.data())
 def test_fq_echelon_rank_equals_rank_over_extension(name, data):
@@ -80,3 +87,57 @@ def test_fq_echelon_rank_equals_rank_over_extension(name, data):
     D = data.draw(matrices(t, bound=t.q))
     pivots, rref = t.fq_echelon(D.tolist())
     assert len(pivots) == len(rref) == moore.rank_fqm(t, D)
+
+
+@st.composite
+def stacks(draw):
+    """A random tower of order <= 256 with p in {2, 3, 5} and a (B, r, c) stack
+    with B in {0, 1, 3}, r in 1..5 and c in 0..5 (often square).  Each matrix
+    is A.B with an inner dimension of 1..r, so rank-deficient matrices are
+    common, and may get a repeated row, a zero column and leading zeros in its
+    first row, which force a row swap."""
+    p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    count, r = draw(st.sampled_from([0, 1, 3])), draw(st.integers(1, 5))
+    c = r if draw(st.booleans()) else draw(st.integers(0, 5))
+    entry = st.integers(0, t.order - 1)
+    mats = []
+    for _ in range(count):
+        inner = draw(st.integers(1, r))
+        M = moore.matmul(
+            t, draw(arrays(np.int64, (r, inner), elements=entry)),
+            draw(arrays(np.int64, (inner, c), elements=entry)),
+        )
+        if r > 1 and draw(st.booleans()):
+            M[draw(st.integers(1, r - 1))] = M[0]
+        if c and draw(st.booleans()):
+            M[:, draw(st.integers(0, c - 1))] = 0
+        if c and draw(st.booleans()):
+            M[0, : draw(st.integers(1, c))] = 0
+        mats.append(M)
+    return t, np.array(mats, dtype=np.int64).reshape(count, r, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stacks())
+def test_batched_elimination_matches_scalar_oracle(case):
+    t, S = case
+    rank = t.rank_many(S)
+    assert rank.dtype == np.int64 and rank.shape == (len(S),)
+    assert rank.tolist() == [moore.rank_fqm(t, M) for M in S]
+    if S.shape[1] != S.shape[2]:
+        with pytest.raises(ValueError, match="non-square"):
+            t.det_many(S)
+        return
+    det = t.det_many(S)
+    assert det.tolist() == [moore.det_fqm(t, M) for M in S] == [leibniz(t, M) for M in S]
+
+
+def test_batched_elimination_leaves_its_input_alone():
+    # nmds_conditions passes G[None], a view of the generator
+    t = TOWERS["F9"]
+    G = np.array([[0, 3, 4], [5, 7, 1]], dtype=np.int64)
+    before = G.copy()
+    assert t.rank_many(G[None]).tolist() == [2]
+    assert t.det_many(G[None, :, :2]).tolist() == [moore.det_fqm(t, G[:, :2])]
+    assert (G == before).all()

@@ -129,6 +129,31 @@ class TestArithmetic:
             assert all(int(x) == t.add(int(u), int(v)) for x, u, v in zip(t.add_many(a, b), a, b))
             assert all(int(x) == t.frobenius(int(u), 2) for x, u in zip(t.frob_many(a, 2), a))
 
+    @pytest.mark.parametrize("name", ["f16", "f9", "f4_tower", "f256"])
+    def test_mul_many_matches_scalar_mul_over_the_whole_table(self, name, request):
+        t = request.getfixturevalue(name)
+        xs = np.arange(t.order)
+        table = t.mul_many(xs[:, None], xs)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[t.mul(a, b) for b in xs.tolist()] for a in xs.tolist()]
+        assert not table[0].any() and not table[:, 0].any()
+        # 0-d np.int64 scalars broadcast against arrays, on either side
+        for a in (0, 1, t.order - 1):
+            assert (t.mul_many(np.int64(a), xs) == table[a]).all()
+            assert (t.mul_many(xs, np.int64(a)) == table[:, a]).all()
+        assert t.mul_many(np.int64(0), np.int64(t.order - 1)) == 0
+        # uint8 F_q digits, as moore.matmul passes a block of digit matrices
+        digits = np.arange(t.q, dtype=np.uint8).reshape(-1, 1, 1)
+        assert (t.mul_many(digits, xs) == table[: t.q, None, :]).all()
+
+    @pytest.mark.parametrize("name", ["f16", "f9", "f4_tower", "f256"])
+    def test_inv_many_matches_inv_and_inv_euclid(self, name, request):
+        t = request.getfixturevalue(name)
+        inv = t.inv_many(np.arange(t.order))
+        assert inv[0] == 0
+        expected = [t.inv(a) for a in t.nonzero_elements()]
+        assert inv[1:].tolist() == expected == [t.inv_euclid(a) for a in t.nonzero_elements()]
+
 
 class TestFrobenius:
     def test_zero_fixed(self, f16):

@@ -1,6 +1,7 @@
 from itertools import combinations, product
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,11 @@ class TestSubspaceCriterion:
     def test_gabidulin_true(self, f16, alpha4):
         for k in (1, 2, 3):
             assert mc.is_mrd_subspace_criterion(CodeSpec(f16, alpha4, k))
+
+    def test_gabidulin_true_over_f256_n8_k4(self, f256):
+        # 200 787 subspaces, all of them walked by the batched elimination
+        G = generator_matrix(CodeSpec(f256, polynomial_basis(f256, 8), 4))
+        assert mc.matrix_is_mrd(f256, G)
 
     def test_first_k_forbidden_eta_false(self, f16, alpha4):
         # eta^(-1) = -g_h^(t) of the first k columns zeroes that minor
@@ -382,6 +388,31 @@ class TestBlockWalkWitnesses:
                 expected.setdefault((t.neg(t.div(num, den)),), V.tolist())
             fset = mc.forbidden_eta_set_one_twist(t, spec.alpha, spec.k, spec.h, tj)
             assert fset.entries == expected
+
+    def test_zero_denominator_names_the_first_of_the_scalar_walk(
+        self, monkeypatch, name, block_rows
+    ):
+        # a Moore matrix whose third column is the sum of the first two makes
+        # |V M^T| vanish on every V whose row space holds (1, 1, -1)
+        if block_rows is not None:
+            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        t = WITNESS_TOWERS[name]
+        moore_matrix = moore.moore_matrix
+
+        def dependent(tower, alpha, k):
+            M = moore_matrix(tower, alpha, k)
+            M[:, 2] = tower.add_many(M[:, 0], M[:, 1])
+            return M
+
+        monkeypatch.setattr(moore, "moore_matrix", dependent)
+        alpha = polynomial_basis(t, 3)
+        M = moore.moore_matrix(t, alpha, 2)
+        walk = list(scalar_subspaces(3, 2, t.q))
+        first = next(V for V in walk if moore.det_fqm(t, scalar_matmul(t, V, M.T)) == 0)
+        first = first.tolist()
+        assert first != walk[0].tolist()
+        with pytest.raises(ConsistencyError, match=re.escape(f"V = {first}")):
+            mc.forbidden_eta_set_one_twist(t, alpha, 2, 0, 0)
 
 
 def test_block_walk_memory_bound(monkeypatch):
