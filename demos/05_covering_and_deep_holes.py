@@ -1,8 +1,8 @@
 """Covering radii and deep holes of twisted codes.
 
-The exhaustive route scans the whole ambient space once, grouped into cosets
-by syndrome; the distance from any vector to the code is the minimum rank
-weight in its coset.  For the one-twist t = 0 family the radius is exactly
+The exhaustive route visits the vectors in increasing rank weight, grouped into
+cosets by syndrome, until every coset is reached; the distance from any vector
+to the code is the minimum rank weight in its coset.  For the one-twist t = 0 family the radius is exactly
 n - k, and two explicit polynomial families hit it.
 """
 

@@ -5,6 +5,8 @@ AMDS / NMDS criterion with independent brute-force verification, and covering
 radii with deep-hole certification.
 """
 
+import types as _types
+
 from .budget import Budgets
 from .codes import (
     CodeSpec,
@@ -77,62 +79,8 @@ from .mrdcheck import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnihilatorCoeffs",
-    "BudgetExceededError",
-    "Budgets",
-    "CodeSpec",
-    "ConsistencyError",
-    "CoveringReport",
-    "DistanceReport",
-    "Element",
-    "FieldConstructionError",
-    "FieldTower",
-    "ForbiddenSet",
-    "LinearizedPoly",
-    "SpecInvariantError",
-    "SubfieldChain",
-    "TowerParams",
-    "TwistgabError",
-    "annihilator",
-    "annihilator_product",
-    "classify",
-    "construct_chain_mrd",
-    "covering_bounds",
-    "covering_radius_exhaustive",
-    "deep_hole_family",
-    "deep_hole_via_extension",
-    "default_tower",
-    "det_fqm",
-    "distance_to_code",
-    "encode",
-    "enumerate_subspaces",
-    "forbidden_eta_set_one_twist",
-    "g_coefficient",
-    "g_of_subset",
-    "gaussian_binomial",
-    "generator_matrix",
-    "hamming_class_via_omega",
-    "HammingClassification",
-    "KSubsetTable",
-    "is_deep_hole",
-    "is_mrd_subspace_criterion",
-    "matrix_is_mrd",
-    "min_hamming_distance",
-    "min_rank_distance",
-    "modified_moore_matrix",
-    "moore_det_product",
-    "moore_matrix",
-    "mrd_membership_multi",
-    "nmds_conditions",
-    "norm_mrd_condition",
-    "omega_one",
-    "omega_one_prime",
-    "omega_witness",
-    "rank_fqm",
-    "sum_product_free_test",
-    "tower_from_json",
-    "tower_to_json",
-    "triangular_inverse",
-    "verify_modified_moore_identity",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+)

@@ -32,7 +32,9 @@ class Budgets:
                ``omega_two_materialize`` and the tuple count of
                ``sum_product_free_test``; each count is checked on its own.
     codewords: message classes visited by distance enumeration.
-    ambient:   full-space vectors visited by covering-radius scans.
+    ambient:   vectors visited by the covering-radius walk, layer by layer in
+               increasing rank weight, and, checked on its own, its coset count
+               q^(m(n-k)).
     """
 
     subspaces: int = DEFAULT_SUBSPACES

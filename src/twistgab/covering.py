@@ -1,15 +1,18 @@
 """Covering radii and deep holes in the rank metric.
 
-The exhaustive covering radius walks F_(q^m)^n once as (components 1..n-1, the
-prefix) x (component 0), grouped by syndrome: a vector's distance to the code is
-the least rank weight in its coset.  A prefix's F_q-span is scattered into a
-membership grid, so rank(u) = rank(prefix) + [u_0 not in span(prefix)] needs no
-elimination; a syndrome entry is a sum of q^m-entry tables h_ij * c.  Chunks of
-whole prefixes fold into one int64 per coset, min(rank * q^(mn) + index): its
-minimum and first minimum-weight vector.  Memory is O(prefix tables + chunk +
-cosets).  Scalar ``fq_rank`` and H.u^T are the scan's test oracles.
+The exhaustive covering radius visits coset leaders in increasing rank weight,
+since a vector's distance to the code is the least rank weight in its coset.
+A vector of rank w is a.B for exactly one w x n RREF matrix B over F_q (its row
+space, from ``mrdcheck._subspace_blocks``) and one ordered F_q-independent
+w-tuple a of F_(q^m); its syndrome is sum_i a_i (H B_i^T).  Layer w extends each
+independent (w-1)-tuple by every c of F_(q^m), the span-membership grid of the
+tuple counting those outside its span; indices and syndromes are packed base
+q^m and summed from q^m-entry tables per B.  Layers fold into one int64 per
+coset, min(rank * q^(mn) + index), its minimum and first minimum-weight vector,
+until every coset is reached.  Memory is O(chunk + cosets).  The whole-space
+scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
-The distance route (:func:`distance_to_code`) shares nothing with the scan: it
+The distance route (:func:`distance_to_code`) is independent of the walk: it
 walks the coset u + C as the message classes of the stacked matrix [u; G] led
 by u, in the numpy blocks of the distance enumeration, encodes them with
 ``moore.matmul`` and weighs them with ``fq_rank_many``.
@@ -18,6 +21,7 @@ by u, in the numpy blocks of the distance enumeration, encodes them with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +31,7 @@ from .budget import Budgets, check_budget
 from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
-from .mrdcheck import matrix_is_mrd
+from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd
 
 
 @dataclass
@@ -120,54 +124,77 @@ def covering_bounds(spec: CodeSpec) -> tuple[int, int]:
     return 0, n - k
 
 
-# ambient vectors per chunk of the scan, rounded down to whole prefixes
+# vectors held per step of the walk, in whole rows of q^m (at least one row)
 _CHUNK_VECTORS = 1 << 14
 
 
-def _scan_blocks(spec: CodeSpec):
-    """(index, syndrome, rank) per chunk.  Component j is digit j of the index base
-    q^m; the syndrome H.u^T packs its n-k entries base q^m, a dense coset id."""
-    t, n, N, q = spec.tower, spec.n, spec.tower.order, spec.tower.q
+def _layer_size(q: int, m: int, n: int, w: int) -> int:
+    """Vectors of F_(q^m)^n of rank weight w: [n, w]_q row spaces, each with
+    every ordered F_q-independent w-tuple of F_(q^m)."""
+    return gaussian_binomial(n, w, q) * prod(q**m - q**i for i in range(w))
+
+
+def _independent_tuples(t: FieldTower, multiples: np.ndarray, length: int, rows: int):
+    """The ordered F_q-independent ``length``-tuples of F_(q^m), in chunks of at
+    most ``rows``, each with the membership grid of its F_q-span (rows of q^m
+    bools): a tuple extends its prefix by an element outside the prefix's span."""
+    if length == 0:
+        yield np.zeros((1, 0), dtype=np.int64), (np.arange(t.order) == 0)[None]
+        return
+    for tuples, member in _independent_tuples(t, multiples, length - 1, rows):
+        span = np.nonzero(member)[1].reshape(len(member), -1)
+        parent, x = np.nonzero(~member)
+        for lo in range(0, len(x), rows):
+            p, a = parent[lo : lo + rows], x[lo : lo + rows]
+            grid = np.zeros((len(a), t.order), dtype=bool)
+            span_a = t.add_many(span[p][:, :, None], multiples[a][:, None, :])
+            np.put_along_axis(grid, span_a.reshape(len(a), -1), True, 1)
+            yield np.column_stack([tuples[p], a]), grid
+
+
+def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
+    """Per coset, min(rank * q^(mn) + index) over its vectors; None if the cosets,
+    the vectors visited or the packed key do not fit.  Layer w runs only after
+    every layer below it, so a vector of rank < w that its grid meets again
+    (c in the span of the prefix) never wins."""
+    t, n, k, N, q = spec.tower, spec.n, spec.k, spec.tower.order, spec.tower.q
+    total, coset_count = N**n, N ** (n - k)
+    unreached = (n + 1) * total
+    if unreached > np.iinfo(np.int64).max or coset_count > budgets.ambient:
+        return None
     H = moore.nullspace_fqm(t, generator_matrix(spec))
-    x = np.arange(N, dtype=np.int64)
-    tables = [[t.mul_many(np.int64(h), x) for h in row] for row in H]  # h_ij * c
-    multiples = t.mul_many(x[:, None], np.arange(q, dtype=np.int64))  # [c, a] = a * c
-    prefixes, step = N ** (n - 1), max(1, _CHUNK_VECTORS // N)
-    for lo in range(0, prefixes, step):
-        pre = np.arange(lo, min(lo + step, prefixes), dtype=np.int64)
-        comps = [pre // N**j % N for j in range(n - 1)]
-        span = np.zeros((len(pre), 1), dtype=np.int64)
-        for c in comps:
-            span = t.add_many(span[:, :, None], multiples[c][:, None, :]).reshape(len(pre), -1)
-        member = np.zeros((len(pre), N), dtype=bool)
-        member[np.arange(len(pre))[:, None], span] = True
-        prefix_rank = np.searchsorted(q ** np.arange(n), np.count_nonzero(member, axis=1))
-        rank = prefix_rank[:, None] + ~member
-        synd = np.zeros_like(rank)
-        for row in tables:
-            s_pre = np.zeros_like(pre)
-            for tab, c in zip(row[1:], comps):
-                s_pre = t.add_many(s_pre, tab[c])
-            synd = synd * N + t.add_many(s_pre[:, None], row[0])
-        yield np.arange(lo * N, (lo + len(pre)) * N), synd.ravel(), rank.ravel()
-
-
-def _scan(spec: CodeSpec) -> np.ndarray:
-    """Per coset, min(rank * q^(mn) + index) over its vectors: the quotient is the
-    coset's distance to the code, the remainder its first minimum-weight vector."""
-    total = spec.tower.order**spec.n
-    coset_count = spec.tower.order ** (spec.n - spec.k)
-    best = np.full(coset_count, (spec.n + 1) * total, dtype=np.int64)
-    hits = np.zeros(coset_count, dtype=np.int64)
-    uncovered = ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets exactly")
-    for index, synd, rank in _scan_blocks(spec):
-        chunk_hits = np.bincount(synd, minlength=coset_count)
-        if len(chunk_hits) != coset_count:
-            raise uncovered
-        hits += chunk_hits
-        np.minimum.at(best, synd, rank * total + index)
-    if not hits.all():
-        raise uncovered
+    c = np.arange(N)
+    multiples = t.mul_many(c[:, None], np.arange(q))  # [c, a] = a * c
+    places = N ** np.arange(n, dtype=np.int64)  # component j of an index
+    synd_places = N ** np.arange(n - k - 1, -1, -1, dtype=np.int64)  # entry r of a syndrome
+    rows = max(1, _CHUNK_VECTORS // N)
+    best = np.full(coset_count, unreached, dtype=np.int64)
+    best[0], visited = 0, 1  # layer 0: the zero vector
+    for w in range(1, min(n, t.m) + 1):
+        if (best < unreached).all():
+            break
+        size = _layer_size(q, t.m, n, w)
+        visited, emitted = visited + size, 0
+        if visited > budgets.ambient:
+            return None
+        blocks = _subspace_blocks(n, w, q, Budgets(subspaces=budgets.ambient))
+        for B in (blk[lo : lo + rows] for blk in blocks for lo in range(0, len(blk), rows)):
+            # packed index and syndrome of c * B_i, per c, B and i
+            idx_tab = multiples[:, B] @ places
+            syn_tab = t.mul_many(c[:, None, None, None], moore.matmul(t, B, H.T)) @ synd_places
+            for tuples, member in _independent_tuples(t, multiples, w - 1, rows // len(B) or 1):
+                idx = syn = np.zeros((len(tuples), len(B)), dtype=np.int64)
+                for i, a in enumerate(tuples.T):
+                    idx = t.add_many(idx, idx_tab[a, :, i], n)
+                    syn = t.add_many(syn, syn_tab[a, :, i], n - k)
+                idx = t.add_many(idx[:, :, None], idx_tab[:, :, w - 1].T, n) + w * total
+                syn = t.add_many(syn[:, :, None], syn_tab[:, :, w - 1].T, n - k)
+                np.minimum.at(best, syn.ravel(), idx.ravel())
+                emitted += np.count_nonzero(~member) * len(B)
+        if emitted != size:
+            raise ConsistencyError(f"the rank-{w} layer visited {emitted} vectors, not {size}")
+    if not (best < unreached).all():
+        raise ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets")
     return best
 
 
@@ -180,22 +207,22 @@ def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
 
 
 def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> CoveringReport:
-    """Exact covering radius by one ambient pass grouped by syndrome.
+    """Exact covering radius by coset leaders in increasing rank weight.
 
     Reported deep holes are coset leaders (minimum-weight vectors of maximal
     cosets) in ascending vector order, capped at ``MAX_DEEP_HOLES``.  If the
-    ambient space exceeds the budget the report carries theorem bounds only.
+    walk does not fit the ambient budget the report carries theorem bounds only.
     """
     t = spec.tower
     n, k = spec.n, spec.k
     lo, hi = covering_bounds(spec)
-    total = t.order**n
-    if total > budgets.ambient:
+    best = _walk(spec, budgets)
+    if best is None:
         return CoveringReport(
             n=n, k=k, rho=None, rho_method=None,
             lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
         )
-    best = _scan(spec)
+    total = t.order**n
     coset_min = best // total
     rho = int(coset_min.max())
     leaders = np.sort(best[coset_min == rho] % total)
@@ -254,6 +281,9 @@ def deep_hole_family(
     """
     if spec.ell != 1 or spec.twists[0][0] != 0:
         raise SpecInvariantError("deep-hole families are defined for one twist with t = 0")
+    order = spec.tower.order
+    if not all(0 <= int(c) < order for c in (g, *f_coeffs)):
+        raise ValueError(f"g and the coefficients of f must lie in [0, {order})")
     if g == 0:
         raise SpecInvariantError("g must be non-zero (g = 0 would land in the code)")
     if flavor not in ("x^[k]", "x^[h]"):

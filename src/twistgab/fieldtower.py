@@ -523,7 +523,9 @@ class FieldTower:
 
     # -- vectorized operations (numpy arrays of element indices) ------------------
 
-    def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def add_many(self, a: np.ndarray, b: np.ndarray, width: int = 1) -> np.ndarray:
+        """Elementwise sum; with ``width`` > 1, of vectors of that many elements
+        packed base q^m (component j times q^(mj)), component by component."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         # an index is the base-p residue vector of all e*m F_p coordinates
@@ -531,7 +533,7 @@ class FieldTower:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         place = 1
-        for _ in range(self.e * self.m):
+        for _ in range(self.e * self.m * width):
             out += (a // place + b // place) % p * place
             place *= p
         return out

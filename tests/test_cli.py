@@ -411,6 +411,17 @@ class TestConstructAndCovering:
         report = json.loads(capsys.readouterr().out)
         assert report["report"]["rho"] == {"value": 2, "method": "exhaustive"}
 
+    def test_covering_subspaces_cap_leaves_report_exact(self, files, capsys):
+        # the leader walk's RREF blocks count against the ambient cap only
+        _, field, code = files
+        assert run_main(["covering", "--field", field, "--code", code]) == 0
+        exact = json.loads(capsys.readouterr().out)["report"]
+        assert run_main([
+            "covering", "--field", field, "--code", code, "--budget-subspaces", "1",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["report"] == exact
+        assert exact["rho"] == {"value": 2, "method": "exhaustive"}
+
     def test_covering_budget_gives_bounds_only(self, files, capsys):
         _, field, code = files
         assert run_main([

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import polynomial_basis
 from test_codes import scalar_codewords
 from twistgab import codes
 from twistgab import covering as cov
@@ -14,6 +15,7 @@ from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
 from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
+from twistgab.mrdcheck import gaussian_binomial
 
 W = 2
 
@@ -43,6 +45,51 @@ def scalar_syndrome(t, H, u):
             acc = t.add(acc, t.mul(int(h), c))
         s = s * t.order + acc
     return s
+
+
+def _scan_blocks(spec):
+    """(index, syndrome, rank) of every ambient vector, in chunks of whole
+    prefixes: the whole-space scan that the leader walk replaced, kept as its
+    oracle.  Component j is digit j of the index base q^m; the syndrome H.u^T
+    packs its n-k entries base q^m, a dense coset id; rank(u) = rank(prefix) +
+    [u_0 not in span(prefix)], read off the prefix's span-membership grid."""
+    t, n, N, q = spec.tower, spec.n, spec.tower.order, spec.tower.q
+    H = moore.nullspace_fqm(t, generator_matrix(spec))
+    x = np.arange(N, dtype=np.int64)
+    tables = [[t.mul_many(np.int64(h), x) for h in row] for row in H]  # h_ij * c
+    multiples = t.mul_many(x[:, None], np.arange(q, dtype=np.int64))  # [c, a] = a * c
+    prefixes, step = N ** (n - 1), max(1, cov._CHUNK_VECTORS // N)
+    for lo in range(0, prefixes, step):
+        pre = np.arange(lo, min(lo + step, prefixes), dtype=np.int64)
+        comps = [pre // N**j % N for j in range(n - 1)]
+        span = np.zeros((len(pre), 1), dtype=np.int64)
+        for c in comps:
+            span = t.add_many(span[:, :, None], multiples[c][:, None, :]).reshape(len(pre), -1)
+        member = np.zeros((len(pre), N), dtype=bool)
+        member[np.arange(len(pre))[:, None], span] = True
+        prefix_rank = np.searchsorted(q ** np.arange(n), np.count_nonzero(member, axis=1))
+        rank = prefix_rank[:, None] + ~member
+        synd = np.zeros_like(rank)
+        for row in tables:
+            s_pre = np.zeros_like(pre)
+            for tab, c in zip(row[1:], comps):
+                s_pre = t.add_many(s_pre, tab[c])
+            synd = synd * N + t.add_many(s_pre[:, None], row[0])
+        yield np.arange(lo * N, (lo + len(pre)) * N), synd.ravel(), rank.ravel()
+
+
+def _scan(spec):
+    """Per coset, min(rank * q^(mn) + index) over all q^(mn) vectors: the
+    walk's ``best`` array, from the whole-space scan."""
+    total = spec.tower.order**spec.n
+    coset_count = spec.tower.order ** (spec.n - spec.k)
+    best = np.full(coset_count, (spec.n + 1) * total, dtype=np.int64)
+    hits = np.zeros(coset_count, dtype=np.int64)
+    for index, synd, rank in _scan_blocks(spec):
+        hits += np.bincount(synd, minlength=coset_count)
+        np.minimum.at(best, synd, rank * total + index)
+    assert len(hits) == coset_count and hits.all()
+    return best
 
 
 @pytest.fixture
@@ -160,7 +207,7 @@ class TestExhaustiveCoveringRadius:
         spec = one_twist_spec(name)
         t, n, N = spec.tower, spec.n, spec.tower.order
         H = moore.nullspace_fqm(t, generator_matrix(spec))
-        blocks = list(cov._scan_blocks(spec))
+        blocks = list(_scan_blocks(spec))
         visited = np.concatenate([index for index, _, _ in blocks])
         assert np.array_equal(np.sort(visited), np.arange(N**n))
         for index, synd, rank in blocks:
@@ -171,14 +218,14 @@ class TestExhaustiveCoveringRadius:
                 assert r == t.fq_rank(u)
 
     def test_scan_paths_agree(self, f16, c1_spec, rng):
-        # the chunked scan against the scalar route (H.u^T, fq_rank and
-        # distance_to_code) on the n = 4, k = 2 code, sampled vectors
+        # the oracle scan against the scalar route (H.u^T, fq_rank), and the
+        # walk against distance_to_code, on the n = 4, k = 2 code, sampled vectors
         N, n = f16.order, c1_spec.n
         H = moore.nullspace_fqm(f16, generator_matrix(c1_spec))
         synd, rank = np.empty((2, N**n), dtype=np.int64)
-        for index, s, r in cov._scan_blocks(c1_spec):
+        for index, s, r in _scan_blocks(c1_spec):
             synd[index], rank[index] = s, r
-        coset_min = cov._scan(c1_spec) // N**n
+        coset_min = cov._walk(c1_spec, Budgets()) // N**n
         assert len(coset_min) == N ** (n - c1_spec.k)
         for j, i in enumerate(rng.sample(range(N**n), 400)):
             u = cov._unpack_vector(N, n, i)
@@ -191,11 +238,33 @@ class TestExhaustiveCoveringRadius:
     def test_coset_minimum_is_distance_to_code(self, name):
         spec = one_twist_spec(name)
         N, n = spec.tower.order, spec.n
-        coset_min = cov._scan(spec) // N**n
-        for index, synd, _ in cov._scan_blocks(spec):
+        coset_min = cov._walk(spec, Budgets()) // N**n
+        for index, synd, _ in _scan_blocks(spec):
             for i, s in zip(index, synd):
                 u = cov._unpack_vector(N, n, int(i))
                 assert coset_min[s] == cov.distance_to_code(spec, u)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
+    @pytest.mark.parametrize("chunk", [None, 1, "5N+3"])
+    def test_walk_matches_scan(self, name, chunk, monkeypatch):
+        spec = one_twist_spec(name)
+        oracle = _scan(spec)
+        if chunk is not None:
+            chunk = 1 if chunk == 1 else 5 * spec.tower.order + 3
+            monkeypatch.setattr(cov, "_CHUNK_VECTORS", chunk)
+        assert np.array_equal(cov._walk(spec, Budgets()), oracle)
+
+    def test_layer_sizes_partition_the_space(self):
+        for q, m, n in ((2, 4, 4), (4, 3, 3), (3, 2, 2), (2, 3, 5)):
+            sizes = [cov._layer_size(q, m, n, w) for w in range(n + 1)]
+            assert sum(sizes) == q ** (m * n)
+            assert sizes[min(m, n) + 1:] == [0] * (n - min(m, n))
+
+    def test_spoiled_layer_count_raises_consistency_error(self, c1_spec, monkeypatch):
+        size = cov._layer_size
+        monkeypatch.setattr(cov, "_layer_size", lambda q, m, n, w: size(q, m, n, w) + (w == 2))
+        with pytest.raises(ConsistencyError, match="rank-2 layer"):
+            cov.covering_radius_exhaustive(c1_spec)
 
     @pytest.mark.parametrize("name", ["F16-n4", "F27", "F4<=F16", "F9"])
     def test_chunk_split_leaves_report_unchanged(self, name, f16, alpha4, monkeypatch):
@@ -235,11 +304,59 @@ class TestExhaustiveCoveringRadius:
         assert rep.rho is None and rep.rho_method is None
         assert (rep.lower_bound, rep.upper_bound) == (2, 2)
 
+    def test_ambient_cap_counts_the_vectors_visited(self, c1_spec):
+        # rho = 2 on F_16, n = 4, k = 2: the walk visits the layers of rank 0, 1
+        # and 2, far fewer than the 2^16 vectors of the space
+        visited = sum(cov._layer_size(2, 4, 4, w) for w in range(3))
+        assert visited == 1 + 15 * 15 + 35 * 15 * 14 < 16**4
+        exact = cov.covering_radius_exhaustive(c1_spec)
+        assert cov.covering_radius_exhaustive(c1_spec, Budgets(ambient=visited)) == exact
+        assert cov.covering_radius_exhaustive(c1_spec, Budgets(ambient=visited - 1)).rho is None
+
+    def test_subspaces_cap_does_not_bound_the_walk(self, c1_spec):
+        rep = cov.covering_radius_exhaustive(c1_spec, Budgets(subspaces=1))
+        assert rep == cov.covering_radius_exhaustive(c1_spec)
+
     def test_json_provenance(self, f16, c1_spec):
         rep = cov.covering_radius_exhaustive(c1_spec)
         d = rep.to_json_dict(f16)
         assert d["rho"]["method"] == "exhaustive"
         assert d["lower_bound"]["method"] == "theorem-bound"
+
+
+class TestPastTheWholeSpaceCap:
+    # q^(mn) > 2^24: the whole-space scan gave theorem bounds only here
+
+    def test_one_twist_f256_n4_k2(self, f256):
+        spec = CodeSpec(f256, polynomial_basis(f256, 4), 2, 0, ((0, 2),))
+        assert f256.order**4 > Budgets().ambient
+        rep = cov.covering_radius_exhaustive(spec)
+        assert (rep.rho, rep.rho_method) == (2, "exhaustive")
+        assert rep.maximal_coset_count == 61710 and rep.coset_count == 1 << 16
+        assert len(rep.deep_holes) == cov.MAX_DEEP_HOLES
+        for u in rep.deep_holes:
+            assert cov.deep_hole_via_extension(spec, u)
+        for u in rep.deep_holes[:3]:
+            assert cov.distance_to_code(spec, u) == 2
+
+    def test_two_twists_exact_within_bounds(self):
+        t = default_tower(2, 1, 7)
+        spec = CodeSpec(t, polynomial_basis(t, 4), 2, 1, ((0, 2), (1, 5)))
+        assert t.order**4 > Budgets().ambient
+        rep = cov.covering_radius_exhaustive(spec)
+        assert rep.rho_method == "exhaustive"
+        assert cov.covering_bounds(spec) == (1, 2)
+        assert 1 <= rep.rho <= 2
+        for u in rep.deep_holes[:3]:
+            assert cov.distance_to_code(spec, u) == rep.rho
+
+    def test_packed_key_overflow_gives_bounds_only(self):
+        # (n + 1) * q^(mn) = 8 * 2^70 does not fit in int64
+        t = default_tower(2, 1, 10)
+        spec = CodeSpec(t, polynomial_basis(t, 7), 6, 0, ((0, 2),))
+        rep = cov.covering_radius_exhaustive(spec)
+        assert rep.rho is None and rep.rho_method is None
+        assert (rep.lower_bound, rep.upper_bound) == (1, 1)
 
 
 class TestDeepHoles:
@@ -292,6 +409,12 @@ class TestDeepHoles:
     def test_family_g_zero_rejected(self, f16, c1_spec):
         with pytest.raises(SpecInvariantError):
             cov.deep_hole_family(c1_spec, 0, "x^[k]")
+
+    @pytest.mark.parametrize("g, f", [(-1, ()), (16, ()), (1, (0, 16)), (1, (-1, 0))])
+    def test_family_element_outside_the_field_is_rejected(self, c1_spec, g, f):
+        # g = -1 used to wrap through the log table, g = 16 to raise IndexError
+        with pytest.raises(ValueError, match=r"\[0, 16\)"):
+            cov.deep_hole_family(c1_spec, g, "x^[k]", f)
 
     def test_family_never_in_code(self, f16, c1_spec, rng):
         for _ in range(20):
@@ -364,7 +487,7 @@ def test_covering_report_over_random_towers(spec):
         u = cov._unpack_vector(N, n, i)
         s = scalar_syndrome(t, H, u)
         brute[s] = min(brute[s], t.fq_rank(u) * total + i)
-    assert cov._scan(spec).tolist() == brute
+    assert cov._walk(spec, Budgets()).tolist() == brute
     assert rep.maximal_coset_count == sum(key // total == rep.rho for key in brute)
     assert len(rep.deep_holes) == min(cov.MAX_DEEP_HOLES, rep.maximal_coset_count)
     indices = [sum(c * N**j for j, c in enumerate(u)) for u in rep.deep_holes]

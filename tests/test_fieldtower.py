@@ -129,6 +129,14 @@ class TestArithmetic:
             assert all(int(x) == t.add(int(u), int(v)) for x, u, v in zip(t.add_many(a, b), a, b))
             assert all(int(x) == t.frobenius(int(u), 2) for x, u in zip(t.frob_many(a, 2), a))
 
+    def test_packed_add_is_componentwise(self, f16, f9, f4_tower, rng):
+        # vectors of three elements packed base q^m add component by component
+        for t in (f16, f9, f4_tower, default_tower(3, 2, 3), default_tower(5, 1, 3)):
+            u, v = ([[t.random_element(rng) for _ in range(3)] for _ in range(64)] for _ in "uv")
+            places = t.order ** np.arange(3)
+            packed = t.add_many(u @ places, v @ places, 3)
+            assert np.array_equal(packed, t.add_many(u, v) @ places)
+
     @pytest.mark.parametrize("name", ["f16", "f9", "f4_tower", "f256"])
     def test_mul_many_matches_scalar_mul_over_the_whole_table(self, name, request):
         t = request.getfixturevalue(name)
