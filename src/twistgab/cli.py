@@ -26,6 +26,8 @@ from itertools import islice, product
 from math import comb
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import codes, covering, mrdcheck
 from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets
 from .errors import (
@@ -83,6 +85,14 @@ def _write_report(args, report: dict) -> None:
 
 def _budgets_from_args(args) -> Budgets:
     return Budgets(args.budget_subspaces, args.budget_codewords, args.budget_ambient)
+
+
+def _code_args(args) -> tuple[FieldTower, Budgets, codes.CodeSpec]:
+    """The tower, budgets and --code spec of a command that needs one code."""
+    tower, budgets = _load_tower(args), _budgets_from_args(args)
+    if not args.code:
+        raise ValueError(f"{args.command} needs --code")
+    return tower, budgets, _load_spec(tower, args.code)
 
 
 def _classify_one(
@@ -187,11 +197,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_forbidden(args) -> dict:
-    tower = _load_tower(args)
-    budgets = _budgets_from_args(args)
-    if not args.code:
-        raise ValueError("forbidden needs --code")
-    spec = _load_spec(tower, args.code)
+    tower, budgets, spec = _code_args(args)
     out = {"schema": SCHEMA, "command": "forbidden", "spec": spec.to_json_dict()}
     if spec.ell == 1:
         t0, _ = spec.twists[0]
@@ -264,11 +270,7 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_covering(args) -> dict:
-    tower = _load_tower(args)
-    budgets = _budgets_from_args(args)
-    if not args.code:
-        raise ValueError("covering needs --code")
-    spec = _load_spec(tower, args.code)
+    tower, budgets, spec = _code_args(args)
     report = covering.covering_radius_exhaustive(spec, budgets)
     return {
         "schema": SCHEMA,
@@ -281,38 +283,30 @@ def cmd_covering(args) -> dict:
 def cmd_deephole(args) -> dict:
     if args.grid < 0 or args.sample < 0:
         raise ValueError("--grid and --sample must be >= 0")
-    tower = _load_tower(args)
-    budgets = _budgets_from_args(args)
-    if not args.code:
-        raise ValueError("deephole needs --code")
-    spec = _load_spec(tower, args.code)
+    tower, budgets, spec = _code_args(args)
     rng = random.Random(args.seed)
     report = covering.covering_radius_exhaustive(spec, budgets)
-    family_entries = []
-    families = islice(
-        product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid
-    )
-    for g, flavor in families:
-        f = [tower.random_element(rng) for _ in range(spec.k)]
-        u = covering.deep_hole_family(spec, g, flavor, f)
-        ok = covering.is_deep_hole(spec, u, report, budgets)
-        family_entries.append(
-            {
-                "flavor": flavor,
-                "g": tower.element_to_json(g),
-                "f": [tower.element_to_json(c) for c in f],
-                "vector": [tower.element_to_json(int(c)) for c in u],
-                "verified": ok,
-            }
-        )
-    sample_total = 0
-    for _ in range(args.sample):
-        u = [tower.random_element(rng) for _ in range(spec.n)]
-        if covering.contains(spec, u):
-            continue
-        sample_total += 1
-        via_ext = covering.deep_hole_via_extension(spec, u, budgets)
-        if via_ext != covering.is_deep_hole(spec, u, report, budgets):
+    # all vectors are drawn first, each family's f and then each sample; then
+    # each route runs once over its stack
+    grid = islice(product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid)
+    families = [(g, fl, [tower.random_element(rng) for _ in range(spec.k)]) for g, fl in grid]
+    us = [covering.deep_hole_family(spec, *family) for family in families]
+    draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]
+    verified = covering.is_deep_hole_many(spec, us, report, budgets) if us else []
+    family_entries = [
+        {"flavor": flavor, "g": tower.element_to_json(g),
+         "f": [tower.element_to_json(c) for c in f],
+         "vector": [tower.element_to_json(int(c)) for c in u], "verified": bool(ok)}
+        for (g, flavor, f), u, ok in zip(families, us, verified)
+    ]
+    samples = np.reshape(draws, (-1, spec.n))
+    outside = samples[~covering.contains_many(spec, samples)]
+    if len(outside):
+        via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets)
+        via_dist = covering.is_deep_hole_many(spec, outside, report, budgets)
+        differ = np.flatnonzero(via_ext != via_dist)
+        if len(differ):
+            u = outside[differ[0]].tolist()
             raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
     return {
         "schema": SCHEMA,
@@ -321,7 +315,7 @@ def cmd_deephole(args) -> dict:
         "rho": {"value": report.rho, "method": report.rho_method},
         "families": family_entries,
         "all_families_verified": all(e["verified"] for e in family_entries),
-        "sampled_iff_checks": {"agree": sample_total, "total": sample_total},
+        "sampled_iff_checks": {"agree": len(outside), "total": len(outside)},
     }
 
 

@@ -12,8 +12,9 @@ blocks of at most ``_BLOCK_ROWS`` messages, ``moore.matmul`` encodes a block,
 so memory stays bounded whatever the budget, and each block is folded once per
 weight asked for: the code is weighed by rank (:meth:`FieldTower.fq_rank_many`)
 and by Hamming weight, its dual and :func:`min_hamming_distance` by Hamming
-weight alone.  The same blocks, taken over the stacked matrix [u; G],
-enumerate a coset u + C for ``covering.distance_to_code``.
+weight alone.  The same blocks, taken over the stacked matrix [u; G] and led
+by u, are the codewords that ``covering.distance_to_code_many`` adds to every
+vector of a stack.
 
 The structural route, :func:`nmds_conditions`, reads column ranks of the
 generator by batched elimination (:meth:`FieldTower.rank_many`,

@@ -12,10 +12,13 @@ coset, min(rank * q^(mn) + index), its minimum and first minimum-weight vector,
 until every coset is reached.  Memory is O(chunk + cosets).  The whole-space
 scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
-The distance route (:func:`distance_to_code`) is independent of the walk: it
-walks the coset u + C as the message classes of the stacked matrix [u; G] led
-by u, in the numpy blocks of the distance enumeration, encodes them with
-``moore.matmul`` and weighs them with ``fq_rank_many``.
+The deep-hole routes take a stack U of vectors, one per row.  The distance
+route (:func:`distance_to_code_many`) is independent of the walk: it encodes
+each numpy block of the distance enumeration's messages once with
+``moore.matmul``, adds every u to it and weighs the sums with ``fq_rank_many``.
+The extension route (:func:`deep_hole_via_extension_many`) walks the subspace
+blocks once for the whole stack.  Neither route calls the other, and each
+one-vector function is its route on the stack of one.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import moore
+from . import codes, moore
 from .budget import Budgets, check_budget
 from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
-from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd
+from .mrdcheck import _subspace_blocks, gaussian_binomial
 
 
 @dataclass
@@ -74,40 +77,56 @@ class CoveringReport:
         }
 
 
-def _vector(spec: CodeSpec, u: Sequence[Element]) -> np.ndarray:
-    """u as an int64 array, once it is known to be a vector of F_(q^m)^n; every
-    public function takes u after the spec, f(spec, u, ...)."""
-    v, order = np.asarray(u, dtype=np.int64), spec.tower.order
-    if v.shape != (spec.n,) or ((v < 0) | (v >= order)).any():
+def _vectors(spec: CodeSpec, U) -> np.ndarray:
+    """U as an (S, n) int64 array, once each row is known to be a vector of F_(q^m)^n."""
+    V, order = np.asarray(U, dtype=np.int64), spec.tower.order
+    if V.ndim != 2 or V.shape[1] != spec.n or ((V < 0) | (V >= order)).any():
         raise ValueError(f"u must have length n = {spec.n} and entries in [0, {order})")
-    return v
+    return V
+
+
+def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The stack of the matrices [G; u], one per row u of U."""
+    return np.concatenate([np.broadcast_to(G, (len(U), *G.shape)), U[:, None]], axis=1)
+
+
+def contains_many(spec: CodeSpec, U) -> np.ndarray:
+    """Per row u of U, True iff u lies in the code's row space: rank [G; u] = k."""
+    U, G, rows = _vectors(spec, U), generator_matrix(spec), codes._BLOCK_ROWS
+    ranks = [spec.tower.rank_many(_extended(G, U[s : s + rows])) for s in range(0, len(U), rows)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *ranks]) == spec.k
 
 
 def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
-    """True iff u lies in the code's row space."""
-    stacked = np.vstack([generator_matrix(spec), _vector(spec, u)])
-    return moore.rank_fqm(spec.tower, stacked) == spec.k
+    """True iff u lies in the code's row space: :func:`contains_many` of one vector."""
+    return bool(contains_many(spec, [u])[0])
+
+
+def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np.ndarray:
+    """Per row u of U, the exact min over all q^(mk) codewords c of the rank
+    weight of u + c; the codeword budget counts q^(mk) per vector.
+
+    The classes of [u; G] led by u, messages (1, m), come first in the
+    enumeration; each block of their m is encoded once by G and every u added
+    to it, ``codes._BLOCK_ROWS`` sums at a time.  It stops once every distance is 0.
+    """
+    U, t, rows = _vectors(spec, U), spec.tower, codes._BLOCK_ROWS
+    check_budget("codeword", t.order**spec.k, budgets.codewords)
+    G, best = generator_matrix(spec), np.full(len(U), spec.n)
+    for msgs in _class_message_blocks(t.order, spec.k + 1):
+        msgs = msgs[msgs[:, 0] == 1, 1:]
+        if not len(msgs) or not best.any():
+            break
+        words, pairs = moore.matmul(t, msgs, G), len(U) * len(msgs)
+        for lo in range(0, pairs, rows):  # pair i * len(words) + j is u_i + word_j
+            i, j = np.divmod(np.arange(lo, min(lo + rows, pairs)), len(words))
+            np.minimum.at(best, i, t.fq_rank_many(list(t.add_many(U[i], words[j]).T)))
+    return best
 
 
 def distance_to_code(spec: CodeSpec, u: Sequence[Element], budgets: Budgets = Budgets()) -> int:
-    """Exact min over all q^(mk) codewords c of the rank weight of u - c.
-
-    The message classes of [u; G] led by u's coordinate, messages (1, m), are
-    the vectors u + c, c in C, and come first in the enumeration; the walk
-    stops at the first block without one, or at distance 0.
-    """
-    stacked = np.vstack([_vector(spec, u), generator_matrix(spec)])
-    t = spec.tower
-    check_budget("codeword", t.order**spec.k, budgets.codewords)
-    best = spec.n
-    for msgs in _class_message_blocks(t.order, spec.k + 1):
-        msgs = msgs[msgs[:, 0] == 1]
-        if not len(msgs):
-            break
-        best = min(best, int(t.fq_rank_many(list(moore.matmul(t, msgs, stacked).T)).min()))
-        if best == 0:
-            break
-    return best
+    """:func:`distance_to_code_many` of one vector."""
+    return int(distance_to_code_many(spec, [u], budgets)[0])
 
 
 def covering_bounds(spec: CodeSpec) -> tuple[int, int]:
@@ -235,37 +254,58 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
     )
 
 
-def is_deep_hole(
-    spec: CodeSpec,
-    u: Sequence[Element],
-    report: Optional[CoveringReport] = None,
-    budgets: Budgets = Budgets(),
-) -> bool:
-    """True iff the distance from u to the code equals the covering radius."""
-    _vector(spec, u)
+def is_deep_hole_many(spec: CodeSpec, U, report: Optional[CoveringReport] = None,
+                      budgets: Budgets = Budgets()) -> np.ndarray:
+    """Per row u of U, True iff the distance from u to the code equals the covering radius."""
+    U = _vectors(spec, U)
     if report is None or report.rho is None:
         report = covering_radius_exhaustive(spec, budgets)
     if report.rho is None:
         raise BudgetExceededError(
             "covering radius unknown: ambient space too large for brute force"
         )
-    return distance_to_code(spec, u, budgets) == report.rho
+    return distance_to_code_many(spec, U, budgets) == report.rho
 
 
-def deep_hole_via_extension(
-    spec: CodeSpec, u: Sequence[Element], budgets: Budgets = Budgets()
-) -> bool:
-    """Deep-hole test for the single-twist t = 0 family via code extension.
+def is_deep_hole(spec: CodeSpec, u: Sequence[Element], report: Optional[CoveringReport] = None,
+                 budgets: Budgets = Budgets()) -> bool:
+    """:func:`is_deep_hole_many` of one vector."""
+    return bool(is_deep_hole_many(spec, [u], report, budgets)[0])
 
-    Stacks u under the generator and tests the (k+1)-row matrix for MRD; by
-    the extension theorem this is equivalent to u being a deep hole.
+
+def deep_hole_via_extension_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np.ndarray:
+    """Per row u of U, the deep-hole test for the one-twist t = 0 family: by the
+    extension theorem, u is a deep hole iff [G; u] is MRD.  One subspace walk
+    serves the stack: per block of V, one ``moore.matmul`` by every [G; u]^T
+    side by side and one ``rank_many``, ``codes._BLOCK_ROWS`` products at a
+    time; a u leaves the walk at its first rank-deficient product.
     """
-    v = _vector(spec, u)
+    U = _vectors(spec, U)
     if spec.ell != 1 or spec.twists[0][0] != 0:
         raise SpecInvariantError("extension test applies to a single twist with t = 0")
-    if contains(spec, v):
+    if contains_many(spec, U).any():
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
-    return matrix_is_mrd(spec.tower, np.vstack([generator_matrix(spec), v]), budgets)
+    t, n, k, rows = spec.tower, spec.n, spec.k + 1, codes._BLOCK_ROWS  # k: the rows of [G; u]
+    G, mrd = generator_matrix(spec), np.ones(len(U), dtype=bool)
+    for Vs in _subspace_blocks(n, k, t.q, budgets):
+        live = np.flatnonzero(mrd)
+        if not len(live):
+            break
+        step = max(1, rows // len(live))  # representatives per block of products
+        for lo in range(0, len(Vs), step):
+            for s in range(0, len(live), rows):
+                at = live[s : s + rows]
+                wide = _extended(G, U[at]).transpose(2, 0, 1).reshape(n, -1)
+                prods = moore.matmul(t, Vs[lo : lo + step], wide).reshape(-1, k, len(at), k)
+                ranks = t.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
+                mrd[at] &= (ranks.reshape(-1, len(at)) == k).all(axis=0)
+    return mrd
+
+
+def deep_hole_via_extension(spec: CodeSpec, u: Sequence[Element],
+                            budgets: Budgets = Budgets()) -> bool:
+    """:func:`deep_hole_via_extension_many` of one vector."""
+    return bool(deep_hole_via_extension_many(spec, [u], budgets)[0])
 
 
 def deep_hole_family(

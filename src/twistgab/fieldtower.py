@@ -541,40 +541,37 @@ class FieldTower:
     def fq_rank_many(self, comps: Sequence[np.ndarray]) -> np.ndarray:
         """Rank weight of a batch of vectors, given as its n component arrays.
 
-        Eliminates digit position by digit position, highest first: slot j
-        holds, per vector, a reduced component whose leading F_q digit sits at
-        position j and equals 1.  A component is scaled by an F_q^* element
-        before it is reduced or placed, which leaves the rank unchanged.
+        An echelon over F_p: the F_q-span of the components is the F_p-span of
+        their multiples v * p^j, j < e (index p^j is x^j of F_q, so these are v
+        times an F_p-basis of F_q).  Each multiple in turn is reduced by every
+        earlier pivot and becomes the next pivot, so the rank is the number of
+        non-zero pivots over e.  At p = 2 ``np.minimum(v, v ^ b)`` clears b's
+        leading bit; at odd p a multiple is held as base-p digits, and loses
+        b times its digit at b's leading position over b's leading digit.
         :meth:`fq_rank` is the scalar oracle.
         """
-        q = self.q
-        if self.p == 2:
-            bits = q.bit_length() - 1
-            digit = lambda v, j: (v >> (bits * j)) & (q - 1)
-        else:
-            digit = lambda v, j: v // q**j % q
-        # scale[d] takes digit d to 1 and neg_scale[d] to -1; 0 stays put
-        inv = [self._sf.inv(c) for c in range(1, q)]
-        scale = np.array([1] + inv, dtype=np.int64)
-        neg_scale = np.array([1] + [self._sf.neg(c) for c in inv], dtype=np.int64)
-        slots = [np.zeros(len(comps[0]), dtype=np.int64) for _ in range(self.m)]
-        rank = np.zeros(len(comps[0]), dtype=np.int64)
-        for col in comps:
-            v = np.asarray(col, dtype=np.int64)
-            for j in range(self.m - 1, -1, -1):
-                d = digit(v, j)
-                lead = d != 0
-                if not lead.any():
-                    continue
-                filled = slots[j] != 0
-                if q > 2:  # F_2^* = {1}: nothing to scale
-                    v = self.mul_many(np.where(filled, neg_scale[d], scale[d]), v)
-                v = np.where(lead & filled, self.add_many(v, slots[j]), v)
-                place = lead & ~filled
-                slots[j][place] = v[place]
-                rank += place
-                v = np.where(place, 0, v)
-        return rank
+        p = self.p
+        multiples = np.array([self.mul_many(np.asarray(v, dtype=np.int64), p**j)
+                              for v in comps for j in range(self.e)])
+        pivots = []
+        if p == 2:
+            for v in multiples:
+                for b in pivots:
+                    v = np.minimum(v, v ^ b)
+                pivots.append(v)
+            return np.count_nonzero(pivots, axis=0) // self.e
+        # base-p digits, most significant first, by floor division by a scalar (fast
+        # in numpy, unlike integer mod): digit i of v is v // p^i - p * (v // p^(i+1))
+        quot = np.stack([multiples // p**i for i in range(self.e * self.m, -1, -1)], 1)
+        at = np.arange(quot.shape[2])
+        for v in quot[:, 1:] - p * quot[:, :-1]:  # per multiple, digits by batch
+            for b, lead, scale in pivots:  # reduced mod p only once, below
+                v = v - v[lead, at] * scale % p * b
+            v = v - p * (v // p)
+            lead = np.argmax(v != 0, axis=0)
+            # an F_p digit is also the element it names, so inv_many inverts it
+            pivots.append((v, lead, self.inv_many(v[lead, at])))
+        return np.count_nonzero([scale for _, _, scale in pivots], axis=0) // self.e
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two broadcastable integer arrays (or scalars)."""

@@ -245,6 +245,39 @@ class TestClassify:
         monkeypatch.setattr(cli.codes, "classify", boom)
         assert run_main(["classify", "--field", field, "--code", code]) == 4
 
+    def test_deephole_route_disagreement_exits_4_naming_the_sample(self, files, capsys, monkeypatch):
+        # the routes run once over the stack of non-code samples; of the two
+        # disagreements, the message names the first in draw order, the second
+        # sample outside the code, as the one-vector-at-a-time check did
+        import random
+
+        from twistgab import cli, covering
+        from twistgab.codes import CodeSpec
+        from twistgab.fieldtower import tower_from_json
+
+        _, field, code = files
+        extension = covering.deep_hole_via_extension_many
+
+        def flipped(spec, U, budgets):
+            verdicts = extension(spec, U, budgets)
+            verdicts[[1, 3]] = ~verdicts[[1, 3]]
+            return verdicts
+
+        monkeypatch.setattr(cli.covering, "deep_hole_via_extension_many", flipped)
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--seed", 7, "--grid", 2, "--sample", 8,
+        ]) == 4
+        # the draws: f (k = 2 elements) per family, then n = 4 entries per sample
+        rng = random.Random(7)
+        for _ in range(2 * 2):
+            rng.randrange(16)
+        samples = [[rng.randrange(16) for _ in range(4)] for _ in range(8)]
+        spec = CodeSpec.from_json_dict(tower_from_json(FIELD16), CODE16)
+        outside = [u for u in samples if not covering.contains(spec, u)]
+        err = capsys.readouterr().err
+        assert f"extension route and distance route disagree on u = {outside[1]}" in err
+        assert "Traceback" not in err
+
     def test_audit_counts_present(self, files, capsys):
         _, field, code = files
         assert run_main(["classify", "--field", field, "--code", code]) == 0

@@ -15,7 +15,7 @@ from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
 from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
-from twistgab.mrdcheck import gaussian_binomial
+from twistgab.mrdcheck import gaussian_binomial, matrix_is_mrd
 
 W = 2
 
@@ -512,28 +512,71 @@ DISTANCE_TOWERS = [
 
 
 @st.composite
-def distance_cases(draw):
-    """A code with q^(mk) <= 2^12 and n <= 4, plain or with one or two twists,
-    and a vector u that is a codeword or drawn at random."""
+def small_codes(draw, one_twist=False):
+    """A code with q^(mk) <= 2^12 and n <= 4: plain or with one or two twists,
+    or with ``one_twist`` a single twist at t = 0."""
     p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
     t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
     n = draw(st.integers(2, min(m, 4)))
     alpha = draw(st.lists(st.integers(1, t.order - 1), min_size=n, max_size=n))
     assume(t.fq_rank(alpha) == n)
     k = draw(st.integers(1, max(k for k in range(1, n) if t.order**k <= 1 << 12)))
-    ell = draw(st.integers(0, min(2, n - k)))
-    ts = sorted(draw(st.sets(st.integers(0, n - k - 1), min_size=ell, max_size=ell)))
+    ell = 1 if one_twist else draw(st.integers(0, min(2, n - k)))
+    exponents = st.sets(st.integers(0, n - k - 1), min_size=ell, max_size=ell)
+    ts = [0] if one_twist else sorted(draw(exponents))
     etas = draw(st.lists(st.integers(1, t.order - 1), min_size=ell, max_size=ell))
     h = draw(st.integers(0, k - 1)) if ell else None
-    spec = CodeSpec(t, tuple(alpha), k, h, tuple(zip(ts, etas)))
-    if draw(st.booleans()):
-        u = encode(spec, draw(st.lists(st.integers(0, t.order - 1), min_size=k, max_size=k)))
-    else:
-        u = draw(st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n))
-    return spec, [int(c) for c in u]
+    return CodeSpec(t, tuple(alpha), k, h, tuple(zip(ts, etas)))
 
 
-@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+def codewords_of(spec):
+    entries = st.integers(0, spec.tower.order - 1)
+    msgs = st.lists(entries, min_size=spec.k, max_size=spec.k)
+    return msgs.map(lambda msg: [int(c) for c in encode(spec, msg)])
+
+
+def random_vectors(spec):
+    return st.lists(st.integers(0, spec.tower.order - 1), min_size=spec.n, max_size=spec.n)
+
+
+@st.composite
+def distance_cases(draw):
+    """A small code and a vector u that is a codeword or drawn at random."""
+    spec = draw(small_codes())
+    return spec, draw(st.one_of(codewords_of(spec), random_vectors(spec)))
+
+
+@st.composite
+def stack_cases(draw, one_twist=False):
+    """A small code and a stack of 2 to 6 vectors in random order: a codeword,
+    a random vector and up to four more of either kind."""
+    spec = draw(small_codes(one_twist))
+    either = st.one_of(codewords_of(spec), random_vectors(spec))
+    stack = [draw(codewords_of(spec)), draw(random_vectors(spec))]
+    stack += draw(st.lists(either, max_size=4))
+    return spec, draw(st.permutations(stack))
+
+
+@st.composite
+def near_codewords(draw, spec):
+    """A codeword plus a rank-1 error a * b, b a non-zero vector over F_q: at
+    distance at most 1 from the code."""
+    t = spec.tower
+    c = draw(codewords_of(spec))
+    a = draw(st.integers(1, t.order - 1))
+    b = draw(st.lists(st.integers(0, t.q - 1), min_size=spec.n, max_size=spec.n).filter(any))
+    return [t.add(ci, t.mul(a, bi)) for ci, bi in zip(c, b)]
+
+
+def in_code(spec, u):
+    """Oracle for contains: the scalar elimination's rank of [G; u] is k."""
+    return moore.rank_fqm(spec.tower, np.vstack([generator_matrix(spec), u])) == spec.k
+
+
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+
+
+@BLOCK_ROWS
 @settings(max_examples=25, deadline=None)
 @given(case=distance_cases())
 def test_distance_to_code_matches_scalar_oracle(block_rows, case):
@@ -544,3 +587,52 @@ def test_distance_to_code_matches_scalar_oracle(block_rows, case):
         if block_rows is not None:
             mp.setattr(codes, "_BLOCK_ROWS", block_rows)
         assert cov.distance_to_code(spec, u) == scalar_distance(spec, u)
+
+
+@BLOCK_ROWS
+@settings(max_examples=25, deadline=None)
+@given(case=stack_cases())
+def test_batched_distance_and_contains_match_scalar_oracles(block_rows, case):
+    # one stack of codewords and non-codewords; with 3-row blocks the
+    # S * q^(mk) sums u_i + c span many blocks, most of them two vectors wide
+    spec, U = case
+    expected = [in_code(spec, u) for u in U]
+    assume(any(expected) and not all(expected))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+        assert cov.contains_many(spec, U).tolist() == expected
+        assert cov.distance_to_code_many(spec, U).tolist() == [scalar_distance(spec, u) for u in U]
+
+
+@BLOCK_ROWS
+@settings(max_examples=25, deadline=None)
+@given(case=stack_cases(one_twist=True), data=st.data())
+def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, data):
+    # two deep-hole family vectors, the non-codewords of the stack and, last, a
+    # vector at distance 1; with 3-row blocks the stack of at least four walks
+    # the representatives in chunks of three vectors
+    spec, U = case
+    families = [list(cov.deep_hole_family(spec, 1, flavor)) for flavor in ("x^[k]", "x^[h]")]
+    near = data.draw(near_codewords(spec))
+    assume(not in_code(spec, near))  # a rank-1 error may be a codeword of a non-MRD code
+    U = families + [u for u in U if not in_code(spec, u)] + [near]
+    G = generator_matrix(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+        got = cov.deep_hole_via_extension_many(spec, U).tolist()
+    assert got == [matrix_is_mrd(spec.tower, np.vstack([G, u])) for u in U]
+    assert got[:2] == [True, True] and got[-1] == (spec.n - spec.k == 1)
+
+
+def test_batched_routes_check_every_row(c1_spec):
+    codeword = [int(c) for c in encode(c1_spec, [1, 0])]
+    with pytest.raises(SpecInvariantError, match="lies in the code"):
+        cov.deep_hole_via_extension_many(c1_spec, [[1, 0, 0, 0], codeword])
+    for U in ([[1, 0, 0, 0], [0, 0, 0, 16]], [1, 0, 0, 0], [[1, 2, 3]]):
+        with pytest.raises(ValueError, match="length"):
+            cov.distance_to_code_many(c1_spec, U)
+    with pytest.raises(ValueError):  # a ragged stack
+        cov.contains_many(c1_spec, [[1, 0, 0, 0], [1, 2, 3]])
+    assert cov.distance_to_code_many(c1_spec, np.zeros((0, 4), dtype=np.int64)).tolist() == []

@@ -307,6 +307,8 @@ RANK_TOWERS = {
     "F4<=F64": default_tower(2, 2, 3),
     "F5^3": default_tower(5, 1, 3),
     "F27": default_tower(3, 1, 3),
+    # odd p with e > 1: the F_p-multiples v * x^j of each component at p = 3
+    "F9<=F81": default_tower(3, 2, 2),
 }
 
 
