@@ -54,7 +54,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -284,30 +285,33 @@ def cmd_deephole(args) -> dict:
     if args.grid < 0 or args.sample < 0:
         raise ValueError("--grid and --sample must be >= 0")
     tower, budgets, spec = _code_args(args)
+    grid = list(islice(product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid))
+    # every vector the distance route may weigh, counted before the walk and the draws
+    covering.check_distance_budget(spec, len(grid) + args.sample, budgets)
     rng = random.Random(args.seed)
     report = covering.covering_radius_exhaustive(spec, budgets)
-    # all vectors are drawn first, each family's f and then each sample; then
-    # each route runs once over its stack
-    grid = islice(product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid)
+    # all vectors are drawn first, each family's f and then each sample
     families = [(g, fl, [tower.random_element(rng) for _ in range(spec.k)]) for g, fl in grid]
     us = [covering.deep_hole_family(spec, *family) for family in families]
     draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]
-    verified = covering.is_deep_hole_many(spec, us, report, budgets) if us else []
+    samples = np.reshape(draws, (-1, spec.n))
+    outside = samples[~covering.contains_many(spec, samples)]
+    empty = np.zeros(0, dtype=bool)
+    via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets) if len(outside) else empty
+    # one distance walk over the family vectors, then the samples outside the code
+    stack = np.array([*us, *outside], dtype=np.int64).reshape(-1, spec.n)
+    deep = covering.is_deep_hole_many(spec, stack, report, budgets) if len(stack) else empty
+    verified, via_dist = deep[: len(us)], deep[len(us) :]
+    differ = np.flatnonzero(via_ext != via_dist)
+    if len(differ):
+        u = outside[differ[0]].tolist()
+        raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
     family_entries = [
         {"flavor": flavor, "g": tower.element_to_json(g),
          "f": [tower.element_to_json(c) for c in f],
          "vector": [tower.element_to_json(int(c)) for c in u], "verified": bool(ok)}
         for (g, flavor, f), u, ok in zip(families, us, verified)
     ]
-    samples = np.reshape(draws, (-1, spec.n))
-    outside = samples[~covering.contains_many(spec, samples)]
-    if len(outside):
-        via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets)
-        via_dist = covering.is_deep_hole_many(spec, outside, report, budgets)
-        differ = np.flatnonzero(via_ext != via_dist)
-        if len(differ):
-            u = outside[differ[0]].tolist()
-            raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
     return {
         "schema": SCHEMA,
         "command": "deephole",

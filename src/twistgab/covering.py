@@ -9,16 +9,18 @@ independent (w-1)-tuple by every c of F_(q^m), the span-membership grid of the
 tuple counting those outside its span; indices and syndromes are packed base
 q^m and summed from q^m-entry tables per B.  Layers fold into one int64 per
 coset, min(rank * q^(mn) + index), its minimum and first minimum-weight vector,
-until every coset is reached.  Memory is O(chunk + cosets).  The whole-space
-scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
+until every coset is reached.  Memory is O(``codes._BLOCK_ROWS`` + cosets).
+The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
 route (:func:`distance_to_code_many`) is independent of the walk: it encodes
 each numpy block of the distance enumeration's messages once with
-``moore.matmul``, adds every u to it and weighs the sums with ``fq_rank_many``.
-The extension route (:func:`deep_hole_via_extension_many`) walks the subspace
-blocks once for the whole stack.  Neither route calls the other, and each
-one-vector function is its route on the stack of one.
+``moore.matmul``, adds every u to it and weighs the sums with ``fq_rank_many``;
+its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).  The
+extension route (:func:`deep_hole_via_extension_many`) is the subspace
+criterion on the stack of every [G; u], ``mrdcheck.matrix_is_mrd_many``.
+Neither route calls the other, and each one-vector function is its route on
+the stack of one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .budget import Budgets, check_budget
 from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
-from .mrdcheck import _subspace_blocks, gaussian_binomial
+from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd_many
 
 
 @dataclass
@@ -102,16 +104,22 @@ def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
     return bool(contains_many(spec, [u])[0])
 
 
+def check_distance_budget(spec: CodeSpec, vectors: int, budgets: Budgets) -> None:
+    """The codeword cap of the distance route: q^(mk) codewords for each of
+    ``vectors`` vectors."""
+    check_budget("codeword", vectors * spec.tower.order**spec.k, budgets.codewords)
+
+
 def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np.ndarray:
     """Per row u of U, the exact min over all q^(mk) codewords c of the rank
-    weight of u + c; the codeword budget counts q^(mk) per vector.
+    weight of u + c; the codeword budget counts len(U) * q^(mk).
 
     The classes of [u; G] led by u, messages (1, m), come first in the
     enumeration; each block of their m is encoded once by G and every u added
     to it, ``codes._BLOCK_ROWS`` sums at a time.  It stops once every distance is 0.
     """
     U, t, rows = _vectors(spec, U), spec.tower, codes._BLOCK_ROWS
-    check_budget("codeword", t.order**spec.k, budgets.codewords)
+    check_distance_budget(spec, len(U), budgets)
     G, best = generator_matrix(spec), np.full(len(U), spec.n)
     for msgs in _class_message_blocks(t.order, spec.k + 1):
         msgs = msgs[msgs[:, 0] == 1, 1:]
@@ -141,10 +149,6 @@ def covering_bounds(spec: CodeSpec) -> tuple[int, int]:
     if ts and ts == tuple(range(len(ts))):
         return max(0, n - k - len(ts) + 1), n - k
     return 0, n - k
-
-
-# vectors held per step of the walk, in whole rows of q^m (at least one row)
-_CHUNK_VECTORS = 1 << 14
 
 
 def _layer_size(q: int, m: int, n: int, w: int) -> int:
@@ -186,7 +190,7 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     multiples = t.mul_many(c[:, None], np.arange(q))  # [c, a] = a * c
     places = N ** np.arange(n, dtype=np.int64)  # component j of an index
     synd_places = N ** np.arange(n - k - 1, -1, -1, dtype=np.int64)  # entry r of a syndrome
-    rows = max(1, _CHUNK_VECTORS // N)
+    rows = max(1, codes._BLOCK_ROWS // N)  # vectors per step, in whole rows of q^m
     best = np.full(coset_count, unreached, dtype=np.int64)
     best[0], visited = 0, 1  # layer 0: the zero vector
     for w in range(1, min(n, t.m) + 1):
@@ -275,31 +279,16 @@ def is_deep_hole(spec: CodeSpec, u: Sequence[Element], report: Optional[Covering
 
 def deep_hole_via_extension_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np.ndarray:
     """Per row u of U, the deep-hole test for the one-twist t = 0 family: by the
-    extension theorem, u is a deep hole iff [G; u] is MRD.  One subspace walk
-    serves the stack: per block of V, one ``moore.matmul`` by every [G; u]^T
-    side by side and one ``rank_many``, ``codes._BLOCK_ROWS`` products at a
-    time; a u leaves the walk at its first rank-deficient product.
+    extension theorem, u is a deep hole iff [G; u] is MRD, which
+    ``mrdcheck.matrix_is_mrd_many`` decides for the stack of every [G; u] in
+    one subspace walk.
     """
     U = _vectors(spec, U)
     if spec.ell != 1 or spec.twists[0][0] != 0:
         raise SpecInvariantError("extension test applies to a single twist with t = 0")
     if contains_many(spec, U).any():
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
-    t, n, k, rows = spec.tower, spec.n, spec.k + 1, codes._BLOCK_ROWS  # k: the rows of [G; u]
-    G, mrd = generator_matrix(spec), np.ones(len(U), dtype=bool)
-    for Vs in _subspace_blocks(n, k, t.q, budgets):
-        live = np.flatnonzero(mrd)
-        if not len(live):
-            break
-        step = max(1, rows // len(live))  # representatives per block of products
-        for lo in range(0, len(Vs), step):
-            for s in range(0, len(live), rows):
-                at = live[s : s + rows]
-                wide = _extended(G, U[at]).transpose(2, 0, 1).reshape(n, -1)
-                prods = moore.matmul(t, Vs[lo : lo + step], wide).reshape(-1, k, len(at), k)
-                ranks = t.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
-                mrd[at] &= (ranks.reshape(-1, len(at)) == k).all(axis=0)
-    return mrd
+    return matrix_is_mrd_many(spec.tower, _extended(generator_matrix(spec), U), budgets)
 
 
 def deep_hole_via_extension(spec: CodeSpec, u: Sequence[Element],

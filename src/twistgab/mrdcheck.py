@@ -9,7 +9,9 @@ block of representatives at once (:func:`_subspace_blocks`, ``moore.matmul``)
 and eliminates the whole block in one batched Gauss-Jordan
 (:meth:`FieldTower.rank_many`, :meth:`FieldTower.det_many`); blocks come in
 enumeration order and a witness is the first V of its block in row order, so
-it is the first V in that order.
+it is the first V in that order.  :func:`matrix_is_mrd_many` walks the blocks
+once for a whole stack of generators; :func:`matrix_is_mrd` is its stack of
+one, and the deep-hole extension route is the stack of every [G; u].
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
@@ -85,13 +87,37 @@ def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) ->
         yield from block.astype(np.uint8)
 
 
-def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()) -> bool:
-    """Subspace criterion on an arbitrary full-rank generator matrix."""
-    k, n = G.shape
+def matrix_is_mrd_many(tower: FieldTower, Gs, budgets: Budgets = Budgets()) -> np.ndarray:
+    """Per generator G of an (S, k, n) stack of full-rank matrices, True iff
+    rank(V G^T) = k for every representative V; the S * [n, k]_q products must
+    fit the subspaces cap.  One walk serves the stack: per block of V, one
+    ``moore.matmul`` by every G^T side by side and one ``rank_many``,
+    ``codes._BLOCK_ROWS`` products at a time.  A G leaves at its first
+    rank-deficient product; the walk stops after the block in which the last leaves.
+    """
+    Gs = np.asarray(Gs, dtype=np.int64)
+    S, k, n = Gs.shape
+    check_budget("subspace", S * gaussian_binomial(n, k, tower.q), budgets.subspaces)
+    rows, mrd = codes._BLOCK_ROWS, np.ones(S, dtype=bool)
     for Vs in _subspace_blocks(n, k, tower.q, budgets):
-        if (tower.rank_many(moore.matmul(tower, Vs, G.T)) != k).any():
-            return False
-    return True
+        live = np.flatnonzero(mrd)
+        step = max(1, rows // max(1, len(live)))  # representatives per block of products
+        for lo in range(0, len(Vs), step):
+            for s in range(0, len(live), rows):
+                at = live[s : s + rows]
+                wide = Gs[at].transpose(2, 0, 1).reshape(n, -1)
+                prods = moore.matmul(tower, Vs[lo : lo + step], wide).reshape(-1, k, len(at), k)
+                ranks = tower.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
+                mrd[at] &= (ranks.reshape(-1, len(at)) == k).all(axis=0)
+        if not mrd.any():
+            break
+    return mrd
+
+
+def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()) -> bool:
+    """Subspace criterion on an arbitrary full-rank generator matrix: the
+    stack of one of :func:`matrix_is_mrd_many`."""
+    return bool(matrix_is_mrd_many(tower, np.asarray(G)[None], budgets)[0])
 
 
 def is_mrd_subspace_criterion(spec: CodeSpec, budgets: Budgets = Budgets()) -> bool:

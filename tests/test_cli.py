@@ -154,6 +154,14 @@ class TestClassify:
         bad.write_text("{не json")
         assert run_main(["classify", "--field", field, "--code", bad]) == 2
 
+    def test_nesting_past_the_recursion_limit_is_an_input_error(self, files, capsys):
+        tmp, _, code = files
+        field = tmp / "nested.json"
+        field.write_text("[" * 200_000)
+        assert run_main(["classify", "--field", field, "--code", code]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read JSON from {field}") and "Traceback" not in err
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_is_an_input_error(self, files, capsys, target):
         # a missing directory, then a directory itself
@@ -489,6 +497,51 @@ class TestConstructAndCovering:
         report = json.loads(capsys.readouterr().out)
         assert report["families"] == []
         assert report["sampled_iff_checks"] == {"agree": 0, "total": 0}
+
+    def test_deephole_weighs_families_and_samples_in_one_distance_walk(self, files, capsys, monkeypatch):
+        from twistgab import covering
+
+        _, field, code = files
+        distance, stacks = covering.distance_to_code_many, []
+
+        def spy(spec, U, budgets):
+            stacks.append(len(U))
+            return distance(spec, U, budgets)
+
+        monkeypatch.setattr(covering, "distance_to_code_many", spy)
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--seed", 7, "--grid", 6, "--sample", 20,
+        ]) == 0
+        checks = json.loads(capsys.readouterr().out)["sampled_iff_checks"]
+        assert checks["total"] > 0 and stacks == [6 + checks["total"]]
+
+    def test_deephole_sample_over_the_codeword_cap_exits_3_before_any_draw(
+        self, files, capsys, monkeypatch
+    ):
+        # (16 families + 10^9 samples) * 16^2 codewords: refused before the
+        # covering walk and before a single vector is drawn
+        from twistgab import covering
+        from twistgab.fieldtower import FieldTower
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work before the codeword cap was checked")
+
+        monkeypatch.setattr(covering, "covering_radius_exhaustive", boom)
+        monkeypatch.setattr(FieldTower, "random_element", boom)
+        _, field, code = files
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--sample", 10**9,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"codeword enumeration needs {(16 + 10**9) * 16**2} steps" in err
+        # the same count at the cap is admitted
+        monkeypatch.undo()
+        cap = (4 + 8) * 16**2
+        for budget, status in ((cap, 0), (cap - 1, 3)):
+            assert run_main([
+                "deephole", "--field", field, "--code", code, "--grid", 4, "--sample", 8,
+                "--budget-codewords", budget,
+            ]) == status
 
     @pytest.mark.parametrize("flag", ["--grid", "--sample"])
     def test_negative_deephole_count_is_an_input_error(self, files, capsys, flag):

@@ -15,7 +15,7 @@ from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
 from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
-from twistgab.mrdcheck import gaussian_binomial, matrix_is_mrd
+from twistgab.mrdcheck import gaussian_binomial
 
 W = 2
 
@@ -58,7 +58,7 @@ def _scan_blocks(spec):
     x = np.arange(N, dtype=np.int64)
     tables = [[t.mul_many(np.int64(h), x) for h in row] for row in H]  # h_ij * c
     multiples = t.mul_many(x[:, None], np.arange(q, dtype=np.int64))  # [c, a] = a * c
-    prefixes, step = N ** (n - 1), max(1, cov._CHUNK_VECTORS // N)
+    prefixes, step = N ** (n - 1), max(1, codes._BLOCK_ROWS // N)
     for lo in range(0, prefixes, step):
         pre = np.arange(lo, min(lo + step, prefixes), dtype=np.int64)
         comps = [pre // N**j % N for j in range(n - 1)]
@@ -251,7 +251,7 @@ class TestExhaustiveCoveringRadius:
         oracle = _scan(spec)
         if chunk is not None:
             chunk = 1 if chunk == 1 else 5 * spec.tower.order + 3
-            monkeypatch.setattr(cov, "_CHUNK_VECTORS", chunk)
+            monkeypatch.setattr(codes, "_BLOCK_ROWS", chunk)
         assert np.array_equal(cov._walk(spec, Budgets()), oracle)
 
     def test_layer_sizes_partition_the_space(self):
@@ -276,7 +276,7 @@ class TestExhaustiveCoveringRadius:
         default = cov.covering_radius_exhaustive(spec)
         # one prefix per chunk, then five prefixes with a ragged last chunk
         for chunk in (1, 5 * N + 3):
-            monkeypatch.setattr(cov, "_CHUNK_VECTORS", chunk)
+            monkeypatch.setattr(codes, "_BLOCK_ROWS", chunk)
             assert cov.covering_radius_exhaustive(spec) == default
 
     def test_uncovered_coset_raises_consistency_error(self, monkeypatch):
@@ -611,7 +611,10 @@ def test_batched_distance_and_contains_match_scalar_oracles(block_rows, case):
 def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, data):
     # two deep-hole family vectors, the non-codewords of the stack and, last, a
     # vector at distance 1; with 3-row blocks the stack of at least four walks
-    # the representatives in chunks of three vectors
+    # the representatives in chunks of three vectors.  The oracle is the scalar
+    # per-V subspace criterion on each [G; u], independent of the block walk
+    from test_mrdcheck import scalar_is_mrd  # not at the top: it imports this module via test_moore
+
     spec, U = case
     families = [list(cov.deep_hole_family(spec, 1, flavor)) for flavor in ("x^[k]", "x^[h]")]
     near = data.draw(near_codewords(spec))
@@ -622,7 +625,7 @@ def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, da
         if block_rows is not None:
             mp.setattr(codes, "_BLOCK_ROWS", block_rows)
         got = cov.deep_hole_via_extension_many(spec, U).tolist()
-    assert got == [matrix_is_mrd(spec.tower, np.vstack([G, u])) for u in U]
+    assert got == [scalar_is_mrd(spec.tower, np.vstack([G, u])) for u in U]
     assert got[:2] == [True, True] and got[-1] == (spec.n - spec.k == 1)
 
 

@@ -54,6 +54,15 @@ def scalar_subspaces(n, k, q):
             yield V
 
 
+def scalar_is_mrd(t, G):
+    """Oracle for the subspace criterion: rank(V G^T) = k for every V of the
+    scalar walk, each product and each rank one matrix at a time."""
+    k, n = G.shape
+    return all(
+        moore.rank_fqm(t, scalar_matmul(t, V, G.T)) == k for V in scalar_subspaces(n, k, t.q)
+    )
+
+
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 5), data=st.data())
@@ -415,16 +424,37 @@ class TestBlockWalkWitnesses:
             mc.forbidden_eta_set_one_twist(t, alpha, 2, 0, 0)
 
 
-def test_block_walk_memory_bound(monkeypatch):
-    # q = 4, n = 6, k = 3: the first pivot set alone has 4^9 representatives.
-    # G is dual to [w; a Gabidulin [6, 2] generator] with w = (1, 0, 0, 0, 1, 0):
-    # every other vector of that row space has rank weight >= 5 - 1 > 3, so the
-    # first violating V is the first one whose row space holds w, which is
-    # representative 4^7 = _BLOCK_ROWS, the first row of the second block
+def second_block_failure():
+    """A q = 4, n = 6, k = 3 generator whose first violating V is the first
+    row of the second block of the walk.
+
+    The first pivot set alone has 4^9 representatives.  G is dual to [w; a
+    Gabidulin [6, 2] generator] with w = (1, 0, 0, 0, 1, 0): every other vector
+    of that row space has rank weight >= 5 - 1 > 3, so the first violating V
+    is the first one whose row space holds w, which is representative
+    4^7 = _BLOCK_ROWS.
+    """
     t = default_tower(2, 2, 6)
+    W = np.vstack([[1, 0, 0, 0, 1, 0], moore.moore_matrix(t, polynomial_basis(t, 6), 2)])
+    return t, moore.nullspace_fqm(t, W)
+
+
+def spy_blocks(monkeypatch):
+    """The length of every block the subspace walk yields, in order."""
+    walked, blocks = [], mc._subspace_blocks
+
+    def spy(*args):
+        for b in blocks(*args):
+            walked.append(len(b))
+            yield b
+
+    monkeypatch.setattr(mc, "_subspace_blocks", spy)
+    return walked
+
+
+def test_block_walk_memory_bound(monkeypatch):
+    t, G = second_block_failure()
     n, k = 6, 3
-    W = np.vstack([[1, 0, 0, 0, 1, 0], moore.moore_matrix(t, polynomial_basis(t, n), 2)])
-    G = moore.nullspace_fqm(t, W)
     assert G.shape == (k, n)
     limit = codes._BLOCK_ROWS
     assert limit == 4**7
@@ -437,17 +467,58 @@ def test_block_walk_memory_bound(monkeypatch):
         if moore.rank_fqm(t, scalar_matmul(t, V, G.T)) != k
     )
     assert first == limit
-    walked = []
-    blocks = mc._subspace_blocks
-
-    def spy(*args):
-        for b in blocks(*args):
-            walked.append(len(b))
-            yield b
-
-    monkeypatch.setattr(mc, "_subspace_blocks", spy)
+    walked = spy_blocks(monkeypatch)
     assert not mc.matrix_is_mrd(t, G)
     assert walked == [limit, limit]
+
+
+def test_stack_walk_stops_after_the_block_of_the_last_failure(monkeypatch):
+    # G1 swaps the first row of G for the F_q-rational e_5, so it fails on the
+    # first representative [I | 0], whose column 5 is zero; G fails on the
+    # first row of the second block
+    t, G = second_block_failure()
+    G1 = G.copy()
+    G1[0] = [0, 0, 0, 0, 0, 1]
+    assert moore.rank_fqm(t, G1) == 3
+    limit = codes._BLOCK_ROWS
+    walked = spy_blocks(monkeypatch)
+    assert mc.matrix_is_mrd_many(t, [G1]).tolist() == [False]
+    assert walked == [limit]
+    walked.clear()
+    assert mc.matrix_is_mrd_many(t, [G1, G]).tolist() == [False, False]
+    assert walked == [limit, limit]
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("name", sorted(WITNESS_TOWERS))
+def test_stack_walk_matches_scalar_criterion_per_generator(monkeypatch, name, block_rows):
+    # every one-twist t = 0 code on n = 3 points, one generator per (h, eta),
+    # in one stack with MRD and non-MRD generators in random order; with 3-row
+    # blocks each block of products holds one representative of three generators
+    t, rng = WITNESS_TOWERS[name], random.Random(name)
+    alpha = polynomial_basis(t, 3)
+    Gs = [
+        generator_matrix(CodeSpec(t, alpha, 2, h, ((0, eta),)))
+        for h in (0, 1) for eta in t.nonzero_elements()
+    ]
+    rng.shuffle(Gs)
+    expected = [scalar_is_mrd(t, G) for G in Gs]
+    assert set(expected) == {True, False}
+    if block_rows is not None:
+        monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+    assert mc.matrix_is_mrd_many(t, np.stack(Gs)).tolist() == expected
+    assert [mc.matrix_is_mrd(t, G) for G in Gs] == expected
+
+
+def test_stack_walk_checks_every_product_against_the_subspaces_cap(f16, alpha4, monkeypatch):
+    G = generator_matrix(CodeSpec(f16, alpha4, 2))
+    count = mc.gaussian_binomial(4, 2, 2)
+    cap = Budgets(subspaces=2 * count - 1)
+    assert mc.matrix_is_mrd_many(f16, [G], cap).tolist() == [True]
+    walked = spy_blocks(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=f"needs {2 * count} steps"):
+        mc.matrix_is_mrd_many(f16, [G, G], cap)
+    assert walked == []
 
 
 class TestConstructions:
