@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands build towers and code specs from JSON files, run the checks, and
-write canonical JSON reports (schema "twistgab/1").  The ``--budget-*`` flags
-(default ``DEFAULT_*`` of :mod:`twistgab.budget`) are the only way to set the
-enumeration caps; the environment is not read.  Reports are byte-stable
-for a fixed seed: collections are sorted and JSON keys are sorted.  Every
-command runs in one thread; ``--workers`` is accepted for compatibility and
-ignored, because the work is CPU-bound Python that a thread pool only slowed
-down.  The wall-clock time of a command goes to stderr as a ``[timing]`` line,
+write canonical JSON reports (schema "twistgab/1").  ``classify`` runs each
+verification route once over the stack of its specs (a ``--sweep`` grid, or
+the one ``--code`` spec as a stack of one), then walks the specs in order to
+build the entries; the first spec whose routes disagree raises.  The
+``--budget-*`` flags (default ``DEFAULT_*`` of :mod:`twistgab.budget`) are the
+only way to set the enumeration caps; the environment is not read.  Reports
+are byte-stable for a fixed seed: collections are sorted and JSON keys are
+sorted.  Every command runs in one thread; ``--workers`` is accepted for
+compatibility and ignored, because the work is CPU-bound Python that a thread
+pool only slowed down.  The wall-clock time of a command goes to stderr as a ``[timing]`` line,
 never into the report.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
@@ -96,47 +99,54 @@ def _code_args(args) -> tuple[FieldTower, Budgets, codes.CodeSpec]:
     return tower, budgets, _load_spec(tower, args.code)
 
 
-def _classify_one(
-    tower: FieldTower, spec: codes.CodeSpec, budgets: Budgets, table: mrdcheck.KSubsetTable
-) -> dict:
-    report = codes.classify(spec, budgets)
-    subspace_mrd = mrdcheck.is_mrd_subspace_criterion(spec, budgets)
-    hclass = mrdcheck.hamming_class(table, spec.h, spec.twists)
-    witness = hclass.vanishing_subset
-    agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
-    if hclass.label == "MDS":
-        agree_hamming = report.is_mds
-    elif hclass.label == "NMDS":
-        agree_hamming = report.is_nmds
-    elif hclass.label == "AMDS":
-        # theorem route confirms AMDS; NMDS-ness is out of its reach for middle h
-        agree_hamming = report.is_amds
-    else:
-        agree_hamming = not (report.is_mds or report.is_amds)
-    if not (agree_mrd and agree_hamming):
-        raise ConsistencyError(
-            f"route disagreement for spec {spec.to_json_dict()}: "
-            f"enumeration={report.to_json_dict(tower)}, subspace_mrd={subspace_mrd}, "
-            f"omega_witness={witness}, hamming_class={hclass.label}"
-        )
-    return {
-        "spec": spec.to_json_dict(),
-        "report": report.to_json_dict(tower),
-        "subspace_mrd": subspace_mrd,
-        "omega_witness": list(witness) if witness is not None else None,
-        "hamming_class": hclass.to_json_dict(),
-        "routes_agree": True,
-        "enumerated": {
-            "message_classes": codes.projective_class_count(tower.order, spec.k),
-            "dual_message_classes": codes.projective_class_count(
-                tower.order, spec.n - spec.k
-            ),
-            "subspace_representatives": mrdcheck.gaussian_binomial(
-                spec.n, spec.k, tower.q
-            ),
-            "k_subsets": comb(spec.n, spec.k),
-        },
+def _classify_entries(
+    tower: FieldTower, specs: list[codes.CodeSpec], budgets: Budgets
+) -> list[dict]:
+    """The classify entries of specs that share alpha and k (a sweep, or one
+    --code spec).  The enumeration with the column-rank route, and the
+    subspace route, each run once over the stack of specs; the Omega route
+    reads the one k-subset table per spec.  The specs are then walked in
+    order, and the first whose routes disagree raises."""
+    table = mrdcheck.KSubsetTable(tower, specs[0].alpha, specs[0].k, budgets)
+    reports = codes.classify_many(specs, budgets)
+    subspace = mrdcheck.is_mrd_subspace_criterion_many(specs, budgets).tolist()
+    n, k = specs[0].n, specs[0].k
+    enumerated = {
+        "message_classes": codes.projective_class_count(tower.order, k),
+        "dual_message_classes": codes.projective_class_count(tower.order, n - k),
+        "subspace_representatives": mrdcheck.gaussian_binomial(n, k, tower.q),
+        "k_subsets": comb(n, k),
     }
+    entries = []
+    for spec, report, subspace_mrd in zip(specs, reports, subspace):
+        hclass = mrdcheck.hamming_class(table, spec.h, spec.twists)
+        witness = hclass.vanishing_subset
+        agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
+        if hclass.label == "MDS":
+            agree_hamming = report.is_mds
+        elif hclass.label == "NMDS":
+            agree_hamming = report.is_nmds
+        elif hclass.label == "AMDS":
+            # theorem route confirms AMDS; NMDS-ness is out of its reach for middle h
+            agree_hamming = report.is_amds
+        else:
+            agree_hamming = not (report.is_mds or report.is_amds)
+        if not (agree_mrd and agree_hamming):
+            raise ConsistencyError(
+                f"route disagreement for spec {spec.to_json_dict()}: "
+                f"enumeration={report.to_json_dict(tower)}, subspace_mrd={subspace_mrd}, "
+                f"omega_witness={witness}, hamming_class={hclass.label}"
+            )
+        entries.append({
+            "spec": spec.to_json_dict(),
+            "report": report.to_json_dict(tower),
+            "subspace_mrd": subspace_mrd,
+            "omega_witness": list(witness) if witness is not None else None,
+            "hamming_class": hclass.to_json_dict(),
+            "routes_agree": True,
+            "enumerated": enumerated,
+        })
+    return entries
 
 
 def _elements(tower: FieldTower, obj, what: str) -> list:
@@ -189,11 +199,7 @@ def cmd_classify(args) -> dict:
         specs = [_load_spec(tower, args.code)]
     else:
         raise ValueError("classify needs --code or --sweep")
-    entries = []
-    if specs:
-        # every spec of a sweep shares alpha and k, hence the k-subset table
-        table = mrdcheck.KSubsetTable(tower, specs[0].alpha, specs[0].k, budgets)
-        entries = [_classify_one(tower, s, budgets, table) for s in specs]
+    entries = _classify_entries(tower, specs, budgets) if specs else []
     return {"schema": SCHEMA, "command": "classify", "entries": entries}
 
 

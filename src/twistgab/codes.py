@@ -8,24 +8,29 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
 enforced up front.  :func:`_class_message_blocks` yields the classes as numpy
-blocks of at most ``_BLOCK_ROWS`` messages, ``moore.matmul`` encodes a block,
-so memory stays bounded whatever the budget, and each block is folded once per
-weight asked for: the code is weighed by rank (:meth:`FieldTower.fq_rank_many`)
-and by Hamming weight, its dual and :func:`min_hamming_distance` by Hamming
-weight alone.  The same blocks, taken over the stacked matrix [u; G] and led
-by u, are the codewords that ``covering.distance_to_code_many`` adds to every
-vector of a stack.
+blocks of at most ``_BLOCK_ROWS`` messages.  Every route here runs over a
+stack of specs sharing the tower, n and k, as the specs of a sweep do, and the
+one-spec forms (:func:`classify`, :func:`min_rank_distance`,
+:func:`nmds_conditions`) are its stack of one.  ``moore.matmul`` encodes a
+block by every generator of the stack side by side, ``_BLOCK_ROWS`` codewords
+at a time, so memory stays bounded whatever the budget or the stack, and each
+block is folded once per weight: the code is weighed by rank
+(:meth:`FieldTower.fq_rank_many`) and by Hamming weight, its dual and
+:func:`min_hamming_distance` by Hamming weight alone.  The same blocks, taken
+over the stacked matrix [u; G] and led by u, are the codewords that
+``covering.distance_to_code_many`` adds to every vector of a stack.
 
-The structural route, :func:`nmds_conditions`, reads column ranks of the
-generator by batched elimination (:meth:`FieldTower.rank_many`,
-:meth:`FieldTower.det_many`) over the stack of column subsets, and nothing
-from the enumeration.
+The structural route, :func:`nmds_conditions_many`, reads column ranks of the
+generators by batched elimination (:meth:`FieldTower.rank_many`,
+:meth:`FieldTower.det_many`) over the column subsets of the whole stack, one
+elimination per condition, and nothing from the enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -216,70 +221,146 @@ def _hamming_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
 
 
 def _min_weights_of_matrix(
-    tower: FieldTower, G: np.ndarray, budget: int, weights=(_rank_weights, _hamming_weights)
-) -> tuple:
-    """Exact minimum and witness of the row space under each weight, flattened:
-    (d_rank, rank_witness, d_hamming, hamming_witness) for the default weights.
+    tower: FieldTower, Gs: np.ndarray, budget: int, weights=(_rank_weights, _hamming_weights)
+) -> list[tuple]:
+    """Per generator of an (S, k, n) stack, the exact minimum and witness of
+    its row space under each weight, flattened: (d_rank, rank_witness,
+    d_hamming, hamming_witness) for the default weights.
 
-    The class blocks are encoded once and folded per weight.  A witness is the
-    first codeword, in class enumeration order, of minimum weight: a later
-    block replaces it only with a strictly smaller weight.
+    The stack shares one enumeration, whose S * (classes) steps must fit the
+    codeword cap.  Each class block is encoded by every generator side by side
+    (``moore.matmul`` by the k x (S * n) matrix of the stack), at most
+    ``_BLOCK_ROWS`` codewords per product, and folded once per weight.  A
+    witness is the first codeword, in class enumeration order, of minimum
+    weight: the first minimum of a block (``argmin``), and a later block
+    replaces it only with a strictly smaller weight.
     """
-    k, n = G.shape
-    check_budget("codeword", projective_class_count(tower.order, k), budget)
-    best = [(n + 1, None)] * len(weights)
-    for msgs in _class_message_blocks(tower.order, k):
-        words = moore.matmul(tower, msgs, G)
-        for j, weigh in enumerate(weights):
-            w = weigh(tower, words)
-            i = int(np.argmin(w))
-            if w[i] < best[j][0]:
-                best[j] = (int(w[i]), tuple(int(c) for c in words[i]))
-    return tuple(x for pair in best for x in pair)
+    Gs = np.asarray(Gs, dtype=np.int64)
+    S, k, n = Gs.shape
+    check_budget("codeword", S * projective_class_count(tower.order, k), budget)
+    rows = _BLOCK_ROWS
+    step = max(1, rows // S)  # messages per product
+    wides = [(lo, Gs[lo : lo + rows].transpose(1, 0, 2).reshape(k, -1)) for lo in range(0, S, rows)]
+    best = np.full((len(weights), S), n + 1)
+    witness = np.zeros((len(weights), S, n), dtype=np.int64)
+    for block in _class_message_blocks(tower.order, k):
+        for a in range(0, len(block), step):
+            msgs = block[a : a + step]
+            for lo, wide in wides:
+                words = moore.matmul(tower, msgs, wide).reshape(len(msgs), -1, n)
+                at = np.arange(words.shape[1])
+                for j, weigh in enumerate(weights):
+                    w = weigh(tower, words.reshape(-1, n)).reshape(len(msgs), -1)
+                    i = np.argmin(w, axis=0)
+                    better = np.flatnonzero(w[i, at] < best[j, lo + at])
+                    best[j, lo + better] = w[i[better], better]
+                    witness[j, lo + better] = words[i[better], better]
+    return [
+        tuple(x for d, wit in zip(ds, wits) for x in (d, tuple(wit)))
+        for ds, wits in zip(best.T.tolist(), witness.transpose(1, 0, 2).tolist())
+    ]
+
+
+def _generator_stack(specs: Sequence[CodeSpec]) -> np.ndarray:
+    """The (S, k, n) stack of generators of specs over one tower with one n and one k."""
+    if not specs:
+        raise ValueError("a stack of specs needs at least one spec")
+    t, n, k = specs[0].tower, specs[0].n, specs[0].k
+    if any(s.tower is not t or s.n != n or s.k != k for s in specs):
+        raise ValueError("the specs of a stack must share the tower, n and k")
+    return np.stack([generator_matrix(s) for s in specs])
+
+
+def min_rank_distance_many(
+    specs: Sequence[CodeSpec], budgets: Budgets = Budgets(), *, Gs: Optional[np.ndarray] = None
+) -> list[DistanceReport]:
+    """Per spec of a stack (one tower, n and k), the exact minimum rank
+    distance by scalar-class enumeration, with all flags.
+
+    One enumeration weighs every generator by rank and by Hamming weight; the
+    NMDS flag needs the dual's minimum Hamming distance, which one more
+    enumeration takes over the dual bases (``moore.nullspace_fqm`` per spec),
+    weighed by Hamming weight only.  Gs, when given, is the stack of
+    ``generator_matrix(spec)``, built once by the caller.
+    """
+    specs = list(specs)
+    if Gs is None:
+        Gs = _generator_stack(specs)
+    t, n, k = specs[0].tower, specs[0].n, specs[0].k
+    code = _min_weights_of_matrix(t, Gs, budgets.codewords)
+    Hs = np.stack([moore.nullspace_fqm(t, G) for G in Gs])
+    dual = _min_weights_of_matrix(t, Hs, budgets.codewords, (_hamming_weights,))
+    return [
+        DistanceReport(
+            n=n,
+            k=k,
+            d_rank=d_r,
+            d_hamming=d_h,
+            is_mrd=(d_r == n - k + 1),
+            is_mds=(d_h == n - k + 1),
+            is_amds=(d_h == n - k),
+            is_nmds=(d_h == n - k and d_h_dual == k),
+            rank_witness=wit_r,
+            hamming_witness=wit_h,
+        )
+        for (d_r, wit_r, d_h, wit_h), (d_h_dual, _) in zip(code, dual)
+    ]
 
 
 def min_rank_distance(
     spec: CodeSpec, budgets: Budgets = Budgets(), *, G: Optional[np.ndarray] = None
 ) -> DistanceReport:
-    """Exact minimum rank distance by scalar-class enumeration; fills all flags.
-
-    The NMDS flag needs the dual's minimum Hamming distance, which is obtained
-    by the same enumeration on a dual basis, weighed by Hamming weight only.
-    G, when given, is ``generator_matrix(spec)``, built once by the caller.
-    """
-    t = spec.tower
-    n, k = spec.n, spec.k
-    if G is None:
-        G = generator_matrix(spec)
-    d_r, wit_r, d_h, wit_h = _min_weights_of_matrix(t, G, budgets.codewords)
-    H = moore.nullspace_fqm(t, G)
-    d_h_dual, _ = _min_weights_of_matrix(t, H, budgets.codewords, (_hamming_weights,))
-    return DistanceReport(
-        n=n,
-        k=k,
-        d_rank=d_r,
-        d_hamming=d_h,
-        is_mrd=(d_r == n - k + 1),
-        is_mds=(d_h == n - k + 1),
-        is_amds=(d_h == n - k),
-        is_nmds=(d_h == n - k and d_h_dual == k),
-        rank_witness=wit_r,
-        hamming_witness=wit_h,
-    )
+    """Exact minimum rank distance and all flags: the stack of one of
+    :func:`min_rank_distance_many`.  G, when given, is ``generator_matrix(spec)``."""
+    Gs = None if G is None else np.asarray(G)[None]
+    return min_rank_distance_many([spec], budgets, Gs=Gs)[0]
 
 
 def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
     G = generator_matrix(spec)
-    d_h, _ = _min_weights_of_matrix(spec.tower, G, budgets.codewords, (_hamming_weights,))
+    ((d_h, _),) = _min_weights_of_matrix(
+        spec.tower, G[None], budgets.codewords, (_hamming_weights,)
+    )
     return d_h
 
 
-def _column_stack(G: np.ndarray, size: int) -> np.ndarray:
-    """The k x size column submatrices of G, one per size-subset in
-    lexicographic order, as a (C(n, size), k, size) stack."""
-    subsets = list(combinations(range(G.shape[1]), size))
+def _column_stack(Gs: np.ndarray, size: int) -> np.ndarray:
+    """The k x size column submatrices of each G of an (S, k, n) stack, one per
+    size-subset in lexicographic order, as an (S * C(n, size), k, size) stack."""
+    S, k, n = Gs.shape
+    subsets = list(combinations(range(n), size))
     cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), size)
-    return G[:, cols].transpose(1, 0, 2)
+    return Gs[:, :, cols].transpose(0, 2, 1, 3).reshape(S * len(subsets), k, size)
+
+
+def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
+    """Per generator of an (S, k, n) stack of full-rank matrices, the three
+    column-rank conditions of :func:`nmds_conditions`, as an (S, 3) bool array.
+
+    Each condition is one batched elimination over the column subsets of every
+    generator of the stack, concatenated: at most ``_BLOCK_ROWS`` subsets of a
+    size per elimination, in whole generators.
+    """
+    Gs = np.asarray(Gs, dtype=np.int64)
+    S, k, n = Gs.shape
+    deficient = np.flatnonzero(tower.rank_many(Gs) != k)
+    if len(deficient):
+        raise SpecInvariantError(
+            f"generator matrix {int(deficient[0])} of the stack must have full rank k"
+        )
+    per = max(1, _BLOCK_ROWS // max(comb(n, size) for size in (k - 1, k, k + 1)))
+    out = []
+    for lo in range(0, S, per):
+        G = Gs[lo : lo + per]
+        cond_i = tower.rank_many(_column_stack(G, k - 1)) == k - 1
+        cond_ii = tower.det_many(_column_stack(G, k)) == 0
+        cond_iii = tower.rank_many(_column_stack(G, k + 1)) == k
+        out.append(np.column_stack([
+            cond_i.reshape(len(G), comb(n, k - 1)).all(axis=1),
+            cond_ii.reshape(len(G), comb(n, k)).any(axis=1),
+            cond_iii.reshape(len(G), comb(n, k + 1)).all(axis=1),
+        ]))
+    return np.concatenate(out)
 
 
 def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]:
@@ -287,41 +368,49 @@ def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]
 
     (i) every k-1 columns independent, (ii) some k columns dependent,
     (iii) every k+1 columns of rank k.  NMDS iff i and ii and iii;
-    AMDS iff ii and iii; MDS iff not ii.  Each condition is one batched
-    elimination over the stack of its column subsets.
+    AMDS iff ii and iii; MDS iff not ii.  The stack of one of
+    :func:`nmds_conditions_many`.
     """
-    k, n = G.shape
-    if tower.rank_many(G[None])[0] != k:
-        raise SpecInvariantError("generator matrix must have full rank k")
-    cond_i = bool((tower.rank_many(_column_stack(G, k - 1)) == k - 1).all())
-    cond_ii = bool((tower.det_many(_column_stack(G, k)) == 0).any())
-    cond_iii = bool((tower.rank_many(_column_stack(G, k + 1)) == k).all())
+    cond_i, cond_ii, cond_iii = nmds_conditions_many(tower, np.asarray(G)[None])[0].tolist()
     return cond_i, cond_ii, cond_iii
 
 
-def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
-    """Full report with the brute-force and structural routes cross-checked.
+def classify_many(specs: Sequence[CodeSpec], budgets: Budgets = Budgets()) -> list[DistanceReport]:
+    """Per spec of a stack (one tower, n and k), the full report with the
+    brute-force and structural routes cross-checked.
 
-    The enumeration route computes exact distances (code and dual); the
-    structural route classifies via column ranks of the generator matrix.
-    Any disagreement raises ConsistencyError with a witness description.
+    The enumeration route (:func:`min_rank_distance_many`) computes exact
+    distances (code and dual); the structural route classifies via column
+    ranks of the generators (:func:`nmds_conditions_many`).  Each runs once
+    over the stack.  The first spec, in stack order, on which they disagree
+    raises ConsistencyError with a witness description.
     """
-    G = generator_matrix(spec)
-    report = min_rank_distance(spec, budgets, G=G)
-    cond_i, cond_ii, cond_iii = nmds_conditions(spec.tower, G)
-    structural = {
-        "is_mds": not cond_ii,
-        "is_amds": cond_ii and cond_iii,
-        "is_nmds": cond_i and cond_ii and cond_iii,
-    }
-    brute = {
-        "is_mds": report.is_mds,
-        "is_amds": report.is_amds,
-        "is_nmds": report.is_nmds,
-    }
-    if structural != brute:
-        raise ConsistencyError(
-            f"column-rank route {structural} disagrees with enumeration route {brute} "
-            f"for spec {spec.to_json_dict()}"
-        )
-    return report
+    specs = list(specs)
+    Gs = _generator_stack(specs)
+    reports = min_rank_distance_many(specs, budgets, Gs=Gs)
+    conditions = nmds_conditions_many(specs[0].tower, Gs).tolist()
+    for spec, report, (cond_i, cond_ii, cond_iii) in zip(specs, reports, conditions):
+        structural = {
+            "is_mds": not cond_ii,
+            "is_amds": cond_ii and cond_iii,
+            "is_nmds": cond_i and cond_ii and cond_iii,
+        }
+        brute = {
+            "is_mds": report.is_mds,
+            "is_amds": report.is_amds,
+            "is_nmds": report.is_nmds,
+        }
+        if structural != brute:
+            raise ConsistencyError(
+                f"column-rank route {structural} disagrees with enumeration route {brute} "
+                f"for spec {spec.to_json_dict()}"
+            )
+    return reports
+
+
+def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
+    """Full report with the brute-force and structural routes cross-checked:
+    the stack of one of :func:`classify_many`.  Any disagreement raises
+    ConsistencyError with a witness description.
+    """
+    return classify_many([spec], budgets)[0]

@@ -260,9 +260,11 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
 
 def is_deep_hole_many(spec: CodeSpec, U, report: Optional[CoveringReport] = None,
                       budgets: Budgets = Budgets()) -> np.ndarray:
-    """Per row u of U, True iff the distance from u to the code equals the covering radius."""
+    """Per row u of U, True iff the distance from u to the code equals the covering
+    radius.  The radius is walked for only when no report is given; a
+    bounds-only report raises at once."""
     U = _vectors(spec, U)
-    if report is None or report.rho is None:
+    if report is None:
         report = covering_radius_exhaustive(spec, budgets)
     if report.rho is None:
         raise BudgetExceededError(

@@ -10,8 +10,10 @@ and eliminates the whole block in one batched Gauss-Jordan
 (:meth:`FieldTower.rank_many`, :meth:`FieldTower.det_many`); blocks come in
 enumeration order and a witness is the first V of its block in row order, so
 it is the first V in that order.  :func:`matrix_is_mrd_many` walks the blocks
-once for a whole stack of generators; :func:`matrix_is_mrd` is its stack of
-one, and the deep-hole extension route is the stack of every [G; u].
+once for a whole stack of generators: the specs of a sweep
+(:func:`is_mrd_subspace_criterion_many`, in stacks that fit the subspaces cap)
+or every [G; u] of the deep-hole extension route.  :func:`matrix_is_mrd` and
+:func:`is_mrd_subspace_criterion` are the stack of one.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import codes, moore
 from .budget import Budgets, check_budget
-from .codes import CodeSpec, generator_matrix
+from .codes import CodeSpec
 from .errors import ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .gcoeff import AnnihilatorCoeffs, g_coefficient
@@ -93,19 +95,24 @@ def matrix_is_mrd_many(tower: FieldTower, Gs, budgets: Budgets = Budgets()) -> n
     fit the subspaces cap.  One walk serves the stack: per block of V, one
     ``moore.matmul`` by every G^T side by side and one ``rank_many``,
     ``codes._BLOCK_ROWS`` products at a time.  A G leaves at its first
-    rank-deficient product; the walk stops after the block in which the last leaves.
+    rank-deficient product; the side-by-side G^T of the live generators is
+    gathered again only when one has left.  The walk stops after the block in
+    which the last leaves.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
     check_budget("subspace", S * gaussian_binomial(n, k, tower.q), budgets.subspaces)
-    rows, mrd = codes._BLOCK_ROWS, np.ones(S, dtype=bool)
+    rows, mrd, live = codes._BLOCK_ROWS, np.ones(S, dtype=bool), None
     for Vs in _subspace_blocks(n, k, tower.q, budgets):
-        live = np.flatnonzero(mrd)
-        step = max(1, rows // max(1, len(live)))  # representatives per block of products
+        if live is None or len(live) != np.count_nonzero(mrd):
+            live = np.flatnonzero(mrd)
+            step = max(1, rows // max(1, len(live)))  # representatives per block of products
+            wides = [
+                (at, Gs[at].transpose(2, 0, 1).reshape(n, -1))
+                for at in (live[s : s + rows] for s in range(0, len(live), rows))
+            ]
         for lo in range(0, len(Vs), step):
-            for s in range(0, len(live), rows):
-                at = live[s : s + rows]
-                wide = Gs[at].transpose(2, 0, 1).reshape(n, -1)
+            for at, wide in wides:
                 prods = moore.matmul(tower, Vs[lo : lo + step], wide).reshape(-1, k, len(at), k)
                 ranks = tower.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
                 mrd[at] &= (ranks.reshape(-1, len(at)) == k).all(axis=0)
@@ -120,9 +127,29 @@ def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()
     return bool(matrix_is_mrd_many(tower, np.asarray(G)[None], budgets)[0])
 
 
+def is_mrd_subspace_criterion_many(
+    specs: Sequence[CodeSpec], budgets: Budgets = Budgets()
+) -> np.ndarray:
+    """Per spec of a stack (one tower, n and k), True iff rank(V G^T) = k for
+    every subspace representative V.  :func:`matrix_is_mrd_many` walks the
+    generators in as few stacks as the subspaces cap admits, S * [n, k]_q
+    products each, so the cap refuses a stack only when one spec's [n, k]_q
+    exceeds it.
+    """
+    specs = list(specs)
+    Gs = codes._generator_stack(specs)
+    S, k, n = Gs.shape
+    tower = specs[0].tower
+    per = max(1, budgets.subspaces // gaussian_binomial(n, k, tower.q))
+    return np.concatenate(
+        [matrix_is_mrd_many(tower, Gs[lo : lo + per], budgets) for lo in range(0, S, per)]
+    )
+
+
 def is_mrd_subspace_criterion(spec: CodeSpec, budgets: Budgets = Budgets()) -> bool:
-    """True iff rank(V G^T) = k for every subspace representative V."""
-    return matrix_is_mrd(spec.tower, generator_matrix(spec), budgets)
+    """True iff rank(V G^T) = k for every subspace representative V: the
+    stack of one of :func:`is_mrd_subspace_criterion_many`."""
+    return bool(is_mrd_subspace_criterion_many([spec], budgets)[0])
 
 
 @dataclass

@@ -250,7 +250,8 @@ class TestClassify:
         def boom(*args, **kwargs):
             raise ConsistencyError("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli.codes, "classify", boom)
+        # classify runs its enumeration and column-rank routes over the stack of specs
+        monkeypatch.setattr(cli.codes, "classify_many", boom)
         assert run_main(["classify", "--field", field, "--code", code]) == 4
 
     def test_deephole_route_disagreement_exits_4_naming_the_sample(self, files, capsys, monkeypatch):
@@ -285,6 +286,60 @@ class TestClassify:
         err = capsys.readouterr().err
         assert f"extension route and distance route disagree on u = {outside[1]}" in err
         assert "Traceback" not in err
+
+    # the F_32, n = 5, k = 2 grid: h in {0, 1}, one twist at t = 0, all 31 eta
+    FIELD32 = {"p": 2, "e": 1, "m": 5}
+    GRID32 = {"alpha": [[int(i == j) for j in range(5)] for i in range(5)], "k": 2,
+              "h": [0, 1], "ts": [0], "etas": "all"}
+
+    def grid32(self, tmp):
+        field, sweep = tmp / "field32.json", tmp / "grid32.json"
+        field.write_text(json.dumps(self.FIELD32))
+        sweep.write_text(json.dumps(self.GRID32))
+        return field, sweep
+
+    def test_subspaces_cap_of_one_spec_admits_the_whole_sweep(self, files):
+        # [5, 2]_2 = 155 representatives per spec: the subspace route walks the
+        # 62 generators in stacks that fit the cap, and the report is unchanged
+        tmp = files[0]
+        field, sweep = self.grid32(tmp)
+        outs = {}
+        for budget in (None, 155):
+            out = tmp / f"report-{budget}.json"
+            flags = [] if budget is None else ["--budget-subspaces", budget]
+            argv = ["classify", "--field", field, "--sweep", sweep, "--out", out, *flags]
+            assert run_main(argv) == 0
+            outs[budget] = out.read_bytes()
+        assert outs[155] == outs[None]
+        entries = json.loads(outs[None])["entries"]
+        assert len(entries) == 62 and all(e["routes_agree"] for e in entries)
+        assert run_main([
+            "classify", "--field", field, "--sweep", sweep, "--budget-subspaces", 154,
+        ]) == 3
+
+    def test_first_disagreement_in_sweep_order_is_raised(self, files, capsys, monkeypatch):
+        # the Omega route's label is wrong for the third spec (and the fifth):
+        # the message names the third, as the one-spec-at-a-time walk did
+        from twistgab import cli
+        from twistgab.fieldtower import tower_from_json
+
+        tmp = files[0]
+        field, sweep = self.grid32(tmp)
+        specs = cli._sweep_specs(tower_from_json(self.FIELD32), self.GRID32, cli.Budgets())
+        wrong = {(s.h, s.twists) for s in (specs[2], specs[4])}
+        hamming_class = cli.mrdcheck.hamming_class
+
+        def mislabelled(table, h, twists):
+            out = hamming_class(table, h, twists)
+            if (h, tuple(twists)) in wrong:
+                out.label = "none" if out.label == "MDS" else "MDS"
+            return out
+
+        monkeypatch.setattr(cli.mrdcheck, "hamming_class", mislabelled)
+        assert run_main(["classify", "--field", field, "--sweep", sweep]) == 4
+        err = capsys.readouterr().err
+        assert f"route disagreement for spec {specs[2].to_json_dict()}:" in err
+        assert str(specs[4].to_json_dict()) not in err and "Traceback" not in err
 
     def test_audit_counts_present(self, files, capsys):
         _, field, code = files
@@ -542,6 +597,26 @@ class TestConstructAndCovering:
                 "deephole", "--field", field, "--code", code, "--grid", 4, "--sample", 8,
                 "--budget-codewords", budget,
             ]) == status
+
+    def test_deephole_out_of_reach_radius_walks_once(self, files, capsys, monkeypatch):
+        # 256 cosets fit the ambient cap, but the rank-2 layer, where rho = 2
+        # lies, does not: the bounds-only report is not walked for again
+        from twistgab import covering
+
+        walk, calls = covering._walk, []
+
+        def counted(spec, budgets):
+            calls.append(spec)
+            return walk(spec, budgets)
+
+        monkeypatch.setattr(covering, "_walk", counted)
+        _, field, code = files
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--budget-ambient", 1000,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "covering radius unknown" in err and "Traceback" not in err
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("flag", ["--grid", "--sample"])
     def test_negative_deephole_count_is_an_input_error(self, files, capsys, flag):

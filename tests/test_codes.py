@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -6,17 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistgab import codes, moore
+from conftest import polynomial_basis
+
+from twistgab import codes, moore, mrdcheck
 from twistgab.codes import (
     CodeSpec,
     _class_message_blocks,
     _min_weights_of_matrix,
     classify,
+    classify_many,
     encode,
     generator_matrix,
     min_hamming_distance,
     min_rank_distance,
     nmds_conditions,
+    nmds_conditions_many,
 )
 from twistgab.budget import Budgets
 from twistgab.errors import BudgetExceededError, SpecInvariantError
@@ -238,11 +243,13 @@ def test_batched_enumeration_matches_scalar_oracle(name, data):
     k = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(k, 5))
     entries = st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n)
-    G = np.array(data.draw(st.lists(entries, min_size=k, max_size=k)), dtype=np.int64)
-    assume(moore.rank_fqm(t, G) == k)
-    got = _min_weights_of_matrix(t, G, 1 << 24)
-    assert got == scalar_min_weights(t, G)
-    assert all(type(c) is int for c in got[1] + got[3])
+    matrices = st.lists(entries, min_size=k, max_size=k)
+    # a stack of up to three generators shares one enumeration
+    Gs = np.array(data.draw(st.lists(matrices, min_size=1, max_size=3)), dtype=np.int64)
+    assume(all(moore.rank_fqm(t, G) == k for G in Gs))
+    got = _min_weights_of_matrix(t, Gs, 1 << 24)
+    assert got == [scalar_min_weights(t, G) for G in Gs]
+    assert all(type(c) is int for each in got for c in each[1] + each[3])
 
 
 @pytest.mark.parametrize("name", sorted(ENUM_TOWERS))
@@ -270,7 +277,10 @@ def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, mo
     for spec in (CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4, 2, 0, ((0, W),))):
         G = generator_matrix(spec)
         for M in (G, moore.nullspace_fqm(f16, G)):
-            assert _min_weights_of_matrix(f16, M, 1 << 24) == scalar_min_weights(f16, M)
+            assert _min_weights_of_matrix(f16, M[None], 1 << 24) == [scalar_min_weights(f16, M)]
+        # the code and its dual (both 2 x 4) as one stack: blocks split mid-stack
+        Ms = np.stack([G, moore.nullspace_fqm(f16, G)])
+        assert _min_weights_of_matrix(f16, Ms, 1 << 24) == [scalar_min_weights(f16, M) for M in Ms]
 
 
 class TestNmdsConditions:
@@ -344,3 +354,79 @@ class TestClassify:
             return mrd, mds, nmds
 
         assert counts(f16) == counts(f16_alt) == (0, 18, 12)
+
+
+def grid_specs(t, n, k, hs, ts):
+    """Every spec of a sweep grid over alpha = (1, y, ..., y^(n-1)): each h, then
+    every eta tuple in counting order, as ``twistgab classify --sweep`` lists them."""
+    alpha = polynomial_basis(t, n)
+    return [
+        CodeSpec(t, alpha, k, h, tuple(zip(ts, etas)))
+        for h in hs
+        for etas in product(t.nonzero_elements(), repeat=len(ts))
+    ]
+
+
+STACK_GRIDS = {
+    # 62 specs, 12 of them MRD, Hamming labels MDS and NMDS
+    "F32-n4-k2": (default_tower(2, 1, 5), 4, 2, (0, 1), (0,)),
+    "F16-n4-k2-ts01": (default_tower(2, 1, 4), 4, 2, (0, 1), (0, 1)),
+    "F16-n4-k1-ts01": (default_tower(2, 1, 4), 4, 1, (0,), (0, 1)),
+}
+
+
+class TestStacks:
+    """Every route over a stack of specs equals the stack of one per spec."""
+
+    @pytest.mark.parametrize("block_rows", [1 << 14, 3, 7])
+    @pytest.mark.parametrize("name", sorted(STACK_GRIDS))
+    def test_stack_equals_the_stack_of_one(self, monkeypatch, name, block_rows):
+        t, n, k, hs, ts = STACK_GRIDS[name]
+        specs = grid_specs(t, n, k, hs, ts)
+        alone = [classify(spec) for spec in specs]  # default blocks
+        Gs = np.stack([generator_matrix(spec) for spec in specs])
+        conditions = [nmds_conditions(t, G) for G in Gs]
+        subspace = [mrdcheck.is_mrd_subspace_criterion(spec) for spec in specs]
+        # blocks of 3 or 7 rows split class blocks and spec chunks mid-stack
+        monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        stacked = classify_many(specs)
+        for spec, got, want in zip(specs, stacked, alone):
+            assert got == want, spec  # dataclass equality: every field and both witnesses
+        assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == conditions
+        assert mrdcheck.is_mrd_subspace_criterion_many(specs).tolist() == subspace
+
+    def test_f32_grid_verdicts_and_scalar_witnesses(self):
+        t, n, k, hs, ts = STACK_GRIDS["F32-n4-k2"]
+        specs = grid_specs(t, n, k, hs, ts)
+        reports = classify_many(specs)
+        assert len(specs) == 62 and sum(r.is_mrd for r in reports) == 12
+        assert {r.is_nmds for r in reports} == {True, False}
+        for spec, rep in zip(specs, reports):
+            d_r, wit_r, d_h, wit_h = scalar_min_weights(t, generator_matrix(spec))
+            assert (rep.d_rank, rep.rank_witness, rep.d_hamming, rep.hamming_witness) == (
+                d_r, wit_r, d_h, wit_h
+            )
+
+    def test_a_stack_needs_one_tower_n_and_k(self, f16, alpha4):
+        with pytest.raises(ValueError, match="share"):
+            classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4, 1)])
+        with pytest.raises(ValueError, match="share"):
+            mrdcheck.is_mrd_subspace_criterion_many(
+                [CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[:3], 2)]
+            )
+        with pytest.raises(ValueError, match="at least one"):
+            classify_many([])
+
+    def test_rank_deficient_generator_is_named_by_its_place(self, f16, alpha4):
+        G = generator_matrix(CodeSpec(f16, alpha4, 2))
+        bad = G.copy()
+        bad[1] = bad[0]
+        with pytest.raises(SpecInvariantError, match="matrix 2 of the stack"):
+            nmds_conditions_many(f16, np.stack([G, G, bad]))
+
+    def test_stacked_codeword_cap_counts_every_generator(self, f16, alpha4):
+        # 17 message classes per [4, 2] code over F_16
+        G = generator_matrix(CodeSpec(f16, alpha4, 2))
+        assert len(_min_weights_of_matrix(f16, np.stack([G, G]), 34)) == 2
+        with pytest.raises(BudgetExceededError):
+            _min_weights_of_matrix(f16, np.stack([G, G]), 33)
