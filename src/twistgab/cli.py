@@ -21,11 +21,13 @@ signal this tool can emit).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
 from itertools import islice, product
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Optional, Sequence
 
@@ -50,7 +52,53 @@ EXIT_CONSISTENCY = 4
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written directly:
+    with an indent, ``json`` falls back to its pure-Python encoder."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a number, bool or null in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_value(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj in the layout of ``json.dumps(obj, sort_keys=True, indent=2)``, its
+    lines after the first starting with ``newline``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)  # the float layout, NaN and Infinity included
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if {*map(type, obj)} == {int}:  # ints only, no bools: one join
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _json_key(key) + ": " + _json_value(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
@@ -338,7 +386,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; parsing
+    does not change it."""
     ap = argparse.ArgumentParser(
         prog="twistgab",
         description="Construct twisted Gabidulin codes and verify their "

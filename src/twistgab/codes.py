@@ -29,6 +29,7 @@ elimination per condition, and nothing from the enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -92,6 +93,21 @@ class CodeSpec:
     @property
     def is_gabidulin(self) -> bool:
         return not self.twists
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        """:func:`generator_matrix`, cached in the instance (not a field)."""
+        t = self.tower
+        G = moore.moore_matrix(t, self.alpha, self.k)
+        if self.twists:
+            a = np.asarray(self.alpha, dtype=np.int64)
+            row = G[self.h].copy()
+            for tj, ej in self.twists:
+                term = t.mul_many(np.int64(ej), t.frob_many(a, self.k + tj))
+                row = t.add_many(row, term)
+            G[self.h] = row
+        G.flags.writeable = False
+        return G
 
     def to_json_dict(self) -> dict:
         t = self.tower
@@ -159,17 +175,9 @@ class DistanceReport:
 
 
 def generator_matrix(spec: CodeSpec) -> np.ndarray:
-    """k x n generator with the twist terms folded into row h."""
-    t = spec.tower
-    G = moore.moore_matrix(t, spec.alpha, spec.k)
-    if spec.twists:
-        a = np.asarray(spec.alpha, dtype=np.int64)
-        row = G[spec.h].copy()
-        for tj, ej in spec.twists:
-            term = t.mul_many(np.int64(ej), t.frob_many(a, spec.k + tj))
-            row = t.add_many(row, term)
-        G[spec.h] = row
-    return G
+    """k x n generator with the twist terms folded into row h; built once per
+    spec and read-only."""
+    return spec._generator
 
 
 def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:

@@ -368,30 +368,44 @@ class FieldTower:
 
         For m > 1 the search starts in effect at y = q: 1, ..., q - 1 lie in
         F_q^*, whose orders divide q - 1.
+
+        The powers are built by doubling.  An element is its d = e * m base-p
+        digits, and multiplying by the generator is the F_p-linear map A on
+        them (column j is the product of p^j and the generator).  Rows E hold
+        the digits of the first 2^r powers; [E; E A^T] holds the first 2^(r+1),
+        and A becomes A^2, multiplication by the generator to the 2^(r+1).
+        The generator is primitive iff its n1 first powers are n1 distinct
+        non-zero elements.
         """
         n1 = self._group = self.order - 1
+        p, d = self.p, self.e * self.m
         sf, top = self._sf, self.top_modulus
         gen = next(
             (c for c in range(1, self.order) if _is_primitive(sf, self._digits_of(c), top)), None
         )
         if gen is None:
             raise FieldConstructionError("no multiplicative generator found")
-        g = _poly_trim(self._digits_of(gen))
-        exp, cur = [1] * n1, [1]
-        for i in range(n1):
-            exp[i] = self._pack_digits(cur)
-            cur = _poly_divmod(sf, _poly_mul(sf, cur, g), top)[1]
-        if cur != [1]:
+        places = p ** np.arange(d, dtype=np.int64)
+        A = np.array([self._mul_raw(p**j, gen) for j in range(d)], dtype=np.int64)
+        A = (A[:, None] // places % p).T  # A[:, j] = digits of p^j * gen
+        E = np.zeros((1, d), dtype=np.int64)
+        E[0, 0] = 1
+        # entries of a product are sums of d terms below p^2, and d (p - 1)^2 < 2^63
+        # for every tower up to the order limit
+        while len(E) < n1:
+            E = np.concatenate([E, E @ A.T % p])
+            A = A @ A % p
+        exp = E[:n1] @ places
+        if (np.bincount(exp, minlength=self.order)[1:] != 1).any():
             raise FieldConstructionError("generator order check failed")
-        log = [0] * self.order
-        for i, x in enumerate(exp):
-            log[x] = i
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n1)
         self.generator: Element = gen
-        self._exp, self._log = exp, log
+        self._exp, self._log = exp.tolist(), log.tolist()
         # log 0 is the sentinel 2 * n1: a sum of two logs indexes the doubled
         # exp table below 2 * n1 - 1 when both factors are non-zero, and its
         # zero tail [2 * n1, 4 * n1] otherwise
-        self._log_z = np.array(log, dtype=np.int64)
+        self._log_z = log
         self._log_z[0] = 2 * n1
         self._exp_z = np.zeros(4 * n1 + 1, dtype=np.int64)
         self._exp_z[: 2 * n1] = np.tile(exp, 2)

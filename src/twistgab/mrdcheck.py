@@ -52,28 +52,36 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def _subspace_blocks(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
     """All RREF representatives of k-dimensional row spaces of F_q^(k x n), as
-    (B, k, n) int64 blocks of at most ``codes._BLOCK_ROWS`` digit matrices.
+    (B, k, n) int64 blocks of ``codes._BLOCK_ROWS`` digit matrices; only the
+    last block may hold fewer.
 
-    Pivot sets come in lexicographic order and no block spans two; within a set
-    the free entries (row by row) count base q, the last fastest.
+    Pivot sets come in lexicographic order; within a set the free entries (row
+    by row) count base q, the last fastest.  A block is filled in that order
+    and may span several pivot sets.
     """
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
     expected = gaussian_binomial(n, k, q)
     check_budget("subspace", expected, budgets.subspaces)
-    emitted = 0
+    rows, pieces, held, emitted = codes._BLOCK_ROWS, [], 0, 0
     for pivots in combinations(range(n), k):
         free_pos = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
-        size = q ** len(free_pos)
-        for start in range(0, size, codes._BLOCK_ROWS):
-            idx = np.arange(start, min(start + codes._BLOCK_ROWS, size), dtype=np.int64)
-            block = np.zeros((len(idx), k, n), dtype=np.int64)
-            block[:, range(k), pivots] = 1
+        size, start = q ** len(free_pos), 0
+        while start < size:
+            stop = min(size, start + rows - held)
+            idx = np.arange(start, stop, dtype=np.int64)
+            piece = np.zeros((len(idx), k, n), dtype=np.int64)
+            piece[:, range(k), pivots] = 1
             for i, j in reversed(free_pos):
-                block[:, i, j] = idx % q
+                piece[:, i, j] = idx % q
                 idx //= q
-            emitted += len(block)
-            yield block
+            pieces.append(piece)
+            held, emitted, start = held + len(piece), emitted + len(piece), stop
+            if held == rows:
+                yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     if emitted != expected:
         raise ConsistencyError(
             f"subspace enumeration produced {emitted} representatives, "

@@ -5,10 +5,15 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistgab.cli import main
+from twistgab import cli
+from twistgab.cli import canonical_json, main
 
 FIELD16 = {"p": 2, "e": 1, "m": 4, "top_modulus": [1, 1, 0, 0, 1]}
 ALPHA16 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -375,6 +380,28 @@ class TestDeterminism:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_parser_is_built_once_and_keeps_no_parse_state(self, files, capsys):
+        # each call writes the bytes of the same command in a fresh process
+        from twistgab import cli
+
+        _, field, code = files
+        calls = [
+            ["deephole", "--field", field, "--code", code, "--grid", 2, "--sample", 3],
+            ["deephole", "--field", field, "--code", code],
+        ]
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "twistgab", *map(str, args)], capture_output=True, text=True
+            ).stdout
+            for args in calls
+        ]
+        outs = []
+        for args in calls:
+            assert run_main(args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == alone and alone[0] != alone[1]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_subprocess_entry_point(self, files):
         # the installed console script must behave like main()
         tmp, field, code = files
@@ -570,6 +597,24 @@ class TestConstructAndCovering:
         checks = json.loads(capsys.readouterr().out)["sampled_iff_checks"]
         assert checks["total"] > 0 and stacks == [6 + checks["total"]]
 
+    def test_deephole_builds_the_generator_once(self, files, capsys, monkeypatch):
+        # every route reads generator_matrix(spec), built once for the one spec
+        from twistgab import moore
+
+        moore_matrix, calls = moore.moore_matrix, []
+
+        def counted(*args):
+            calls.append(args)
+            return moore_matrix(*args)
+
+        monkeypatch.setattr(moore, "moore_matrix", counted)
+        _, field, code = files
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--seed", 7, "--grid", 4, "--sample", 8,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["sampled_iff_checks"]["total"] > 0
+        assert len(calls) == 1
+
     def test_deephole_sample_over_the_codeword_cap_exits_3_before_any_draw(
         self, files, capsys, monkeypatch
     ):
@@ -658,3 +703,81 @@ class TestCoveringMemory:
         holes = [tuple(sum(b << i for i, b in enumerate(c)) for c in u) for u in report["deep_holes"]]
         assert holes == self.DEEP_HOLES
         assert hashlib.sha256(proc.stdout).hexdigest() == self.SHA256
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# strings and keys with non-ASCII, quote, backslash and control characters
+json_text = st.text(st.sampled_from(['a', 'Z', '"', '\\', '/', '\n', '\t', '\x00', '\x1f', '\x7f',
+                                     'é', 'η', '\u2028', '\ud800', '😀']), max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), json_text,
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(-(2**66), 2**66), max_size=5),
+        st.dictionaries(json_text, children, max_size=4),
+        # keys of other types, or of mixed types that do not sort
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.booleans(), st.none(), json_text),
+                        children, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=json_trees)
+    def test_matches_json_dumps(self, obj):
+        try:
+            want = json_oracle(obj)
+        except TypeError:
+            with pytest.raises(TypeError):
+                canonical_json(obj)
+        else:
+            assert canonical_json(obj) == want
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(3), [np.int64(3)], [1, np.int64(3)], {"a": np.bool_(True)}, {"a": [np.uint8(1)]},
+        {np.int64(1): 2}, {(1, 2): 3}, {1: 2, "a": 3}, object(),
+    ])
+    def test_unserializable_values_and_keys_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json_oracle(obj)
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+    def test_every_command_report(self, files, capsys, monkeypatch):
+        # the report objects of the README example, as the commands build them
+        tmp, field, code = files
+        reports = []
+
+        def spy(obj):
+            reports.append(obj)
+            return canonical_json(obj)
+
+        monkeypatch.setattr(cli, "canonical_json", spy)
+        sweep = tmp / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": [0, 1], "ts": [0], "etas": "all"}))
+        task = tmp / "task.json"
+        task.write_text(json.dumps({
+            "mode": "nested", "degrees": [2], "etas": [[0, 1, 0, 0]],
+            "alpha": [[1, 0, 0, 0], [0, 1, 1, 0]], "k": 1, "h": 0, "ts": [0],
+        }))
+        for args in (
+            ["classify", "--code", code], ["classify", "--sweep", sweep], ["forbidden", "--code", code],
+            ["construct", "--task", task], ["covering", "--code", code],
+            ["deephole", "--code", code, "--seed", 7],
+        ):
+            assert run_main([*args, "--field", field]) == 0
+        assert len(reports) == 6
+        for obj in reports:
+            assert canonical_json(obj) == json_oracle(obj)
+        golden = json.loads((Path(__file__).parent / "golden_sweep_q2_m4_k2.json").read_text())
+        assert canonical_json(golden) == json_oracle(golden)

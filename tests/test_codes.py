@@ -107,6 +107,21 @@ class TestGeneratorMatrix:
         ]
         assert list(G[1]) == expect
 
+    def test_built_once_per_spec_and_read_only(self, f16, alpha4):
+        e1, e2 = W, f16.pow_(W, 6)
+        spec = CodeSpec(f16, alpha4, 2, 1, ((0, e1), (1, e2)))
+        G = generator_matrix(spec)
+        assert G is generator_matrix(spec)
+        fresh = moore.moore_matrix(f16, alpha4, 2)
+        for tj, ej in spec.twists:
+            for j, a in enumerate(alpha4):
+                fresh[1, j] = f16.add(int(fresh[1, j]), f16.mul(ej, f16.frobenius(a, 2 + tj)))
+        assert (G == fresh).all()
+        with pytest.raises(ValueError, match="read-only"):
+            G[0, 0] = 1
+        # the matrix lives in its spec, not in a cache of the process
+        assert generator_matrix(CodeSpec(f16, alpha4, 2, 1, spec.twists)) is not G
+
 
 class TestEncode:
     def test_zero_message(self, f16, alpha4):

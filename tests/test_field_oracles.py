@@ -10,11 +10,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from sympy import Poly, resultant, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
+from twistgab import fieldtower
+from twistgab.errors import FieldConstructionError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower, tower_to_json
 
 # tower_to_json(default_tower(p, e, m)) for every (p, e, m) that the test
@@ -167,3 +170,33 @@ def test_largest_prime_field_is_modular_arithmetic():
         assert t._sf.mul(a, b) == a * b % p
         assert t.inv(b) == t.inv_euclid(b) == pow(b, -1, p)
         assert b * t.inv(b) % p == 1
+
+
+# the pinned towers and the largest of each kind: 2^16, 3^10, 9^5 and the prime 65521
+TABLE_TOWERS = sorted({*DEFAULT_MODULI, (2, 1, 16), (3, 1, 10), (3, 2, 5), (65521, 1, 1)})
+
+
+@pytest.mark.parametrize("pem", TABLE_TOWERS, ids=lambda pem: "F_%d^%d^%d" % pem)
+def test_log_tables_step_by_the_generator(pem):
+    # the stepping loop is the oracle of the doubling build: each power is the
+    # table-free product of the one before and the generator, and log inverts
+    # exp; every i below 4096, and 2 000 seeded i above
+    t = default_tower(*pem)
+    n1 = t.order - 1
+    steps = list(range(min(n1, 4096)))
+    if n1 > 4096:
+        steps += random.Random(n1).sample(range(4096, n1), 2000)
+    for i in steps:
+        assert t._exp[(i + 1) % n1] == t._mul_raw(t._exp[i], t.generator)
+        assert t._log[t._exp[i]] == i
+    assert len(t._exp) == n1 and len(t._log) == t.order
+    assert (t._exp_z[: 2 * n1] == np.tile(t._exp, 2)).all()
+    assert (t._inv_z[t._exp_z[1:n1]] == t._exp_z[n1 - 1 : 0 : -1]).all()
+
+
+def test_a_non_primitive_generator_fails_the_order_check(monkeypatch):
+    # y^3 has order 5 in F_16^*: accepted as the generator, its powers repeat
+    y3 = [0, 0, 0, 1]
+    monkeypatch.setattr(fieldtower, "_is_primitive", lambda field, x, mod: list(x) == y3)
+    with pytest.raises(FieldConstructionError, match="generator order check failed"):
+        FieldTower(TowerParams(2, 1, 4, top_modulus=(1, 1, 0, 0, 1)))

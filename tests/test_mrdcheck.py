@@ -79,8 +79,8 @@ def test_subspace_blocks_match_scalar_oracle(block_rows, n, data):
     assert [V.tolist() for b in blocks for V in b] == expected
     for b in blocks:
         assert b.dtype == np.int64 and b.shape[1:] == (k, n) and 1 <= len(b) <= limit
-        # one pivot set per block: the leading-one positions of every row agree
-        assert len({tuple(np.argmax(V != 0, axis=1)) for V in b}) == 1
+    # blocks are filled across pivot sets: every block but the last is full
+    assert all(len(b) == limit for b in blocks[:-1])
     assert [V.tolist() for V in mc.enumerate_subspaces(n, k, q)] == expected
 
 
@@ -693,3 +693,49 @@ class TestHammingClassViaOmega:
         hc = mc.hamming_class_via_omega(spec)
         assert hc.label in ("NMDS", "AMDS", "none")
         assert hc.vanishing_subset is not None
+
+
+def test_a_block_across_two_pivot_sets_keeps_the_scalar_order(monkeypatch):
+    # [3, 2]_2 = 7 representatives: 4 with pivots (0, 1), 2 with (0, 2) and 1
+    # with (1, 2); in 3-row blocks the second block holds the last of the
+    # first pivot set and both of the second
+    t = WITNESS_TOWERS["F16"]
+    alpha = polynomial_basis(t, 3)
+    walk = list(scalar_subspaces(3, 2, t.q))
+    monkeypatch.setattr(codes, "_BLOCK_ROWS", 3)
+    blocks = list(mc._subspace_blocks(3, 2, t.q))
+    assert [len(b) for b in blocks] == [3, 3, 1]
+    assert [tuple(np.argmax(V != 0, axis=1)) for V in blocks[1]] == [(0, 1), (0, 2), (0, 2)]
+
+    # forbidden-set witnesses: the first V of each eta in the scalar walk
+    M = moore.moore_matrix(t, alpha, 2)
+    second_block = set()
+    for h in (0, 1):
+        Mht = moore.modified_moore_matrix(t, alpha, 2, h, 2)
+        expected = {}
+        for i, V in enumerate(walk):
+            den = moore.det_fqm(t, scalar_matmul(t, V, M.T))
+            num = moore.det_fqm(t, scalar_matmul(t, V, Mht.T))
+            if expected.setdefault((t.neg(t.div(num, den)),), V.tolist()) == V.tolist():
+                second_block.update({i} & {3, 4, 5})
+        assert mc.forbidden_eta_set_one_twist(t, alpha, 2, h, 0).entries == expected
+    assert second_block == {3, 4, 5}  # witnesses from both pivot sets of the block
+
+    # the stack walk stops after the block of the last first failure
+    Gs = [
+        generator_matrix(CodeSpec(t, alpha, 2, h, ((0, eta),)))
+        for h in (0, 1) for eta in t.nonzero_elements()
+    ]
+    first = [
+        next((i for i, V in enumerate(walk) if moore.rank_fqm(t, scalar_matmul(t, V, G.T)) != 2), None)
+        for G in Gs
+    ]
+    early = [G for G, i in zip(Gs, first) if i in (0, 1, 2)]  # in the first block
+    late = [G for G, i in zip(Gs, first) if i in (4, 5)]  # past the pivot-set boundary
+    assert early and late
+    walked = spy_blocks(monkeypatch)
+    assert not mc.matrix_is_mrd_many(t, np.stack(early)).any()
+    assert walked == [3]
+    walked.clear()
+    assert not mc.matrix_is_mrd_many(t, np.stack(early + late)).any()
+    assert walked == [3, 3]
