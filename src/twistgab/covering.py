@@ -115,20 +115,23 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
     weight of u + c; the codeword budget counts len(U) * q^(mk).
 
     The classes of [u; G] led by u, messages (1, m), come first in the
-    enumeration; each block of their m is encoded once by G and every u added
-    to it, ``codes._BLOCK_ROWS`` sums at a time.  It stops once every distance is 0.
+    enumeration; each block of their m is encoded once by G, and ``step``
+    vectors u at a time are added to every codeword of it, at most
+    ``codes._BLOCK_ROWS`` sums per step.  It stops once every distance is 0.
     """
-    U, t, rows = _vectors(spec, U), spec.tower, codes._BLOCK_ROWS
+    U, t, n = _vectors(spec, U), spec.tower, spec.n
     check_distance_budget(spec, len(U), budgets)
-    G, best = generator_matrix(spec), np.full(len(U), spec.n)
+    G, best = generator_matrix(spec), np.full(len(U), n)
     for msgs in _class_message_blocks(t.order, spec.k + 1):
         msgs = msgs[msgs[:, 0] == 1, 1:]
         if not len(msgs) or not best.any():
             break
-        words, pairs = moore.matmul(t, msgs, G), len(U) * len(msgs)
-        for lo in range(0, pairs, rows):  # pair i * len(words) + j is u_i + word_j
-            i, j = np.divmod(np.arange(lo, min(lo + rows, pairs)), len(words))
-            np.minimum.at(best, i, t.fq_rank_many(list(t.add_many(U[i], words[j]).T)))
+        words = moore.matmul(t, msgs, G)
+        step = max(1, codes._BLOCK_ROWS // len(words))
+        for lo in range(0, len(U), step):
+            sums = t.add_many(U[lo : lo + step, None], words).reshape(-1, n)
+            ranks = t.fq_rank_many(list(sums.T)).reshape(-1, len(words))
+            best[lo : lo + step] = np.minimum(best[lo : lo + step], ranks.min(axis=1))
     return best
 
 

@@ -21,8 +21,13 @@ scalar ``_gauss_jordan`` as their oracle.
 Construction (modulus search, irreducibility check, generator search, table
 build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
 the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
-2^16 for every p, is checked before any other work.  Towers are immutable
-after construction and safe to share across threads.
+2^16 for every p, is checked before any other work.
+
+:func:`default_tower` and :func:`tower_from_json` return one shared tower per
+``TowerParams`` per process; a failed build is not kept, so it fails the same
+way on every call.  A tower is safe to share: its tables are tuples and
+read-only numpy arrays, and the one thing filled after construction, the
+subfield element cache, is filled deterministically.
 """
 
 from __future__ import annotations
@@ -401,7 +406,7 @@ class FieldTower:
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n1)
         self.generator: Element = gen
-        self._exp, self._log = exp.tolist(), log.tolist()
+        self._exp, self._log = tuple(exp.tolist()), tuple(log.tolist())
         # log 0 is the sentinel 2 * n1: a sum of two logs indexes the doubled
         # exp table below 2 * n1 - 1 when both factors are non-zero, and its
         # zero tail [2 * n1, 4 * n1] otherwise
@@ -411,6 +416,8 @@ class FieldTower:
         self._exp_z[: 2 * n1] = np.tile(exp, 2)
         self._inv_z = np.zeros(self.order, dtype=np.int64)
         self._inv_z[1:] = self._exp_z[-self._log_z[1:] % n1]
+        for table in (self._log_z, self._exp_z, self._inv_z):
+            table.flags.writeable = False  # shared through _tower
 
     # -- scalar field operations -------------------------------------------------
 
@@ -694,9 +701,14 @@ class FieldTower:
 
 
 @functools.lru_cache(maxsize=None)
+def _tower(params: TowerParams) -> FieldTower:
+    """The one tower per params in this process; ``lru_cache`` keeps no exception."""
+    return FieldTower(params)
+
+
 def default_tower(p: int, e: int, m: int) -> FieldTower:
-    """Cached tower with verified default moduli for (p, e, m)."""
-    return FieldTower(TowerParams(p, e, m))
+    """The shared tower with verified default moduli for (p, e, m)."""
+    return _tower(TowerParams(p, e, m))
 
 
 def json_int(x) -> int:
@@ -721,14 +733,14 @@ def json_object(x, what: str) -> dict:
 
 
 def tower_from_json(obj: dict) -> FieldTower:
-    """Build a tower from the field-spec JSON object."""
+    """The shared tower of the field-spec JSON object."""
     obj = json_object(obj, "a field spec")
 
     def modulus(key):  # absent or [] picks the default
         cs = obj.get(key)
         return None if cs is None else tuple(json_int(c) for c in json_array(cs, key)) or None
 
-    return FieldTower(
+    return _tower(
         TowerParams(
             p=json_int(obj["p"]),
             e=json_int(obj["e"]),

@@ -1,0 +1,97 @@
+"""Scalar oracles and random-tower helpers shared by several test modules.
+
+This module holds no tests, so a test module that imports it imports no other
+test module, and every ``tests/test_*.py`` runs on its own.
+"""
+
+from functools import lru_cache
+from itertools import combinations, product
+
+import numpy as np
+
+from twistgab import moore
+from twistgab.errors import FieldConstructionError
+from twistgab.fieldtower import FieldTower, TowerParams
+
+# (p, e, m) of the towers of the distance property, order <= 256
+DISTANCE_TOWERS = [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3),
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2),
+]
+
+
+@lru_cache(maxsize=None)
+def tower_from(p, e, m, tail):
+    """The tower whose top modulus is the first irreducible monic one at or
+    after y^m + tail (tail read base q, little-endian), cycling."""
+    q = p**e
+    for off in range(q**m):
+        c = (tail + off) % q**m
+        top = tuple(c // q**i % q for i in range(m)) + (1,)
+        try:
+            return FieldTower(TowerParams(p, e, m, top_modulus=top))
+        except FieldConstructionError:
+            continue
+    raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
+
+
+def scalar_codewords(tower, G, messages):
+    """The scalar encoder: each message of the stream times the rows of G, one
+    codeword at a time, as a list of ints."""
+    rows = [[int(x) for x in row] for row in G]
+    n = G.shape[1]
+    for msg in messages:
+        word = [0] * n
+        for i, fi in enumerate(msg):
+            if fi:
+                ri = rows[i]
+                word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
+        yield word
+
+
+def scalar_matmul(tower, A, B):
+    """Oracle for moore.matmul: the 2-D product, one scalar field call at a time."""
+    ra, ca = A.shape
+    rb, cb = B.shape
+    if ca != rb:
+        raise ValueError("shape mismatch")
+    out = np.zeros((ra, cb), dtype=np.int64)
+    for i in range(ra):
+        for j in range(cb):
+            acc = 0
+            for s in range(ca):
+                a = int(A[i, s])
+                if a:
+                    acc = tower.add(acc, tower.mul(a, int(B[s, j])))
+            out[i, j] = acc
+    return out
+
+
+def scalar_subspaces(n, k, q):
+    """Oracle for the block walk: the RREF representatives one at a time, as
+    k x n uint8 matrices, pivot sets in lexicographic order and the free
+    entries through itertools.product."""
+    for pivots in combinations(range(n), k):
+        free_pos = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        base = np.zeros((k, n), dtype=np.uint8)
+        for i, p in enumerate(pivots):
+            base[i, p] = 1
+        for vals in product(range(q), repeat=len(free_pos)):
+            V = base.copy()
+            for (i, j), v in zip(free_pos, vals):
+                V[i, j] = v
+            yield V
+
+
+def scalar_is_mrd(t, G):
+    """Oracle for the subspace criterion: rank(V G^T) = k for every V of the
+    scalar walk, each product and each rank one matrix at a time."""
+    k, n = G.shape
+    return all(
+        moore.rank_fqm(t, scalar_matmul(t, V, G.T)) == k for V in scalar_subspaces(n, k, t.q)
+    )

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
+from oracles import scalar_codewords
 
 from twistgab import codes, moore, mrdcheck
 from twistgab.codes import (
@@ -210,20 +211,6 @@ def _scalar_class_messages(order: int, k: int):
                 msg[pos] = x % order
                 x //= order
             yield msg
-
-
-def scalar_codewords(tower, G, messages):
-    """The scalar encoder: each message of the stream times the rows of G, one
-    codeword at a time, as a list of ints."""
-    rows = [[int(x) for x in row] for row in G]
-    n = G.shape[1]
-    for msg in messages:
-        word = [0] * n
-        for i, fi in enumerate(msg):
-            if fi:
-                ri = rows[i]
-                word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
-        yield word
 
 
 def scalar_min_weights(t, G):

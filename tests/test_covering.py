@@ -1,4 +1,3 @@
-from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -7,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from test_codes import scalar_codewords
+from oracles import DISTANCE_TOWERS, scalar_codewords, scalar_is_mrd, tower_from
 from twistgab import codes
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
-from twistgab.errors import ConsistencyError, FieldConstructionError, SpecInvariantError
+from twistgab.errors import ConsistencyError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 from twistgab.mrdcheck import gaussian_binomial
 
@@ -442,21 +441,6 @@ SMALL_AMBIENTS = [
 ]
 
 
-@lru_cache(maxsize=None)
-def tower_from(p, e, m, tail):
-    """The tower whose top modulus is the first irreducible monic one at or
-    after y^m + tail (tail read base q, little-endian), cycling."""
-    q = p**e
-    for off in range(q**m):
-        c = (tail + off) % q**m
-        top = tuple(c // q**i % q for i in range(m)) + (1,)
-        try:
-            return FieldTower(TowerParams(p, e, m, top_modulus=top))
-        except FieldConstructionError:
-            continue
-    raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
-
-
 @st.composite
 def small_twisted_codes(draw):
     p, e, m, n = draw(st.sampled_from(SMALL_AMBIENTS))
@@ -502,13 +486,6 @@ def scalar_distance(spec, u):
     t = spec.tower
     words = scalar_codewords(t, generator_matrix(spec), iproduct(range(t.order), repeat=spec.k))
     return min(t.fq_rank([t.sub(a, c) for a, c in zip(u, word)]) for word in words)
-
-
-# (p, e, m) of the towers of the distance property, order <= 256
-DISTANCE_TOWERS = [
-    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3),
-    (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2),
-]
 
 
 @st.composite
@@ -594,7 +571,8 @@ def test_distance_to_code_matches_scalar_oracle(block_rows, case):
 @given(case=stack_cases())
 def test_batched_distance_and_contains_match_scalar_oracles(block_rows, case):
     # one stack of codewords and non-codewords; with 3-row blocks the
-    # S * q^(mk) sums u_i + c span many blocks, most of them two vectors wide
+    # S * q^(mk) sums u_i + c come one vector u_i at a time against a block of
+    # three codewords, and three vectors at a time against a block of one
     spec, U = case
     expected = [in_code(spec, u) for u in U]
     assume(any(expected) and not all(expected))
@@ -613,8 +591,6 @@ def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, da
     # vector at distance 1; with 3-row blocks the stack of at least four walks
     # the representatives in chunks of three vectors.  The oracle is the scalar
     # per-V subspace criterion on each [G; u], independent of the block walk
-    from test_mrdcheck import scalar_is_mrd  # not at the top: it imports this module via test_moore
-
     spec, U = case
     families = [list(cov.deep_hole_family(spec, 1, flavor)) for flavor in ("x^[k]", "x^[h]")]
     near = data.draw(near_codewords(spec))

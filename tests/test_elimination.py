@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from test_covering import DISTANCE_TOWERS, tower_from
+from oracles import DISTANCE_TOWERS, tower_from
 from twistgab import moore
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 

@@ -73,6 +73,33 @@ class TestConstruction:
             assert t2.params == t.params
 
 
+class TestSharedTowers:
+    def test_one_tower_per_field_spec(self):
+        obj = {"p": 2, "e": 1, "m": 5, "top_modulus": [1, 0, 1, 0, 0, 1]}
+        assert tower_from_json(obj) is tower_from_json(dict(obj))
+        assert tower_from_json({"p": 2, "e": 1, "m": 6}) is default_tower(2, 1, 6)
+
+    def test_explicit_default_modulus_is_a_separate_equal_tower(self):
+        t = default_tower(2, 1, 6)
+        explicit = tower_from_json({"p": 2, "e": 1, "m": 6, "top_modulus": list(t.top_modulus)})
+        assert explicit is not t
+        assert (explicit._exp, explicit.generator, explicit.params) == (t._exp, t.generator, t.params)
+
+    @pytest.mark.parametrize("table", ["_exp_z", "_log_z", "_inv_z"])
+    def test_shared_tables_are_read_only(self, table):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(default_tower(2, 1, 4), table)[1] = 0
+
+    def test_failed_build_fails_the_same_way_every_time(self):
+        obj = {"p": 2, "e": 1, "m": 4, "top_modulus": [1, 0, 0, 0, 1]}  # y^4+1 = (y+1)^4
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FieldConstructionError, match="reducible") as info:
+                tower_from_json(obj)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestArithmetic:
     def test_field_axioms_exhaustive_f16(self, f16_any):
         t = f16_any
@@ -237,8 +264,8 @@ class TestNorm:
                     assert t.norm(t.mul(x, y)) == t._sf.mul(t.norm(x), t.norm(y))
 
     def test_corrupted_table_raises_consistency_error(self):
-        t = FieldTower(TowerParams(2, 1, 4))  # fresh: the cached tower stays intact
-        t._exp[0] = t.q  # every norm in F_16 is exp[0] = 1; now it leaves F_2
+        t = FieldTower(TowerParams(2, 1, 4))  # fresh: the shared tower stays intact
+        t._exp = (t.q, *t._exp[1:])  # every norm in F_16 is exp[0] = 1; now it leaves F_2
         with pytest.raises(ConsistencyError):
             t.norm(W)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from test_covering import DISTANCE_TOWERS, tower_from
+from oracles import DISTANCE_TOWERS, scalar_matmul, tower_from
 from twistgab import moore
 from twistgab.fieldtower import default_tower
 
@@ -170,24 +170,6 @@ class TestNullspace:
         H = moore.nullspace_fqm(f9, G)
         assert H.shape == (2, 3)
         assert (moore.matmul(f9, G, H.T) == 0).all()
-
-
-def scalar_matmul(tower, A, B):
-    """Oracle for moore.matmul: the 2-D product, one scalar field call at a time."""
-    ra, ca = A.shape
-    rb, cb = B.shape
-    if ca != rb:
-        raise ValueError("shape mismatch")
-    out = np.zeros((ra, cb), dtype=np.int64)
-    for i in range(ra):
-        for j in range(cb):
-            acc = 0
-            for s in range(ca):
-                a = int(A[i, s])
-                if a:
-                    acc = tower.add(acc, tower.mul(a, int(B[s, j])))
-            out[i, j] = acc
-    return out
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from test_moore import scalar_matmul
+from oracles import scalar_is_mrd, scalar_matmul, scalar_subspaces
 from twistgab import codes, moore
 from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
@@ -31,36 +31,6 @@ def f16_subbasis(f256, n):
         if len(basis) == n:
             break
     return tuple(basis)
-
-
-def scalar_subspaces(n, k, q):
-    """Oracle for the block walk: the RREF representatives one at a time, as
-    k x n uint8 matrices, pivot sets in lexicographic order and the free
-    entries through itertools.product."""
-    for pivots in combinations(range(n), k):
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        base = np.zeros((k, n), dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        for vals in product(range(q), repeat=len(free_pos)):
-            V = base.copy()
-            for (i, j), v in zip(free_pos, vals):
-                V[i, j] = v
-            yield V
-
-
-def scalar_is_mrd(t, G):
-    """Oracle for the subspace criterion: rank(V G^T) = k for every V of the
-    scalar walk, each product and each rank one matrix at a time."""
-    k, n = G.shape
-    return all(
-        moore.rank_fqm(t, scalar_matmul(t, V, G.T)) == k for V in scalar_subspaces(n, k, t.q)
-    )
 
 
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
