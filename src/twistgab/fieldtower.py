@@ -23,11 +23,11 @@ build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
 the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
 2^16 for every p, is checked before any other work.
 
-:func:`default_tower` and :func:`tower_from_json` return one shared tower per
-``TowerParams`` per process; a failed build is not kept, so it fails the same
-way on every call.  A tower is safe to share: its tables are tuples and
-read-only numpy arrays, and the one thing filled after construction, the
-subfield element cache, is filled deterministically.
+:func:`default_tower` returns one shared tower per (p, e, m) per process;
+:func:`tower_from_json` and ``FieldTower`` build a new one on every call.  A
+tower is safe to share: its tables are tuples and read-only numpy arrays, and
+the one thing filled after construction, the subfield element cache, is filled
+deterministically.
 """
 
 from __future__ import annotations
@@ -103,12 +103,13 @@ def _poly_trim(cs: list[int]) -> list[int]:
 def _poly_mul(field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
+    add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
+                    out[i + j] = add(out[i + j], mul(x, y))
     return _poly_trim(out)
 
 
@@ -117,16 +118,17 @@ def _poly_divmod(field, a: Sequence[int], b: Sequence[int]):
     _poly_trim(a)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = field.sub, field.mul
     lead_inv = field.inv(b[-1])
     db = len(b) - 1
     quot = [0] * max(0, len(a) - db)
     while len(a) > db:
-        c = field.mul(a.pop(), lead_inv)  # c * b cancels the popped leading term
+        c = mul(a.pop(), lead_inv)  # c * b cancels the popped leading term
         s = len(a) - db
         quot[s] = c
         for j in range(db):
             if b[j]:
-                a[s + j] = field.sub(a[s + j], field.mul(c, b[j]))
+                a[s + j] = sub(a[s + j], mul(c, b[j]))
         _poly_trim(a)
     return quot, a
 
@@ -137,8 +139,9 @@ def _poly_powmod(field, base: Sequence[int], exp: int, mod: Sequence[int]) -> li
     while exp:
         if exp & 1:
             result = _poly_divmod(field, _poly_mul(field, result, cur), mod)[1]
-        cur = _poly_divmod(field, _poly_mul(field, cur, cur), mod)[1]
         exp >>= 1
+        if exp:
+            cur = _poly_divmod(field, _poly_mul(field, cur, cur), mod)[1]
     return result
 
 
@@ -168,6 +171,8 @@ def _find_factor(field, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
     for d in range(1, deg // 2 + 1):
         for tail in range(q**d):
             cand = _monic(q, d, tail)
+            if cand[0] == 0 and poly[0] != 0:
+                continue  # y divides cand but not poly
             if not _poly_divmod(field, poly, cand)[1]:
                 return tuple(cand)
     return None
@@ -317,17 +322,17 @@ class FieldTower:
         self.base_modulus = base
 
         top = params.top_modulus
-        if top is None:
+        if top is None:  # the search checks irreducibility by the same trial division
             top = _find_irreducible(
                 self._sf, m, want_primitive_y=self.order > _PRIMITIVE_Y_ABOVE
             )
-        top = tuple(int(c) for c in top)
-        if len(top) != m + 1 or top[-1] != 1:
-            raise FieldConstructionError(f"top_modulus must be monic of degree {m}")
-        if any(not 0 <= c < self.q for c in top):
-            raise FieldConstructionError(f"top_modulus coefficients must lie in [0, {self.q})")
-        if m > 1:
-            factor = _find_factor(self._sf, top)
+        else:
+            top = tuple(int(c) for c in top)
+            if len(top) != m + 1 or top[-1] != 1:
+                raise FieldConstructionError(f"top_modulus must be monic of degree {m}")
+            if any(not 0 <= c < self.q for c in top):
+                raise FieldConstructionError(f"top_modulus coefficients must lie in [0, {self.q})")
+            factor = _find_factor(self._sf, top) if m > 1 else None
             if factor is not None:
                 raise FieldConstructionError(
                     f"top_modulus {list(top)} is reducible over F_{self.q}: "
@@ -371,35 +376,40 @@ class FieldTower:
     def _build_log_tables(self) -> None:
         """Powers of the generator, the first primitive element in counting order.
 
-        For m > 1 the search starts in effect at y = q: 1, ..., q - 1 lie in
-        F_q^*, whose orders divide q - 1.
+        For m > 1 the search starts at y = q: 1, ..., q - 1 lie in F_q^*,
+        whose orders divide q - 1.
 
         The powers are built by doubling.  An element is its d = e * m base-p
-        digits, and multiplying by the generator is the F_p-linear map A on
-        them (column j is the product of p^j and the generator).  Rows E hold
-        the digits of the first 2^r powers; [E; E A^T] holds the first 2^(r+1),
-        and A becomes A^2, multiplication by the generator to the 2^(r+1).
-        The generator is primitive iff its n1 first powers are n1 distinct
-        non-zero elements.
+        digits, and multiplying by the generator is the F_p-linear map on them
+        whose row j, in the matrix M, is the digits of p^j times the generator.
+        Rows E[:k] hold the digits of the first k powers; E[:k] M gives the next
+        k, and M becomes M^2, multiplication by the generator to the 2k.  The
+        generator is primitive iff its n1 first powers are the n1 non-zero
+        elements.
         """
         n1 = self._group = self.order - 1
         p, d = self.p, self.e * self.m
         sf, top = self._sf, self.top_modulus
         gen = next(
-            (c for c in range(1, self.order) if _is_primitive(sf, self._digits_of(c), top)), None
+            (c for c in range(self.q if self.m > 1 else 1, self.order)
+             if _is_primitive(sf, self._digits_of(c), top)),
+            None,
         )
         if gen is None:
             raise FieldConstructionError("no multiplicative generator found")
         places = p ** np.arange(d, dtype=np.int64)
-        A = np.array([self._mul_raw(p**j, gen) for j in range(d)], dtype=np.int64)
-        A = (A[:, None] // places % p).T  # A[:, j] = digits of p^j * gen
-        E = np.zeros((1, d), dtype=np.int64)
+        M = np.array([self._mul_raw(p**j, gen) for j in range(d)], dtype=np.int64)
+        M = M[:, None] // places % p
+        E = np.zeros((1 << (n1 - 1).bit_length(), d), dtype=np.int64)
         E[0, 0] = 1
         # entries of a product are sums of d terms below p^2, and d (p - 1)^2 < 2^63
         # for every tower up to the order limit
-        while len(E) < n1:
-            E = np.concatenate([E, E @ A.T % p])
-            A = A @ A % p
+        k = 1
+        while k < n1:
+            np.remainder(E[:k] @ M, p, out=E[k : 2 * k])
+            k *= 2
+            if k < n1:
+                M = M @ M % p
         exp = E[:n1] @ places
         if (np.bincount(exp, minlength=self.order)[1:] != 1).any():
             raise FieldConstructionError("generator order check failed")
@@ -410,14 +420,13 @@ class FieldTower:
         # log 0 is the sentinel 2 * n1: a sum of two logs indexes the doubled
         # exp table below 2 * n1 - 1 when both factors are non-zero, and its
         # zero tail [2 * n1, 4 * n1] otherwise
+        log[0] = 2 * n1
         self._log_z = log
-        self._log_z[0] = 2 * n1
-        self._exp_z = np.zeros(4 * n1 + 1, dtype=np.int64)
-        self._exp_z[: 2 * n1] = np.tile(exp, 2)
-        self._inv_z = np.zeros(self.order, dtype=np.int64)
-        self._inv_z[1:] = self._exp_z[-self._log_z[1:] % n1]
+        self._exp_z = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)])
+        self._inv_z = self._exp_z[-log % n1]
+        self._inv_z[0] = 0
         for table in (self._log_z, self._exp_z, self._inv_z):
-            table.flags.writeable = False  # shared through _tower
+            table.flags.writeable = False  # shared through default_tower
 
     # -- scalar field operations -------------------------------------------------
 
@@ -701,14 +710,9 @@ class FieldTower:
 
 
 @functools.lru_cache(maxsize=None)
-def _tower(params: TowerParams) -> FieldTower:
-    """The one tower per params in this process; ``lru_cache`` keeps no exception."""
-    return FieldTower(params)
-
-
 def default_tower(p: int, e: int, m: int) -> FieldTower:
-    """The shared tower with verified default moduli for (p, e, m)."""
-    return _tower(TowerParams(p, e, m))
+    """Cached tower with verified default moduli for (p, e, m)."""
+    return FieldTower(TowerParams(p, e, m))
 
 
 def json_int(x) -> int:
@@ -733,14 +737,14 @@ def json_object(x, what: str) -> dict:
 
 
 def tower_from_json(obj: dict) -> FieldTower:
-    """The shared tower of the field-spec JSON object."""
+    """Build a tower from the field-spec JSON object."""
     obj = json_object(obj, "a field spec")
 
     def modulus(key):  # absent or [] picks the default
         cs = obj.get(key)
         return None if cs is None else tuple(json_int(c) for c in json_array(cs, key)) or None
 
-    return _tower(
+    return FieldTower(
         TowerParams(
             p=json_int(obj["p"]),
             e=json_int(obj["e"]),

@@ -402,30 +402,6 @@ class TestDeterminism:
         assert outs == alone and alone[0] != alone[1]
         assert cli.build_parser() is cli.build_parser()
 
-    def test_shared_towers_keep_each_field_report(self, tmp_path, capsys):
-        # F_2^5, F_2^6 and F_2^5 again in one process share one tower per field
-        # spec; each call writes the bytes of the same command in a fresh process
-        calls = []
-        for m in (5, 6):
-            field, code = tmp_path / f"field{m}.json", tmp_path / f"code{m}.json"
-            field.write_text(json.dumps({"p": 2, "e": 1, "m": m}))
-            code.write_text(json.dumps({
-                "alpha": [[int(i == j) for j in range(m)] for i in range(3)], "k": 1, "h": 0,
-                "twists": [{"t": 0, "eta": [0, 1] + [0] * (m - 2)}],
-            }))
-            calls.append(["covering", "--field", field, "--code", code])
-        alone = [
-            subprocess.run(
-                [sys.executable, "-m", "twistgab", *map(str, args)], capture_output=True, text=True
-            ).stdout
-            for args in calls
-        ]
-        outs = []
-        for args in (calls[0], calls[1], calls[0]):
-            assert run_main(args) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs == [alone[0], alone[1], alone[0]] and alone[0] != alone[1]
-
     def test_subprocess_entry_point(self, files):
         # the installed console script must behave like main()
         tmp, field, code = files

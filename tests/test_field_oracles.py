@@ -192,6 +192,10 @@ def test_log_tables_step_by_the_generator(pem):
     assert len(t._exp) == n1 and len(t._log) == t.order
     assert (t._exp_z[: 2 * n1] == np.tile(t._exp, 2)).all()
     assert (t._inv_z[t._exp_z[1:n1]] == t._exp_z[n1 - 1 : 0 : -1]).all()
+    # the zero sentinels: log 0, the exp tail it indexes, and inv 0
+    assert t._log[0] == 0 and t._log_z[0] == 2 * n1
+    assert len(t._exp_z) == 4 * n1 + 1 and not t._exp_z[2 * n1 :].any()
+    assert t._inv_z[0] == 0 and len(t._inv_z) == t.order
 
 
 def test_a_non_primitive_generator_fails_the_order_check(monkeypatch):
@@ -200,3 +204,59 @@ def test_a_non_primitive_generator_fails_the_order_check(monkeypatch):
     monkeypatch.setattr(fieldtower, "_is_primitive", lambda field, x, mod: list(x) == y3)
     with pytest.raises(FieldConstructionError, match="generator order check failed"):
         FieldTower(TowerParams(2, 1, 4, top_modulus=(1, 1, 0, 0, 1)))
+
+
+# the F_q levels the construction helpers run over: prime fields and F_4
+HELPER_FIELDS = {"F_2": fieldtower._PrimeField(2), "F_3": fieldtower._PrimeField(3),
+                 "F_4": default_tower(2, 2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(HELPER_FIELDS))
+def test_trial_division_finds_the_first_factor_in_counting_order(name):
+    # oracle: every monic candidate of degree 1 .. deg/2 in counting order,
+    # zero constant terms included; the first that divides is the factor
+    field = HELPER_FIELDS[name]
+    q = field.order
+    rng = random.Random(q)
+
+    def first_factor(poly):
+        for d in range(1, (len(poly) - 1) // 2 + 1):
+            for tail in range(q**d):
+                cand = fieldtower._monic(q, d, tail)
+                if not fieldtower._poly_divmod(field, poly, cand)[1]:
+                    return tuple(cand)
+        return None
+
+    for deg in range(2, 7):
+        for _ in range(40):
+            poly = [rng.randrange(q) for _ in range(deg)] + [1]
+            if rng.random() < 0.25:
+                poly[0] = 0  # y divides it
+            assert fieldtower._find_factor(field, poly) == first_factor(poly)
+
+
+@pytest.mark.parametrize("name", sorted(HELPER_FIELDS))
+def test_powmod_matches_repeated_products(name):
+    field = HELPER_FIELDS[name]
+    q = field.order
+    mod = list(fieldtower._find_irreducible(field, 3))
+    for base in ([0, 1], [1, 1], [q - 1, 0, 1]):
+        power = [1]
+        for exp in range(40):
+            assert fieldtower._poly_powmod(field, base, exp, mod) == power
+            power = fieldtower._poly_divmod(field, fieldtower._poly_mul(field, power, base), mod)[1]
+
+
+def test_a_default_modulus_is_checked_once(monkeypatch):
+    # the modulus search proves its result irreducible; the constructor does
+    # not divide it again
+    checked = []
+    find_factor = fieldtower._find_factor
+    monkeypatch.setattr(
+        fieldtower, "_find_factor", lambda field, poly: checked.append(tuple(poly)) or find_factor(field, poly)
+    )
+    t = FieldTower(TowerParams(2, 1, 6))
+    assert checked.count(t.top_modulus) == 1
+    checked.clear()
+    FieldTower(TowerParams(2, 1, 6, top_modulus=t.top_modulus))
+    assert checked == [t.top_modulus]

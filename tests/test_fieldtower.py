@@ -74,16 +74,17 @@ class TestConstruction:
 
 
 class TestSharedTowers:
-    def test_one_tower_per_field_spec(self):
-        obj = {"p": 2, "e": 1, "m": 5, "top_modulus": [1, 0, 1, 0, 0, 1]}
-        assert tower_from_json(obj) is tower_from_json(dict(obj))
-        assert tower_from_json({"p": 2, "e": 1, "m": 6}) is default_tower(2, 1, 6)
-
-    def test_explicit_default_modulus_is_a_separate_equal_tower(self):
+    def test_default_tower_is_shared_and_a_field_spec_builds_afresh(self):
         t = default_tower(2, 1, 6)
-        explicit = tower_from_json({"p": 2, "e": 1, "m": 6, "top_modulus": list(t.top_modulus)})
-        assert explicit is not t
-        assert (explicit._exp, explicit.generator, explicit.params) == (t._exp, t.generator, t.params)
+        assert default_tower(2, 1, 6) is t
+        built = [
+            tower_from_json({"p": 2, "e": 1, "m": 6}),
+            tower_from_json({"p": 2, "e": 1, "m": 6, "top_modulus": list(t.top_modulus)}),
+        ]
+        assert built[0] is not built[1]
+        for u in built:
+            assert u is not t
+            assert (u._exp, u.generator, u.params) == (t._exp, t.generator, t.params)
 
     @pytest.mark.parametrize("table", ["_exp_z", "_log_z", "_inv_z"])
     def test_shared_tables_are_read_only(self, table):
