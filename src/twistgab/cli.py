@@ -223,13 +223,10 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
         if any(len(tup) != len(ts) for tup in eta_tuples):
             raise ValueError(f"each eta tuple needs one eta per entry of ts = {list(ts)}")
         n_etas = len(eta_tuples)
-    n_specs = len(hs) * n_etas
-    per_spec = codes.projective_class_count(tower.order, k) + codes.projective_class_count(
-        tower.order, len(alpha) - k
-    )
-    if n_specs * per_spec > budgets.codewords:
+    needed = codes.distance_class_count(len(hs) * n_etas, tower.order, len(alpha), k)
+    if needed > budgets.codewords:
         raise BudgetExceededError(
-            f"sweep needs {n_specs * per_spec} enumeration steps, over the "
+            f"sweep needs {needed} enumeration steps, over the "
             f"codeword budget {budgets.codewords}; refusing to truncate"
         )
     return [

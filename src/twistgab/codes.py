@@ -7,14 +7,15 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
-enforced up front.  :func:`_class_message_blocks` yields the classes as numpy
-blocks of at most ``_BLOCK_ROWS`` messages.  Every route here runs over a
-stack of specs sharing the tower, n and k, as the specs of a sweep do, and the
-one-spec forms (:func:`classify`, :func:`min_rank_distance`,
-:func:`nmds_conditions`) are its stack of one.  ``moore.matmul`` encodes a
-block by every generator of the stack side by side, ``_BLOCK_ROWS`` codewords
-at a time, so memory stays bounded whatever the budget or the stack, and each
-block is folded once per weight: the code is weighed by rank
+enforced up front: the codeword cap counts the code's and the dual's classes
+together (:func:`distance_class_count`).  :func:`_class_message_blocks` yields
+the classes as ``moore.counter_blocks``.  Every route here runs over a stack of
+specs sharing the tower, n and k, as the specs of a sweep do, and the one-spec
+forms (:func:`classify`, :func:`min_rank_distance`, :func:`nmds_conditions`)
+are its stack of one.  ``moore.matmul`` encodes a block by the generators of
+the whole stack side by side, in steps of ``moore.blocks`` messages, so a step
+holds at most max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and
+each step is folded once per weight: the code is weighed by rank
 (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, its dual and
 :func:`min_hamming_distance` by Hamming weight alone.  The same blocks, taken
 over the stacked matrix [u; G] and led by u, are the codewords that
@@ -185,39 +186,21 @@ def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     return moore.matmul(spec.tower, message, generator_matrix(spec))
 
 
-# rows per message block of the distance enumeration
-_BLOCK_ROWS = 1 << 14
-
-
 def _class_message_blocks(order: int, k: int):
     """One representative per F_(q^m)^*-class of non-zero messages, lexicographic,
-    as int64 arrays of at most ``_BLOCK_ROWS`` rows.
-
-    The leading non-zero coordinate is normalized to 1; later coordinates run
-    through all values in counting order, the first of them fastest.  Block b
-    holds classes [b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS) of the sequence.
-    """
-    total = projective_class_count(order, k)
-    for start in range(0, total, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, total)
-        parts, first = [], 0  # first: sequence index of this lead's first class
-        for lead in range(k):
-            size = order ** (k - 1 - lead)
-            lo, hi = max(start, first), min(stop, first + size)
-            if lo < hi:
-                idx = np.arange(lo - first, hi - first, dtype=np.int64)
-                msgs = np.zeros((hi - lo, k), dtype=np.int64)
-                msgs[:, lead] = 1
-                for pos in range(lead + 1, k):
-                    msgs[:, pos] = idx % order
-                    idx //= order
-                parts.append(msgs)
-            first += size
-        yield np.concatenate(parts)
+    as ``moore.counter_blocks``, one segment per lead: the leading non-zero
+    coordinate is 1 and later ones count base q^m, the first fastest."""
+    return moore.counter_blocks((k,), (((lead,), range(lead + 1, k)) for lead in range(k)), order)
 
 
 def projective_class_count(order: int, k: int) -> int:
     return (order**k - 1) // (order - 1)
+
+
+def distance_class_count(size: int, order: int, n: int, k: int) -> int:
+    """Message classes the distance enumeration of a stack of ``size``
+    [n, k] codes visits: the code's and the dual's, per spec."""
+    return size * (projective_class_count(order, k) + projective_class_count(order, n - k))
 
 
 def _rank_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
@@ -237,32 +220,28 @@ def _min_weights_of_matrix(
 
     The stack shares one enumeration, whose S * (classes) steps must fit the
     codeword cap.  Each class block is encoded by every generator side by side
-    (``moore.matmul`` by the k x (S * n) matrix of the stack), at most
-    ``_BLOCK_ROWS`` codewords per product, and folded once per weight.  A
-    witness is the first codeword, in class enumeration order, of minimum
-    weight: the first minimum of a block (``argmin``), and a later block
-    replaces it only with a strictly smaller weight.
+    (``moore.matmul`` by the k x (S * n) matrix of the stack), in steps of
+    ``moore.blocks`` messages, and folded once per weight.  A witness is the
+    first codeword, in class enumeration order, of minimum weight: the first
+    minimum of a step (``argmin``), and a later step replaces it only with a
+    strictly smaller weight.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
     check_budget("codeword", S * projective_class_count(tower.order, k), budget)
-    rows = _BLOCK_ROWS
-    step = max(1, rows // S)  # messages per product
-    wides = [(lo, Gs[lo : lo + rows].transpose(1, 0, 2).reshape(k, -1)) for lo in range(0, S, rows)]
+    wide, at = Gs.transpose(1, 0, 2).reshape(k, -1), np.arange(S)
     best = np.full((len(weights), S), n + 1)
     witness = np.zeros((len(weights), S, n), dtype=np.int64)
     for block in _class_message_blocks(tower.order, k):
-        for a in range(0, len(block), step):
-            msgs = block[a : a + step]
-            for lo, wide in wides:
-                words = moore.matmul(tower, msgs, wide).reshape(len(msgs), -1, n)
-                at = np.arange(words.shape[1])
-                for j, weigh in enumerate(weights):
-                    w = weigh(tower, words.reshape(-1, n)).reshape(len(msgs), -1)
-                    i = np.argmin(w, axis=0)
-                    better = np.flatnonzero(w[i, at] < best[j, lo + at])
-                    best[j, lo + better] = w[i[better], better]
-                    witness[j, lo + better] = words[i[better], better]
+        for step in moore.blocks(len(block), S):
+            msgs = block[step]
+            words = moore.matmul(tower, msgs, wide).reshape(len(msgs), S, n)
+            for j, weigh in enumerate(weights):
+                w = weigh(tower, words.reshape(-1, n)).reshape(len(msgs), S)
+                i = np.argmin(w, axis=0)
+                better = np.flatnonzero(w[i, at] < best[j])
+                best[j, better] = w[i[better], better]
+                witness[j, better] = words[i[better], better]
     return [
         tuple(x for d, wit in zip(ds, wits) for x in (d, tuple(wit)))
         for ds, wits in zip(best.T.tolist(), witness.transpose(1, 0, 2).tolist())
@@ -280,7 +259,7 @@ def _generator_stack(specs: Sequence[CodeSpec]) -> np.ndarray:
 
 
 def min_rank_distance_many(
-    specs: Sequence[CodeSpec], budgets: Budgets = Budgets(), *, Gs: Optional[np.ndarray] = None
+    specs: Sequence[CodeSpec], budgets: Budgets = Budgets()
 ) -> list[DistanceReport]:
     """Per spec of a stack (one tower, n and k), the exact minimum rank
     distance by scalar-class enumeration, with all flags.
@@ -288,13 +267,14 @@ def min_rank_distance_many(
     One enumeration weighs every generator by rank and by Hamming weight; the
     NMDS flag needs the dual's minimum Hamming distance, which one more
     enumeration takes over the dual bases (``moore.nullspace_fqm`` per spec),
-    weighed by Hamming weight only.  Gs, when given, is the stack of
-    ``generator_matrix(spec)``, built once by the caller.
+    weighed by Hamming weight only.  The codeword cap counts both before
+    either runs (:func:`distance_class_count`).
     """
     specs = list(specs)
-    if Gs is None:
-        Gs = _generator_stack(specs)
-    t, n, k = specs[0].tower, specs[0].n, specs[0].k
+    Gs = _generator_stack(specs)
+    S, k, n = Gs.shape
+    t = specs[0].tower
+    check_budget("codeword", distance_class_count(S, t.order, n, k), budgets.codewords)
     code = _min_weights_of_matrix(t, Gs, budgets.codewords)
     Hs = np.stack([moore.nullspace_fqm(t, G) for G in Gs])
     dual = _min_weights_of_matrix(t, Hs, budgets.codewords, (_hamming_weights,))
@@ -315,13 +295,10 @@ def min_rank_distance_many(
     ]
 
 
-def min_rank_distance(
-    spec: CodeSpec, budgets: Budgets = Budgets(), *, G: Optional[np.ndarray] = None
-) -> DistanceReport:
+def min_rank_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
     """Exact minimum rank distance and all flags: the stack of one of
-    :func:`min_rank_distance_many`.  G, when given, is ``generator_matrix(spec)``."""
-    Gs = None if G is None else np.asarray(G)[None]
-    return min_rank_distance_many([spec], budgets, Gs=Gs)[0]
+    :func:`min_rank_distance_many`."""
+    return min_rank_distance_many([spec], budgets)[0]
 
 
 def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
@@ -346,8 +323,8 @@ def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
     column-rank conditions of :func:`nmds_conditions`, as an (S, 3) bool array.
 
     Each condition is one batched elimination over the column subsets of every
-    generator of the stack, concatenated: at most ``_BLOCK_ROWS`` subsets of a
-    size per elimination, in whole generators.
+    generator of the stack, concatenated, in steps of ``moore.blocks`` whole
+    generators.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
@@ -356,10 +333,9 @@ def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
         raise SpecInvariantError(
             f"generator matrix {int(deficient[0])} of the stack must have full rank k"
         )
-    per = max(1, _BLOCK_ROWS // max(comb(n, size) for size in (k - 1, k, k + 1)))
     out = []
-    for lo in range(0, S, per):
-        G = Gs[lo : lo + per]
+    for step in moore.blocks(S, max(comb(n, size) for size in (k - 1, k, k + 1))):
+        G = Gs[step]
         cond_i = tower.rank_many(_column_stack(G, k - 1)) == k - 1
         cond_ii = tower.det_many(_column_stack(G, k)) == 0
         cond_iii = tower.rank_many(_column_stack(G, k + 1)) == k
@@ -394,9 +370,8 @@ def classify_many(specs: Sequence[CodeSpec], budgets: Budgets = Budgets()) -> li
     raises ConsistencyError with a witness description.
     """
     specs = list(specs)
-    Gs = _generator_stack(specs)
-    reports = min_rank_distance_many(specs, budgets, Gs=Gs)
-    conditions = nmds_conditions_many(specs[0].tower, Gs).tolist()
+    reports = min_rank_distance_many(specs, budgets)
+    conditions = nmds_conditions_many(specs[0].tower, _generator_stack(specs)).tolist()
     for spec, report, (cond_i, cond_ii, cond_iii) in zip(specs, reports, conditions):
         structural = {
             "is_mds": not cond_ii,

@@ -9,7 +9,7 @@ independent (w-1)-tuple by every c of F_(q^m), the span-membership grid of the
 tuple counting those outside its span; indices and syndromes are packed base
 q^m and summed from q^m-entry tables per B.  Layers fold into one int64 per
 coset, min(rank * q^(mn) + index), its minimum and first minimum-weight vector,
-until every coset is reached.  Memory is O(``codes._BLOCK_ROWS`` + cosets).
+until every coset is reached.  Memory is O(``moore.BLOCK_ROWS`` + cosets).
 The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import codes, moore
+from . import moore
 from .budget import Budgets, check_budget
 from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
@@ -94,8 +94,8 @@ def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def contains_many(spec: CodeSpec, U) -> np.ndarray:
     """Per row u of U, True iff u lies in the code's row space: rank [G; u] = k."""
-    U, G, rows = _vectors(spec, U), generator_matrix(spec), codes._BLOCK_ROWS
-    ranks = [spec.tower.rank_many(_extended(G, U[s : s + rows])) for s in range(0, len(U), rows)]
+    U, G = _vectors(spec, U), generator_matrix(spec)
+    ranks = [spec.tower.rank_many(_extended(G, U[step])) for step in moore.blocks(len(U))]
     return np.concatenate([np.zeros(0, dtype=np.int64), *ranks]) == spec.k
 
 
@@ -115,9 +115,9 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
     weight of u + c; the codeword budget counts len(U) * q^(mk).
 
     The classes of [u; G] led by u, messages (1, m), come first in the
-    enumeration; each block of their m is encoded once by G, and ``step``
-    vectors u at a time are added to every codeword of it, at most
-    ``codes._BLOCK_ROWS`` sums per step.  It stops once every distance is 0.
+    enumeration; each block of their m is encoded once by G, and every codeword
+    of it is added to the vectors u of each ``moore.blocks`` step.  It stops
+    once every distance is 0.
     """
     U, t, n = _vectors(spec, U), spec.tower, spec.n
     check_distance_budget(spec, len(U), budgets)
@@ -127,11 +127,10 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
         if not len(msgs) or not best.any():
             break
         words = moore.matmul(t, msgs, G)
-        step = max(1, codes._BLOCK_ROWS // len(words))
-        for lo in range(0, len(U), step):
-            sums = t.add_many(U[lo : lo + step, None], words).reshape(-1, n)
+        for step in moore.blocks(len(U), len(words)):
+            sums = t.add_many(U[step, None], words).reshape(-1, n)
             ranks = t.fq_rank_many(list(sums.T)).reshape(-1, len(words))
-            best[lo : lo + step] = np.minimum(best[lo : lo + step], ranks.min(axis=1))
+            best[step] = np.minimum(best[step], ranks.min(axis=1))
     return best
 
 
@@ -160,18 +159,18 @@ def _layer_size(q: int, m: int, n: int, w: int) -> int:
     return gaussian_binomial(n, w, q) * prod(q**m - q**i for i in range(w))
 
 
-def _independent_tuples(t: FieldTower, multiples: np.ndarray, length: int, rows: int):
-    """The ordered F_q-independent ``length``-tuples of F_(q^m), in chunks of at
-    most ``rows``, each with the membership grid of its F_q-span (rows of q^m
-    bools): a tuple extends its prefix by an element outside the prefix's span."""
+def _independent_tuples(t: FieldTower, multiples: np.ndarray, length: int, width: int):
+    """The ordered F_q-independent ``length``-tuples of F_(q^m), in ``moore.blocks``
+    of tuples ``width`` rows wide, each with the membership grid of its F_q-span
+    (rows of q^m bools): a tuple extends its prefix by an element outside its span."""
     if length == 0:
         yield np.zeros((1, 0), dtype=np.int64), (np.arange(t.order) == 0)[None]
         return
-    for tuples, member in _independent_tuples(t, multiples, length - 1, rows):
+    for tuples, member in _independent_tuples(t, multiples, length - 1, width):
         span = np.nonzero(member)[1].reshape(len(member), -1)
         parent, x = np.nonzero(~member)
-        for lo in range(0, len(x), rows):
-            p, a = parent[lo : lo + rows], x[lo : lo + rows]
+        for step in moore.blocks(len(x), width):
+            p, a = parent[step], x[step]
             grid = np.zeros((len(a), t.order), dtype=bool)
             span_a = t.add_many(span[p][:, :, None], multiples[a][:, None, :])
             np.put_along_axis(grid, span_a.reshape(len(a), -1), True, 1)
@@ -193,7 +192,6 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     multiples = t.mul_many(c[:, None], np.arange(q))  # [c, a] = a * c
     places = N ** np.arange(n, dtype=np.int64)  # component j of an index
     synd_places = N ** np.arange(n - k - 1, -1, -1, dtype=np.int64)  # entry r of a syndrome
-    rows = max(1, codes._BLOCK_ROWS // N)  # vectors per step, in whole rows of q^m
     best = np.full(coset_count, unreached, dtype=np.int64)
     best[0], visited = 0, 1  # layer 0: the zero vector
     for w in range(1, min(n, t.m) + 1):
@@ -203,12 +201,13 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
         visited, emitted = visited + size, 0
         if visited > budgets.ambient:
             return None
-        blocks = _subspace_blocks(n, w, q, Budgets(subspaces=budgets.ambient))
-        for B in (blk[lo : lo + rows] for blk in blocks for lo in range(0, len(blk), rows)):
+        # each B is a row of q^m vectors c * B, each tuple a row of q^m * len(B)
+        blocks = _subspace_blocks(n, w, q)
+        for B in (blk[step] for blk in blocks for step in moore.blocks(len(blk), N)):
             # packed index and syndrome of c * B_i, per c, B and i
             idx_tab = multiples[:, B] @ places
             syn_tab = t.mul_many(c[:, None, None, None], moore.matmul(t, B, H.T)) @ synd_places
-            for tuples, member in _independent_tuples(t, multiples, w - 1, rows // len(B) or 1):
+            for tuples, member in _independent_tuples(t, multiples, w - 1, N * len(B)):
                 idx = syn = np.zeros((len(tuples), len(B)), dtype=np.int64)
                 for i, a in enumerate(tuples.T):
                     idx = t.add_many(idx, idx_tab[a, :, i], n)

@@ -8,17 +8,58 @@ explicitly.  Row/column indices are 0-based here; reports and docs speaking of
 :func:`det_fqm`, :func:`rank_fqm` and :func:`nullspace_fqm` eliminate one
 matrix with the scalar ``_gauss_jordan``; stacks of matrices go through
 :meth:`FieldTower.rank_many` and :meth:`FieldTower.det_many`, which these
-scalar forms check in the tests.
+scalar forms check in the tests.  The block policy of every batched route is
+here too: :data:`BLOCK_ROWS`, the step slices :func:`blocks` and the block
+enumerator :func:`counter_blocks`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from math import prod
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fieldtower import Element, FieldTower, _gauss_jordan, _nullspace
+
+# rows per block of every batched route
+BLOCK_ROWS = 1 << 14
+
+
+def blocks(total: int, width: int = 1) -> Iterator[slice]:
+    """Slices of range(total), each of max(1, BLOCK_ROWS // width) items (an
+    empty width counts as 1): a step of items ``width`` rows wide holds at most
+    max(BLOCK_ROWS, width) rows."""
+    step = max(1, BLOCK_ROWS // max(1, width))
+    for lo in range(0, total, step):
+        yield slice(lo, min(lo + step, total))
+
+
+def counter_blocks(shape: tuple[int, ...], segments: Iterable, base: int) -> Iterator[np.ndarray]:
+    """The items of every segment in order, as int64 arrays of ``shape``, in
+    blocks of ``BLOCK_ROWS`` items filled across segments; only the last block
+    may hold fewer.  A segment (ones, digits) holds base ** len(digits) items:
+    flat positions ``ones`` are 1, flat positions ``digits`` count base
+    ``base``, the first fastest, and all others are 0."""
+    rows, pieces, held = BLOCK_ROWS, [], 0
+    for ones, digits in segments:
+        count, start = base ** len(digits), 0
+        while start < count:
+            stop = min(count, start + rows - held)
+            idx = np.arange(start, stop, dtype=np.int64)
+            piece = np.zeros((stop - start, prod(shape)), dtype=np.int64)
+            piece[:, list(ones)] = 1
+            for pos in digits:
+                piece[:, pos] = idx % base
+                idx //= base
+            pieces.append(piece.reshape(-1, *shape))
+            held, start = held + stop - start, stop
+            if held == rows:
+                yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def moore_matrix(tower: FieldTower, alpha: Sequence[Element], k: int) -> np.ndarray:

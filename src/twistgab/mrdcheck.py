@@ -9,8 +9,9 @@ block of representatives at once (:func:`_subspace_blocks`, ``moore.matmul``)
 and eliminates the whole block in one batched Gauss-Jordan
 (:meth:`FieldTower.rank_many`, :meth:`FieldTower.det_many`); blocks come in
 enumeration order and a witness is the first V of its block in row order, so
-it is the first V in that order.  :func:`matrix_is_mrd_many` walks the blocks
-once for a whole stack of generators: the specs of a sweep
+it is the first V in that order.  Each route checks the subspaces cap itself
+before it walks.  :func:`matrix_is_mrd_many` walks the blocks once for a whole
+stack of generators: the specs of a sweep
 (:func:`is_mrd_subspace_criterion_many`, in stacks that fit the subspaces cap)
 or every [G; u] of the deep-hole extension route.  :func:`matrix_is_mrd` and
 :func:`is_mrd_subspace_criterion` are the stack of one.
@@ -50,38 +51,26 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _subspace_blocks(n: int, k: int, q: int, budgets: Budgets = Budgets()) -> Iterator[np.ndarray]:
+def _subspace_blocks(n: int, k: int, q: int) -> Iterator[np.ndarray]:
     """All RREF representatives of k-dimensional row spaces of F_q^(k x n), as
-    (B, k, n) int64 blocks of ``codes._BLOCK_ROWS`` digit matrices; only the
-    last block may hold fewer.
-
-    Pivot sets come in lexicographic order; within a set the free entries (row
-    by row) count base q, the last fastest.  A block is filled in that order
-    and may span several pivot sets.
+    (B, k, n) int64 ``moore.counter_blocks`` of digit matrices, one segment per
+    pivot set: a block may span several.  Pivot sets come in lexicographic
+    order; within a set the free entries (row by row) count base q, the last
+    fastest.  Callers check the subspaces cap.
     """
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
     expected = gaussian_binomial(n, k, q)
-    check_budget("subspace", expected, budgets.subspaces)
-    rows, pieces, held, emitted = codes._BLOCK_ROWS, [], 0, 0
-    for pivots in combinations(range(n), k):
-        free_pos = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
-        size, start = q ** len(free_pos), 0
-        while start < size:
-            stop = min(size, start + rows - held)
-            idx = np.arange(start, stop, dtype=np.int64)
-            piece = np.zeros((len(idx), k, n), dtype=np.int64)
-            piece[:, range(k), pivots] = 1
-            for i, j in reversed(free_pos):
-                piece[:, i, j] = idx % q
-                idx //= q
-            pieces.append(piece)
-            held, emitted, start = held + len(piece), emitted + len(piece), stop
-            if held == rows:
-                yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-                pieces, held = [], 0
-    if pieces:
-        yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    segments = (
+        ([i * n + p for i, p in enumerate(pivots)],
+         [i * n + j for i in reversed(range(k)) for j in reversed(range(pivots[i] + 1, n))
+          if j not in pivots])
+        for pivots in combinations(range(n), k)
+    )
+    emitted = 0
+    for block in moore.counter_blocks((k, n), segments, q):
+        emitted += len(block)
+        yield block
     if emitted != expected:
         raise ConsistencyError(
             f"subspace enumeration produced {emitted} representatives, "
@@ -93,37 +82,31 @@ def enumerate_subspaces(n: int, k: int, q: int, budgets: Budgets = Budgets()) ->
     """The representatives of :func:`_subspace_blocks` one at a time, as uint8."""
     if q > 256:
         raise ValueError("uint8 digit matrices need q <= 256")
-    for block in _subspace_blocks(n, k, q, budgets):
+    check_budget("subspace", gaussian_binomial(n, k, q), budgets.subspaces)
+    for block in _subspace_blocks(n, k, q):
         yield from block.astype(np.uint8)
 
 
 def matrix_is_mrd_many(tower: FieldTower, Gs, budgets: Budgets = Budgets()) -> np.ndarray:
     """Per generator G of an (S, k, n) stack of full-rank matrices, True iff
     rank(V G^T) = k for every representative V; the S * [n, k]_q products must
-    fit the subspaces cap.  One walk serves the stack: per block of V, one
-    ``moore.matmul`` by every G^T side by side and one ``rank_many``,
-    ``codes._BLOCK_ROWS`` products at a time.  A G leaves at its first
-    rank-deficient product; the side-by-side G^T of the live generators is
-    gathered again only when one has left.  The walk stops after the block in
-    which the last leaves.
+    fit the subspaces cap.  One walk serves the stack: per block of V, the
+    G^T of the live generators side by side, gathered again for each block,
+    and per step of ``moore.blocks`` representatives one ``moore.matmul`` and
+    one ``rank_many``.  A G leaves at its first rank-deficient product; the
+    walk stops after the block in which the last leaves.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
     check_budget("subspace", S * gaussian_binomial(n, k, tower.q), budgets.subspaces)
-    rows, mrd, live = codes._BLOCK_ROWS, np.ones(S, dtype=bool), None
-    for Vs in _subspace_blocks(n, k, tower.q, budgets):
-        if live is None or len(live) != np.count_nonzero(mrd):
-            live = np.flatnonzero(mrd)
-            step = max(1, rows // max(1, len(live)))  # representatives per block of products
-            wides = [
-                (at, Gs[at].transpose(2, 0, 1).reshape(n, -1))
-                for at in (live[s : s + rows] for s in range(0, len(live), rows))
-            ]
-        for lo in range(0, len(Vs), step):
-            for at, wide in wides:
-                prods = moore.matmul(tower, Vs[lo : lo + step], wide).reshape(-1, k, len(at), k)
-                ranks = tower.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
-                mrd[at] &= (ranks.reshape(-1, len(at)) == k).all(axis=0)
+    mrd = np.ones(S, dtype=bool)
+    for Vs in _subspace_blocks(n, k, tower.q):
+        live = np.flatnonzero(mrd)
+        wide = Gs[live].transpose(2, 0, 1).reshape(n, -1)
+        for step in moore.blocks(len(Vs), len(live)):
+            prods = moore.matmul(tower, Vs[step], wide).reshape(-1, k, len(live), k)
+            ranks = tower.rank_many(prods.transpose(0, 2, 1, 3).reshape(-1, k, k))
+            mrd[live] &= (ranks.reshape(-1, len(live)) == k).all(axis=0)
         if not mrd.any():
             break
     return mrd
@@ -217,10 +200,11 @@ def forbidden_eta_set_one_twist(
         raise SpecInvariantError("alpha components must be F_q-independent")
     if not 0 <= h <= k - 1 or not 0 <= t <= n - k - 1:
         raise SpecInvariantError("need 0 <= h <= k-1 and 0 <= t <= n-k-1")
+    check_budget("subspace", gaussian_binomial(n, k, tower.q), budgets.subspaces)
     M = moore.moore_matrix(tower, alpha, k)
     Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
-    for Vs in _subspace_blocks(n, k, tower.q, budgets):
+    for Vs in _subspace_blocks(n, k, tower.q):
         dens = tower.det_many(moore.matmul(tower, Vs, M.T))
         zero = np.flatnonzero(dens == 0)
         if len(zero):
@@ -344,11 +328,12 @@ def mrd_membership_multi(
     twisted row.
     """
     t = spec.tower
+    check_budget("subspace", gaussian_binomial(spec.n, spec.k, t.q), budgets.subspaces)
     terms = [(t.one, moore.moore_matrix(t, spec.alpha, spec.k))] + [
         (ej, moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj))
         for tj, ej in spec.twists
     ]
-    for Vs in _subspace_blocks(spec.n, spec.k, t.q, budgets):
+    for Vs in _subspace_blocks(spec.n, spec.k, t.q):
         acc = 0
         for e, X in terms:
             acc = t.add_many(acc, t.mul_many(e, t.det_many(moore.matmul(t, Vs, X.T))))

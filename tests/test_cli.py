@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -218,6 +221,28 @@ class TestClassify:
     def test_budget_exit_code(self, files):
         _, field, code = files
         assert run_main(["classify", "--field", field, "--code", code, "--budget-codewords", "3"]) == 3
+
+    def test_code_and_one_spec_sweep_share_the_codeword_cap(self, tmp_path, capsys):
+        # F_32, n=5, k=2: 33 message classes of the code and 1057 of its dual;
+        # the cap counts their sum, 1090, for --code as for a one-spec sweep
+        field = tmp_path / "field5.json"
+        field.write_text(json.dumps({"p": 2, "e": 1, "m": 5}))
+        alpha = [[int(i == j) for j in range(5)] for i in range(5)]
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps({"alpha": alpha, "k": 2, "h": 0,
+                                    "twists": [{"t": 0, "eta": [0, 1, 0, 0, 0]}]}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"alpha": alpha, "k": 2, "h": 0, "ts": [0],
+                                     "etas": [[[0, 1, 0, 0, 0]]]}))
+        for cap, status in ((1089, 3), (1090, 0)):
+            outs = []
+            for source in (["--code", code], ["--sweep", sweep]):
+                args = ["classify", "--field", field, *source, "--budget-codewords", cap]
+                assert run_main(args) == status, (cap, source)
+                captured = capsys.readouterr()
+                assert ("1090" in captured.err) == (status == 3)
+                outs.append(captured.out)
+            assert outs[0] == outs[1]
 
     def test_environment_sets_no_budget(self, files, capsys, monkeypatch):
         # budgets come from the flags alone; a cap in the environment is ignored
@@ -781,3 +806,95 @@ class TestCanonicalJson:
             assert canonical_json(obj) == json_oracle(obj)
         golden = json.loads((Path(__file__).parent / "golden_sweep_q2_m4_k2.json").read_text())
         assert canonical_json(golden) == json_oracle(golden)
+
+
+# values that no well-formed input holds where a small integer or an element is due
+BAD_VALUES = [True, False, None, 2.0, 0.5, "2", [], [1, 1], {}, 2**70, -(2**70), 10**9, -1, 0, 17, 40]
+# towers (p, e, m) small enough for any run under the fuzz's budgets
+FUZZ_TOWERS = [(2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
+
+
+@st.composite
+def fuzz_run(draw):
+    """One command line with its field, code, sweep and task files: well-formed
+    inputs in which each value, key, file and flag is broken at a drawn rate."""
+    rnd = draw(st.randoms(use_true_random=True))
+    rate = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3]))
+    p, e, m = rnd.choice(FUZZ_TOWERS)
+
+    def bad():
+        return rnd.choice(BAD_VALUES) if rnd.random() < 0.7 else rnd.randint(-3, 20)
+
+    def maybe(value):
+        return bad() if rnd.random() < rate else value
+
+    def broken(obj):  # each key dropped or given a bad value at the rate
+        for key in list(obj):
+            if rnd.random() < rate:
+                del obj[key]
+        return {key: maybe(value) for key, value in obj.items()}
+
+    def element():
+        length = m + rnd.choice([0, 0, 0, -1, 1]) if rnd.random() < rate else m
+        digits = [[rnd.randrange(p) for _ in range(e)] if e > 1 else rnd.randrange(p)
+                  for _ in range(length)]
+        return maybe([maybe(d) for d in digits])
+
+    def ints(lo, hi, size):
+        return [maybe(rnd.randint(lo, hi)) for _ in range(rnd.randint(0, size))]
+
+    def count(lo, hi):  # a flag value, below lo at the rate
+        return rnd.randint(lo - 2, lo - 1) if rnd.random() < rate else rnd.randint(lo, hi)
+
+    n = rnd.randint(2, m + (rnd.random() < rate))
+    unit = [[int(i == j) for j in range(m)] for i in range(n)]
+    alpha = unit if rnd.random() < 0.7 else [element() for _ in range(n)]
+    k = rnd.randint(1, max(1, n - 1))
+    ts = sorted(rnd.sample(range(max(1, n - k)), rnd.choice([0, 1, 1, 1, 2]) if n - k > 1 else 1))
+    ts = [maybe(t) for t in ts]
+    k = maybe(k)
+    moduli = {key: ints(0, p - 1, m + 1) for key in ("top_modulus", "base_modulus") if rnd.random() < rate}
+    field = broken({"p": p, "e": e, "m": m, **moduli})
+    twists = [broken({"t": t, "eta": element()}) for t in ts]
+    code = broken({"alpha": alpha, "k": k, "h": 0, "twists": twists})
+    if not twists:
+        code.pop("h", None)
+    etas = rnd.choice(["all", [[element() for _ in ts] for _ in range(rnd.randint(1, 3))]])
+    sweep = broken({"alpha": alpha, "k": k, "h": rnd.choice([0, [0, 1], ints(0, 2, 3)]),
+                    "ts": ts, "etas": etas})
+    task = {
+        "mode": rnd.choice(["nested", "scalar", "sum-product-free", "bogus"]),
+        "alpha": alpha, "k": k, "h": 0, "ts": ts, "degrees": ints(1, m, 2),
+        "etas": [element() for _ in range(rnd.randint(1, 2))],
+        "scalars": [element() for _ in range(rnd.randint(0, 2))], "s": rnd.randint(1, m),
+    }
+    if (p, e, m) == (2, 1, 4) and rnd.random() < 0.5:  # the README's nested task over F_4 < F_16
+        task.update(mode="nested", degrees=[2], etas=[[0, 1, 0, 0]], alpha=[[1, 0, 0, 0], [0, 1, 1, 0]],
+                    k=1, ts=[0])
+    task = broken(task)
+    docs = {"field": field, "code": code, "sweep": sweep, "task": task}
+    docs = {name: maybe(doc) for name, doc in docs.items()}
+    command = rnd.choice(["classify", "forbidden", "construct", "covering", "deephole"])
+    flags = [f"--{name}" for name in docs if rnd.random() >= rate]
+    options = [x for flag in ("--budget-subspaces", "--budget-codewords", "--budget-ambient")
+               for x in (flag, count(1, 3000))]
+    options += ["--grid", count(0, 20), "--sample", count(0, 70), "--seed", rnd.randint(0, 3)]
+    return command, docs, flags, options
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(run=fuzz_run())
+    def test_every_input_ends_in_a_documented_exit(self, run):
+        command, docs, flags, options = run
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [command]
+            for flag in flags:
+                path = Path(tmp) / f"{flag[2:]}.json"
+                path.write_text(json.dumps(docs[flag[2:]]))
+                args += [flag, path]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = run_main([*args, *options])
+        assert status in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()

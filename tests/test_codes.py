@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import polynomial_basis
 from oracles import scalar_codewords
 
-from twistgab import codes, moore, mrdcheck
+from twistgab import moore, mrdcheck
 from twistgab.codes import (
     CodeSpec,
     _class_message_blocks,
@@ -270,7 +270,7 @@ def test_encode_matches_scalar_encoder(name, data):
 
 
 def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, monkeypatch):
-    monkeypatch.setattr(codes, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(moore, "BLOCK_ROWS", 3)
     for order, k in ((16, 2), (16, 3), (9, 3), (4, 1)):
         blocks = list(_class_message_blocks(order, k))
         assert all(1 <= len(b) <= 3 for b in blocks)
@@ -390,7 +390,7 @@ class TestStacks:
         conditions = [nmds_conditions(t, G) for G in Gs]
         subspace = [mrdcheck.is_mrd_subspace_criterion(spec) for spec in specs]
         # blocks of 3 or 7 rows split class blocks and spec chunks mid-stack
-        monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
         stacked = classify_many(specs)
         for spec, got, want in zip(specs, stacked, alone):
             assert got == want, spec  # dataclass equality: every field and both witnesses

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import polynomial_basis
 from oracles import DISTANCE_TOWERS, scalar_codewords, scalar_is_mrd, tower_from
-from twistgab import codes
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
@@ -57,7 +56,7 @@ def _scan_blocks(spec):
     x = np.arange(N, dtype=np.int64)
     tables = [[t.mul_many(np.int64(h), x) for h in row] for row in H]  # h_ij * c
     multiples = t.mul_many(x[:, None], np.arange(q, dtype=np.int64))  # [c, a] = a * c
-    prefixes, step = N ** (n - 1), max(1, codes._BLOCK_ROWS // N)
+    prefixes, step = N ** (n - 1), max(1, moore.BLOCK_ROWS // N)
     for lo in range(0, prefixes, step):
         pre = np.arange(lo, min(lo + step, prefixes), dtype=np.int64)
         comps = [pre // N**j % N for j in range(n - 1)]
@@ -250,7 +249,7 @@ class TestExhaustiveCoveringRadius:
         oracle = _scan(spec)
         if chunk is not None:
             chunk = 1 if chunk == 1 else 5 * spec.tower.order + 3
-            monkeypatch.setattr(codes, "_BLOCK_ROWS", chunk)
+            monkeypatch.setattr(moore, "BLOCK_ROWS", chunk)
         assert np.array_equal(cov._walk(spec, Budgets()), oracle)
 
     def test_layer_sizes_partition_the_space(self):
@@ -275,7 +274,7 @@ class TestExhaustiveCoveringRadius:
         default = cov.covering_radius_exhaustive(spec)
         # one prefix per chunk, then five prefixes with a ragged last chunk
         for chunk in (1, 5 * N + 3):
-            monkeypatch.setattr(codes, "_BLOCK_ROWS", chunk)
+            monkeypatch.setattr(moore, "BLOCK_ROWS", chunk)
             assert cov.covering_radius_exhaustive(spec) == default
 
     def test_uncovered_coset_raises_consistency_error(self, monkeypatch):
@@ -562,7 +561,7 @@ def test_distance_to_code_matches_scalar_oracle(block_rows, case):
     spec, u = case
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+            mp.setattr(moore, "BLOCK_ROWS", block_rows)
         assert cov.distance_to_code(spec, u) == scalar_distance(spec, u)
 
 
@@ -578,7 +577,7 @@ def test_batched_distance_and_contains_match_scalar_oracles(block_rows, case):
     assume(any(expected) and not all(expected))
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+            mp.setattr(moore, "BLOCK_ROWS", block_rows)
         assert cov.contains_many(spec, U).tolist() == expected
         assert cov.distance_to_code_many(spec, U).tolist() == [scalar_distance(spec, u) for u in U]
 
@@ -599,7 +598,7 @@ def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, da
     G = generator_matrix(spec)
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+            mp.setattr(moore, "BLOCK_ROWS", block_rows)
         got = cov.deep_hole_via_extension_many(spec, U).tolist()
     assert got == [scalar_is_mrd(spec.tower, np.vstack([G, u])) for u in U]
     assert got[:2] == [True, True] and got[-1] == (spec.n - spec.k == 1)

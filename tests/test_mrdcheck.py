@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import polynomial_basis
 from oracles import scalar_is_mrd, scalar_matmul, scalar_subspaces
-from twistgab import codes, moore
+from twistgab import moore
 from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, generator_matrix, min_rank_distance
@@ -41,9 +41,9 @@ def test_subspace_blocks_match_scalar_oracle(block_rows, n, data):
     q = data.draw(st.sampled_from([2, 3, 4, 5]))
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(codes, "_BLOCK_ROWS", block_rows)
+            mp.setattr(moore, "BLOCK_ROWS", block_rows)
         blocks = list(mc._subspace_blocks(n, k, q))
-        limit = codes._BLOCK_ROWS
+        limit = moore.BLOCK_ROWS
     expected = [V.tolist() for V in scalar_subspaces(n, k, q)]
     assert len(expected) == mc.gaussian_binomial(n, k, q)
     assert [V.tolist() for b in blocks for V in b] == expected
@@ -332,7 +332,7 @@ class TestBlockWalkWitnesses:
 
     def test_violating_v_is_the_first_of_the_scalar_walk(self, monkeypatch, name, block_rows):
         if block_rows is not None:
-            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
         t, rng = WITNESS_TOWERS[name], random.Random(name)
         verdicts = set()
         for _ in range(30):
@@ -353,7 +353,7 @@ class TestBlockWalkWitnesses:
         self, monkeypatch, name, block_rows
     ):
         if block_rows is not None:
-            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
         t, rng = WITNESS_TOWERS[name], random.Random(name)
         for _ in range(6):
             spec = random_twisted_spec(t, rng, max_twists=1)
@@ -374,7 +374,7 @@ class TestBlockWalkWitnesses:
         # a Moore matrix whose third column is the sum of the first two makes
         # |V M^T| vanish on every V whose row space holds (1, 1, -1)
         if block_rows is not None:
-            monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
         t = WITNESS_TOWERS[name]
         moore_matrix = moore.moore_matrix
 
@@ -402,7 +402,7 @@ def second_block_failure():
     Gabidulin [6, 2] generator] with w = (1, 0, 0, 0, 1, 0): every other vector
     of that row space has rank weight >= 5 - 1 > 3, so the first violating V
     is the first one whose row space holds w, which is representative
-    4^7 = _BLOCK_ROWS.
+    4^7 = moore.BLOCK_ROWS.
     """
     t = default_tower(2, 2, 6)
     W = np.vstack([[1, 0, 0, 0, 1, 0], moore.moore_matrix(t, polynomial_basis(t, 6), 2)])
@@ -426,7 +426,7 @@ def test_block_walk_memory_bound(monkeypatch):
     t, G = second_block_failure()
     n, k = 6, 3
     assert G.shape == (k, n)
-    limit = codes._BLOCK_ROWS
+    limit = moore.BLOCK_ROWS
     assert limit == 4**7
     sizes = [len(b) for b in mc._subspace_blocks(n, k, t.q)]
     assert max(sizes) <= limit < 4**9
@@ -450,7 +450,7 @@ def test_stack_walk_stops_after_the_block_of_the_last_failure(monkeypatch):
     G1 = G.copy()
     G1[0] = [0, 0, 0, 0, 0, 1]
     assert moore.rank_fqm(t, G1) == 3
-    limit = codes._BLOCK_ROWS
+    limit = moore.BLOCK_ROWS
     walked = spy_blocks(monkeypatch)
     assert mc.matrix_is_mrd_many(t, [G1]).tolist() == [False]
     assert walked == [limit]
@@ -475,7 +475,7 @@ def test_stack_walk_matches_scalar_criterion_per_generator(monkeypatch, name, bl
     expected = [scalar_is_mrd(t, G) for G in Gs]
     assert set(expected) == {True, False}
     if block_rows is not None:
-        monkeypatch.setattr(codes, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
     assert mc.matrix_is_mrd_many(t, np.stack(Gs)).tolist() == expected
     assert [mc.matrix_is_mrd(t, G) for G in Gs] == expected
 
@@ -672,7 +672,7 @@ def test_a_block_across_two_pivot_sets_keeps_the_scalar_order(monkeypatch):
     t = WITNESS_TOWERS["F16"]
     alpha = polynomial_basis(t, 3)
     walk = list(scalar_subspaces(3, 2, t.q))
-    monkeypatch.setattr(codes, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(moore, "BLOCK_ROWS", 3)
     blocks = list(mc._subspace_blocks(3, 2, t.q))
     assert [len(b) for b in blocks] == [3, 3, 1]
     assert [tuple(np.argmax(V != 0, axis=1)) for V in blocks[1]] == [(0, 1), (0, 2), (0, 2)]
