@@ -17,9 +17,7 @@ the whole stack side by side, in steps of ``moore.blocks`` messages, so a step
 holds at most max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and
 each step is folded once per weight: the code is weighed by rank
 (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, its dual and
-:func:`min_hamming_distance` by Hamming weight alone.  The same blocks, taken
-over the stacked matrix [u; G] and led by u, are the codewords that
-``covering.distance_to_code_many`` adds to every vector of a stack.
+:func:`min_hamming_distance` by Hamming weight alone.
 
 The structural route, :func:`nmds_conditions_many`, reads column ranks of the
 generators by batched elimination (:meth:`FieldTower.rank_many`,

@@ -14,7 +14,7 @@ The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
 route (:func:`distance_to_code_many`) is independent of the walk: it encodes
-each numpy block of the distance enumeration's messages once with
+each ``moore.counter_blocks`` block of all q^(mk) messages once with
 ``moore.matmul``, adds every u to it and weighs the sums with ``fq_rank_many``;
 its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).  The
 extension route (:func:`deep_hole_via_extension_many`) is the subspace
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import moore
 from .budget import Budgets, check_budget
-from .codes import CodeSpec, _class_message_blocks, encode, generator_matrix
+from .codes import CodeSpec, encode, generator_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd_many
@@ -114,17 +114,16 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
     """Per row u of U, the exact min over all q^(mk) codewords c of the rank
     weight of u + c; the codeword budget counts len(U) * q^(mk).
 
-    The classes of [u; G] led by u, messages (1, m), come first in the
-    enumeration; each block of their m is encoded once by G, and every codeword
-    of it is added to the vectors u of each ``moore.blocks`` step.  It stops
-    once every distance is 0.
+    The messages m come as ``moore.counter_blocks`` of one segment, every
+    coordinate counting base q^m; each block is encoded once by G, and every
+    codeword of it is added to the vectors u of each ``moore.blocks`` step.
+    It stops once every distance is 0.
     """
-    U, t, n = _vectors(spec, U), spec.tower, spec.n
+    U, t, n, k = _vectors(spec, U), spec.tower, spec.n, spec.k
     check_distance_budget(spec, len(U), budgets)
     G, best = generator_matrix(spec), np.full(len(U), n)
-    for msgs in _class_message_blocks(t.order, spec.k + 1):
-        msgs = msgs[msgs[:, 0] == 1, 1:]
-        if not len(msgs) or not best.any():
+    for msgs in moore.counter_blocks((k,), [((), range(k))], t.order):
+        if not best.any():
             break
         words = moore.matmul(t, msgs, G)
         for step in moore.blocks(len(U), len(words)):

@@ -182,11 +182,10 @@ def _find_irreducible(field, deg: int, want_primitive_y: bool = False) -> tuple[
     """Smallest-in-counting-order monic irreducible of given degree over `field`.
 
     With ``want_primitive_y`` the search continues until the class of y
-    generates the multiplicative group; a plain irreducible is returned if
-    none is found.
+    generates the multiplicative group; a primitive polynomial exists in every
+    degree over every finite field, so the search always ends in the loop.
     """
     q = field.order
-    first_irreducible = None
     for tail in range(1, q**deg):
         cand = _monic(q, deg, tail)
         if cand[0] == 0:
@@ -195,10 +194,6 @@ def _find_irreducible(field, deg: int, want_primitive_y: bool = False) -> tuple[
             continue
         if not want_primitive_y or _is_primitive(field, [0, 1], cand):
             return tuple(cand)
-        if first_irreducible is None:
-            first_irreducible = tuple(cand)
-    if first_irreducible is not None:
-        return first_irreducible
     raise FieldConstructionError(f"no irreducible of degree {deg} over F_{q} found")
 
 

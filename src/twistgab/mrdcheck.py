@@ -21,6 +21,12 @@ minor of the generator vanishes, materialized per k-subset of evaluation
 points through the g_h^(t) scalars (one ``KSubsetTable`` per (alpha, k) holds
 the subsets, their annihilators and the g columns), or per subspace V through
 determinant ratios.
+
+:func:`construct_chain_mrd` is the one route of the guaranteed-MRD
+constructions, for each mode of :class:`SubfieldChain` (nested subfield
+chains, scalar multiples, 1-sum-product-free tuples): it checks the shared
+hypotheses, then those of the mode, and re-verifies the code by
+:func:`mrd_membership_multi` exactly when [n, k]_q fits the subspaces cap.
 """
 
 from __future__ import annotations
@@ -345,31 +351,33 @@ def mrd_membership_multi(
 
 @dataclass(frozen=True)
 class SubfieldChain:
-    """Subfield data for the guaranteed-MRD constructions.
+    """Subfield data of one guaranteed-MRD construction, in one of three modes.
 
-    Nested mode: degrees (s_1, ..., s_l) with q < q^(s_1) < ... < q^m a strict
+    "nested": degrees (s_1, ..., s_l) with q < q^(s_1) < ... < q^m a strict
     chain of subfields and eta_i in F_(q^(s_(i+1))) minus F_(q^(s_i)).
-    Scalar mode: a single degree s, eta_1 outside F_(q^s), and multipliers
-    b_i in F_(q^s)^* defining eta_i = b_i eta_1.
+    "scalar": a single degree s; etas holds eta_1, outside F_(q^s), then the
+    multipliers b_i in F_(q^s)^* that define eta_i = b_i eta_1.
+    "sum-product-free": a single degree s and etas 1-sum-product free over
+    F_(q^s).
     """
 
+    mode: str
     degrees: tuple[int, ...]
     etas: tuple[Element, ...]
-    scalars: tuple[Element, ...] = ()
 
     @classmethod
     def nested(cls, degrees: Sequence[int], etas: Sequence[Element]) -> "SubfieldChain":
-        return cls(tuple(degrees), tuple(etas))
+        return cls("nested", tuple(degrees), tuple(etas))
 
     @classmethod
     def scalar_multiple(
         cls, s: int, eta1: Element, multipliers: Sequence[Element]
     ) -> "SubfieldChain":
-        return cls((s,), (eta1,), tuple(multipliers))
+        return cls("scalar", (s,), (eta1, *multipliers))
 
-    @property
-    def mode(self) -> str:
-        return "scalar" if self.scalars else "nested"
+    @classmethod
+    def sum_product_free(cls, s: int, etas: Sequence[Element]) -> "SubfieldChain":
+        return cls("sum-product-free", (s,), tuple(etas))
 
 
 def construct_chain_mrd(
@@ -380,70 +388,77 @@ def construct_chain_mrd(
     h: int,
     ts: Sequence[int],
     budgets: Budgets = Budgets(),
-) -> CodeSpec:
-    """Build a CodeSpec that the subfield constructions guarantee to be MRD.
+) -> tuple[CodeSpec, bool]:
+    """The CodeSpec that ``chain`` guarantees to be MRD, and whether it was
+    re-verified; the one construction route of every mode.
 
-    Checks every membership hypothesis (naming the failing level) and, when
-    the subspace count fits the budget, re-verifies MRD via
-    mrd_membership_multi.
+    Checks the hypotheses of every mode (a non-empty chain, proper subfield
+    degrees of m, n <= s_1, alpha inside F_(q^(s_1)), one twist exponent per
+    eta), then those of the chain's mode, naming the failing level; alpha's
+    independence is left to ``CodeSpec``, whose invariants are checked before
+    the sum-product test.  The spec is re-verified by
+    :func:`mrd_membership_multi` exactly when [n, k]_q fits the subspaces cap.
     """
     ts = tuple(int(x) for x in ts)
-    n = len(alpha)
-    degrees = chain.degrees
-    s1 = degrees[0]
-    if n > s1:
-        raise SpecInvariantError(f"need n <= s_1, got n={n}, s_1={s1}")
+    n, degrees, etas = len(alpha), chain.degrees, list(chain.etas)
+    if not degrees or not etas:
+        raise SpecInvariantError(f"{chain.mode} mode needs non-empty degrees and etas")
+    if chain.mode != "nested" and len(degrees) != 1:
+        raise SpecInvariantError(f"{chain.mode} mode needs exactly one degree")
     for lvl, s in enumerate(degrees, start=1):
         if not 1 < s < tower.m or tower.m % s != 0:
             raise SpecInvariantError(
                 f"s_{lvl} = {s} is not a proper intermediate subfield degree of m = {tower.m}"
             )
+    s1 = degrees[0]
+    if n > s1:
+        raise SpecInvariantError(f"need n <= s_1, got n={n}, s_1={s1}")
     for i, a in enumerate(alpha):
         if not tower.subfield_membership(a, s1):
             raise SpecInvariantError(f"alpha[{i}] is not in F_(q^{s1})")
-    if tower.fq_rank(alpha) != n:
-        raise SpecInvariantError("alpha components must be F_q-independent")
+    if len(ts) != len(etas):
+        raise SpecInvariantError("need one twist exponent per eta")
 
-    if chain.mode == "scalar":
-        s = s1
-        eta1 = chain.etas[0]
-        if tower.subfield_membership(eta1, s):
-            raise SpecInvariantError("eta_1 must lie outside F_(q^s) (level 1)")
-        etas = [eta1]
-        for i, b in enumerate(chain.scalars, start=2):
-            if b == 0 or not tower.subfield_membership(b, s):
-                raise SpecInvariantError(
-                    f"multiplier b_{i} must be a non-zero element of F_(q^{s}) (level {i})"
-                )
-            etas.append(tower.mul(b, eta1))
-    else:
-        if len(chain.etas) != len(degrees):
+    if chain.mode == "nested":
+        if len(etas) != len(degrees):
             raise SpecInvariantError("need one eta per chain level")
         for i in range(len(degrees) - 1):
             if degrees[i + 1] % degrees[i] != 0 or degrees[i + 1] <= degrees[i]:
                 raise SpecInvariantError(
                     f"degrees must form a strict divisor chain (level {i + 1})"
                 )
-        etas = []
-        for i, eta in enumerate(chain.etas, start=1):
-            s_i = degrees[i - 1]
-            s_next = degrees[i] if i < len(degrees) else tower.m
+        for i, (eta, s_i, s_next) in enumerate(zip(etas, degrees, [*degrees[1:], tower.m]), 1):
             if not tower.subfield_membership(eta, s_next):
                 raise SpecInvariantError(f"eta_{i} is not in F_(q^{s_next}) (level {i})")
             if tower.subfield_membership(eta, s_i):
                 raise SpecInvariantError(f"eta_{i} lies in F_(q^{s_i}) (level {i})")
-            etas.append(eta)
+    elif chain.mode == "scalar":
+        eta1 = etas[0]
+        if tower.subfield_membership(eta1, s1):
+            raise SpecInvariantError("eta_1 must lie outside F_(q^s) (level 1)")
+        for i, b in enumerate(etas[1:], start=2):
+            if b == 0 or not tower.subfield_membership(b, s1):
+                raise SpecInvariantError(
+                    f"multiplier b_{i} must be a non-zero element of F_(q^{s1}) (level {i})"
+                )
+        etas = [eta1] + [tower.mul(b, eta1) for b in etas[1:]]
+    elif chain.mode != "sum-product-free":
+        raise SpecInvariantError(f"unknown construction mode {chain.mode!r}")
 
-    if len(ts) != len(etas):
-        raise SpecInvariantError("need one twist exponent per eta")
+    # the spec's invariants (l <= n - k among them) before the (q^s)^l tuples
     spec = CodeSpec(tower, tuple(alpha), k, h, tuple(zip(ts, etas)))
-    if gaussian_binomial(n, k, tower.q) <= budgets.subspaces:
+    if chain.mode == "sum-product-free" and not sum_product_free_test(
+        tower, etas, s1, 1, budgets
+    ):
+        raise SpecInvariantError(f"etas are not 1-sum-product free over F_(q^{s1})")
+    verified = gaussian_binomial(n, k, tower.q) <= budgets.subspaces
+    if verified:
         ok, vio = mrd_membership_multi(spec, budgets)
         if not ok:
             raise ConsistencyError(
                 f"construction claimed MRD but V = {vio} violates the criterion"
             )
-    return spec
+    return spec, verified
 
 
 def sum_product_free_test(

@@ -253,21 +253,21 @@ def test_criterion_7_constructions():
                     # one twist, every admissible exponent, several etas
                     for tt in range(n - k):
                         for eta in rng.sample(outside, min(4, len(outside))):
-                            spec = mc.construct_chain_mrd(
+                            spec, rechecked = mc.construct_chain_mrd(
                                 t, mc.SubfieldChain.nested([s], [eta]), alpha, k, 0, [tt]
                             )
-                            assert mc.is_mrd_subspace_criterion(spec)
+                            assert rechecked and mc.is_mrd_subspace_criterion(spec)
                             verified += 1
                     # scalar-multiple pairs on contiguous exponents
                     if n - k >= 2:
                         for eta1 in rng.sample(outside, 2):
                             for b in rng.sample(inside, 2):
-                                spec = mc.construct_chain_mrd(
+                                spec, rechecked = mc.construct_chain_mrd(
                                     t,
                                     mc.SubfieldChain.scalar_multiple(s, eta1, [b]),
                                     alpha, k, 0, [0, 1],
                                 )
-                                assert mc.is_mrd_subspace_criterion(spec)
+                                assert rechecked and mc.is_mrd_subspace_criterion(spec)
                                 verified += 1
                     # sum-product-free triples
                     if n - k >= 3:

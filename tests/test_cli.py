@@ -515,9 +515,24 @@ class TestConstructAndCovering:
             "mode": "sum-product-free", "s": 0, "etas": [[0, 1, 0, 0]],
             "alpha": ALPHA16[:2], "k": 1, "ts": [0],
         }),
+        # alpha = (1, y^5) spans F_4; (y, y^6 = y^5 * y) is 1-sum-product free
+        # over F_4, so only the length of ts or of degrees is wrong below
+        ("construct", "--task", {
+            "mode": "sum-product-free", "s": 2, "etas": [[0, 1, 0, 0], [0, 0, 1, 1]],
+            "alpha": [[1, 0, 0, 0], [0, 1, 1, 0]], "k": 1, "ts": [0],
+        }),
+        ("construct", "--task", {
+            "mode": "sum-product-free", "s": 2, "etas": [[0, 1, 0, 0]],
+            "alpha": [[1, 0, 0, 0], [0, 1, 1, 0]], "k": 1, "ts": [0, 1, 2],
+        }),
+        ("construct", "--task", {
+            "mode": "scalar", "degrees": [2, 4], "etas": [[0, 1, 0, 0], [0, 0, 1, 1]],
+            "alpha": [[1, 0, 0, 0], [0, 1, 1, 0]], "k": 1, "ts": [0],
+        }),
     ], ids=[
         "sweep-array", "sweep-short-eta-tuple", "task-array", "task-empty-degrees",
         "sweep-k-20", "sweep-k-400", "sweep-k-0", "task-s-0",
+        "task-spf-short-ts", "task-spf-long-ts", "task-scalar-two-degrees",
     ])
     def test_sweep_and_task_of_wrong_shape(self, files, capsys, command, flag, obj):
         tmp, field, _ = files

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, product
 
 import random
@@ -495,10 +496,39 @@ class TestConstructions:
     def test_chain_l1(self, f256):
         alpha = f16_subbasis(f256, 4)
         eta = next(x for x in f256.nonzero_elements() if not f256.subfield_membership(x, 4))
-        spec = mc.construct_chain_mrd(
+        spec, verified = mc.construct_chain_mrd(
             f256, SubfieldChain.nested([4], [eta]), alpha, 2, 0, [0]
         )
-        assert mc.is_mrd_subspace_criterion(spec)
+        assert verified and mc.is_mrd_subspace_criterion(spec)
+
+    def test_verified_exactly_when_the_subspaces_fit_the_cap(self, f256):
+        alpha = f16_subbasis(f256, 4)
+        eta = next(x for x in f256.nonzero_elements() if not f256.subfield_membership(x, 4))
+        chain, count = SubfieldChain.nested([4], [eta]), mc.gaussian_binomial(4, 2, 2)
+        for cap, expected in ((count - 1, False), (count, True)):
+            _, verified = mc.construct_chain_mrd(
+                f256, chain, alpha, 2, 0, [0], Budgets(subspaces=cap)
+            )
+            assert verified is expected
+
+    @pytest.mark.parametrize("chain", [
+        SubfieldChain.nested([], []),
+        SubfieldChain.sum_product_free(4, []),
+    ], ids=["nested-empty", "spf-no-eta"])
+    def test_empty_chain_rejected(self, f256, chain):
+        with pytest.raises(SpecInvariantError, match="non-empty"):
+            mc.construct_chain_mrd(f256, chain, f16_subbasis(f256, 2), 1, 0, [])
+
+    def test_spec_invariants_come_before_the_sum_product_tuples(self, f256, monkeypatch):
+        # six twists cannot fit n - k = 3, so the 16^6 tuples of the test are never walked
+        eta1 = next(x for x in f256.nonzero_elements() if not f256.subfield_membership(x, 4))
+        etas = [f256.mul(b, eta1) for b in f256.subfield_elements(4)[1:7]]
+        monkeypatch.setattr(mc, "sum_product_free_test", None)
+        with pytest.raises(SpecInvariantError, match="twist exponents"):
+            mc.construct_chain_mrd(
+                f256, SubfieldChain.sum_product_free(4, etas), f16_subbasis(f256, 4), 1, 0,
+                range(6),
+            )
 
     def test_chain_l1_eta_inside_rejected(self, f256):
         alpha = f16_subbasis(f256, 4)
@@ -520,11 +550,11 @@ class TestConstructions:
         alpha = f16_subbasis(f256, 4)
         eta1 = next(x for x in f256.nonzero_elements() if not f256.subfield_membership(x, 4))
         b = f256.subfield_elements(4)[5]
-        spec = mc.construct_chain_mrd(
+        spec, verified = mc.construct_chain_mrd(
             f256, SubfieldChain.scalar_multiple(4, eta1, [b]), alpha, 2, 0, [0, 1]
         )
         assert spec.twists[1][1] == f256.mul(b, eta1)
-        assert mc.is_mrd_subspace_criterion(spec)
+        assert verified and mc.is_mrd_subspace_criterion(spec)
 
     def test_scalar_multiplier_outside_rejected(self, f256):
         alpha = f16_subbasis(f256, 4)
@@ -547,12 +577,12 @@ class TestConstructions:
             x for x in t.subfield_elements(8) if not t.subfield_membership(x, 4)
         )
         eta2 = next(x for x in t.nonzero_elements() if not t.subfield_membership(x, 8))
-        spec = mc.construct_chain_mrd(
+        spec, verified = mc.construct_chain_mrd(
             t, SubfieldChain.nested([4, 8], [eta1, eta2]), tuple(alpha), 2, 0, [0, 1]
         )
         # 35 subspaces fit the budget, so the constructor already verified MRD;
         # assert the criterion once more explicitly
-        assert mc.is_mrd_subspace_criterion(spec)
+        assert verified and mc.is_mrd_subspace_criterion(spec)
 
     def test_nested_l2_wrong_level_rejected(self):
         t = default_tower(2, 1, 16)
@@ -709,3 +739,105 @@ def test_a_block_across_two_pivot_sets_keeps_the_scalar_order(monkeypatch):
     walked.clear()
     assert not mc.matrix_is_mrd_many(t, np.stack(early + late)).any()
     assert walked == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# the paper's MRD theorems as properties over random small towers, each with a
+# proper subfield: F_2^4, F_2^6, F_2^8, F_3^4 and F_4^4
+
+PROPERTY_TOWERS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (3, 1, 4), (2, 2, 4)]
+MODES = ["nested", "scalar", "sum-product-free"]
+
+
+@cache
+def property_tower(params):
+    return default_tower(*params)
+
+
+def span(t, scalars, vectors):
+    """The span of ``vectors`` over the subfield whose elements are ``scalars``."""
+    out = {0}
+    for v in vectors:
+        out = {t.add(w, t.mul(a, v)) for w in out for a in scalars}
+    return out
+
+
+def draw_independent(t, data, pool, n):
+    """n F_q-independent elements drawn from ``pool``, one past the span of
+    the others at a time."""
+    fq, out = t.subfield_elements(1), []
+    for _ in range(n):
+        inside = span(t, fq, out)
+        out.append(data.draw(st.sampled_from([x for x in pool if x not in inside])))
+    return out
+
+
+def divisor_chains(m, s):
+    """Every strict divisor chain s = s_1 < s_2 < ... of proper divisors of m."""
+    longer = [
+        chain for d in range(s + 1, m) if m % d == 0 and d % s == 0
+        for chain in divisor_chains(m, d)
+    ]
+    return [(s,)] + [(s, *chain) for chain in longer]
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from(PROPERTY_TOWERS), mode=st.sampled_from(MODES), data=st.data())
+def test_every_construction_is_mrd_by_two_routes_it_does_not_call(params, mode, data):
+    t = property_tower(params)
+    s = data.draw(st.sampled_from([d for d in range(2, t.m) if t.m % d == 0]))
+    n = data.draw(st.integers(2, s))
+    k = data.draw(st.integers(1, n - 1))
+    h = data.draw(st.integers(0, k - 1))
+    sub = t.subfield_elements(s)
+    if mode == "nested":
+        degrees = data.draw(st.sampled_from(
+            [c for c in divisor_chains(t.m, s) if len(c) <= n - k]
+        ))
+        ell = len(degrees)
+    else:
+        ell = data.draw(st.integers(1, n - k))
+    ts = sorted(data.draw(st.sets(st.integers(0, n - k - 1), min_size=ell, max_size=ell)))
+    alpha = draw_independent(t, data, sub[1:], n)
+    outside = [x for x in t.nonzero_elements() if x not in sub]
+    if mode == "nested":
+        etas = [
+            data.draw(st.sampled_from([
+                x for x in t.subfield_elements(s_next) if not t.subfield_membership(x, s_i)
+            ]))
+            for s_i, s_next in zip(degrees, [*degrees[1:], t.m])
+        ]
+        chain = SubfieldChain.nested(degrees, etas)
+    elif mode == "scalar":
+        multipliers = [data.draw(st.sampled_from(sub[1:])) for _ in range(ell - 1)]
+        chain = SubfieldChain.scalar_multiple(s, data.draw(st.sampled_from(outside)), multipliers)
+    else:
+        # the next eta lies in the span W of the others, or outside W + F_(q^s),
+        # so no F_(q^s)-combination meets F_(q^s)^*
+        etas = []
+        for _ in range(ell):
+            W = span(t, sub, etas)
+            shifted = {t.add(w, c) for w in W for c in sub}
+            etas.append(data.draw(st.sampled_from(
+                [x for x in t.nonzero_elements() if x in W or x not in shifted]
+            )))
+        chain = SubfieldChain.sum_product_free(s, etas)
+    spec, verified = mc.construct_chain_mrd(t, chain, alpha, k, h, ts)
+    assert verified and spec.ell == ell
+    assert mc.is_mrd_subspace_criterion(spec)
+    assert min_rank_distance(spec).is_mrd
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from(PROPERTY_TOWERS), data=st.data())
+def test_norm_condition_implies_mrd(params, data):
+    t = property_tower(params)
+    n = data.draw(st.integers(2, min(4, t.m)))
+    k = data.draw(st.integers(1, n - 1))
+    h = data.draw(st.integers(0, k - 1))
+    alpha = draw_independent(t, data, t.nonzero_elements(), n)
+    eta = data.draw(st.sampled_from(t.nonzero_elements()))
+    spec = CodeSpec(t, alpha, k, h, ((0, eta),))
+    if mc.norm_mrd_condition(spec):
+        assert mc.is_mrd_subspace_criterion(spec)
+        assert min_rank_distance(spec).is_mrd
