@@ -28,9 +28,8 @@ class Budgets:
                every ``KSubsetTable`` (the table behind ``omega_one``,
                ``omega_one_prime``, ``omega_witness``, ``omega_two_materialize``
                and the Hamming route), the k- plus (k+1)-subset count of
-               ``hamming_class``, the eta-pair count of
-               ``omega_two_materialize`` and the tuple count of
-               ``sum_product_free_test``; each count is checked on its own.
+               ``hamming_class`` and the eta-pair count of
+               ``omega_two_materialize``; each count is checked on its own.
     codewords: message classes visited by distance enumeration.
     ambient:   vectors visited by the covering-radius walk, layer by layer in
                increasing rank weight, and, checked on its own, its coset count

@@ -321,8 +321,9 @@ def cmd_deephole(args) -> dict:
     # every vector the distance route may weigh, counted before the walk and the draws
     covering.check_distance_budget(spec, len(grid) + args.sample, budgets)
     rng = random.Random(args.seed)
-    report = covering.covering_radius_exhaustive(spec, budgets)
-    # all vectors are drawn first, each family's f and then each sample
+    # all vectors are drawn first, each family's f and then each sample; the
+    # families and the extension route refuse a code outside the one-twist
+    # t = 0 family before the covering walk
     families = [(g, fl, [tower.random_element(rng) for _ in range(spec.k)]) for g, fl in grid]
     us = [covering.deep_hole_family(spec, *family) for family in families]
     draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]
@@ -330,6 +331,7 @@ def cmd_deephole(args) -> dict:
     outside = samples[~covering.contains_many(spec, samples)]
     empty = np.zeros(0, dtype=bool)
     via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets) if len(outside) else empty
+    report = covering.covering_radius_exhaustive(spec, budgets)
     # one distance walk over the family vectors, then the samples outside the code
     stack = np.array([*us, *outside], dtype=np.int64).reshape(-1, spec.n)
     deep = covering.is_deep_hole_many(spec, stack, report, budgets) if len(stack) else empty

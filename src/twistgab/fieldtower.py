@@ -26,8 +26,7 @@ the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
 :func:`default_tower` returns one shared tower per (p, e, m) per process;
 :func:`tower_from_json` and ``FieldTower`` build a new one on every call.  A
 tower is safe to share: its tables are tuples and read-only numpy arrays, and
-the one thing filled after construction, the subfield element cache, is filled
-deterministically.
+nothing in it changes after construction.
 """
 
 from __future__ import annotations
@@ -339,7 +338,6 @@ class FieldTower:
         self.zero: Element = 0
         self.one: Element = 1
         self._build_log_tables()
-        self._subfield_cache: dict[int, tuple[Element, ...]] = {}
 
     # -- construction internals ------------------------------------------------
 
@@ -497,19 +495,20 @@ class FieldTower:
             raise ConsistencyError(f"norm of {x} is {out}, outside the base field F_{self.q}")
         return out
 
-    def subfield_membership(self, x: Element, s: int) -> bool:
-        """True iff x lies in F_(q^s); requires s | m."""
+    def _check_subfield(self, s: int) -> None:
         if s < 1 or self.m % s != 0:
             raise ValueError(f"F_(q^{s}) is not a subfield of F_(q^{self.m})")
+
+    def subfield_membership(self, x: Element, s: int) -> bool:
+        """True iff x lies in F_(q^s); requires s | m."""
+        self._check_subfield(s)
         return self.frobenius(x, s) == x
 
     def subfield_elements(self, s: int) -> tuple[Element, ...]:
-        """All q^s elements of the subfield F_(q^s), ascending."""
-        if s not in self._subfield_cache:
-            self._subfield_cache[s] = tuple(
-                x for x in range(self.order) if self.subfield_membership(x, s)
-            )
-        return self._subfield_cache[s]
+        """All q^s elements of the subfield F_(q^s), ascending: 0 and the powers
+        of g^((q^m - 1)/(q^s - 1)), which generates F_(q^s)^*; requires s | m."""
+        self._check_subfield(s)
+        return tuple(sorted([0, *self._exp[:: self._group // (self.q**s - 1)]]))
 
     # -- coordinates and F_q-linear algebra ---------------------------------------
 

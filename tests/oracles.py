@@ -88,6 +88,28 @@ def scalar_subspaces(n, k, q):
             yield V
 
 
+def sum_product_free_walk(tower, etas, s, t=1):
+    """Oracle for mrdcheck.sum_product_free_test: every F_(q^s)-coefficient
+    tuple on the products of up to t distinct etas, one scalar combination at
+    a time; free iff none lands in F_(q^s)^*."""
+    prods = []
+    for size in range(1, t + 1):
+        for ss in combinations(etas, size):
+            pi = 1
+            for eta in ss:
+                pi = tower.mul(pi, eta)
+            prods.append(pi)
+    sub = tower.subfield_elements(s)
+    sub_set = frozenset(sub)
+    for coeff in product(sub, repeat=len(prods)):
+        acc = 0
+        for a, pi in zip(coeff, prods):
+            acc = tower.add(acc, tower.mul(a, pi))
+        if acc != 0 and acc in sub_set:
+            return False
+    return True
+
+
 def scalar_is_mrd(t, G):
     """Oracle for the subspace criterion: rank(V G^T) = k for every V of the
     scalar walk, each product and each rank one matrix at a time."""

@@ -288,11 +288,25 @@ class TestSubfields:
     def test_bad_s(self, f16):
         with pytest.raises(ValueError):
             f16.subfield_membership(W, 3)
+        for s in (0, 3):
+            with pytest.raises(ValueError, match="not a subfield"):
+                f16.subfield_elements(s)
 
     def test_subfield_sizes(self, f256):
         assert len(f256.subfield_elements(1)) == 2
         assert len(f256.subfield_elements(2)) == 4
         assert len(f256.subfield_elements(4)) == 16
+
+    @pytest.mark.parametrize("pem", [
+        (2, 1, 4), (2, 1, 6), (2, 1, 16), (2, 2, 3), (3, 1, 4), (3, 2, 3), (5, 1, 3),
+    ], ids=lambda pem: "F_%d^%d^%d" % pem)
+    def test_elements_are_the_members(self, pem):
+        # the closed form (0 and the powers of one generator) against the
+        # Frobenius test on every element
+        t = default_tower(*pem)
+        for s in (d for d in range(1, t.m + 1) if t.m % d == 0):
+            members = tuple(x for x in t.elements() if t.subfield_membership(x, s))
+            assert t.subfield_elements(s) == members
 
 
 class TestRankWeight:

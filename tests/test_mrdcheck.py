@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import combinations, product
+from math import comb
 
 import random
 import re
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from oracles import scalar_is_mrd, scalar_matmul, scalar_subspaces
+from oracles import (
+    DISTANCE_TOWERS,
+    scalar_is_mrd,
+    scalar_matmul,
+    scalar_subspaces,
+    sum_product_free_walk,
+    tower_from,
+)
 from twistgab import moore
 from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
@@ -520,7 +528,7 @@ class TestConstructions:
             mc.construct_chain_mrd(f256, chain, f16_subbasis(f256, 2), 1, 0, [])
 
     def test_spec_invariants_come_before_the_sum_product_tuples(self, f256, monkeypatch):
-        # six twists cannot fit n - k = 3, so the 16^6 tuples of the test are never walked
+        # six twists cannot fit n - k = 3, so the sum-product test is never called
         eta1 = next(x for x in f256.nonzero_elements() if not f256.subfield_membership(x, 4))
         etas = [f256.mul(b, eta1) for b in f256.subfield_elements(4)[1:7]]
         monkeypatch.setattr(mc, "sum_product_free_test", None)
@@ -628,9 +636,48 @@ class TestSumProductFree:
         sq_in = f256.subfield_membership(f256.mul(eta1, eta1), 4)
         assert mc.sum_product_free_test(f256, [eta1], 4, 2) == (not sq_in)
 
-    def test_budget(self, f256):
-        with pytest.raises(BudgetExceededError):
-            mc.sum_product_free_test(f256, [3, 5, 9], 4, 1, Budgets(subspaces=10))
+    def test_four_etas_over_f2_16_are_decided(self):
+        # 2^32 coefficient tuples over F_256 < F_2^16: decided by one F_q rank,
+        # and the subspaces cap does not bound the test
+        t = default_tower(2, 1, 16)
+        beta = t.pow_(t.generator, 257)
+        etas = [t.mul(t.pow_(beta, i), W) for i in range(4)]
+        assert mc.sum_product_free_test(t, etas, 8)
+        assert not mc.sum_product_free_test(t, [*etas[:3], t.add(W, 1)], 8)
+        alpha = tuple(t.pow_(beta, i) for i in range(8))
+        spec, verified = mc.construct_chain_mrd(
+            t, SubfieldChain.sum_product_free(8, etas), alpha, 4, 0, range(4),
+            Budgets(subspaces=1),
+        )
+        assert not verified and spec.twists == tuple(zip(range(4), etas))
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_s_must_divide_m(self, f256, s):
+        with pytest.raises(ValueError):
+            mc.sum_product_free_test(f256, [W], s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sum_product_free_rank_matches_the_tuple_walk(data):
+    p, e, m = data.draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    # (s, t, l) whose (q^s)^(#products) coefficient tuples the walk can afford
+    shapes = [
+        (s, tt, ell)
+        for s in range(1, m + 1) if m % s == 0
+        for tt in (1, 2) for ell in (1, 2, 3)
+        if (t.q**s) ** sum(comb(ell, size) for size in range(1, tt + 1)) <= 4096
+    ]
+    s, tt, ell = data.draw(st.sampled_from(shapes))
+    sub = t.subfield_elements(s)
+    # each eta is an F_(q^s)-multiple of the first or any element, so both
+    # verdicts occur
+    etas = [data.draw(st.sampled_from(t.elements()))]
+    for _ in range(ell - 1):
+        scaled = t.mul(data.draw(st.sampled_from(sub)), etas[0])
+        etas.append(data.draw(st.one_of(st.just(scaled), st.sampled_from(t.elements()))))
+    assert mc.sum_product_free_test(t, etas, s, tt) == sum_product_free_walk(t, etas, s, tt)
 
 
 class TestNormCondition:
@@ -657,6 +704,18 @@ class TestNormCondition:
         for eta in (1, 3, 7):
             spec = CodeSpec(t, alpha, 2, 1, ((0, eta),))
             assert not mc.norm_mrd_condition(spec)
+
+    @pytest.mark.parametrize("pem", [(3, 1, 3), (2, 2, 3), (5, 1, 3)],
+                             ids=["F_3^3", "F_4^3", "F_5^3"])
+    def test_exact_at_n_equals_m(self, pem):
+        # Sheekey: at n = m, h = 0 and t = 0 the code is MRD iff
+        # N(eta) != (-1)^(mk), so the closed form meets the subspace criterion
+        t = default_tower(*pem)
+        alpha = tuple(t.q**i for i in range(t.m))
+        for k in range(1, t.m):
+            specs = [CodeSpec(t, alpha, k, 0, ((0, eta),)) for eta in t.nonzero_elements()]
+            verdicts = mc.is_mrd_subspace_criterion_many(specs).tolist()
+            assert [mc.norm_mrd_condition(spec) for spec in specs] == verdicts
 
     def test_requires_t0(self, f16, alpha4):
         spec = CodeSpec(f16, alpha4, 2, 0, ((1, W),))
