@@ -35,7 +35,7 @@ import numpy as np
 
 from . import codes, covering, mrdcheck
 from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import FieldTower, json_array, json_int, json_object, tower_from_json
 
 SCHEMA = "twistgab/1"
@@ -317,13 +317,14 @@ def cmd_deephole(args) -> dict:
     if args.grid < 0 or args.sample < 0:
         raise ValueError("--grid and --sample must be >= 0")
     tower, budgets, spec = _code_args(args)
+    if not covering.in_one_twist_t0_family(spec):
+        # whatever --grid and --sample ask for, before any draw or walk
+        raise SpecInvariantError(covering.FAMILY_REFUSAL)
     grid = list(islice(product(sorted(tower.nonzero_elements()), ("x^[k]", "x^[h]")), args.grid))
     # every vector the distance route may weigh, counted before the walk and the draws
     covering.check_distance_budget(spec, len(grid) + args.sample, budgets)
     rng = random.Random(args.seed)
-    # all vectors are drawn first, each family's f and then each sample; the
-    # families and the extension route refuse a code outside the one-twist
-    # t = 0 family before the covering walk
+    # all vectors are drawn first, each family's f and then each sample
     families = [(g, fl, [tower.random_element(rng) for _ in range(spec.k)]) for g, fl in grid]
     us = [covering.deep_hole_family(spec, *family) for family in families]
     draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]

@@ -7,16 +7,18 @@ alpha^[h] + sum_j eta_j alpha^[k+t_j], all other rows are plain Moore rows.
 
 Distance enumeration walks one representative per scalar class of non-zero
 messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
-enforced up front: the codeword cap counts the code's and the dual's classes
-together (:func:`distance_class_count`).  :func:`_class_message_blocks` yields
-the classes as ``moore.counter_blocks``.  Every route here runs over a stack of
-specs sharing the tower, n and k, as the specs of a sweep do, and the one-spec
-forms (:func:`classify`, :func:`min_rank_distance`, :func:`nmds_conditions`)
-are its stack of one.  ``moore.matmul`` encodes a block by the generators of
-the whole stack side by side, in steps of ``moore.blocks`` messages, so a step
-holds at most max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and
-each step is folded once per weight: the code is weighed by rank
-(:meth:`FieldTower.fq_rank_many`) and by Hamming weight, its dual and
+enforced up front: the codeword cap counts the code's and the dual's classes of
+every spec together (:func:`distance_class_count`), but only a spec with
+d_H = n - k, the one case a dual's distance decides, has its dual enumerated.
+:func:`_class_message_blocks` yields the classes as ``moore.counter_blocks``.
+Every route here runs over a stack of specs sharing the tower, n and k, as the
+specs of a sweep do, and the one-spec forms (:func:`classify`,
+:func:`min_rank_distance`, :func:`nmds_conditions`) are its stack of one.
+``moore.matmul`` encodes a block by the generators of the whole stack side by
+side, in steps of ``moore.blocks`` messages, so a step holds at most
+max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and each step is
+folded once per weight: the code is weighed by rank
+(:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual and
 :func:`min_hamming_distance` by Hamming weight alone.
 
 The structural route, :func:`nmds_conditions_many`, reads column ranks of the
@@ -196,8 +198,8 @@ def projective_class_count(order: int, k: int) -> int:
 
 
 def distance_class_count(size: int, order: int, n: int, k: int) -> int:
-    """Message classes the distance enumeration of a stack of ``size``
-    [n, k] codes visits: the code's and the dual's, per spec."""
+    """Message classes the codeword cap counts for the distances of a stack
+    of ``size`` [n, k] codes: the code's and the dual's, per spec."""
     return size * (projective_class_count(order, k) + projective_class_count(order, n - k))
 
 
@@ -262,11 +264,11 @@ def min_rank_distance_many(
     """Per spec of a stack (one tower, n and k), the exact minimum rank
     distance by scalar-class enumeration, with all flags.
 
-    One enumeration weighs every generator by rank and by Hamming weight; the
-    NMDS flag needs the dual's minimum Hamming distance, which one more
-    enumeration takes over the dual bases (``moore.nullspace_fqm`` per spec),
-    weighed by Hamming weight only.  The codeword cap counts both before
-    either runs (:func:`distance_class_count`).
+    One enumeration weighs every generator by rank and by Hamming weight.
+    NMDS needs d_H = n - k and a dual with d_H = k, so one more, by Hamming
+    weight only, takes the dual bases (``moore.nullspace_fqm``) of the specs
+    with d_H = n - k alone, if any.  The codeword cap counts every spec's
+    dual before either runs (:func:`distance_class_count`).
     """
     specs = list(specs)
     Gs = _generator_stack(specs)
@@ -274,8 +276,12 @@ def min_rank_distance_many(
     t = specs[0].tower
     check_budget("codeword", distance_class_count(S, t.order, n, k), budgets.codewords)
     code = _min_weights_of_matrix(t, Gs, budgets.codewords)
-    Hs = np.stack([moore.nullspace_fqm(t, G) for G in Gs])
-    dual = _min_weights_of_matrix(t, Hs, budgets.codewords, (_hamming_weights,))
+    near = [i for i, (_, _, d_h, _) in enumerate(code) if d_h == n - k]
+    dual = {}
+    if near:
+        Hs = np.stack([moore.nullspace_fqm(t, Gs[i]) for i in near])
+        dual_weights = _min_weights_of_matrix(t, Hs, budgets.codewords, (_hamming_weights,))
+        dual = dict(zip(near, dual_weights))
     return [
         DistanceReport(
             n=n,
@@ -285,11 +291,11 @@ def min_rank_distance_many(
             is_mrd=(d_r == n - k + 1),
             is_mds=(d_h == n - k + 1),
             is_amds=(d_h == n - k),
-            is_nmds=(d_h == n - k and d_h_dual == k),
+            is_nmds=(i in dual and dual[i][0] == k),
             rank_witness=wit_r,
             hamming_witness=wit_h,
         )
-        for (d_r, wit_r, d_h, wit_h), (d_h_dual, _) in zip(code, dual)
+        for i, (d_r, wit_r, d_h, wit_h) in enumerate(code)
     ]
 
 
@@ -362,10 +368,10 @@ def classify_many(specs: Sequence[CodeSpec], budgets: Budgets = Budgets()) -> li
     brute-force and structural routes cross-checked.
 
     The enumeration route (:func:`min_rank_distance_many`) computes exact
-    distances (code and dual); the structural route classifies via column
-    ranks of the generators (:func:`nmds_conditions_many`).  Each runs once
-    over the stack.  The first spec, in stack order, on which they disagree
-    raises ConsistencyError with a witness description.
+    distances (the dual's where d_H = n - k); the structural route classifies
+    via column ranks of the generators (:func:`nmds_conditions_many`).  Each
+    runs once over the stack.  The first spec, in stack order, on which they
+    disagree raises ConsistencyError with a witness description.
     """
     specs = list(specs)
     reports = min_rank_distance_many(specs, budgets)

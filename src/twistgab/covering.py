@@ -280,6 +280,14 @@ def is_deep_hole(spec: CodeSpec, u: Sequence[Element], report: Optional[Covering
     return bool(is_deep_hole_many(spec, [u], report, budgets)[0])
 
 
+FAMILY_REFUSAL = "deep-hole families are defined for one twist with t = 0"
+
+
+def in_one_twist_t0_family(spec: CodeSpec) -> bool:
+    """Whether spec has one twist, at t = 0: the codes the deep-hole routes know."""
+    return spec.ell == 1 and spec.twists[0][0] == 0
+
+
 def deep_hole_via_extension_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np.ndarray:
     """Per row u of U, the deep-hole test for the one-twist t = 0 family: by the
     extension theorem, u is a deep hole iff [G; u] is MRD, which
@@ -287,7 +295,7 @@ def deep_hole_via_extension_many(spec: CodeSpec, U, budgets: Budgets = Budgets()
     one subspace walk.
     """
     U = _vectors(spec, U)
-    if spec.ell != 1 or spec.twists[0][0] != 0:
+    if not in_one_twist_t0_family(spec):
         raise SpecInvariantError("extension test applies to a single twist with t = 0")
     if contains_many(spec, U).any():
         raise SpecInvariantError("u lies in the code; the extension would be degenerate")
@@ -311,8 +319,8 @@ def deep_hole_family(
     Both families are guaranteed deep holes of the single-twist t = 0 code;
     flavor is "x^[k]" or "x^[h]".
     """
-    if spec.ell != 1 or spec.twists[0][0] != 0:
-        raise SpecInvariantError("deep-hole families are defined for one twist with t = 0")
+    if not in_one_twist_t0_family(spec):
+        raise SpecInvariantError(FAMILY_REFUSAL)
     order = spec.tower.order
     if not all(0 <= int(c) < order for c in (g, *f_coeffs)):
         raise ValueError(f"g and the coefficients of f must lie in [0, {order})")

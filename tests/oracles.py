@@ -35,6 +35,24 @@ def tower_from(p, e, m, tail):
     raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
 
 
+def scalar_class_messages(order: int, k: int):
+    """One representative per F_(q^m)^*-class of non-zero messages, lexicographic.
+
+    The leading non-zero coordinate is normalized to 1; later coordinates run
+    through all values in counting order.
+    """
+    for lead in range(k):
+        tail = k - 1 - lead
+        for idx in range(order**tail):
+            msg = [0] * k
+            msg[lead] = 1
+            x = idx
+            for pos in range(lead + 1, k):
+                msg[pos] = x % order
+                x //= order
+            yield msg
+
+
 def scalar_codewords(tower, G, messages):
     """The scalar encoder: each message of the stream times the rows of G, one
     codeword at a time, as a list of ints."""
@@ -47,6 +65,19 @@ def scalar_codewords(tower, G, messages):
                 ri = rows[i]
                 word = [tower.add(w, tower.mul(fi, ri[j])) for j, w in enumerate(word)]
         yield word
+
+
+def scalar_is_nmds(tower, G):
+    """Oracle for the NMDS flag of the enumeration, walking every dual: the
+    dual basis of G, then the minimum Hamming weights of the code and of its
+    dual, one scalar codeword at a time; NMDS iff they are n - k and k."""
+    k, n = G.shape
+    d_code, d_dual = (
+        min(sum(1 for c in word if c)
+            for word in scalar_codewords(tower, M, scalar_class_messages(tower.order, len(M))))
+        for M in (G, moore.nullspace_fqm(tower, G))
+    )
+    return d_code == n - k and d_dual == k
 
 
 def scalar_matmul(tower, A, B):

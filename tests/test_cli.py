@@ -703,12 +703,15 @@ class TestConstructAndCovering:
         assert "covering radius unknown" in err and "Traceback" not in err
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("twists", [
-        [{"t": 0, "eta": [0, 1, 0, 0]}, {"t": 1, "eta": [1, 1, 0, 0]}],
-        [{"t": 1, "eta": [0, 1, 0, 0]}],
-    ], ids=["two-twists", "t1"])
+    @pytest.mark.parametrize("twists, flags", [
+        ([{"t": 0, "eta": [0, 1, 0, 0]}, {"t": 1, "eta": [1, 1, 0, 0]}], []),
+        ([{"t": 1, "eta": [0, 1, 0, 0]}], []),
+        # no family and no sample: the refusal still comes first
+        ([{"t": 0, "eta": [0, 1, 0, 0]}, {"t": 1, "eta": [1, 1, 0, 0]}],
+         ["--grid", 0, "--sample", 0]),
+    ], ids=["two-twists", "t1", "two-twists-grid0-sample0"])
     def test_deephole_refuses_a_code_outside_the_family_before_the_walk(
-        self, files, capsys, monkeypatch, twists
+        self, files, capsys, monkeypatch, twists, flags
     ):
         from twistgab import covering
 
@@ -719,9 +722,9 @@ class TestConstructAndCovering:
         tmp, field, _ = files
         code = tmp / "outside.json"
         code.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": 0, "twists": twists}))
-        assert run_main(["deephole", "--field", field, "--code", code]) == 2
+        assert run_main(["deephole", "--field", field, "--code", code, *flags]) == 2
         err = capsys.readouterr().err
-        assert "one twist with t = 0" in err and "Traceback" not in err
+        assert covering.FAMILY_REFUSAL in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--grid", "--sample"])
     def test_negative_deephole_count_is_an_input_error(self, files, capsys, flag):

@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import product
 from pathlib import Path
@@ -8,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from oracles import scalar_codewords
+from oracles import scalar_class_messages, scalar_codewords, scalar_is_nmds
 
-from twistgab import moore, mrdcheck
+from twistgab import codes, moore, mrdcheck
 from twistgab.codes import (
     CodeSpec,
     _class_message_blocks,
@@ -195,29 +196,11 @@ class TestDistances:
         assert sum(1 for c in rep.hamming_witness if c) == rep.d_hamming
 
 
-def _scalar_class_messages(order: int, k: int):
-    """One representative per F_(q^m)^*-class of non-zero messages, lexicographic.
-
-    The leading non-zero coordinate is normalized to 1; later coordinates run
-    through all values in counting order.
-    """
-    for lead in range(k):
-        tail = k - 1 - lead
-        for idx in range(order**tail):
-            msg = [0] * k
-            msg[lead] = 1
-            x = idx
-            for pos in range(lead + 1, k):
-                msg[pos] = x % order
-                x //= order
-            yield msg
-
-
 def scalar_min_weights(t, G):
     """Oracle for _min_weights_of_matrix: one codeword at a time, scalar fq_rank."""
     best_r = best_h = G.shape[1] + 1
     wit_r = wit_h = None
-    for word in scalar_codewords(t, G, _scalar_class_messages(t.order, G.shape[0])):
+    for word in scalar_codewords(t, G, scalar_class_messages(t.order, G.shape[0])):
         wr = t.fq_rank(word)
         if wr < best_r:
             best_r, wit_r = wr, tuple(word)
@@ -274,7 +257,7 @@ def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, mo
     for order, k in ((16, 2), (16, 3), (9, 3), (4, 1)):
         blocks = list(_class_message_blocks(order, k))
         assert all(1 <= len(b) <= 3 for b in blocks)
-        assert np.concatenate(blocks).tolist() == list(_scalar_class_messages(order, k))
+        assert np.concatenate(blocks).tolist() == list(scalar_class_messages(order, k))
     # minimum-weight codewords recur in later blocks; the witness is the first
     for spec in (CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4, 2, 0, ((0, W),))):
         G = generator_matrix(spec)
@@ -306,6 +289,13 @@ class TestClassify:
     def test_gabidulin(self, f16, alpha4):
         rep = classify(CodeSpec(f16, alpha4, 2))
         assert rep.is_mrd and rep.is_mds and not rep.is_amds and not rep.is_nmds
+
+    def test_dual_decides_nmds_when_d_h_is_n_minus_k(self, f16, alpha4, monkeypatch):
+        # a zero column puts a weight-1 word in the dual: d_H = n - k, not NMDS
+        G = np.array([[1, 0, 1, 1], [0, 0, 1, W]], dtype=np.int64)
+        monkeypatch.setattr(codes, "generator_matrix", lambda spec: G)
+        rep = classify(CodeSpec(f16, alpha4, 2))
+        assert rep.d_hamming == 2 and rep.is_amds and not rep.is_nmds
 
     def test_invalid_spec_surfaces(self, f16, alpha4):
         with pytest.raises(SpecInvariantError):
@@ -377,6 +367,12 @@ STACK_GRIDS = {
 }
 
 
+@functools.cache
+def grid_nmds_oracle(name):
+    t, n, k, hs, ts = STACK_GRIDS[name]
+    return [scalar_is_nmds(t, generator_matrix(s)) for s in grid_specs(t, n, k, hs, ts)]
+
+
 class TestStacks:
     """Every route over a stack of specs equals the stack of one per spec."""
 
@@ -396,6 +392,38 @@ class TestStacks:
             assert got == want, spec  # dataclass equality: every field and both witnesses
         assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == conditions
         assert mrdcheck.is_mrd_subspace_criterion_many(specs).tolist() == subspace
+
+    @pytest.mark.parametrize("block_rows", [1 << 14, 3, 7])
+    @pytest.mark.parametrize("name", sorted(STACK_GRIDS))
+    def test_nmds_flags_equal_the_walk_of_every_dual(self, monkeypatch, name, block_rows):
+        t, n, k, hs, ts = STACK_GRIDS[name]
+        specs = grid_specs(t, n, k, hs, ts)
+        monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
+        got = [rep.is_nmds for rep in classify_many(specs)]
+        assert got == grid_nmds_oracle(name)
+
+    # F32-n4-k2: 12 specs with d_H = n - k (all NMDS) among 50 MDS ones
+    @pytest.mark.parametrize("grid, walked", [("F32-n4-k2", 12), (None, 0)],
+                             ids=["F32-n4-k2", "gabidulin"])
+    def test_only_duals_of_codes_with_d_h_n_minus_k_are_walked(self, monkeypatch, grid, walked):
+        f32 = default_tower(2, 1, 5)
+        plain = [CodeSpec(f32, polynomial_basis(f32, 4), 2)]
+        specs = grid_specs(*STACK_GRIDS[grid]) if grid else plain
+        calls, min_weights = [], codes._min_weights_of_matrix
+
+        def spy(tower, Gs, *args):
+            calls.append(np.array(Gs))
+            return min_weights(tower, Gs, *args)
+
+        monkeypatch.setattr(codes, "_min_weights_of_matrix", spy)
+        reports = classify_many(specs)
+        t, n, k = specs[0].tower, specs[0].n, specs[0].k
+        near = [generator_matrix(s) for s, r in zip(specs, reports) if r.d_hamming == n - k]
+        assert len(near) == walked and sum(r.is_nmds for r in reports) == walked
+        assert calls[0].tolist() == [generator_matrix(s).tolist() for s in specs]
+        if walked:
+            assert calls[1].tolist() == [moore.nullspace_fqm(t, G).tolist() for G in near]
+        assert len(calls) == 1 + bool(walked)
 
     def test_f32_grid_verdicts_and_scalar_witnesses(self):
         t, n, k, hs, ts = STACK_GRIDS["F32-n4-k2"]
