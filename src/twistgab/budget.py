@@ -31,9 +31,10 @@ class Budgets:
                ``hamming_class`` and the eta-pair count of
                ``omega_two_materialize``; each count is checked on its own.
     codewords: message classes visited by distance enumeration.
-    ambient:   vectors visited by the covering-radius walk, layer by layer in
-               increasing rank weight, and, checked on its own, its coset count
-               q^(m(n-k)).
+    ambient:   vectors of rank <= w, for the covering-radius walk's layers 0..w
+               in increasing rank weight; layer w forms a.B for every w-tuple
+               a, dependent or not, fewer than 3.47 times its rank-w count.
+               Checked on its own: the coset count q^(m(n-k)).
     """
 
     subspaces: int = DEFAULT_SUBSPACES

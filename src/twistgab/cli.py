@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codes, covering, mrdcheck
-from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets
+from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets, check_budget
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import FieldTower, json_array, json_int, json_object, tower_from_json
 
@@ -219,11 +219,7 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
             raise ValueError(f"each eta tuple needs one eta per entry of ts = {list(ts)}")
         n_etas = len(eta_tuples)
     needed = codes.distance_class_count(len(hs) * n_etas, tower.order, len(alpha), k)
-    if needed > budgets.codewords:
-        raise BudgetExceededError(
-            f"sweep needs {needed} enumeration steps, over the "
-            f"codeword budget {budgets.codewords}; refusing to truncate"
-        )
+    check_budget("codeword", needed, budgets.codewords)
     return [
         codes.CodeSpec(tower, alpha, k, h, tuple(zip(ts, tup)))
         for h, tup in product(hs, eta_tuples)

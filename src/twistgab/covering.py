@@ -4,12 +4,14 @@ The exhaustive covering radius visits coset leaders in increasing rank weight,
 since a vector's distance to the code is the least rank weight in its coset.
 A vector of rank w is a.B for exactly one w x n RREF matrix B over F_q (its row
 space, from ``mrdcheck._subspace_blocks``) and one ordered F_q-independent
-w-tuple a of F_(q^m); its syndrome is sum_i a_i (H B_i^T).  Layer w extends each
-independent (w-1)-tuple by every c of F_(q^m), the span-membership grid of the
-tuple counting those outside its span; indices and syndromes are packed base
-q^m and summed from q^m-entry tables per B.  Layers fold into one int64 per
-coset, min(rank * q^(mn) + index), its minimum and first minimum-weight vector,
-until every coset is reached.  Memory is O(``moore.BLOCK_ROWS`` + cosets).
+w-tuple a of F_(q^m); its syndrome is sum_i a_i (H B_i^T).  Layer w forms a.B
+for every w-tuple a, its (w-1)-prefixes as ``moore.counter_blocks`` and its last
+coordinate every c of F_(q^m); indices and syndromes are packed base q^m and
+summed from q^m-entry tables per B.  rank(a.B) = dim span(a), so a dependent a
+gives a vector of rank r < w, whose coset layer r has already reached with a
+smaller key.  Layers fold into one int64 per coset, min(rank * q^(mn) + index),
+its minimum and first minimum-weight vector, until every coset is reached.
+Memory is O(``moore.BLOCK_ROWS`` + cosets).
 The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
@@ -158,29 +160,12 @@ def _layer_size(q: int, m: int, n: int, w: int) -> int:
     return gaussian_binomial(n, w, q) * prod(q**m - q**i for i in range(w))
 
 
-def _independent_tuples(t: FieldTower, multiples: np.ndarray, length: int, width: int):
-    """The ordered F_q-independent ``length``-tuples of F_(q^m), in ``moore.blocks``
-    of tuples ``width`` rows wide, each with the membership grid of its F_q-span
-    (rows of q^m bools): a tuple extends its prefix by an element outside its span."""
-    if length == 0:
-        yield np.zeros((1, 0), dtype=np.int64), (np.arange(t.order) == 0)[None]
-        return
-    for tuples, member in _independent_tuples(t, multiples, length - 1, width):
-        span = np.nonzero(member)[1].reshape(len(member), -1)
-        parent, x = np.nonzero(~member)
-        for step in moore.blocks(len(x), width):
-            p, a = parent[step], x[step]
-            grid = np.zeros((len(a), t.order), dtype=bool)
-            span_a = t.add_many(span[p][:, :, None], multiples[a][:, None, :])
-            np.put_along_axis(grid, span_a.reshape(len(a), -1), True, 1)
-            yield np.column_stack([tuples[p], a]), grid
-
-
 def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     """Per coset, min(rank * q^(mn) + index) over its vectors; None if the cosets,
-    the vectors visited or the packed key do not fit.  Layer w runs only after
-    every layer below it, so a vector of rank < w that its grid meets again
-    (c in the span of the prefix) never wins."""
+    the vectors visited or the packed key do not fit.  The cap counts the vectors
+    of rank w (:func:`_layer_size`); layer w forms all [n, w]_q * q^(mw) sums a.B,
+    fewer than 3.47 times as many.  Layer w runs only after every layer below it,
+    so a sum of rank < w (a dependent tuple a) never wins its coset."""
     t, n, k, N, q = spec.tower, spec.n, spec.k, spec.tower.order, spec.tower.q
     total, coset_count = N**n, N ** (n - k)
     unreached = (n + 1) * total
@@ -196,17 +181,17 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     for w in range(1, min(n, t.m) + 1):
         if (best < unreached).all():
             break
-        size = _layer_size(q, t.m, n, w)
-        visited, emitted = visited + size, 0
+        visited, formed = visited + _layer_size(q, t.m, n, w), 0
         if visited > budgets.ambient:
             return None
-        # each B is a row of q^m vectors c * B, each tuple a row of q^m * len(B)
+        # each B is a row of q^m vectors c * B, each prefix a row of q^m * len(B)
         blocks = _subspace_blocks(n, w, q)
         for B in (blk[step] for blk in blocks for step in moore.blocks(len(blk), N)):
             # packed index and syndrome of c * B_i, per c, B and i
             idx_tab = multiples[:, B] @ places
             syn_tab = t.mul_many(c[:, None, None, None], moore.matmul(t, B, H.T)) @ synd_places
-            for tuples, member in _independent_tuples(t, multiples, w - 1, N * len(B)):
+            prefixes = moore.counter_blocks((w - 1,), [((), range(w - 1))], N)
+            for tuples in (pre[s] for pre in prefixes for s in moore.blocks(len(pre), N * len(B))):
                 idx = syn = np.zeros((len(tuples), len(B)), dtype=np.int64)
                 for i, a in enumerate(tuples.T):
                     idx = t.add_many(idx, idx_tab[a, :, i], n)
@@ -214,9 +199,11 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
                 idx = t.add_many(idx[:, :, None], idx_tab[:, :, w - 1].T, n) + w * total
                 syn = t.add_many(syn[:, :, None], syn_tab[:, :, w - 1].T, n - k)
                 np.minimum.at(best, syn.ravel(), idx.ravel())
-                emitted += np.count_nonzero(~member) * len(B)
-        if emitted != size:
-            raise ConsistencyError(f"the rank-{w} layer visited {emitted} vectors, not {size}")
+                formed += idx.size
+        if formed != gaussian_binomial(n, w, q) * N**w:
+            raise ConsistencyError(
+                f"the rank-{w} layer formed {formed} sums, not [{n}, {w}]_{q} * {N}^{w}"
+            )
     if not (best < unreached).all():
         raise ConsistencyError("syndromes do not cover the q^(m(n-k)) cosets")
     return best

@@ -53,7 +53,7 @@ def counter_blocks(shape: tuple[int, ...], segments: Iterable, base: int) -> Ite
             for pos in digits:
                 piece[:, pos] = idx % base
                 idx //= base
-            pieces.append(piece.reshape(-1, *shape))
+            pieces.append(piece.reshape(stop - start, *shape))
             held, start = held + stop - start, stop
             if held == rows:
                 yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

@@ -205,3 +205,9 @@ def test_matmul_matches_scalar_oracle(case):
 def test_matmul_shape_mismatch(f16):
     with pytest.raises(ValueError, match="shape"):
         moore.matmul(f16, np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))
+
+
+def test_counter_blocks_of_the_empty_tuple():
+    blocks = list(moore.counter_blocks((0,), [((), range(0))], 16))
+    assert len(blocks) == 1
+    assert blocks[0].dtype == np.int64 and blocks[0].shape == (1, 0)
