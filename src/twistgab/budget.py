@@ -25,11 +25,10 @@ class Budgets:
 
     subspaces: RREF representatives / column subsets visited by structural checks.
                It is shared: the same cap also bounds the k-subset count of
-               every ``KSubsetTable`` (the table behind ``omega_one``,
-               ``omega_one_prime``, ``omega_witness``, ``omega_two_materialize``
-               and the Hamming route), the k- plus (k+1)-subset count of
-               ``hamming_class`` and the eta-pair count of
-               ``omega_two_materialize``; each count is checked on its own.
+               every ``KSubsetTable`` (the table of every Omega route), the
+               k- plus (k+1)-subset count of ``hamming_class_many`` and the
+               eta-pair count of ``omega_two_materialize``; each count is
+               checked on its own.
     codewords: message classes visited by distance enumeration.
     ambient:   vectors of rank <= w, for the covering-radius walk's layers 0..w
                in increasing rank weight; layer w forms a.B for every w-tuple

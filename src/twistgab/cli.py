@@ -146,13 +146,14 @@ def _classify_entries(
     tower: FieldTower, specs: list[codes.CodeSpec], budgets: Budgets
 ) -> list[dict]:
     """The classify entries of specs that share alpha and k (a sweep, or one
-    --code spec).  The enumeration with the column-rank route, and the
-    subspace route, each run once over the stack of specs; the Omega route
-    reads the one k-subset table per spec.  The specs are then walked in
-    order, and the first whose routes disagree raises."""
+    --code spec).  The enumeration with the column-rank route, the subspace
+    route and the Omega route each run once over the stack of specs.  The
+    specs are then walked in order, and the first whose routes disagree
+    raises."""
     table = mrdcheck.KSubsetTable(tower, specs[0].alpha, specs[0].k, budgets)
     reports = codes.classify_many(specs, budgets)
     subspace = mrdcheck.is_mrd_subspace_criterion_many(specs, budgets).tolist()
+    hclasses = mrdcheck.hamming_class_many(table, [(s.h, s.twists) for s in specs])
     n, k = specs[0].n, specs[0].k
     enumerated = {
         "message_classes": codes.projective_class_count(tower.order, k),
@@ -161,8 +162,7 @@ def _classify_entries(
         "k_subsets": comb(n, k),
     }
     entries = []
-    for spec, report, subspace_mrd in zip(specs, reports, subspace):
-        hclass = mrdcheck.hamming_class(table, spec.h, spec.twists)
+    for spec, report, subspace_mrd, hclass in zip(specs, reports, subspace, hclasses):
         witness = hclass.vanishing_subset
         agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
         if hclass.label == "MDS":

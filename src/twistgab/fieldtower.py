@@ -418,7 +418,9 @@ class FieldTower:
         self._exp_z = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)])
         self._inv_z = self._exp_z[-log % n1]
         self._inv_z[0] = 0
-        for table in (self._log_z, self._exp_z, self._inv_z):
+        self._frob_z = self._exp_z[log * self.q % n1]
+        self._frob_z[0] = 0
+        for table in (self._log_z, self._exp_z, self._inv_z, self._frob_z):
             table.flags.writeable = False  # shared through default_tower
 
     # -- scalar field operations -------------------------------------------------
@@ -611,21 +613,18 @@ class FieldTower:
 
     def frob_many(self, x: np.ndarray, i: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
-        out = np.zeros_like(x)
-        nz = x != 0
-        e = (self._log_z[x[nz]] * pow(self.q, i % self.m, self._group)) % self._group
-        out[nz] = self._exp_z[e]
-        return out
+        for _ in range(i % self.m):
+            x = self._frob_z[x]
+        return x
 
     def _eliminate_many(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Jordan elimination of a (B, r, c) stack: (rank, det) per matrix.
+        """Forward elimination of a (B, r, c) stack: (rank, det) per matrix.
 
-        Column by column, every matrix takes as pivot its first row not yet
-        used with a non-zero entry (``argmax`` of ``!= 0``), swaps it up to the
-        next pivot row, scales it to 1 and clears the column in every other
-        row.  det is the product of the pivots, negated once per swap, for a
-        square matrix of full rank and 0 otherwise, as in ``_gauss_jordan``,
-        the scalar oracle.
+        Column by column, each matrix swaps its first unused row with a
+        non-zero entry up to the next pivot row and clears the rows below it,
+        right of the column, until every matrix has rank r.  det is the
+        product of the pivots, negated once per swap, for a square matrix of
+        full rank and 0 otherwise, as in ``_gauss_jordan``, the scalar oracle.
         """
         M = np.array(M, dtype=np.int64)  # a copy, eliminated in place
         B, r, c = M.shape
@@ -633,23 +632,26 @@ class FieldTower:
         det = np.ones(B, dtype=np.int64)
         at, row = np.arange(B), np.arange(r)
         for j in range(c):
+            if (rank == r).all():
+                break
             cand = (M[:, :, j] != 0) & (row >= rank[:, None])
             found = cand.any(axis=1)
             if not found.any():
                 continue
-            top = np.minimum(rank, r - 1)  # where a pivot row goes; a no-op without one
-            piv = np.where(found, cand.argmax(axis=1), top)
-            det = np.where(piv != top, self.neg_many(det), det)
-            swapped = M[at, piv]
-            M[at, piv] = M[at, top]
-            pv = np.where(found, swapped[:, j], 1)
+            piv = cand.argmax(axis=1)
+            s = np.flatnonzero(found & (piv != rank))
+            if len(s):
+                M[s, rank[s]], M[s, piv[s]] = M[s, piv[s]], M[s, rank[s]]
+                det[s] = self.neg_many(det[s])
+            top = np.minimum(rank, r - 1)
+            pv = np.where(found, M[at, top, j], 1)
             det = self.mul_many(det, pv)
-            prow = self.mul_many(self.inv_many(pv)[:, None], swapped)
-            f = np.where(found[:, None], M[:, :, j], 0)
-            f[at, top] = 0
-            M = self.add_many(M, self.mul_many(self.neg_many(f)[:, :, None], prow[:, None, :]))
-            M[at, top] = prow
             rank += found
+            lo = rank.min()  # no row above lo is cleared
+            f = np.where(found[:, None] & (row[lo:] >= rank[:, None]), M[:, lo:, j], 0)
+            f = self.neg_many(self.mul_many(f, self.inv_many(pv)[:, None]))[:, :, None]
+            below = M[:, lo:, j + 1 :]
+            below[:] = self.add_many(below, self.mul_many(f, M[at, None, top, j + 1 :]))
         return rank, np.where((rank == r) & (r == c), det, 0)
 
     def rank_many(self, M: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ multiplication by an invertible matrix scales each maximal minor by a non-zero
 factor, so row spaces are the right granularity and the search shrinks from
 q^(kn) matrices to the Gaussian binomial count.  Each route takes V M^T for a
 block of representatives at once (:func:`_subspace_blocks`, ``moore.matmul``)
-and eliminates the whole block in one batched Gauss-Jordan
+and eliminates the whole block in one batched elimination
 (:meth:`FieldTower.rank_many`, :meth:`FieldTower.det_many`); blocks come in
 enumeration order and a witness is the first V of its block in row order, so
 it is the first V in that order.  Each route checks the subspaces cap itself
@@ -19,8 +19,8 @@ or every [G; u] of the deep-hole extension route.  :func:`matrix_is_mrd` and
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes, materialized per k-subset of evaluation
 points through the g_h^(t) scalars (one ``KSubsetTable`` per (alpha, k) holds
-the subsets, their annihilators and the g columns), or per subspace V through
-determinant ratios.
+the subsets, their annihilators and the g columns, each built for all subsets
+at once), or per subspace V through determinant ratios.
 
 :func:`construct_chain_mrd` is the one route of the guaranteed-MRD
 constructions, for each mode of :class:`SubfieldChain` (nested subfield
@@ -47,7 +47,6 @@ from .budget import Budgets, check_budget
 from .codes import CodeSpec
 from .errors import ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
-from .gcoeff import AnnihilatorCoeffs, g_coefficient
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -231,13 +230,19 @@ def forbidden_eta_set_one_twist(
     return out
 
 
+def _dot(tower: FieldTower, xs, ys, start=0):
+    """start + sum_l xs[l] * ys[l], over the shorter of xs and ys."""
+    return functools.reduce(tower.add_many, map(tower.mul_many, xs, ys), start)
+
+
 class KSubsetTable:
     """The k-subsets of the evaluation points with their subspace polynomials.
 
-    Built once per (tower, alpha, k): subsets are listed in lexicographic
-    order next to the annihilator coefficients of {alpha_i : i in I}, and the
-    column of g_h^(t)(I) over all subsets is computed the first time (h, t)
-    is asked for.  Every Omega route reads its scalars from here.
+    Built once per (tower, alpha, k), for all subsets at once: subsets are
+    listed in lexicographic order next to the annihilator coefficients of
+    {alpha_i : i in I}, and the column of g_h^(t)(I) over all subsets is
+    computed the first time (h, t) is asked for.  Every Omega route reads its
+    scalars from here.
     """
 
     def __init__(
@@ -249,41 +254,57 @@ class KSubsetTable:
         check_budget("k-subset", comb(n, k), budgets.subspaces)
         self.tower, self.n, self.k, self.budgets = tower, n, k, budgets
         self.subsets = list(combinations(range(n), k))
-        self.coeffs = [
-            AnnihilatorCoeffs.from_span(tower, [alpha[i] for i in s]) for s in self.subsets
-        ]
-        self._g: dict[tuple[int, int], list[Element]] = {}
+        tw, b = tower, np.asarray(alpha)[np.array(self.subsets, dtype=int)]
+        # the scalar ``annihilator``: L = x (low-to-high, subsets last), then
+        # L <- x^[1] o L - v^(q-1) L, v = L(b), per b of the subset
+        L = np.eye(k + 1, 1, dtype=np.int64).repeat(len(b), 1)
+        for j in range(k):
+            v = _dot(tw, L, [tw.frob_many(b[:, j], i) for i in range(j + 1)])
+            if (v == 0).any():
+                raise ConsistencyError("a k-subset of alpha is F_q-dependent")
+            w = tw.mul_many(tw.frob_many(v), tw.inv_many(v))
+            up = np.concatenate([0 * L[:1], tw.frob_many(L[:-1])])
+            L = tw.add_many(up, tw.neg_many(tw.mul_many(w, L)))
+        self.coeffs = L[::-1].T
+        self._g = {}
 
-    def g(self, h: int, t: int) -> list[Element]:
-        """g_h^(t)(I) for every subset I, in subset order."""
+    def g(self, h: int, t: int) -> np.ndarray:
+        """g_h^(t)(I) for every subset I, in subset order, by the recursion
+        and the A_t E = I check of ``gcoeff.triangular_inverse``."""
         if (h, t) not in self._g:
-            self._g[h, t] = [g_coefficient(c, h, t) for c in self.coeffs]
+            tw, k = self.tower, self.k
+            if not 0 <= h < k:
+                raise ValueError(f"h = {h} out of range [0, {k - 1}]")
+            c = np.concatenate([self.coeffs, np.zeros((len(self.coeffs), t), np.int64)], 1)
+            A, E = np.zeros((2, t + 1, t + 1, len(c)), dtype=np.int64)
+            for i in range(t + 1):
+                A[i, : i + 1] = tw.frob_many(c[:, i::-1].T, i)  # c_(i-j)^[i]
+                E[i, :i] = tw.neg_many(_dot(tw, A[i, :i], E[:i, :i]))
+                E[i, i] = 1
+            if (_dot(tw, A.swapaxes(0, 1)[:, :, None], E) != np.eye(t + 1)[..., None]).any():
+                raise ConsistencyError("triangular inverse recursion failed A_t * E = I")
+            g = _dot(tw, E[t], [tw.frob_many(c[:, k - h + i], i) for i in range(min(t, h) + 1)])
+            self._g[h, t] = tw.neg_many(g)
         return self._g[h, t]
 
-    def vanishing(self, h: int, twists: Sequence[tuple[int, Element]]) -> list[tuple[int, ...]]:
-        """The subsets I, in order, with 1 + sum_j eta_j g_h^(t_j)(I) = 0.
+    def vanishing_many(self, h: int, ts: Sequence[int], etas) -> np.ndarray:
+        """(S, C) mask of 1 + sum_j eta_j g_h^(t_j)(I) = 0 (a vanishing
+        maximal minor) for an (S, len(ts)) array of eta tuples."""
+        etas = np.asarray(etas, dtype=np.int64)
+        acc = np.ones((len(etas), len(self.subsets)), dtype=np.int64)
+        return _dot(self.tower, etas.T[..., None], [self.g(h, t) for t in ts], acc) == 0
 
-        These are exactly the k-subsets of columns whose maximal minor of the
-        twisted generator vanishes.
-        """
-        tw = self.tower
-        cols = [(eta, self.g(h, t)) for t, eta in twists]
-        out = []
-        for i, subset in enumerate(self.subsets):
-            acc = 1
-            for eta, col in cols:
-                acc = tw.add(acc, tw.mul(eta, col[i]))
-            if acc == 0:
-                out.append(subset)
-        return out
+    def vanishing(self, h: int, twists: Sequence[tuple[int, Element]]) -> list[tuple[int, ...]]:
+        """The stack of one of :meth:`vanishing_many`, as a list of subsets."""
+        mask = self.vanishing_many(h, [t for t, _ in twists], [[eta for _, eta in twists]])[0]
+        return [s for s, hit in zip(self.subsets, mask) if hit]
 
 
 def omega_one(table: KSubsetTable, h: int, t: int) -> ForbiddenSet:
     """The set of -g_h^(t)(I) over all k-subsets I; eta^(-1) inside => not MRD."""
-    tower = table.tower
     out = ForbiddenSet(arity=1, provenance="omega1")
-    for subset, g in zip(table.subsets, table.g(h, t)):
-        out.entries.setdefault((tower.neg(g),), list(subset))
+    for subset, g in zip(table.subsets, table.tower.neg_many(table.g(h, t)).tolist()):
+        out.entries.setdefault((g,), list(subset))
     return out
 
 
@@ -293,12 +314,12 @@ def omega_one_prime(table: KSubsetTable, h: int) -> ForbiddenSet:
     Elementwise equal to omega_one(table, h, 0) because g_h^(0) = -c_(k-h); the
     equality is asserted here, subset by subset, as a permanent cross-check.
     """
-    tower, k = table.tower, table.k
+    c = table.coeffs[:, table.k - h]
+    if (c != table.tower.neg_many(table.g(h, 0))).any():
+        raise ConsistencyError("omega1(t=0) differs from omega1-prime")
     out = ForbiddenSet(arity=1, provenance="omega1-prime")
-    for subset, coeffs, g in zip(table.subsets, table.coeffs, table.g(h, 0)):
-        if coeffs.at(k - h) != tower.neg(g):
-            raise ConsistencyError("omega1(t=0) differs from omega1-prime")
-        out.entries.setdefault((coeffs.at(k - h),), list(subset))
+    for subset, ci in zip(table.subsets, c.tolist()):
+        out.entries.setdefault((ci,), list(subset))
     return out
 
 
@@ -311,8 +332,7 @@ def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tupl
     if not spec.twists:
         return None
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
-    vanishing = table.vanishing(spec.h, spec.twists)
-    return vanishing[0] if vanishing else None
+    return next(iter(table.vanishing(spec.h, spec.twists)), None)
 
 
 def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> ForbiddenSet:
@@ -320,11 +340,11 @@ def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> Forb
     tower = table.tower
     check_budget("eta-pair", (tower.order - 1) ** 2, table.budgets.subspaces)
     out = ForbiddenSet(arity=2, provenance="omega2")
-    for e1 in tower.nonzero_elements():
-        for e2 in tower.nonzero_elements():
-            vanishing = table.vanishing(h, ((t1, e1), (t2, e2)))
-            if vanishing:
-                out.entries[(e1, e2)] = list(vanishing[0])
+    pairs = np.argwhere(np.ones((tower.order - 1,) * 2)) + 1
+    for step in moore.blocks(len(pairs), len(table.subsets)):
+        mask = table.vanishing_many(h, (t1, t2), pairs[step])
+        for i in np.flatnonzero(mask.any(axis=1)):
+            out.entries[tuple(pairs[step][i].tolist())] = list(table.subsets[mask[i].argmax()])
     return out
 
 
@@ -526,10 +546,11 @@ class HammingClassification:
         }
 
 
-def hamming_class(
-    table: KSubsetTable, h: int, twists: Sequence[tuple[int, Element]]
-) -> HammingClassification:
-    """MDS/AMDS/NMDS classification through the forbidden-set theorems.
+def hamming_class_many(
+    table: KSubsetTable, cases: Sequence[tuple[int, Sequence[tuple[int, Element]]]]
+) -> list[HammingClassification]:
+    """MDS/AMDS/NMDS classification through the forbidden-set theorems, per
+    (h, twists) of a stack.
 
     MDS iff no k-subset minor vanishes.  Inside the forbidden set, AMDS iff
     every (k+1)-subset contains a k-subset with non-vanishing minor, upgraded
@@ -538,16 +559,28 @@ def hamming_class(
     """
     n, k = table.n, table.k
     check_budget("k-subset", comb(n, k) + comb(n, k + 1), table.budgets.subspaces)
-    vanishing = table.vanishing(h, twists)
-    if not vanishing:
-        return HammingClassification(label="MDS")
-    for sup in combinations(range(n), k + 1):
-        if all(sub in vanishing for sub in combinations(sup, k)):
-            return HammingClassification(
-                label="none", vanishing_subset=vanishing[0], failing_superset=sup
-            )
-    label = "NMDS" if h in (0, k - 1) else "AMDS"
-    return HammingClassification(label=label, vanishing_subset=vanishing[0])
+    at = {s: i for i, s in enumerate(table.subsets)}
+    sups = [*combinations(range(n), k + 1), None]
+    cover = np.array([[at[s] for s in combinations(u, k)] for u in sups[:-1]], np.int64)
+    groups = {}
+    for i, (h, twists) in enumerate(cases):
+        groups.setdefault((h, *(t for t, _ in twists)), []).append(i)
+    out = [None] * len(cases)
+    subsets = [*table.subsets, None]
+    for (h, *ts), idx in groups.items():
+        van = table.vanishing_many(h, ts, [[eta for _, eta in cases[i][1]] for i in idx])
+        # a row's first True: its count of leading False (else the closing None)
+        first = (~van).cumprod(1).sum(1).tolist()
+        fail = (~van[:, cover.reshape(-1, k + 1)].all(2)).cumprod(1).sum(1).tolist()
+        for i, a, b in zip(idx, first, fail):
+            label = "none" if sups[b] else "NMDS" if h in (0, k - 1) else "AMDS"
+            out[i] = HammingClassification(label if subsets[a] else "MDS", subsets[a], sups[b])
+    return out
+
+
+def hamming_class(table: KSubsetTable, h: int, twists) -> HammingClassification:
+    """The stack of one of :func:`hamming_class_many`."""
+    return hamming_class_many(table, [(h, twists)])[0]
 
 
 def hamming_class_via_omega(spec: CodeSpec, budgets: Budgets = Budgets()) -> HammingClassification:

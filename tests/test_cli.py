@@ -37,18 +37,19 @@ def run_main(args):
 
 
 @pytest.fixture
-def annihilator_calls(monkeypatch):
-    """The span of every AnnihilatorCoeffs.from_span call, in call order."""
-    from twistgab.gcoeff import AnnihilatorCoeffs
+def tables_built(monkeypatch):
+    """The (alpha, k) of every KSubsetTable built, in build order; a table
+    holds the annihilators of all its k-subsets."""
+    from twistgab.mrdcheck import KSubsetTable
 
     calls = []
-    from_span = AnnihilatorCoeffs.from_span.__func__
+    init = KSubsetTable.__init__
 
-    def counted(cls, tower, gens):
-        calls.append(tuple(gens))
-        return from_span(cls, tower, gens)
+    def counted(self, tower, alpha, k, *rest):
+        calls.append((tuple(alpha), k))
+        init(self, tower, alpha, k, *rest)
 
-    monkeypatch.setattr(AnnihilatorCoeffs, "from_span", classmethod(counted))
+    monkeypatch.setattr(KSubsetTable, "__init__", counted)
     return calls
 
 
@@ -87,13 +88,13 @@ class TestClassify:
             assert run_main(["classify", "--field", field, "--code", code]) == 0
             assert json.loads(capsys.readouterr().out)["entries"] == [entry]
 
-    def test_sweep_builds_each_annihilator_once(self, files, capsys, annihilator_calls):
+    def test_sweep_builds_each_annihilator_once(self, files, capsys, tables_built):
         tmp, field, _ = files
         sweep = tmp / "sweep.json"
         sweep.write_text(json.dumps({"alpha": ALPHA16, "k": 2, "h": [0, 1], "ts": [0, 1], "etas": "all"}))
         assert run_main(["classify", "--field", field, "--sweep", sweep]) == 0
         assert len(json.loads(capsys.readouterr().out)["entries"]) == 2 * 15 * 15
-        assert len(annihilator_calls) == len(set(annihilator_calls)) == 6  # C(4, 2)
+        assert len(tables_built) == 1  # one table holds the C(4, 2) annihilators
 
     def test_sweep_with_explicit_eta_list(self, files, capsys):
         tmp, field, _ = files
@@ -357,15 +358,16 @@ class TestClassify:
         field, sweep = self.grid32(tmp)
         specs = cli._sweep_specs(tower_from_json(self.FIELD32), self.GRID32, cli.Budgets())
         wrong = {(s.h, s.twists) for s in (specs[2], specs[4])}
-        hamming_class = cli.mrdcheck.hamming_class
+        hamming_class_many = cli.mrdcheck.hamming_class_many
 
-        def mislabelled(table, h, twists):
-            out = hamming_class(table, h, twists)
-            if (h, tuple(twists)) in wrong:
-                out.label = "none" if out.label == "MDS" else "MDS"
+        def mislabelled(table, cases):
+            out = hamming_class_many(table, cases)
+            for (h, twists), hclass in zip(cases, out):
+                if (h, tuple(twists)) in wrong:
+                    hclass.label = "none" if hclass.label == "MDS" else "MDS"
             return out
 
-        monkeypatch.setattr(cli.mrdcheck, "hamming_class", mislabelled)
+        monkeypatch.setattr(cli.mrdcheck, "hamming_class_many", mislabelled)
         assert run_main(["classify", "--field", field, "--sweep", sweep]) == 4
         err = capsys.readouterr().err
         assert f"route disagreement for spec {specs[2].to_json_dict()}:" in err
@@ -440,7 +442,7 @@ class TestDeterminism:
 
 
 class TestForbidden:
-    def test_one_twist_sets(self, files, capsys, annihilator_calls):
+    def test_one_twist_sets(self, files, capsys, tables_built):
         _, field, code = files
         assert run_main(["forbidden", "--field", field, "--code", code]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -448,7 +450,7 @@ class TestForbidden:
         assert report["omega_one"]["size"] >= 1
         assert "omega_one_prime" in report
         # omega_one and omega_one_prime read one k-subset table
-        assert len(annihilator_calls) == len(set(annihilator_calls)) == 6  # C(4, 2)
+        assert len(tables_built) == 1
 
     def test_gabidulin_rejected(self, files):
         tmp, field, _ = files

@@ -92,17 +92,21 @@ def test_fq_echelon_rank_equals_rank_over_extension(name, data):
 @st.composite
 def stacks(draw):
     """A random tower of order <= 256 with p in {2, 3, 5} and a (B, r, c) stack
-    with B in {0, 1, 3}, r in 1..5 and c in 0..5 (often square).  Each matrix
-    is A.B with an inner dimension of 1..r, so rank-deficient matrices are
-    common, and may get a repeated row, a zero column and leading zeros in its
-    first row, which force a row swap."""
+    with B in {0, 1, 3, 20}, r in 1..5 and c in 0..5 (often square).  Each
+    matrix is A.B with an inner dimension of 1..r, so rank-deficient matrices
+    are common, and may get a repeated row, a zero column and leading zeros in
+    its first row, which force a row swap.  With r < c the stack may instead
+    reach full row rank in its first r columns, so the elimination stops
+    before the last column; there every other matrix has its pivots on the
+    diagonal and the rest need a row swap."""
     p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
     t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
-    count, r = draw(st.sampled_from([0, 1, 3])), draw(st.integers(1, 5))
+    count, r = draw(st.sampled_from([0, 1, 3, 20])), draw(st.integers(1, 5))
     c = r if draw(st.booleans()) else draw(st.integers(0, 5))
+    early = r < c and draw(st.booleans())
     entry = st.integers(0, t.order - 1)
     mats = []
-    for _ in range(count):
+    for i in range(count):
         inner = draw(st.integers(1, r))
         M = moore.matmul(
             t, draw(arrays(np.int64, (r, inner), elements=entry)),
@@ -114,6 +118,11 @@ def stacks(draw):
             M[:, draw(st.integers(0, c - 1))] = 0
         if c and draw(st.booleans()):
             M[0, : draw(st.integers(1, c))] = 0
+        if early:
+            # a monomial r x r block, its rows shifted by one in odd matrices
+            M[:, :r] = 0
+            for j in range(r):
+                M[(j + i % 2) % r, j] = draw(st.integers(1, t.order - 1))
         mats.append(M)
     return t, np.array(mats, dtype=np.int64).reshape(count, r, c)
 

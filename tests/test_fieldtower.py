@@ -155,7 +155,8 @@ class TestArithmetic:
             b = np.array([t.random_element(rng) for _ in range(256)])
             assert all(int(x) == t.mul(int(u), int(v)) for x, u, v in zip(t.mul_many(a, b), a, b))
             assert all(int(x) == t.add(int(u), int(v)) for x, u, v in zip(t.add_many(a, b), a, b))
-            assert all(int(x) == t.frobenius(int(u), 2) for x, u in zip(t.frob_many(a, 2), a))
+            for i in (0, 1, 2, t.m + 1):
+                assert all(int(x) == t.frobenius(int(u), i) for x, u in zip(t.frob_many(a, i), a))
 
     def test_packed_add_is_componentwise(self, f16, f9, f4_tower, rng):
         # vectors of three elements packed base q^m add component by component

@@ -1,4 +1,4 @@
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
 from math import comb
 
@@ -24,8 +24,8 @@ from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, generator_matrix, min_rank_distance
 from twistgab.errors import BudgetExceededError, ConsistencyError, SpecInvariantError
-from twistgab.fieldtower import default_tower
-from twistgab.gcoeff import AnnihilatorCoeffs
+from twistgab.fieldtower import FieldTower, TowerParams, default_tower
+from twistgab.gcoeff import AnnihilatorCoeffs, g_coefficient
 from twistgab.mrdcheck import SubfieldChain
 
 W = 2
@@ -752,6 +752,91 @@ class TestHammingClassViaOmega:
         hc = mc.hamming_class_via_omega(spec)
         assert hc.label in ("NMDS", "AMDS", "none")
         assert hc.vanishing_subset is not None
+
+
+def scalar_hamming_class(t, alpha, k, h, twists):
+    """The Hamming label and certificates from the scalar g of every subset:
+    the first vanishing k-subset, and the first (k+1)-subset all of whose
+    k-subsets vanish."""
+    n = len(alpha)
+    vanishing = []
+    for sub in combinations(range(n), k):
+        coeffs = AnnihilatorCoeffs.from_span(t, [alpha[i] for i in sub])
+        acc = 1
+        for tj, eta in twists:
+            acc = t.add(acc, t.mul(eta, g_coefficient(coeffs, h, tj)))
+        if acc == 0:
+            vanishing.append(sub)
+    if not vanishing:
+        return ("MDS", None, None)
+    for sup in combinations(range(n), k + 1):
+        if all(sub in vanishing for sub in combinations(sup, k)):
+            return ("none", vanishing[0], sup)
+    return ("NMDS" if h in (0, k - 1) else "AMDS", vanishing[0], None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_k_subset_table_matches_its_scalar_oracle(data):
+    # the table builds every annihilator and g column for all subsets at once;
+    # the scalar annihilator and g_coefficient of each subset are its oracle
+    p, e, m = data.draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    n = data.draw(st.integers(2, min(5, m)))
+    k = data.draw(st.integers(1, n - 1))
+    alpha = draw_independent(t, data, range(1, t.order), n)
+    table = mc.KSubsetTable(t, alpha, k)
+    assert table.coeffs.shape == (comb(n, k), k + 1)
+    for sub, row in zip(table.subsets, table.coeffs.tolist()):
+        assert tuple(row) == AnnihilatorCoeffs.from_span(t, [alpha[i] for i in sub]).c
+    g = {}
+    for h in range(k):
+        for tt in range(n - k):
+            g[h, tt] = [
+                g_coefficient(AnnihilatorCoeffs.from_span(t, [alpha[i] for i in sub]), h, tt)
+                for sub in table.subsets
+            ]
+            assert table.g(h, tt).tolist() == g[h, tt]
+
+    # cases with several h and twist exponents, grouped inside the stack; the
+    # first eta is often chosen so that a drawn subset's minor vanishes
+    cases = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        h = data.draw(st.integers(0, k - 1))
+        ts = sorted(data.draw(st.sets(st.integers(0, n - k - 1), min_size=1)))
+        etas = [data.draw(st.integers(1, t.order - 1)) for _ in ts]
+        i = data.draw(st.integers(0, len(table.subsets) - 1))
+        rest = 1
+        for tj, eta in zip(ts[1:], etas[1:]):
+            rest = t.add(rest, t.mul(eta, g[h, tj][i]))
+        forced = t.neg(t.mul(rest, t.inv(g[h, ts[0]][i]))) if g[h, ts[0]][i] else 0
+        if forced and data.draw(st.booleans()):
+            etas[0] = forced
+        cases.append((h, tuple(zip(ts, etas))))
+
+    for h, twists in cases:
+        ts, etas = [tj for tj, _ in twists], [eta for _, eta in twists]
+        scalar = [
+            t.add(1, reduce(t.add, [t.mul(eta, g[h, tj][i]) for tj, eta in twists]))
+            == 0
+            for i in range(len(table.subsets))
+        ]
+        assert table.vanishing_many(h, ts, [etas]).tolist() == [scalar]
+    many = mc.hamming_class_many(table, cases)
+    assert [(c.label, c.vanishing_subset, c.failing_superset) for c in many] == [
+        scalar_hamming_class(t, alpha, k, h, twists) for h, twists in cases
+    ]
+    assert many == [mc.hamming_class(table, h, twists) for h, twists in cases]
+
+
+def test_batched_triangular_inverse_check_still_raises(monkeypatch):
+    # an odd-p tower whose negation is broken after the table is built: the
+    # recursion then gives e_(1,0) = +c_1^[1], and A_t E = I fails
+    t = FieldTower(TowerParams(3, 1, 3))
+    table = mc.KSubsetTable(t, (1, 3, 9), 1)
+    monkeypatch.setattr(t, "neg_many", lambda a: a)
+    with pytest.raises(ConsistencyError, match=re.escape("A_t * E = I")):
+        table.g(0, 1)
 
 
 def test_a_block_across_two_pivot_sets_keeps_the_scalar_order(monkeypatch):
