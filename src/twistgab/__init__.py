@@ -11,7 +11,6 @@ from .budget import Budgets
 from .codes import (
     CodeSpec,
     DistanceReport,
-    classify,
     encode,
     generator_matrix,
     min_hamming_distance,
@@ -62,6 +61,7 @@ from .mrdcheck import (
     HammingClassification,
     KSubsetTable,
     SubfieldChain,
+    classify,
     construct_chain_mrd,
     enumerate_subspaces,
     forbidden_eta_set_one_twist,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands build towers and code specs from JSON files, run the checks, and
-write canonical JSON reports (schema "twistgab/1").  ``classify`` runs each
-verification route once over the stack of its specs (a ``--sweep`` grid, or
-the one ``--code`` spec as a stack of one), then walks the specs in order to
-build the entries; the first spec whose routes disagree raises.  The
+write canonical JSON reports (schema "twistgab/1").  ``classify`` hands the
+stack of its specs (a ``--sweep`` grid, or the one ``--code`` spec as a stack
+of one) to ``mrdcheck.classify_many``, which runs and cross-checks every
+route, and only formats the entries.  The
 ``--budget-*`` flags (default ``DEFAULT_*`` of :mod:`twistgab.budget`) are the
 only way to set the enumeration caps; the environment is not read.  Reports
 are byte-stable for a fixed seed: collections are sorted and JSON keys are
@@ -146,14 +146,8 @@ def _classify_entries(
     tower: FieldTower, specs: list[codes.CodeSpec], budgets: Budgets
 ) -> list[dict]:
     """The classify entries of specs that share alpha and k (a sweep, or one
-    --code spec).  The enumeration with the column-rank route, the subspace
-    route and the Omega route each run once over the stack of specs.  The
-    specs are then walked in order, and the first whose routes disagree
-    raises."""
-    table = mrdcheck.KSubsetTable(tower, specs[0].alpha, specs[0].k, budgets)
-    reports = codes.classify_many(specs, budgets)
-    subspace = mrdcheck.is_mrd_subspace_criterion_many(specs, budgets).tolist()
-    hclasses = mrdcheck.hamming_class_many(table, [(s.h, s.twists) for s in specs])
+    --code spec), from ``mrdcheck.classify_many``, which raises on the first
+    spec whose routes disagree."""
     n, k = specs[0].n, specs[0].k
     enumerated = {
         "message_classes": codes.projective_class_count(tower.order, k),
@@ -161,35 +155,19 @@ def _classify_entries(
         "subspace_representatives": mrdcheck.gaussian_binomial(n, k, tower.q),
         "k_subsets": comb(n, k),
     }
-    entries = []
-    for spec, report, subspace_mrd, hclass in zip(specs, reports, subspace, hclasses):
-        witness = hclass.vanishing_subset
-        agree_mrd = subspace_mrd == report.is_mrd and (witness is None or not report.is_mrd)
-        if hclass.label == "MDS":
-            agree_hamming = report.is_mds
-        elif hclass.label == "NMDS":
-            agree_hamming = report.is_nmds
-        elif hclass.label == "AMDS":
-            # theorem route confirms AMDS; NMDS-ness is out of its reach for middle h
-            agree_hamming = report.is_amds
-        else:
-            agree_hamming = not (report.is_mds or report.is_amds)
-        if not (agree_mrd and agree_hamming):
-            raise ConsistencyError(
-                f"route disagreement for spec {spec.to_json_dict()}: "
-                f"enumeration={report.to_json_dict(tower)}, subspace_mrd={subspace_mrd}, "
-                f"omega_witness={witness}, hamming_class={hclass.label}"
-            )
-        entries.append({
+    results = mrdcheck.classify_many(specs, budgets)
+    return [
+        {
             "spec": spec.to_json_dict(),
             "report": report.to_json_dict(tower),
             "subspace_mrd": subspace_mrd,
-            "omega_witness": list(witness) if witness is not None else None,
+            "omega_witness": hclass.to_json_dict()["vanishing_subset"],
             "hamming_class": hclass.to_json_dict(),
             "routes_agree": True,
             "enumerated": enumerated,
-        })
-    return entries
+        }
+        for spec, (report, subspace_mrd, hclass) in zip(specs, results)
+    ]
 
 
 def _elements(tower: FieldTower, obj, what: str) -> list:

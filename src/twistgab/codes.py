@@ -12,8 +12,9 @@ every spec together (:func:`distance_class_count`), but only a spec with
 d_H = n - k, the one case a dual's distance decides, has its dual enumerated.
 :func:`_class_message_blocks` yields the classes as ``moore.counter_blocks``.
 Every route here runs over a stack of specs sharing the tower, n and k, as the
-specs of a sweep do, and the one-spec forms (:func:`classify`,
-:func:`min_rank_distance`, :func:`nmds_conditions`) are its stack of one.
+specs of a sweep do, and the one-spec forms (:func:`min_rank_distance`,
+:func:`nmds_conditions`) are its stack of one; ``mrdcheck.classify_many``
+cross-checks them with the subspace and Omega routes.
 ``moore.matmul`` encodes a block by the generators of the whole stack side by
 side, in steps of ``moore.blocks`` messages, so a step holds at most
 max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and each step is
@@ -362,42 +363,3 @@ def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]
     cond_i, cond_ii, cond_iii = nmds_conditions_many(tower, np.asarray(G)[None])[0].tolist()
     return cond_i, cond_ii, cond_iii
 
-
-def classify_many(specs: Sequence[CodeSpec], budgets: Budgets = Budgets()) -> list[DistanceReport]:
-    """Per spec of a stack (one tower, n and k), the full report with the
-    brute-force and structural routes cross-checked.
-
-    The enumeration route (:func:`min_rank_distance_many`) computes exact
-    distances (the dual's where d_H = n - k); the structural route classifies
-    via column ranks of the generators (:func:`nmds_conditions_many`).  Each
-    runs once over the stack.  The first spec, in stack order, on which they
-    disagree raises ConsistencyError with a witness description.
-    """
-    specs = list(specs)
-    reports = min_rank_distance_many(specs, budgets)
-    conditions = nmds_conditions_many(specs[0].tower, _generator_stack(specs)).tolist()
-    for spec, report, (cond_i, cond_ii, cond_iii) in zip(specs, reports, conditions):
-        structural = {
-            "is_mds": not cond_ii,
-            "is_amds": cond_ii and cond_iii,
-            "is_nmds": cond_i and cond_ii and cond_iii,
-        }
-        brute = {
-            "is_mds": report.is_mds,
-            "is_amds": report.is_amds,
-            "is_nmds": report.is_nmds,
-        }
-        if structural != brute:
-            raise ConsistencyError(
-                f"column-rank route {structural} disagrees with enumeration route {brute} "
-                f"for spec {spec.to_json_dict()}"
-            )
-    return reports
-
-
-def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceReport:
-    """Full report with the brute-force and structural routes cross-checked:
-    the stack of one of :func:`classify_many`.  Any disagreement raises
-    ConsistencyError with a witness description.
-    """
-    return classify_many([spec], budgets)[0]

@@ -30,6 +30,10 @@ hypotheses, then those of the mode, and re-verifies the code by
 The subfield hypotheses are closed forms that enumerate nothing: 1-sum-product
 freeness is one F_q rank (:func:`sum_product_free_test`) and the norm
 condition one norm (:func:`norm_mrd_condition`).
+
+:func:`classify_many` runs the four classify routes (enumeration, column ranks,
+subspace criterion, Omega classes) over a stack of specs and holds every rule
+by which they must agree; :func:`classify` is its stack of one.
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ class KSubsetTable:
         if tower.fq_rank(alpha) != n:
             raise SpecInvariantError("alpha components must be F_q-independent")
         check_budget("k-subset", comb(n, k), budgets.subspaces)
-        self.tower, self.n, self.k, self.budgets = tower, n, k, budgets
+        self.tower, self.n, self.k = tower, n, k
         self.subsets = list(combinations(range(n), k))
         tw, b = tower, np.asarray(alpha)[np.array(self.subsets, dtype=int)]
         # the scalar ``annihilator``: L = x (low-to-high, subsets last), then
@@ -335,10 +339,12 @@ def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tupl
     return next(iter(table.vanishing(spec.h, spec.twists)), None)
 
 
-def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> ForbiddenSet:
+def omega_two_materialize(
+    table: KSubsetTable, h: int, t1: int, t2: int, budgets: Budgets = Budgets()
+) -> ForbiddenSet:
     """Exhaustive materialization of the two-twist forbidden set (tiny fields only)."""
     tower = table.tower
-    check_budget("eta-pair", (tower.order - 1) ** 2, table.budgets.subspaces)
+    check_budget("eta-pair", (tower.order - 1) ** 2, budgets.subspaces)
     out = ForbiddenSet(arity=2, provenance="omega2")
     pairs = np.argwhere(np.ones((tower.order - 1,) * 2)) + 1
     for step in moore.blocks(len(pairs), len(table.subsets)):
@@ -547,7 +553,7 @@ class HammingClassification:
 
 
 def hamming_class_many(
-    table: KSubsetTable, cases: Sequence[tuple[int, Sequence[tuple[int, Element]]]]
+    table: KSubsetTable, cases: Sequence[tuple[int, Sequence]], budgets: Budgets = Budgets()
 ) -> list[HammingClassification]:
     """MDS/AMDS/NMDS classification through the forbidden-set theorems, per
     (h, twists) of a stack.
@@ -555,10 +561,10 @@ def hamming_class_many(
     MDS iff no k-subset minor vanishes.  Inside the forbidden set, AMDS iff
     every (k+1)-subset contains a k-subset with non-vanishing minor, upgraded
     to NMDS when h is 0 or k-1.  "none" means the Hamming distance is below
-    n-k.  The verdict must match the column-rank conditions on the generator.
+    n-k.  :func:`classify_many` checks the verdict against the enumeration.
     """
     n, k = table.n, table.k
-    check_budget("k-subset", comb(n, k) + comb(n, k + 1), table.budgets.subspaces)
+    check_budget("k-subset", comb(n, k) + comb(n, k + 1), budgets.subspaces)
     at = {s: i for i, s in enumerate(table.subsets)}
     sups = [*combinations(range(n), k + 1), None]
     cover = np.array([[at[s] for s in combinations(u, k)] for u in sups[:-1]], np.int64)
@@ -578,12 +584,63 @@ def hamming_class_many(
     return out
 
 
-def hamming_class(table: KSubsetTable, h: int, twists) -> HammingClassification:
+def hamming_class(
+    table: KSubsetTable, h: int, twists, budgets: Budgets = Budgets()
+) -> HammingClassification:
     """The stack of one of :func:`hamming_class_many`."""
-    return hamming_class_many(table, [(h, twists)])[0]
+    return hamming_class_many(table, [(h, twists)], budgets)[0]
 
 
 def hamming_class_via_omega(spec: CodeSpec, budgets: Budgets = Budgets()) -> HammingClassification:
     """hamming_class on the k-subset table of the spec's alpha and k."""
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
-    return hamming_class(table, spec.h, spec.twists)
+    return hamming_class(table, spec.h, spec.twists, budgets)
+
+
+def classify_many(
+    specs: Sequence[CodeSpec], budgets: Budgets = Budgets()
+) -> list[tuple[codes.DistanceReport, bool, HammingClassification]]:
+    """Per spec of a stack (one tower, alpha and k), the enumeration's report,
+    the subspace verdict and the Omega Hamming class, every route cross-checked.
+
+    Each route runs once over the stack, in this order: the k-subset table,
+    ``codes.min_rank_distance_many``, ``codes.nmds_conditions_many``,
+    :func:`is_mrd_subspace_criterion_many`, :func:`hamming_class_many`.  On
+    every spec the column ranks must give the enumeration's MDS/AMDS/NMDS
+    flags, the subspace criterion its MRD flag, an Omega witness a non-MRD
+    code, and the enumeration the Omega label (AMDS as AMDS only: NMDS is out
+    of the theorems' reach for middle h).  The first spec, in stack order,
+    whose routes disagree raises ConsistencyError.
+    """
+    specs = list(specs)
+    Gs = codes._generator_stack(specs)
+    tower, alpha, k = specs[0].tower, specs[0].alpha, specs[0].k
+    if any(s.alpha != alpha for s in specs):
+        raise ValueError("the specs of a stack must share alpha: it fixes the k-subset table")
+    table = KSubsetTable(tower, alpha, k, budgets)
+    reports = codes.min_rank_distance_many(specs, budgets)
+    conditions = codes.nmds_conditions_many(tower, Gs).tolist()
+    subspace = is_mrd_subspace_criterion_many(specs, budgets).tolist()
+    hclasses = hamming_class_many(table, [(s.h, s.twists) for s in specs], budgets)
+    for spec, rep, (i, ii, iii), subspace_mrd, hclass in zip(
+        specs, reports, conditions, subspace, hclasses
+    ):
+        witness = hclass.vanishing_subset
+        ranks = (not ii, ii and iii, i and ii and iii) == (rep.is_mds, rep.is_amds, rep.is_nmds)
+        mrd = subspace_mrd == rep.is_mrd and (witness is None or not rep.is_mrd)
+        labels = {"MDS": rep.is_mds, "AMDS": rep.is_amds, "NMDS": rep.is_nmds}
+        hamming = labels.get(hclass.label, not (rep.is_mds or rep.is_amds))  # "none"
+        if not (ranks and mrd and hamming):
+            raise ConsistencyError(
+                f"route disagreement for spec {spec.to_json_dict()}: "
+                f"enumeration={rep.to_json_dict(tower)}, subspace_mrd={subspace_mrd}, "
+                f"omega_witness={witness}, hamming_class={hclass.label}, "
+                f"column_ranks={(i, ii, iii)}"
+            )
+    return list(zip(reports, subspace, hclasses))
+
+
+def classify(spec: CodeSpec, budgets: Budgets = Budgets()) -> codes.DistanceReport:
+    """The enumeration's report of one code, all four routes cross-checked:
+    the stack of one of :func:`classify_many`."""
+    return classify_many([spec], budgets)[0][0]

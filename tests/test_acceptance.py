@@ -17,7 +17,7 @@ import numpy as np
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab import mrdcheck as mc
-from twistgab.codes import CodeSpec, classify, min_rank_distance
+from twistgab.codes import CodeSpec, min_rank_distance
 from twistgab.fieldtower import default_tower
 from twistgab.gcoeff import (
     AnnihilatorCoeffs,
@@ -26,6 +26,7 @@ from twistgab.gcoeff import (
     triangular_inverse,
 )
 from twistgab.linpoly import LinearizedPoly
+from twistgab.mrdcheck import classify
 
 
 def _report(name, started, limit_s):

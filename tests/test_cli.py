@@ -281,8 +281,8 @@ class TestClassify:
         def boom(*args, **kwargs):
             raise ConsistencyError("forced for the exit-code contract")
 
-        # classify runs its enumeration and column-rank routes over the stack of specs
-        monkeypatch.setattr(cli.codes, "classify_many", boom)
+        # classify runs and cross-checks every route over the stack of specs
+        monkeypatch.setattr(cli.mrdcheck, "classify_many", boom)
         assert run_main(["classify", "--field", field, "--code", code]) == 4
 
     def test_deephole_route_disagreement_exits_4_naming_the_sample(self, files, capsys, monkeypatch):
@@ -360,8 +360,8 @@ class TestClassify:
         wrong = {(s.h, s.twists) for s in (specs[2], specs[4])}
         hamming_class_many = cli.mrdcheck.hamming_class_many
 
-        def mislabelled(table, cases):
-            out = hamming_class_many(table, cases)
+        def mislabelled(table, cases, *rest):
+            out = hamming_class_many(table, cases, *rest)
             for (h, twists), hclass in zip(cases, out):
                 if (h, tuple(twists)) in wrong:
                     hclass.label = "none" if hclass.label == "MDS" else "MDS"

@@ -16,8 +16,6 @@ from twistgab.codes import (
     CodeSpec,
     _class_message_blocks,
     _min_weights_of_matrix,
-    classify,
-    classify_many,
     encode,
     generator_matrix,
     min_hamming_distance,
@@ -28,7 +26,7 @@ from twistgab.codes import (
 from twistgab.budget import Budgets
 from twistgab.errors import BudgetExceededError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
-from twistgab.mrdcheck import KSubsetTable, omega_one
+from twistgab.mrdcheck import KSubsetTable, classify, classify_many, omega_one
 
 W = 2
 
@@ -294,7 +292,8 @@ class TestClassify:
         # a zero column puts a weight-1 word in the dual: d_H = n - k, not NMDS
         G = np.array([[1, 0, 1, 1], [0, 0, 1, W]], dtype=np.int64)
         monkeypatch.setattr(codes, "generator_matrix", lambda spec: G)
-        rep = classify(CodeSpec(f16, alpha4, 2))
+        # the enumeration alone: the Omega route reads alpha, not this G
+        rep = codes.min_rank_distance(CodeSpec(f16, alpha4, 2))
         assert rep.d_hamming == 2 and rep.is_amds and not rep.is_nmds
 
     def test_invalid_spec_surfaces(self, f16, alpha4):
@@ -387,7 +386,7 @@ class TestStacks:
         subspace = [mrdcheck.is_mrd_subspace_criterion(spec) for spec in specs]
         # blocks of 3 or 7 rows split class blocks and spec chunks mid-stack
         monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
-        stacked = classify_many(specs)
+        stacked = [report for report, _, _ in classify_many(specs)]
         for spec, got, want in zip(specs, stacked, alone):
             assert got == want, spec  # dataclass equality: every field and both witnesses
         assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == conditions
@@ -399,7 +398,7 @@ class TestStacks:
         t, n, k, hs, ts = STACK_GRIDS[name]
         specs = grid_specs(t, n, k, hs, ts)
         monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
-        got = [rep.is_nmds for rep in classify_many(specs)]
+        got = [rep.is_nmds for rep, _, _ in classify_many(specs)]
         assert got == grid_nmds_oracle(name)
 
     # F32-n4-k2: 12 specs with d_H = n - k (all NMDS) among 50 MDS ones
@@ -416,7 +415,7 @@ class TestStacks:
             return min_weights(tower, Gs, *args)
 
         monkeypatch.setattr(codes, "_min_weights_of_matrix", spy)
-        reports = classify_many(specs)
+        reports = [report for report, _, _ in classify_many(specs)]
         t, n, k = specs[0].tower, specs[0].n, specs[0].k
         near = [generator_matrix(s) for s, r in zip(specs, reports) if r.d_hamming == n - k]
         assert len(near) == walked and sum(r.is_nmds for r in reports) == walked
@@ -428,7 +427,7 @@ class TestStacks:
     def test_f32_grid_verdicts_and_scalar_witnesses(self):
         t, n, k, hs, ts = STACK_GRIDS["F32-n4-k2"]
         specs = grid_specs(t, n, k, hs, ts)
-        reports = classify_many(specs)
+        reports = [report for report, _, _ in classify_many(specs)]
         assert len(specs) == 62 and sum(r.is_mrd for r in reports) == 12
         assert {r.is_nmds for r in reports} == {True, False}
         for spec, rep in zip(specs, reports):
@@ -446,6 +445,9 @@ class TestStacks:
             )
         with pytest.raises(ValueError, match="at least one"):
             classify_many([])
+        # one tower, n and k, but two alphas: the k-subset table reads the first
+        with pytest.raises(ValueError, match="share alpha"):
+            classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[::-1], 2)])
 
     def test_rank_deficient_generator_is_named_by_its_place(self, f16, alpha4):
         G = generator_matrix(CodeSpec(f16, alpha4, 2))

@@ -19,7 +19,8 @@ from oracles import (
     sum_product_free_walk,
     tower_from,
 )
-from twistgab import moore
+import twistgab
+from twistgab import codes, moore
 from twistgab import mrdcheck as mc
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, generator_matrix, min_rank_distance
@@ -725,7 +726,8 @@ class TestNormCondition:
 
 class TestHammingClassViaOmega:
     def test_matches_column_conditions_on_sweep(self, f16, alpha4):
-        from twistgab.codes import classify, nmds_conditions
+        from twistgab.codes import nmds_conditions
+        from twistgab.mrdcheck import classify
 
         for h in (0, 1):
             for eta in f16.nonzero_elements():
@@ -752,6 +754,77 @@ class TestHammingClassViaOmega:
         hc = mc.hamming_class_via_omega(spec)
         assert hc.label in ("NMDS", "AMDS", "none")
         assert hc.vanishing_subset is not None
+
+
+class TestClassifyCrossChecksEveryRoute:
+    """twistgab.classify is the stack of one of mrdcheck.classify_many, which
+    raises on a disagreement of any two of its four routes."""
+
+    def spec(self, f16, alpha4):
+        return CodeSpec(f16, alpha4, 2, 0, ((0, W),))
+
+    def raises_for(self, spec):
+        message = re.escape(f"route disagreement for spec {spec.to_json_dict()}:")
+        return pytest.raises(ConsistencyError, match=message)
+
+    def test_agreeing_routes_return_the_enumeration_report(self, f16, alpha4):
+        spec = self.spec(f16, alpha4)
+        assert twistgab.classify(spec) == min_rank_distance(spec)
+        ((report, subspace_mrd, hclass),) = mc.classify_many([spec])
+        assert report == min_rank_distance(spec)
+        assert subspace_mrd == mc.is_mrd_subspace_criterion(spec)
+        assert hclass == mc.hamming_class_via_omega(spec)
+
+    def test_mislabelled_omega_class(self, f16, alpha4, monkeypatch):
+        hamming_class_many = mc.hamming_class_many
+
+        def mislabelled(*args):
+            out = hamming_class_many(*args)
+            for hclass in out:
+                hclass.label = "none" if hclass.label == "MDS" else "MDS"
+            return out
+
+        monkeypatch.setattr(mc, "hamming_class_many", mislabelled)
+        spec = self.spec(f16, alpha4)
+        with self.raises_for(spec):
+            twistgab.classify(spec)
+
+    def test_flipped_subspace_verdict(self, f16, alpha4, monkeypatch):
+        matrix_is_mrd_many = mc.matrix_is_mrd_many
+        monkeypatch.setattr(mc, "matrix_is_mrd_many", lambda *args: ~matrix_is_mrd_many(*args))
+        spec = self.spec(f16, alpha4)
+        with self.raises_for(spec):
+            twistgab.classify(spec)
+
+    def test_flipped_column_rank_condition(self, f16, alpha4, monkeypatch):
+        nmds_conditions_many = codes.nmds_conditions_many
+
+        def flipped(*args):
+            out = nmds_conditions_many(*args)
+            out[:, 1] = ~out[:, 1]
+            return out
+
+        spec = self.spec(f16, alpha4)
+        cond_i, cond_ii, cond_iii = codes.nmds_conditions(f16, generator_matrix(spec))
+        monkeypatch.setattr(codes, "nmds_conditions_many", flipped)
+        with self.raises_for(spec) as info:
+            twistgab.classify(spec)
+        assert str(info.value).endswith(f"column_ranks={(cond_i, not cond_ii, cond_iii)}")
+
+    def test_omega_budget_is_the_argument_not_the_tables(self, f16, alpha4):
+        # the table is built under the default cap; the cap passed to the
+        # classification counts the k- and (k+1)-subsets, 6 + 4 for n=4, k=2
+        table = mc.KSubsetTable(f16, alpha4, 2)
+        cases = [(0, ((0, W),))]
+        cap = Budgets(subspaces=comb(4, 2) + comb(4, 3) - 1)
+        with pytest.raises(BudgetExceededError, match="needs 10 steps"):
+            mc.hamming_class_many(table, cases, cap)
+        mc.hamming_class_many(table, cases, Budgets(subspaces=comb(4, 2) + comb(4, 3)))
+        with pytest.raises(BudgetExceededError, match="needs 225 steps"):
+            mc.omega_two_materialize(mc.KSubsetTable(f16, alpha4, 1), 0, 0, 1, Budgets(224))
+        spec = self.spec(f16, alpha4)
+        with pytest.raises(BudgetExceededError, match="needs 10 steps"):
+            mc.hamming_class_via_omega(spec, cap)
 
 
 def scalar_hamming_class(t, alpha, k, h, twists):
@@ -985,3 +1058,33 @@ def test_norm_condition_implies_mrd(params, data):
     if mc.norm_mrd_condition(spec):
         assert mc.is_mrd_subspace_criterion(spec)
         assert min_rank_distance(spec).is_mrd
+
+
+# every (p, e, m) with p in {2, 3, 5}, e in {1, 2}, m >= 2 and q^m <= 256
+CLASSIFY_TOWERS = [
+    (p, e, m) for p in (2, 3, 5) for e in (1, 2) for m in range(2, 9) if p ** (e * m) <= 256
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.sampled_from(CLASSIFY_TOWERS), data=st.data())
+def test_classify_routes_agree_over_random_towers(params, data):
+    # classify raises ConsistencyError unless all four routes agree, so an
+    # Omega witness must come with a non-MRD code and the subspace criterion
+    # must equal the enumeration; eta_1 often makes a drawn k-subset vanish
+    p, e, m = params
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    n = data.draw(st.sampled_from(range(min(m, 4), 1, -1)))  # shrinks to the largest n
+    k = data.draw(st.integers(1, n - 1))
+    h = data.draw(st.integers(0, k - 1))
+    alpha = draw_independent(t, data, range(1, t.order), n)
+    ts = sorted(data.draw(st.sets(st.integers(0, n - k - 1), min_size=1, max_size=2)))
+    etas = [data.draw(st.integers(1, t.order - 1)) for _ in ts]
+    table = mc.KSubsetTable(t, alpha, k)
+    i = data.draw(st.integers(0, len(table.subsets) - 1))
+    rest = reduce(t.add, [t.mul(eta, table.g(h, tj)[i]) for tj, eta in zip(ts[1:], etas[1:])], 1)
+    g0 = int(table.g(h, ts[0])[i])
+    if g0 and rest and data.draw(st.booleans()):
+        etas[0] = t.neg(t.mul(rest, t.inv(g0)))
+    spec = CodeSpec(t, alpha, k, h, tuple(zip(ts, etas)))
+    assert twistgab.classify(spec) == min_rank_distance(spec)
