@@ -161,7 +161,7 @@ def _classify_entries(
             "spec": spec.to_json_dict(),
             "report": report.to_json_dict(tower),
             "subspace_mrd": subspace_mrd,
-            "omega_witness": hclass.to_json_dict()["vanishing_subset"],
+            "omega_witness": list(w) if (w := hclass.vanishing_subset) is not None else None,
             "hamming_class": hclass.to_json_dict(),
             "routes_agree": True,
             "enumerated": enumerated,

@@ -256,7 +256,7 @@ class KSubsetTable:
         if tower.fq_rank(alpha) != n:
             raise SpecInvariantError("alpha components must be F_q-independent")
         check_budget("k-subset", comb(n, k), budgets.subspaces)
-        self.tower, self.n, self.k = tower, n, k
+        self.tower, self.n, self.k, self.budgets = tower, n, k, budgets
         self.subsets = list(combinations(range(n), k))
         tw, b = tower, np.asarray(alpha)[np.array(self.subsets, dtype=int)]
         # the scalar ``annihilator``: L = x (low-to-high, subsets last), then
@@ -339,12 +339,10 @@ def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tupl
     return next(iter(table.vanishing(spec.h, spec.twists)), None)
 
 
-def omega_two_materialize(
-    table: KSubsetTable, h: int, t1: int, t2: int, budgets: Budgets = Budgets()
-) -> ForbiddenSet:
+def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> ForbiddenSet:
     """Exhaustive materialization of the two-twist forbidden set (tiny fields only)."""
     tower = table.tower
-    check_budget("eta-pair", (tower.order - 1) ** 2, budgets.subspaces)
+    check_budget("eta-pair", (tower.order - 1) ** 2, table.budgets.subspaces)
     out = ForbiddenSet(arity=2, provenance="omega2")
     pairs = np.argwhere(np.ones((tower.order - 1,) * 2)) + 1
     for step in moore.blocks(len(pairs), len(table.subsets)):
@@ -553,7 +551,7 @@ class HammingClassification:
 
 
 def hamming_class_many(
-    table: KSubsetTable, cases: Sequence[tuple[int, Sequence]], budgets: Budgets = Budgets()
+    table: KSubsetTable, cases: Sequence[tuple[int, Sequence[tuple[int, Element]]]]
 ) -> list[HammingClassification]:
     """MDS/AMDS/NMDS classification through the forbidden-set theorems, per
     (h, twists) of a stack.
@@ -564,7 +562,7 @@ def hamming_class_many(
     n-k.  :func:`classify_many` checks the verdict against the enumeration.
     """
     n, k = table.n, table.k
-    check_budget("k-subset", comb(n, k) + comb(n, k + 1), budgets.subspaces)
+    check_budget("k-subset", comb(n, k) + comb(n, k + 1), table.budgets.subspaces)
     at = {s: i for i, s in enumerate(table.subsets)}
     sups = [*combinations(range(n), k + 1), None]
     cover = np.array([[at[s] for s in combinations(u, k)] for u in sups[:-1]], np.int64)
@@ -584,17 +582,15 @@ def hamming_class_many(
     return out
 
 
-def hamming_class(
-    table: KSubsetTable, h: int, twists, budgets: Budgets = Budgets()
-) -> HammingClassification:
+def hamming_class(table: KSubsetTable, h: int, twists) -> HammingClassification:
     """The stack of one of :func:`hamming_class_many`."""
-    return hamming_class_many(table, [(h, twists)], budgets)[0]
+    return hamming_class_many(table, [(h, twists)])[0]
 
 
 def hamming_class_via_omega(spec: CodeSpec, budgets: Budgets = Budgets()) -> HammingClassification:
     """hamming_class on the k-subset table of the spec's alpha and k."""
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
-    return hamming_class(table, spec.h, spec.twists, budgets)
+    return hamming_class(table, spec.h, spec.twists)
 
 
 def classify_many(
@@ -621,7 +617,7 @@ def classify_many(
     reports = codes.min_rank_distance_many(specs, budgets)
     conditions = codes.nmds_conditions_many(tower, Gs).tolist()
     subspace = is_mrd_subspace_criterion_many(specs, budgets).tolist()
-    hclasses = hamming_class_many(table, [(s.h, s.twists) for s in specs], budgets)
+    hclasses = hamming_class_many(table, [(s.h, s.twists) for s in specs])
     for spec, rep, (i, ii, iii), subspace_mrd, hclass in zip(
         specs, reports, conditions, subspace, hclasses
     ):

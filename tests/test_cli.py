@@ -360,8 +360,8 @@ class TestClassify:
         wrong = {(s.h, s.twists) for s in (specs[2], specs[4])}
         hamming_class_many = cli.mrdcheck.hamming_class_many
 
-        def mislabelled(table, cases, *rest):
-            out = hamming_class_many(table, cases, *rest)
+        def mislabelled(table, cases):
+            out = hamming_class_many(table, cases)
             for (h, twists), hclass in zip(cases, out):
                 if (h, tuple(twists)) in wrong:
                     hclass.label = "none" if hclass.label == "MDS" else "MDS"

@@ -292,9 +292,11 @@ class TestClassify:
         # a zero column puts a weight-1 word in the dual: d_H = n - k, not NMDS
         G = np.array([[1, 0, 1, 1], [0, 0, 1, W]], dtype=np.int64)
         monkeypatch.setattr(codes, "generator_matrix", lambda spec: G)
-        # the enumeration alone: the Omega route reads alpha, not this G
+        # the enumeration and the column ranks: the Omega route reads alpha, not this G
         rep = codes.min_rank_distance(CodeSpec(f16, alpha4, 2))
         assert rep.d_hamming == 2 and rep.is_amds and not rep.is_nmds
+        i, ii, iii = nmds_conditions(f16, G)
+        assert (not ii, ii and iii, i and ii and iii) == (rep.is_mds, rep.is_amds, rep.is_nmds)
 
     def test_invalid_spec_surfaces(self, f16, alpha4):
         with pytest.raises(SpecInvariantError):

@@ -811,20 +811,19 @@ class TestClassifyCrossChecksEveryRoute:
             twistgab.classify(spec)
         assert str(info.value).endswith(f"column_ranks={(cond_i, not cond_ii, cond_iii)}")
 
-    def test_omega_budget_is_the_argument_not_the_tables(self, f16, alpha4):
-        # the table is built under the default cap; the cap passed to the
-        # classification counts the k- and (k+1)-subsets, 6 + 4 for n=4, k=2
-        table = mc.KSubsetTable(f16, alpha4, 2)
-        cases = [(0, ((0, W),))]
+    def test_omega_caps_come_from_the_tables_budgets(self, f16, alpha4):
+        # one channel: the table's budgets cap its own 6 k-subsets and the
+        # classification's 6 + 4 k- and (k+1)-subsets for n=4, k=2
         cap = Budgets(subspaces=comb(4, 2) + comb(4, 3) - 1)
+        table = mc.KSubsetTable(f16, alpha4, 2, cap)
         with pytest.raises(BudgetExceededError, match="needs 10 steps"):
-            mc.hamming_class_many(table, cases, cap)
-        mc.hamming_class_many(table, cases, Budgets(subspaces=comb(4, 2) + comb(4, 3)))
+            mc.hamming_class(table, 0, ((0, W),))
+        table = mc.KSubsetTable(f16, alpha4, 2, Budgets(subspaces=comb(4, 2) + comb(4, 3)))
+        mc.hamming_class(table, 0, ((0, W),))
         with pytest.raises(BudgetExceededError, match="needs 225 steps"):
-            mc.omega_two_materialize(mc.KSubsetTable(f16, alpha4, 1), 0, 0, 1, Budgets(224))
-        spec = self.spec(f16, alpha4)
+            mc.omega_two_materialize(mc.KSubsetTable(f16, alpha4, 1, Budgets(224)), 0, 0, 1)
         with pytest.raises(BudgetExceededError, match="needs 10 steps"):
-            mc.hamming_class_via_omega(spec, cap)
+            mc.hamming_class_via_omega(self.spec(f16, alpha4), cap)
 
 
 def scalar_hamming_class(t, alpha, k, h, twists):
