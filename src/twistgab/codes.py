@@ -10,16 +10,15 @@ messages (both weights are invariant under scaling by F_(q^m)^*), with budgets
 enforced up front: the codeword cap counts the code's and the dual's classes of
 every spec together (:func:`distance_class_count`), but only a spec with
 d_H = n - k, the one case a dual's distance decides, has its dual enumerated.
-:func:`_class_message_blocks` yields the classes as ``moore.counter_blocks``.
+:func:`_class_segments` lists the classes as ``moore.counter_blocks`` segments.
 Every route here runs over a stack of specs sharing the tower, n and k, as the
 specs of a sweep do, and the one-spec forms (:func:`min_rank_distance`,
 :func:`nmds_conditions`) are its stack of one; ``mrdcheck.classify_many``
 cross-checks them with the subspace and Omega routes.
-``moore.matmul`` encodes a block by the generators of the whole stack side by
-side, in steps of ``moore.blocks`` messages, so a step holds at most
-max(``moore.BLOCK_ROWS``, S) codewords for a stack of S, and each step is
-folded once per weight: the code is weighed by rank
-(:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual and
+``moore.span_blocks`` builds the codewords of the whole stack as broadcast sums
+of the tables c * G[p], at most max(``moore.BLOCK_ROWS``, S) codewords per
+block for a stack of S, and each block is folded once per weight: the code is
+weighed by rank (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual and
 :func:`min_hamming_distance` by Hamming weight alone.
 
 The structural route, :func:`nmds_conditions_many`, reads column ranks of the
@@ -69,7 +68,7 @@ class CodeSpec:
             raise SpecInvariantError(f"need 1 <= k < n, got k={k}, n={n}")
         if n > t.m:
             raise SpecInvariantError(f"need n <= m, got n={n}, m={t.m}")
-        if t.fq_rank(self.alpha) != n:
+        if t.points_rank(self.alpha) != n:
             raise SpecInvariantError("alpha components must be F_q-independent (rank n)")
         if self.twists:
             if self.h is None or not 0 <= self.h <= k - 1:
@@ -187,11 +186,11 @@ def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     return moore.matmul(spec.tower, message, generator_matrix(spec))
 
 
-def _class_message_blocks(order: int, k: int):
+def _class_segments(k: int):
     """One representative per F_(q^m)^*-class of non-zero messages, lexicographic,
-    as ``moore.counter_blocks``, one segment per lead: the leading non-zero
+    as ``moore.counter_blocks`` segments, one per lead: the leading non-zero
     coordinate is 1 and later ones count base q^m, the first fastest."""
-    return moore.counter_blocks((k,), (((lead,), range(lead + 1, k)) for lead in range(k)), order)
+    return [((lead,), range(lead + 1, k)) for lead in range(k)]
 
 
 def projective_class_count(order: int, k: int) -> int:
@@ -205,11 +204,12 @@ def distance_class_count(size: int, order: int, n: int, k: int) -> int:
 
 
 def _rank_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
-    return tower.fq_rank_many(list(words.T))
+    S, n, items = words.shape
+    return tower.fq_rank_many(words.transpose(1, 0, 2).reshape(n, -1)).reshape(S, items)
 
 
 def _hamming_weights(tower: FieldTower, words: np.ndarray) -> np.ndarray:
-    return np.count_nonzero(words, axis=1)
+    return (words != 0).sum(1)
 
 
 def _min_weights_of_matrix(
@@ -220,29 +220,25 @@ def _min_weights_of_matrix(
     d_hamming, hamming_witness) for the default weights.
 
     The stack shares one enumeration, whose S * (classes) steps must fit the
-    codeword cap.  Each class block is encoded by every generator side by side
-    (``moore.matmul`` by the k x (S * n) matrix of the stack), in steps of
-    ``moore.blocks`` messages, and folded once per weight.  A witness is the
-    first codeword, in class enumeration order, of minimum weight: the first
-    minimum of a step (``argmin``), and a later step replaces it only with a
-    strictly smaller weight.
+    codeword cap.  ``moore.span_blocks`` builds the codewords of every
+    generator, (S, n, items) at a time, and each block is folded once per
+    weight.  A witness is the first codeword, in class enumeration order, of
+    minimum weight: the first minimum of a block (``argmin``), and a later
+    block replaces it only with a strictly smaller weight.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
     check_budget("codeword", S * projective_class_count(tower.order, k), budget)
-    wide, at = Gs.transpose(1, 0, 2).reshape(k, -1), np.arange(S)
+    at = np.arange(S)
     best = np.full((len(weights), S), n + 1)
     witness = np.zeros((len(weights), S, n), dtype=np.int64)
-    for block in _class_message_blocks(tower.order, k):
-        for step in moore.blocks(len(block), S):
-            msgs = block[step]
-            words = moore.matmul(tower, msgs, wide).reshape(len(msgs), S, n)
-            for j, weigh in enumerate(weights):
-                w = weigh(tower, words.reshape(-1, n)).reshape(len(msgs), S)
-                i = np.argmin(w, axis=0)
-                better = np.flatnonzero(w[i, at] < best[j])
-                best[j, better] = w[i[better], better]
-                witness[j, better] = words[i[better], better]
+    for words in moore.span_blocks(tower, Gs.transpose(1, 0, 2), _class_segments(k)):
+        for j, weigh in enumerate(weights):
+            w = weigh(tower, words)
+            i = np.argmin(w, axis=1)
+            better = np.flatnonzero(w[at, i] < best[j])
+            best[j, better] = w[better, i[better]]
+            witness[j, better] = words[better, :, i[better]]
     return [
         tuple(x for d, wit in zip(ds, wits) for x in (d, tuple(wit)))
         for ds, wits in zip(best.T.tolist(), witness.transpose(1, 0, 2).tolist())

@@ -15,9 +15,9 @@ Memory is O(``moore.BLOCK_ROWS`` + cosets).
 The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
-route (:func:`distance_to_code_many`) is independent of the walk: it encodes
-each ``moore.counter_blocks`` block of all q^(mk) messages once with
-``moore.matmul``, adds every u to it and weighs the sums with ``fq_rank_many``;
+route (:func:`distance_to_code_many`) is independent of the walk: it builds
+the codewords of all q^(mk) messages as ``moore.span_blocks``, adds every u
+to each block and weighs the sums with ``fq_rank_many``;
 its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).  The
 extension route (:func:`deep_hole_via_extension_many`) is the subspace
 criterion on the stack of every [G; u], ``mrdcheck.matrix_is_mrd_many``.
@@ -116,21 +116,21 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
     """Per row u of U, the exact min over all q^(mk) codewords c of the rank
     weight of u + c; the codeword budget counts len(U) * q^(mk).
 
-    The messages m come as ``moore.counter_blocks`` of one segment, every
-    coordinate counting base q^m; each block is encoded once by G, and every
-    codeword of it is added to the vectors u of each ``moore.blocks`` step.
-    It stops once every distance is 0.
+    The codewords come as ``moore.span_blocks`` of one segment, every message
+    coordinate counting base q^m, n rows of codeword components at a time;
+    every codeword of a block is added to the vectors u of each
+    ``moore.blocks`` step.  It stops once every distance is 0.
     """
     U, t, n, k = _vectors(spec, U), spec.tower, spec.n, spec.k
     check_distance_budget(spec, len(U), budgets)
     G, best = generator_matrix(spec), np.full(len(U), n)
-    for msgs in moore.counter_blocks((k,), [((), range(k))], t.order):
+    for (words,) in moore.span_blocks(t, G[:, None], [((), range(k))]):
         if not best.any():
             break
-        words = moore.matmul(t, msgs, G)
-        for step in moore.blocks(len(U), len(words)):
-            sums = t.add_many(U[step, None], words).reshape(-1, n)
-            ranks = t.fq_rank_many(list(sums.T)).reshape(-1, len(words))
+        items = words.shape[1]
+        for step in moore.blocks(len(U), items):
+            sums = t.add_many(U[step].T[:, :, None], words[:, None])
+            ranks = t.fq_rank_many(sums.reshape(n, -1)).reshape(-1, items)
             best[step] = np.minimum(best[step], ranks.min(axis=1))
     return best
 

@@ -26,7 +26,8 @@ the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
 :func:`default_tower` returns one shared tower per (p, e, m) per process;
 :func:`tower_from_json` and ``FieldTower`` build a new one on every call.  A
 tower is safe to share: its tables are tuples and read-only numpy arrays, and
-nothing in it changes after construction.
+nothing in it changes after construction but the memo of
+:meth:`FieldTower.points_rank`.
 """
 
 from __future__ import annotations
@@ -337,6 +338,7 @@ class FieldTower:
 
         self.zero: Element = 0
         self.one: Element = 1
+        self._points_rank: dict[tuple[Element, ...], int] = {}
         self._build_log_tables()
 
     # -- construction internals ------------------------------------------------
@@ -537,6 +539,14 @@ class FieldTower:
         pivots, _ = self.fq_echelon([list(self._digits_of(v)) for v in vec])
         return len(pivots)
 
+    def points_rank(self, alpha: Sequence[Element]) -> int:
+        """:meth:`fq_rank` of evaluation points, kept per alpha tuple: every
+        spec of a sweep checks the same alpha."""
+        key = tuple(int(a) for a in alpha)
+        if key not in self._points_rank:
+            self._points_rank[key] = self.fq_rank(key)
+        return self._points_rank[key]
+
     def fq_span(self, gens: Sequence[Element]) -> tuple[Element, ...]:
         """All q^dim elements of the F_q-span of `gens`, deterministic order."""
         _, basis_rows = self.fq_echelon([list(self._digits_of(v)) for v in gens])
@@ -620,38 +630,42 @@ class FieldTower:
     def _eliminate_many(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forward elimination of a (B, r, c) stack: (rank, det) per matrix.
 
-        Column by column, each matrix swaps its first unused row with a
-        non-zero entry up to the next pivot row and clears the rows below it,
-        right of the column, until every matrix has rank r.  det is the
-        product of the pivots, negated once per swap, for a square matrix of
-        full rank and 0 otherwise, as in ``_gauss_jordan``, the scalar oracle.
+        A copy laid out (r, c, B), the stack on the contiguous axis, is
+        eliminated column by column: each matrix takes its first free row (not
+        yet a pivot row) with a non-zero entry as pivot and clears the other
+        free rows right of the column, until every matrix has rank r; no row
+        moves.  det is the product of the pivots, negated once per free row
+        above a pivot, for a square matrix of full rank and 0 otherwise, as in
+        ``_gauss_jordan`` (the scalar oracle) with its row swaps.
         """
-        M = np.array(M, dtype=np.int64)  # a copy, eliminated in place
-        B, r, c = M.shape
+        M = np.array(np.moveaxis(M, 0, -1), dtype=np.int64, order="C")  # a copy
+        r, c, B = M.shape
+        flat, above = M.reshape(-1), np.arange(r)[:, None]
+        entry = np.arange(B) + np.arange(c)[:, None] * B  # flat index of row 0, per column
+        free, det = np.ones((r, B), dtype=bool), np.ones(B, dtype=np.int64)
         rank = np.zeros(B, dtype=np.int64)
-        det = np.ones(B, dtype=np.int64)
-        at, row = np.arange(B), np.arange(r)
         for j in range(c):
             if (rank == r).all():
                 break
-            cand = (M[:, :, j] != 0) & (row >= rank[:, None])
-            found = cand.any(axis=1)
-            if not found.any():
-                continue
-            piv = cand.argmax(axis=1)
-            s = np.flatnonzero(found & (piv != rank))
-            if len(s):
-                M[s, rank[s]], M[s, piv[s]] = M[s, piv[s]], M[s, rank[s]]
-                det[s] = self.neg_many(det[s])
-            top = np.minimum(rank, r - 1)
-            pv = np.where(found, M[at, top, j], 1)
-            det = self.mul_many(det, pv)
+            cand = (M[:, j] != 0) & free
+            found = cand.any(axis=0)
+            piv = np.zeros(B, dtype=np.int64)
+            for i in range(r - 1, -1, -1):
+                piv = np.where(cand[i], i, piv)
+            prow = flat[piv * (c * B) + entry[j:]]  # the pivot row from column j on
+            pv = np.where(found, prow[0], 1)
+            if r == c:
+                if self.p != 2:
+                    odd = np.bitwise_xor.reduce(free & (above < piv), axis=0)
+                    det = np.where(odd, self.neg_many(det), det)
+                det = self.mul_many(det, pv)
             rank += found
-            lo = rank.min()  # no row above lo is cleared
-            f = np.where(found[:, None] & (row[lo:] >= rank[:, None]), M[:, lo:, j], 0)
-            f = self.neg_many(self.mul_many(f, self.inv_many(pv)[:, None]))[:, :, None]
-            below = M[:, lo:, j + 1 :]
-            below[:] = self.add_many(below, self.mul_many(f, M[at, None, top, j + 1 :]))
+            free &= (above != piv) | ~found
+            f = np.where(free, M[:, j], 0)
+            if j + 1 < c and f.any():
+                f = self.neg_many(f[:, None])
+                f = self.mul_many(f, self.mul_many(prow[1:], self.inv_many(pv)))
+                M[:, j + 1 :] = self.add_many(M[:, j + 1 :], f)
         return rank, np.where((rank == r) & (r == c), det, 0)
 
     def rank_many(self, M: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ explicitly.  Row/column indices are 0-based here; reports and docs speaking of
 matrix with the scalar ``_gauss_jordan``; stacks of matrices go through
 :meth:`FieldTower.rank_many` and :meth:`FieldTower.det_many`, which these
 scalar forms check in the tests.  The block policy of every batched route is
-here too: :data:`BLOCK_ROWS`, the step slices :func:`blocks` and the block
-enumerator :func:`counter_blocks`.
+here too: :data:`BLOCK_ROWS`, the step slices :func:`blocks`, the block
+enumerator :func:`counter_blocks` and the one codeword enumerator
+:func:`span_blocks`, whose test oracle is ``matmul`` of ``counter_blocks``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,44 @@ def counter_blocks(shape: tuple[int, ...], segments: Iterable, base: int) -> Ite
                 pieces, held = [], 0
     if pieces:
         yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def span_blocks(tower: FieldTower, B: np.ndarray, segments: Iterable) -> Iterator[np.ndarray]:
+    """The words sum_(o in ones) B[o] + sum_i d_i B[digits[i]] of a (K, S, n)
+    stack B over the items of :func:`counter_blocks` segments (base q^m,
+    disjoint ones and digits), in their order, as (S, n, items) blocks of at
+    most max(1, BLOCK_ROWS // S) items.  No message is multiplied by B: the
+    fastest j digits of a segment, whose q^(mj) items fit a block, run over
+    the tables c * B[p] in a broadcast sum, and each slower digit adds one
+    product per q^(mj) items."""
+    B = np.asarray(B, dtype=np.int64).transpose(1, 2, 0)  # (S, n, K)
+    S, n, _ = B.shape
+    N, step, pieces, held = tower.order, max(1, BLOCK_ROWS // max(1, S)), [], 0
+    for ones, digits in segments:
+        digits, low = list(digits), np.zeros((S, n, 1), dtype=np.int64)
+        for o in ones:
+            low = tower.add_many(low, B[:, :, o, None])
+        j = 0
+        while j < len(digits) and N ** (j + 1) <= step:
+            j += 1
+        for p in reversed(digits[:j]):  # the first digit fastest
+            table = tower.mul_many(B[:, :, p, None, None], np.arange(N))
+            low = tower.add_many(low[..., None], table).reshape(S, n, -1)
+        count, reps = N ** (len(digits) - j), step // N**j
+        for start in range(0, count, reps):
+            idx = np.arange(start, min(start + reps, count))
+            high = np.zeros((S, n, len(idx)), dtype=np.int64)
+            for p in digits[j:]:
+                high = tower.add_many(high, tower.mul_many(B[:, :, p, None], idx % N))
+                idx //= N
+            piece = tower.add_many(high[..., None], low[:, :, None]).reshape(S, n, -1)
+            if held + piece.shape[2] > step:
+                yield np.concatenate(pieces, axis=2)
+                pieces, held = [], 0
+            pieces.append(piece)
+            held += piece.shape[2]
+    if pieces:
+        yield np.concatenate(pieces, axis=2)
 
 
 def moore_matrix(tower: FieldTower, alpha: Sequence[Element], k: int) -> np.ndarray:

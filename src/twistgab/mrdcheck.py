@@ -209,7 +209,7 @@ def forbidden_eta_set_one_twist(
     internal-consistency failure).  The code is MRD iff eta avoids the set.
     """
     n = len(alpha)
-    if tower.fq_rank(alpha) != n:
+    if tower.points_rank(alpha) != n:
         raise SpecInvariantError("alpha components must be F_q-independent")
     if not 0 <= h <= k - 1 or not 0 <= t <= n - k - 1:
         raise SpecInvariantError("need 0 <= h <= k-1 and 0 <= t <= n-k-1")
@@ -253,7 +253,7 @@ class KSubsetTable:
         self, tower: FieldTower, alpha: Sequence[Element], k: int, budgets: Budgets = Budgets()
     ):
         n = len(alpha)
-        if tower.fq_rank(alpha) != n:
+        if tower.points_rank(alpha) != n:
             raise SpecInvariantError("alpha components must be F_q-independent")
         check_budget("k-subset", comb(n, k), budgets.subspaces)
         self.tower, self.n, self.k, self.budgets = tower, n, k, budgets

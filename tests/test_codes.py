@@ -14,7 +14,7 @@ from oracles import scalar_class_messages, scalar_codewords, scalar_is_nmds
 from twistgab import codes, moore, mrdcheck
 from twistgab.codes import (
     CodeSpec,
-    _class_message_blocks,
+    _class_segments,
     _min_weights_of_matrix,
     encode,
     generator_matrix,
@@ -52,6 +52,24 @@ class TestCodeSpecInvariants:
     def test_alpha_must_be_independent(self, f16):
         with pytest.raises(SpecInvariantError, match="independent"):
             CodeSpec(f16, (1, W, f16.add(1, W)), 1)
+
+    def test_alpha_rank_is_computed_once_per_tower_and_alpha(self, monkeypatch):
+        # a fresh tower, so no earlier test has filled its memo
+        t = FieldTower(TowerParams(2, 1, 4))
+        calls = []
+        fq_rank = t.fq_rank
+        monkeypatch.setattr(t, "fq_rank", lambda vec: calls.append(tuple(vec)) or fq_rank(vec))
+        alpha, dependent = (1, 2, 4, 8), (1, W, t.add(1, W))
+        specs = [CodeSpec(t, alpha, 2, h, ((0, eta),)) for h in (0, 1) for eta in range(1, 16)]
+        KSubsetTable(t, alpha, 2)
+        assert len(specs) == 30 and calls == [alpha]
+        # a dependent alpha raises the same error for every spec and the table
+        for h in (0, 1, 0):
+            with pytest.raises(SpecInvariantError, match="independent"):
+                CodeSpec(t, dependent, 1, 0, ((0, h + 1),))
+        with pytest.raises(SpecInvariantError, match="independent"):
+            KSubsetTable(t, dependent, 1)
+        assert calls == [alpha, dependent]
 
     def test_eta_zero_rejected(self, f16, alpha4):
         with pytest.raises(SpecInvariantError, match="non-zero"):
@@ -253,7 +271,7 @@ def test_encode_matches_scalar_encoder(name, data):
 def test_blocks_split_inside_a_lead_keep_order_and_first_witness(f16, alpha4, monkeypatch):
     monkeypatch.setattr(moore, "BLOCK_ROWS", 3)
     for order, k in ((16, 2), (16, 3), (9, 3), (4, 1)):
-        blocks = list(_class_message_blocks(order, k))
+        blocks = list(moore.counter_blocks((k,), _class_segments(k), order))
         assert all(1 <= len(b) <= 3 for b in blocks)
         assert np.concatenate(blocks).tolist() == list(scalar_class_messages(order, k))
     # minimum-weight codewords recur in later blocks; the witness is the first

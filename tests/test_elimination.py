@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import DISTANCE_TOWERS, tower_from
 from twistgab import moore
+from twistgab.codes import CodeSpec, generator_matrix
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 
 TOWERS = {
@@ -143,10 +144,46 @@ def test_batched_elimination_matches_scalar_oracle(case):
 
 
 def test_batched_elimination_leaves_its_input_alone():
-    # nmds_conditions passes G[None], a view of the generator
+    # nmds_conditions passes G[None], a view of the generator; a stack of one
+    # laid out with the stack last is still a view, so only a copy is eliminated
     t = TOWERS["F9"]
     G = np.array([[0, 3, 4], [5, 7, 1]], dtype=np.int64)
     before = G.copy()
     assert t.rank_many(G[None]).tolist() == [2]
     assert t.det_many(G[None, :, :2]).tolist() == [moore.det_fqm(t, G[:, :2])]
     assert (G == before).all()
+    S = np.array([[[2, 1, 5], [4, 0, 3], [1, 8, 8]]], dtype=np.int64)
+    assert S.flags.writeable and S.flags.c_contiguous
+    kept = S.copy()
+    assert t.rank_many(S).tolist() == [moore.rank_fqm(t, S[0])]
+    assert t.det_many(S).tolist() == [moore.det_fqm(t, S[0])]
+    assert (S == kept).all()
+
+
+def test_batched_elimination_of_a_read_only_generator():
+    t = TOWERS["F16"]
+    spec = CodeSpec(t, (1, 2, 4, 8), 2, 0, ((0, 2),))
+    G = generator_matrix(spec)
+    assert not G.flags.writeable
+    before = G.copy()
+    assert t.rank_many(G[None]).tolist() == [2]
+    assert t.det_many(G[None, :, 1:3]).tolist() == [moore.det_fqm(t, G[:, 1:3])]
+    assert (G == before).all()
+
+
+@pytest.mark.parametrize("tower", [FieldTower(TowerParams(3, 1, 1)), TOWERS["F9"]],
+                         ids=["F3", "F9"])
+def test_det_sign_over_every_row_permutation_of_a_diagonal(tower):
+    # no row moves in the batched elimination: the sign of a permuted diagonal
+    # comes from the free rows above each pivot alone
+    for r in range(1, 5):
+        diag = [1 + (3 * i) % (tower.order - 1) for i in range(r)]
+        stack = np.zeros((0, r, r), dtype=np.int64)
+        for perm in permutations(range(r)):
+            M = np.zeros((1, r, r), dtype=np.int64)
+            M[0, list(perm), range(r)] = diag
+            stack = np.concatenate([stack, M])
+        assert tower.rank_many(stack).tolist() == [r] * len(stack)
+        assert tower.det_many(stack).tolist() == [leibniz(tower, M) for M in stack]
+        signs = {leibniz(tower, M) for M in stack}
+        assert len(signs) == (1 if r == 1 else 2)

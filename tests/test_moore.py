@@ -1,8 +1,9 @@
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -105,6 +106,21 @@ class TestDeterminant:
             scaled = M.copy()
             scaled[1] = [f9.mul(lam, int(x)) for x in M[1]]
             assert moore.det_fqm(f9, scaled) == f9.mul(lam, moore.det_fqm(f9, M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_moore_det_product_matches_both_eliminations_over_random_towers(data):
+    # the closed form, the scalar elimination and the batched one, on a stack
+    # of Moore matrices whose alphas are often F_q-dependent
+    p, e, m = data.draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    k = data.draw(st.integers(1, min(m, 3)))
+    entry = st.integers(0, t.order - 1) | st.integers(0, t.q - 1)
+    alphas = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=6))
+    stack = np.stack([moore.moore_matrix(t, a, k) for a in alphas])
+    closed = [moore.moore_det_product(t, a) for a in alphas]
+    assert closed == [moore.det_fqm(t, M) for M in stack] == t.det_many(stack).tolist()
 
 
 class TestMooreDetProduct:
@@ -211,3 +227,51 @@ def test_counter_blocks_of_the_empty_tuple():
     blocks = list(moore.counter_blocks((0,), [((), range(0))], 16))
     assert len(blocks) == 1
     assert blocks[0].dtype == np.int64 and blocks[0].shape == (1, 0)
+
+
+@st.composite
+def span_cases(draw):
+    """A random tower of order <= 256 (odd p and e > 1 among them), a (K, S, n)
+    stack B with S in 1..20, up to three segments of disjoint ones and digits
+    (either may be empty) of at most 1024 items each, and a block size, often
+    below q^m // S, so that even the fastest digit runs as products."""
+    small = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2)]  # drawn more often
+    p, e, m = draw(st.sampled_from(small + DISTANCE_TOWERS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    K, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    S = draw(st.integers(1, 4) | st.integers(1, 20))
+    B = draw(arrays(np.int64, (K, S, n), elements=st.integers(0, t.order - 1)))
+    most = max(d for d in range(K + 1) if t.order**d <= 1024)
+    segments = []
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.permutations(range(K)))
+        digits = draw(st.just(most) | st.integers(0, most))
+        ones = draw(st.integers(0, K - digits))
+        segments.append((tuple(pos[digits : digits + ones]), pos[:digits]))
+    return t, B, segments, draw(st.sampled_from([1, 2, 3, 7, 64, 1000, moore.BLOCK_ROWS]))
+
+
+def _span_example(p, e, m, shape, segments, rows):
+    t = default_tower(p, e, m)
+    return t, np.random.default_rng(1).integers(0, t.order, shape), segments, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=span_cases())
+# the message classes of k = 3 over F_4 (two digits in one table sum), and a
+# full segment over F_9 <= F_81 cut into blocks of 2 items, below q^m
+@example(case=_span_example(2, 1, 2, (3, 2, 2), [((0,), [1, 2]), ((1,), [2]), ((2,), [])], 1000))
+@example(case=_span_example(3, 2, 2, (2, 3, 2), [((), [1, 0])], 7))
+def test_span_blocks_match_matmul_of_counter_blocks(case):
+    t, B, segments, rows = case
+    K, S, n = B.shape
+    with patch.object(moore, "BLOCK_ROWS", rows):
+        expect = [moore.matmul(t, msgs, B.reshape(K, S * n)).reshape(-1, S, n)
+                  for msgs in moore.counter_blocks((K,), segments, t.order)]
+        got = list(moore.span_blocks(t, B, segments))
+    # each block is (S, n, items), at most max(rows, S) codewords
+    assert all(b.dtype == np.int64 and b.shape[:2] == (S, n) for b in got)
+    assert all(1 <= b.shape[2] and b.shape[2] * S <= max(rows, S) for b in got)
+    words = np.concatenate([np.zeros((S, n, 0), dtype=np.int64), *got], axis=2)
+    expect = np.concatenate([np.zeros((0, S, n), dtype=np.int64), *expect])
+    assert words.transpose(2, 0, 1).tolist() == expect.tolist()
