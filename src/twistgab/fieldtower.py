@@ -17,7 +17,11 @@ Multiplication, inversion, Frobenius and norm run on log/antilog tables built
 once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
 The ``*_many`` methods apply them to numpy arrays of indices, and
 ``rank_many`` / ``det_many`` eliminate stacks of matrices at once, with the
-scalar ``_gauss_jordan`` as their oracle.
+scalar ``_gauss_jordan`` as their oracle.  ``fq_rank_many`` is one F_p
+echelon for every p: each F_p-multiple v of a component becomes the least of
+v + c * b over c in F_p, per earlier pivot b.  The vector layer branches on p
+only in addition and negation, and in ``_eliminate_many``'s det sign, which
+it skips at p = 2 (where -1 = 1).
 Construction (modulus search, irreducibility check, generator search, table
 build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
 the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
@@ -577,37 +581,26 @@ class FieldTower:
     def fq_rank_many(self, comps: Sequence[np.ndarray]) -> np.ndarray:
         """Rank weight of a batch of vectors, given as its n component arrays.
 
-        An echelon over F_p: the F_q-span of the components is the F_p-span of
-        their multiples v * p^j, j < e (index p^j is x^j of F_q, so these are v
-        times an F_p-basis of F_q).  Each multiple in turn is reduced by every
-        earlier pivot and becomes the next pivot, so the rank is the number of
-        non-zero pivots over e.  At p = 2 ``np.minimum(v, v ^ b)`` clears b's
-        leading bit; at odd p a multiple is held as base-p digits, and loses
-        b times its digit at b's leading position over b's leading digit.
-        :meth:`fq_rank` is the scalar oracle.
+        An echelon over F_p, one loop for every p: the F_q-span of the
+        components is the F_p-span of their multiples v * x^j, j < e (index
+        p^j is x^j of F_q, so these are v times an F_p-basis of F_q).  Each
+        multiple in turn is reduced by every earlier pivot b to the least of v
+        and v + c * b over c in F_p^*, and becomes the next pivot.  An index
+        orders elements by their base-p digits, most significant first, and
+        the digits above b's leading digit do not change, so the least of these
+        has a zero digit there (at p = 2, ``min(v, v ^ b)``).  The rank is the
+        number of non-zero pivots over e.  Only :meth:`add_many` branches on p
+        here.  :meth:`fq_rank` is the scalar oracle.
         """
-        p = self.p
-        multiples = np.array([self.mul_many(np.asarray(v, dtype=np.int64), p**j)
-                              for v in comps for j in range(self.e)])
-        pivots = []
-        if p == 2:
-            for v in multiples:
-                for b in pivots:
-                    v = np.minimum(v, v ^ b)
-                pivots.append(v)
-            return np.count_nonzero(pivots, axis=0) // self.e
-        # base-p digits, most significant first, by floor division by a scalar (fast
-        # in numpy, unlike integer mod): digit i of v is v // p^i - p * (v // p^(i+1))
-        quot = np.stack([multiples // p**i for i in range(self.e * self.m, -1, -1)], 1)
-        at = np.arange(quot.shape[2])
-        for v in quot[:, 1:] - p * quot[:, :-1]:  # per multiple, digits by batch
-            for b, lead, scale in pivots:  # reduced mod p only once, below
-                v = v - v[lead, at] * scale % p * b
-            v = v - p * (v // p)
-            lead = np.argmax(v != 0, axis=0)
-            # an F_p digit is also the element it names, so inv_many inverts it
-            pivots.append((v, lead, self.inv_many(v[lead, at])))
-        return np.count_nonzero([scale for _, _, scale in pivots], axis=0) // self.e
+        pivots = []  # per pivot b: b, 2b, ..., (p - 1)b
+        for v in comps:
+            v = np.asarray(v, dtype=np.int64)
+            for j in range(self.e):
+                w = self.mul_many(v, self.p**j) if j else v
+                for bs in pivots:
+                    w = functools.reduce(np.minimum, [self.add_many(w, cb) for cb in bs], w)
+                pivots.append([w] + [self.mul_many(w, c) for c in range(2, self.p)])
+        return np.count_nonzero([bs[0] for bs in pivots], axis=0) // self.e
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two broadcastable integer arrays (or scalars)."""

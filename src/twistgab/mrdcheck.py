@@ -246,7 +246,9 @@ class KSubsetTable:
     listed in lexicographic order next to the annihilator coefficients of
     {alpha_i : i in I}, and the column of g_h^(t)(I) over all subsets is
     computed the first time (h, t) is asked for.  Every Omega route reads its
-    scalars from here.
+    scalars from here, and :meth:`vanishing_many` is the one vanishing-minor
+    mask: a stack of eta tuples at once, whose first True per row is the
+    Omega witness of that spec.
     """
 
     def __init__(
@@ -298,11 +300,6 @@ class KSubsetTable:
         acc = np.ones((len(etas), len(self.subsets)), dtype=np.int64)
         return _dot(self.tower, etas.T[..., None], [self.g(h, t) for t in ts], acc) == 0
 
-    def vanishing(self, h: int, twists: Sequence[tuple[int, Element]]) -> list[tuple[int, ...]]:
-        """The stack of one of :meth:`vanishing_many`, as a list of subsets."""
-        mask = self.vanishing_many(h, [t for t, _ in twists], [[eta for _, eta in twists]])[0]
-        return [s for s, hit in zip(self.subsets, mask) if hit]
-
 
 def omega_one(table: KSubsetTable, h: int, t: int) -> ForbiddenSet:
     """The set of -g_h^(t)(I) over all k-subsets I; eta^(-1) inside => not MRD."""
@@ -336,7 +333,9 @@ def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tupl
     if not spec.twists:
         return None
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
-    return next(iter(table.vanishing(spec.h, spec.twists)), None)
+    ts, etas = zip(*spec.twists)
+    mask = table.vanishing_many(spec.h, ts, [etas])[0]
+    return table.subsets[mask.argmax()] if mask.any() else None
 
 
 def omega_two_materialize(table: KSubsetTable, h: int, t1: int, t2: int) -> ForbiddenSet:

@@ -610,6 +610,19 @@ def test_batched_extension_matches_matrix_is_mrd_per_matrix(block_rows, case, da
     assert got[:2] == [True, True] and got[-1] == (spec.n - spec.k == 1)
 
 
+@settings(max_examples=25, deadline=None)
+@given(spec=small_codes(one_twist=True), data=st.data())
+def test_deep_hole_family_vectors_are_deep_by_distance_over_random_towers(spec, data):
+    # the one-twist t = 0 code has covering radius n - k, so a deep hole lies
+    # at rank distance n - k from every codeword
+    t = spec.tower
+    g = data.draw(st.integers(1, t.order - 1))
+    f = data.draw(st.lists(st.integers(0, t.order - 1), min_size=spec.k, max_size=spec.k))
+    for flavor in ("x^[k]", "x^[h]"):
+        u = cov.deep_hole_family(spec, g, flavor, f)
+        assert cov.distance_to_code(spec, list(u)) == spec.n - spec.k
+
+
 def test_batched_routes_check_every_row(c1_spec):
     codeword = [int(c) for c in encode(c1_spec, [1, 0])]
     with pytest.raises(SpecInvariantError, match="lies in the code"):

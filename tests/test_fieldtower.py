@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tower_from
 from twistgab.errors import ConsistencyError, FieldConstructionError
 from twistgab.fieldtower import (
     FieldTower,
@@ -352,6 +353,10 @@ RANK_TOWERS = {
     "F27": default_tower(3, 1, 3),
     # odd p with e > 1: the F_p-multiples v * x^j of each component at p = 3
     "F9<=F81": default_tower(3, 2, 2),
+    # q >= 5: each pivot reduces by its p - 1 non-zero F_p-multiples
+    "F7^3": default_tower(7, 1, 3),
+    # e = 4: four F_p-multiples of each component
+    "F16<=F256": default_tower(2, 4, 2),
 }
 
 
@@ -377,6 +382,44 @@ def test_fq_rank_many_matches_scalar_fq_rank(name, data):
     n = data.draw(st.integers(1, t.m + 1))
     vecs = data.draw(st.lists(low_rank_vectors(t, n), min_size=1, max_size=8))
     comps = [np.array([v[j] for v in vecs], dtype=np.int64) for j in range(n)]
+    assert t.fq_rank_many(comps).tolist() == [t.fq_rank(v) for v in vecs]
+
+
+# (p, e, m) with p in {2, 3, 5, 7}, e in {1, 2} and order <= 256
+SMALL_TOWERS = [
+    (p, e, m) for p in (2, 3, 5, 7) for e in (1, 2) for m in range(1, 9) if p ** (e * m) <= 256
+]
+
+
+@st.composite
+def vector_batches(draw):
+    """A random tower and a batch of 1..8 vectors of the same length 1..m+2,
+    whose components are random, zero, a repeat of an earlier component or
+    an F_q-multiple of one."""
+    p, e, m = draw(st.sampled_from(SMALL_TOWERS))
+    t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+    n = draw(st.integers(1, m + 2))
+    vecs = []
+    for _ in range(draw(st.integers(1, 8))):
+        vec = []
+        for i in range(n):
+            kind = draw(st.sampled_from(["random", "zero", "repeat", "multiple"][: 4 if i else 2]))
+            if kind == "random":
+                vec.append(draw(st.integers(0, t.order - 1)))
+            elif kind == "zero":
+                vec.append(0)
+            else:
+                u = vec[draw(st.integers(0, i - 1))]
+                vec.append(u if kind == "repeat" else t.mul(draw(st.integers(0, t.q - 1)), u))
+        vecs.append(vec)
+    return t, vecs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=vector_batches())
+def test_fq_rank_many_matches_scalar_fq_rank_over_random_towers(case):
+    t, vecs = case
+    comps = [np.array([v[j] for v in vecs], dtype=np.int64) for j in range(len(vecs[0]))]
     assert t.fq_rank_many(comps).tolist() == [t.fq_rank(v) for v in vecs]
 
 

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import DISTANCE_TOWERS, tower_from
 from twistgab.linpoly import LinearizedPoly, annihilator, annihilator_product
 
 W = 2
@@ -190,3 +193,37 @@ class TestSerialization:
         f = LinearizedPoly.monomial(f16, W, 2)
         j = f.to_json()
         assert len(j) == 3 and j[2] == f16.element_to_json(W)
+
+
+@st.composite
+def towers(draw):
+    p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
+    return tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
+
+
+def polys(t, max_deg):
+    """A linearized polynomial of q-degree at most max_deg, possibly zero."""
+    coeffs = st.lists(st.integers(0, t.order - 1), max_size=max_deg + 1)
+    return coeffs.map(lambda cs: LinearizedPoly(t, cs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=towers(), data=st.data())
+def test_annihilator_matches_literal_product_over_random_towers(t, data):
+    # 0..3 generators, often F_q-dependent: a repeat, zero or an F_q-multiple
+    gens = data.draw(st.lists(st.integers(0, t.order - 1), max_size=3))
+    if gens and data.draw(st.booleans()):
+        gens.append(t.mul(data.draw(st.integers(0, t.q - 1)), data.draw(st.sampled_from(gens))))
+    ann = annihilator(t, gens)
+    assert ann == annihilator_product(t, gens)
+    assert ann.deg_q == t.fq_rank(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=towers(), data=st.data())
+def test_right_divmod_reconstructs_its_input_over_random_towers(t, data):
+    f = data.draw(polys(t, 5))
+    d = data.draw(polys(t, 3).filter(lambda d: not d.is_zero))
+    quot, rem = f.right_divmod(d)
+    assert quot * d + rem == f
+    assert rem.deg_q < d.deg_q  # -1 for the zero remainder
