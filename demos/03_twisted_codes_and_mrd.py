@@ -34,7 +34,7 @@ print(generator_matrix(spec))
 
 # route 1: exhaustive minimum rank distance over message classes
 # route 2: rank(V G^T) = k over all 35 subspace representatives
-# route 3: eta avoids the minor-ratio forbidden set
+# route 3: eta^(-1) avoids the minor-ratio forbidden set
 ratio_set = forbidden_eta_set_one_twist(t, alpha, 2, 0, 0)
 o1 = omega_one(KSubsetTable(t, alpha, 2), 0, 0)
 print(f"\nforbidden ratio set has {len(ratio_set.entries)} values; "
@@ -44,7 +44,7 @@ print("\n eta | d_R | d_H | MRD(3 routes) | class")
 for eta in t.nonzero_elements():
     s = CodeSpec(t, alpha, 2, 0, ((0, eta),))
     rep = min_rank_distance(s)
-    routes = (rep.is_mrd, is_mrd_subspace_criterion(s), (eta,) not in ratio_set)
+    routes = (rep.is_mrd, is_mrd_subspace_criterion(s), (t.inv(eta),) not in ratio_set)
     assert len(set(routes)) == 1, "routes must agree"
     label = hamming_class_via_omega(s).label
     print(f"  {eta:2d} |  {rep.d_rank}  |  {rep.d_hamming}  | {routes[0]!s:13} | {label}")

@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Subcommands build towers and code specs from JSON files, run the checks, and
-write canonical JSON reports (schema "twistgab/1").  ``classify`` hands the
-stack of its specs (a ``--sweep`` grid, or the one ``--code`` spec as a stack
-of one) to ``mrdcheck.classify_many``, which runs and cross-checks every
-route, and only formats the entries.  The
-``--budget-*`` flags (default ``DEFAULT_*`` of :mod:`twistgab.budget`) are the
-only way to set the enumeration caps; the environment is not read.  Reports
-are byte-stable for a fixed seed: collections are sorted and JSON keys are
+One pipeline serves every subcommand: :func:`main` parses the flags, builds
+the tower from ``--field`` and the ``Budgets`` from the three ``--budget-*``
+flags (default ``DEFAULT_*`` of :mod:`twistgab.budget`; the only way to set
+the enumeration caps, and the environment is not read), calls the command with
+both, and writes its body inside the envelope ``{"schema": "twistgab/1",
+"command": ...}`` as canonical JSON.  A command reads only its own inputs
+(code spec, sweep grid, construction task) and returns the body.
+``classify`` hands the stack of its specs (a ``--sweep`` grid, or the one
+``--code`` spec as a stack of one) to ``mrdcheck.classify_many``, which runs
+and cross-checks every route, and only formats the entries.  Reports are
+byte-stable for a fixed seed: collections are sorted and JSON keys are
 sorted.  Every command runs in one thread; ``--workers`` is accepted for
 compatibility and ignored, because the work is CPU-bound Python that a thread
-pool only slowed down.  The wall-clock time of a command goes to stderr as a ``[timing]`` line,
-never into the report.
+pool only slowed down.  The wall-clock time of a command goes to stderr as a
+``[timing]`` line, never into the report.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
 consistency failure (two verification routes disagreed -- the most important
@@ -130,16 +133,11 @@ def _write_report(args, report: dict) -> None:
         raise ValueError(f"cannot write report to {args.out}: {exc}") from exc
 
 
-def _budgets_from_args(args) -> Budgets:
-    return Budgets(args.budget_subspaces, args.budget_codewords, args.budget_ambient)
-
-
-def _code_args(args) -> tuple[FieldTower, Budgets, codes.CodeSpec]:
-    """The tower, budgets and --code spec of a command that needs one code."""
-    tower, budgets = _load_tower(args), _budgets_from_args(args)
+def _code(args, tower: FieldTower) -> codes.CodeSpec:
+    """The --code spec of a command that needs one code."""
     if not args.code:
         raise ValueError(f"{args.command} needs --code")
-    return tower, budgets, _load_spec(tower, args.code)
+    return _load_spec(tower, args.code)
 
 
 def _classify_entries(
@@ -204,22 +202,19 @@ def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.
     ]
 
 
-def cmd_classify(args) -> dict:
-    tower = _load_tower(args)
-    budgets = _budgets_from_args(args)
+def cmd_classify(args, tower: FieldTower, budgets: Budgets) -> dict:
     if args.sweep:
         specs = _sweep_specs(tower, _load_json(args.sweep), budgets)
     elif args.code:
         specs = [_load_spec(tower, args.code)]
     else:
         raise ValueError("classify needs --code or --sweep")
-    entries = _classify_entries(tower, specs, budgets) if specs else []
-    return {"schema": SCHEMA, "command": "classify", "entries": entries}
+    return {"entries": _classify_entries(tower, specs, budgets) if specs else []}
 
 
-def cmd_forbidden(args) -> dict:
-    tower, budgets, spec = _code_args(args)
-    out = {"schema": SCHEMA, "command": "forbidden", "spec": spec.to_json_dict()}
+def cmd_forbidden(args, tower: FieldTower, budgets: Budgets) -> dict:
+    spec = _code(args, tower)
+    out = {"spec": spec.to_json_dict()}
     if spec.ell == 1:
         t0, _ = spec.twists[0]
         ratio = mrdcheck.forbidden_eta_set_one_twist(
@@ -239,9 +234,7 @@ def cmd_forbidden(args) -> dict:
     return out
 
 
-def cmd_construct(args) -> dict:
-    tower = _load_tower(args)
-    budgets = _budgets_from_args(args)
+def cmd_construct(args, tower: FieldTower, budgets: Budgets) -> dict:
     if not args.task:
         raise ValueError("construct needs --task with the construction description")
     task = json_object(_load_json(args.task), "a construction task")
@@ -250,25 +243,20 @@ def cmd_construct(args) -> dict:
     k = json_int(task["k"])
     h = json_int(task.get("h", 0))
     ts = [json_int(x) for x in json_array(task["ts"], "ts")]
-    if mode == "nested":
+    if mode not in ("nested", "scalar", "sum-product-free"):
+        raise ValueError(f"unknown construction mode {mode!r}")
+    if mode == "sum-product-free":
+        degrees = [json_int(task["s"])]
+    else:
         degrees = [json_int(s) for s in json_array(task["degrees"], "degrees")]
-        chain = mrdcheck.SubfieldChain.nested(degrees, _elements(tower, task["etas"], "etas"))
-    elif mode == "scalar":
-        degrees = [json_int(s) for s in json_array(task["degrees"], "degrees")]
-        etas = _elements(tower, task["etas"], "etas")
+    etas = _elements(tower, task["etas"], "etas")
+    if mode == "scalar":
         if len(degrees) != 1 or len(etas) != 1:
             raise ValueError("scalar mode needs exactly one degree and one eta")
-        scalars = _elements(tower, task.get("scalars", []), "scalars")
-        chain = mrdcheck.SubfieldChain.scalar_multiple(degrees[0], etas[0], scalars)
-    elif mode == "sum-product-free":
-        etas = _elements(tower, task["etas"], "etas")
-        chain = mrdcheck.SubfieldChain.sum_product_free(json_int(task["s"]), etas)
-    else:
-        raise ValueError(f"unknown construction mode {mode!r}")
+        etas += _elements(tower, task.get("scalars", []), "scalars")
+    chain = mrdcheck.SubfieldChain(mode, tuple(degrees), tuple(etas))
     spec, verified = mrdcheck.construct_chain_mrd(tower, chain, alpha, k, h, ts, budgets)
     return {
-        "schema": SCHEMA,
-        "command": "construct",
         "mode": mode,
         "code": spec.to_json_dict(),
         "verified_mrd": verified,
@@ -276,21 +264,16 @@ def cmd_construct(args) -> dict:
     }
 
 
-def cmd_covering(args) -> dict:
-    tower, budgets, spec = _code_args(args)
+def cmd_covering(args, tower: FieldTower, budgets: Budgets) -> dict:
+    spec = _code(args, tower)
     report = covering.covering_radius_exhaustive(spec, budgets)
-    return {
-        "schema": SCHEMA,
-        "command": "covering",
-        "spec": spec.to_json_dict(),
-        "report": report.to_json_dict(tower),
-    }
+    return {"spec": spec.to_json_dict(), "report": report.to_json_dict(tower)}
 
 
-def cmd_deephole(args) -> dict:
+def cmd_deephole(args, tower: FieldTower, budgets: Budgets) -> dict:
     if args.grid < 0 or args.sample < 0:
         raise ValueError("--grid and --sample must be >= 0")
-    tower, budgets, spec = _code_args(args)
+    spec = _code(args, tower)
     if not covering.in_one_twist_t0_family(spec):
         # whatever --grid and --sample ask for, before any draw or walk
         raise SpecInvariantError(covering.FAMILY_REFUSAL)
@@ -304,12 +287,13 @@ def cmd_deephole(args) -> dict:
     draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]
     samples = np.reshape(draws, (-1, spec.n))
     outside = samples[~covering.contains_many(spec, samples)]
-    empty = np.zeros(0, dtype=bool)
-    via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets) if len(outside) else empty
+    via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets)
     report = covering.covering_radius_exhaustive(spec, budgets)
-    # one distance walk over the family vectors, then the samples outside the code
+    # one distance walk over the family vectors, then the samples outside the code;
+    # with no vector at all (via_ext is empty then too), a bounds-only radius
+    # (rho null) is reported, not refused
     stack = np.array([*us, *outside], dtype=np.int64).reshape(-1, spec.n)
-    deep = covering.is_deep_hole_many(spec, stack, report, budgets) if len(stack) else empty
+    deep = covering.is_deep_hole_many(spec, stack, report, budgets) if len(stack) else via_ext
     verified, via_dist = deep[: len(us)], deep[len(us) :]
     differ = np.flatnonzero(via_ext != via_dist)
     if len(differ):
@@ -322,8 +306,6 @@ def cmd_deephole(args) -> dict:
         for (g, flavor, f), u, ok in zip(families, us, verified)
     ]
     return {
-        "schema": SCHEMA,
-        "command": "deephole",
         "spec": spec.to_json_dict(),
         "rho": {"value": report.rho, "method": report.rho_method},
         "families": family_entries,
@@ -375,9 +357,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report = _COMMANDS[args.command](args)
+        tower = _load_tower(args)
+        budgets = Budgets(args.budget_subspaces, args.budget_codewords, args.budget_ambient)
+        body = _COMMANDS[args.command](args, tower, budgets)
         print(f"[timing] {args.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-        _write_report(args, report)
+        _write_report(args, {"schema": SCHEMA, "command": args.command, **body})
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -308,11 +308,10 @@ class FieldTower:
             self._sf = _PrimeField(p)
         else:
             # F_q is itself a tower F_p <= F_p <= F_q whose top modulus is
-            # base_modulus, so its constructor checks the base modulus
-            if base is None:
-                base = _find_irreducible(_PrimeField(p), e)
+            # base_modulus, so its constructor checks the base modulus, or
+            # finds and proves the default one when it is None
             try:
-                self._sf = FieldTower(TowerParams(p, 1, e, None, tuple(base)))
+                self._sf = FieldTower(TowerParams(p, 1, e, None, base))
             except FieldConstructionError as exc:
                 raise FieldConstructionError(
                     str(exc).replace("top_modulus", "base_modulus")

@@ -17,10 +17,11 @@ or every [G; u] of the deep-hole extension route.  :func:`matrix_is_mrd` and
 :func:`is_mrd_subspace_criterion` are the stack of one.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
-minor of the generator vanishes, materialized per k-subset of evaluation
-points through the g_h^(t) scalars (one ``KSubsetTable`` per (alpha, k) holds
-the subsets, their annihilators and the g columns, each built for all subsets
-at once), or per subspace V through determinant ratios.
+minor of the generator vanishes (stored as eta^(-1) for one twist),
+materialized per k-subset of evaluation points through the g_h^(t) scalars
+(one ``KSubsetTable`` per (alpha, k) holds the subsets, their annihilators and
+the g columns, each built for all subsets at once), or per subspace V through
+determinant ratios.
 
 :func:`construct_chain_mrd` is the one route of the guaranteed-MRD
 constructions, for each mode of :class:`SubfieldChain` (nested subfield
@@ -107,13 +108,14 @@ def matrix_is_mrd_many(tower: FieldTower, Gs, budgets: Budgets = Budgets()) -> n
     G^T of the live generators side by side, gathered again for each block,
     and per step of ``moore.blocks`` representatives one ``moore.matmul`` and
     one ``rank_many``.  A G leaves at its first rank-deficient product; the
-    walk stops after the block in which the last leaves.
+    walk stops after the block in which the last leaves.  An empty stack walks
+    nothing and gets an empty verdict array.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
     check_budget("subspace", S * gaussian_binomial(n, k, tower.q), budgets.subspaces)
     mrd = np.ones(S, dtype=bool)
-    for Vs in _subspace_blocks(n, k, tower.q):
+    for Vs in _subspace_blocks(n, k, tower.q) if S else ():
         live = np.flatnonzero(mrd)
         wide = Gs[live].transpose(2, 0, 1).reshape(n, -1)
         for step in moore.blocks(len(Vs), len(live)):
@@ -158,11 +160,13 @@ def is_mrd_subspace_criterion(spec: CodeSpec, budgets: Budgets = Budgets()) -> b
 
 @dataclass
 class ForbiddenSet:
-    """Forbidden eta tuples with one witness each.
+    """Forbidden parameter values with one witness each.
 
-    entries maps an eta tuple (length = arity) to the witness that produced
+    entries maps a value tuple (length = arity) to the witness that produced
     it: a k-subset of evaluation-point indices or an RREF subspace matrix
-    (as a nested list).  provenance names the defining set.
+    (as a nested list).  provenance names the defining set.  The one-twist
+    sets (the minor ratios, omega1, omega1-prime) hold eta^(-1), not eta; the
+    two-twist set omega2 holds the pairs (eta_1, eta_2) themselves.
     """
 
     arity: int
@@ -201,12 +205,16 @@ def forbidden_eta_set_one_twist(
     t: int,
     budgets: Budgets = Budgets(),
 ) -> ForbiddenSet:
-    """All eta for which some maximal minor of the one-twist generator vanishes.
+    """The inverses eta^(-1) of all eta for which some maximal minor of the
+    one-twist generator vanishes.
 
-    These are the ratios -|V M_k^(h,k+t)^T| / |V M_k^T| over all subspace
-    representatives V; the denominator is a maximal minor of a Gabidulin
-    generator and can never vanish (a zero denominator is reported as an
-    internal-consistency failure).  The code is MRD iff eta avoids the set.
+    |V G^T| = |V M_k^T| + eta |V M_k^(h,k+t)^T| vanishes iff eta^(-1) is the
+    ratio -|V M_k^(h,k+t)^T| / |V M_k^T|, and the set holds these ratios over
+    all subspace representatives V (0 among them when a numerator vanishes,
+    though no eta^(-1) is 0).  The denominator is a maximal minor of a
+    Gabidulin generator and can never vanish (a zero denominator is reported
+    as an internal-consistency failure).  The code is MRD iff eta^(-1) avoids
+    the set, which holds Omega_1 (:func:`omega_one`) as a subset.
     """
     n = len(alpha)
     if tower.points_rank(alpha) != n:

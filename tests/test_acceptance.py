@@ -167,7 +167,7 @@ def test_criterion_4_three_route_mrd_agreement(f16, alpha4):
             spec = CodeSpec(t, alpha4, 2, h, ((0, eta),))
             brute = min_rank_distance(spec).is_mrd
             subspace = mc.is_mrd_subspace_criterion(spec)
-            ratio = (eta,) not in ratio_set
+            ratio = (t.inv(eta),) not in ratio_set  # the set holds eta^(-1)
             assert brute == subspace == ratio, (h, eta)
             # one-directional norm check: N(eta) != (-1)^(mk) implies MRD
             if t.norm(eta) != sign:

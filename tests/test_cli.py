@@ -622,6 +622,18 @@ class TestConstructAndCovering:
         assert report["families"] == []
         assert report["sampled_iff_checks"] == {"agree": 0, "total": 0}
 
+    def test_deephole_with_no_vector_reports_a_bounds_only_radius(self, files, capsys):
+        # no family and no sample: nothing is weighed against rho, so a radius
+        # past the ambient cap is reported as unknown, not refused
+        _, field, code = files
+        assert run_main([
+            "deephole", "--field", field, "--code", code, "--grid", 0, "--sample", 0,
+            "--budget-ambient", 10,
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rho"] == {"value": None, "method": None}
+        assert report["families"] == [] and report["all_families_verified"] is True
+
     def test_deephole_weighs_families_and_samples_in_one_distance_walk(self, files, capsys, monkeypatch):
         from twistgab import covering
 

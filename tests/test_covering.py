@@ -633,3 +633,6 @@ def test_batched_routes_check_every_row(c1_spec):
     with pytest.raises(ValueError):  # a ragged stack
         cov.contains_many(c1_spec, [[1, 0, 0, 0], [1, 2, 3]])
     assert cov.distance_to_code_many(c1_spec, np.zeros((0, 4), dtype=np.int64)).tolist() == []
+    for route in (cov.deep_hole_via_extension_many, cov.is_deep_hole_many):
+        got = route(c1_spec, np.zeros((0, 4), dtype=np.int64))
+        assert got.dtype == bool and got.shape == (0,)

@@ -260,3 +260,8 @@ def test_a_default_modulus_is_checked_once(monkeypatch):
     checked.clear()
     FieldTower(TowerParams(2, 1, 6, top_modulus=t.top_modulus))
     assert checked == [t.top_modulus]
+    # a default base modulus is found and proven by the F_q level's own search
+    checked.clear()
+    t = FieldTower(TowerParams(2, 2, 3))
+    assert checked.count(t.base_modulus) == 1
+    assert checked.count(t.top_modulus) == 1

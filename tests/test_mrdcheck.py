@@ -163,18 +163,34 @@ def moore_det_is_zero_on_first_two(tower, spec):
 
 class TestForbiddenSets:
     def test_ratio_set_complement_is_exactly_mrd(self, f16, alpha4):
+        # the set holds eta^(-1); over F_16 with n = m = 4 it is closed under
+        # inversion, so the cases below tell the two readings apart
         fset = mc.forbidden_eta_set_one_twist(f16, alpha4, 2, 0, 0)
         for eta in f16.nonzero_elements():
             spec = CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
-            assert mc.is_mrd_subspace_criterion(spec) == ((eta,) not in fset)
+            assert mc.is_mrd_subspace_criterion(spec) == ((f16.inv(eta),) not in fset)
 
-    def test_omega_one_within_ratio_inverses(self, f16, alpha4):
+    def test_omega_one_within_ratio_set(self, f16, alpha4):
+        # both hold eta^(-1): a k-subset I is the coordinate subspace V = I
         for h in (0, 1):
             fset = mc.forbidden_eta_set_one_twist(f16, alpha4, 2, h, 0)
             o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), h, 0)
-            for (v,) in o1.entries:
-                if v != 0:
-                    assert (f16.inv(v),) in fset
+            assert o1.values() <= fset.values()
+
+    # (p, m, n, k, h) and the number of eta that the eta (not eta^(-1))
+    # reading of the set gets wrong, alpha = (1, y, ..., y^(n-1)), t = 0
+    @pytest.mark.parametrize("p, m, n, k, h, wrong", [
+        (2, 5, 4, 2, 0, 12), (2, 5, 4, 2, 1, 6), (3, 4, 3, 1, 0, 20),
+    ])
+    def test_ratio_set_holds_eta_inverses_where_the_readings_differ(self, p, m, n, k, h, wrong):
+        t = default_tower(p, 1, m)
+        alpha = polynomial_basis(t, n)
+        fset = mc.forbidden_eta_set_one_twist(t, alpha, k, h, 0)
+        mrd = {eta: mc.is_mrd_subspace_criterion(CodeSpec(t, alpha, k, h, ((0, eta),)))
+               for eta in t.nonzero_elements()}
+        assert all(ok == ((t.inv(eta),) not in fset) for eta, ok in mrd.items())
+        assert sum(ok != ((eta,) not in fset) for eta, ok in mrd.items()) == wrong
+        assert mc.omega_one(mc.KSubsetTable(t, alpha, k), h, 0).values() <= fset.values()
 
     def test_omega_one_soundness(self, f16, alpha4):
         o1 = mc.omega_one(mc.KSubsetTable(f16, alpha4, 2), 0, 1)
@@ -498,6 +514,14 @@ def test_stack_walk_checks_every_product_against_the_subspaces_cap(f16, alpha4, 
     walked = spy_blocks(monkeypatch)
     with pytest.raises(BudgetExceededError, match=f"needs {2 * count} steps"):
         mc.matrix_is_mrd_many(f16, [G, G], cap)
+    assert walked == []
+
+
+
+def test_stack_walk_of_an_empty_stack_walks_nothing(f16, monkeypatch):
+    walked = spy_blocks(monkeypatch)
+    got = mc.matrix_is_mrd_many(f16, np.zeros((0, 2, 4), dtype=np.int64))
+    assert got.dtype == bool and got.shape == (0,)
     assert walked == []
 
 
