@@ -6,10 +6,14 @@ flags (default ``DEFAULT_*`` of :mod:`twistgab.budget`; the only way to set
 the enumeration caps, and the environment is not read), calls the command with
 both, and writes its body inside the envelope ``{"schema": "twistgab/1",
 "command": ...}`` as canonical JSON.  A command reads only its own inputs
-(code spec, sweep grid, construction task) and returns the body.
+(code spec, sweep grid, construction task) and returns the body.  No command
+holds a rule by which two routes must agree; each hands its work to the
+library function that holds the rules and only parses, draws and formats.
 ``classify`` hands the stack of its specs (a ``--sweep`` grid, or the one
-``--code`` spec as a stack of one) to ``mrdcheck.classify_many``, which runs
-and cross-checks every route, and only formats the entries.  Reports are
+``--code`` spec as a stack of one) to ``mrdcheck.classify_many``;
+``forbidden`` hands a one-twist spec to ``mrdcheck.forbidden_sets_one_twist``;
+``deephole`` draws its vectors and hands the family vectors and the samples
+outside the code, as one stack, to ``covering.is_deep_hole_many``.  Reports are
 byte-stable for a fixed seed: collections are sorted and JSON keys are
 sorted.  Every command runs in one thread; ``--workers`` is accepted for
 compatibility and ignored, because the work is CPU-bound Python that a thread
@@ -216,15 +220,8 @@ def cmd_forbidden(args, tower: FieldTower, budgets: Budgets) -> dict:
     spec = _code(args, tower)
     out = {"spec": spec.to_json_dict()}
     if spec.ell == 1:
-        t0, _ = spec.twists[0]
-        ratio = mrdcheck.forbidden_eta_set_one_twist(
-            tower, spec.alpha, spec.k, spec.h, t0, budgets
-        )
-        table = mrdcheck.KSubsetTable(tower, spec.alpha, spec.k, budgets)
-        out["ratio_set"] = ratio.to_json_dict(tower)
-        out["omega_one"] = mrdcheck.omega_one(table, spec.h, t0).to_json_dict(tower)
-        if t0 == 0:
-            out["omega_one_prime"] = mrdcheck.omega_one_prime(table, spec.h).to_json_dict(tower)
+        sets = mrdcheck.forbidden_sets_one_twist(spec, budgets)
+        out.update((name, fset.to_json_dict(tower)) for name, fset in sets.items())
     elif spec.ell >= 2:
         witness = mrdcheck.omega_witness(spec, budgets)
         out["omega_witness"] = list(witness) if witness is not None else None
@@ -287,18 +284,11 @@ def cmd_deephole(args, tower: FieldTower, budgets: Budgets) -> dict:
     draws = [[tower.random_element(rng) for _ in range(spec.n)] for _ in range(args.sample)]
     samples = np.reshape(draws, (-1, spec.n))
     outside = samples[~covering.contains_many(spec, samples)]
-    via_ext = covering.deep_hole_via_extension_many(spec, outside, budgets)
     report = covering.covering_radius_exhaustive(spec, budgets)
-    # one distance walk over the family vectors, then the samples outside the code;
-    # with no vector at all (via_ext is empty then too), a bounds-only radius
-    # (rho null) is reported, not refused
+    # one stack for the distance and extension routes, which is_deep_hole_many
+    # cross-checks: the family vectors, then the samples outside the code
     stack = np.array([*us, *outside], dtype=np.int64).reshape(-1, spec.n)
-    deep = covering.is_deep_hole_many(spec, stack, report, budgets) if len(stack) else via_ext
-    verified, via_dist = deep[: len(us)], deep[len(us) :]
-    differ = np.flatnonzero(via_ext != via_dist)
-    if len(differ):
-        u = outside[differ[0]].tolist()
-        raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
+    verified = covering.is_deep_hole_many(spec, stack, report, budgets)[: len(us)]
     family_entries = [
         {"flavor": flavor, "g": tower.element_to_json(g),
          "f": [tower.element_to_json(c) for c in f],

@@ -22,7 +22,9 @@ its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).  The
 extension route (:func:`deep_hole_via_extension_many`) is the subspace
 criterion on the stack of every [G; u], ``mrdcheck.matrix_is_mrd_many``.
 Neither route calls the other, and each one-vector function is its route on
-the stack of one.
+the stack of one.  :func:`is_deep_hole_many` is the one site of the rule by
+which they must agree: on a one-twist t = 0 spec, every row outside the code
+goes through both routes.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def contains_many(spec: CodeSpec, U) -> np.ndarray:
-    """Per row u of U, True iff u lies in the code's row space: rank [G; u] = k."""
-    U, G = _vectors(spec, U), generator_matrix(spec)
-    ranks = [spec.tower.rank_many(_extended(G, U[step])) for step in moore.blocks(len(U))]
-    return np.concatenate([np.zeros(0, dtype=np.int64), *ranks]) == spec.k
+    """Per row u of U, True iff u lies in the code's row space: its syndrome
+    H u^T is 0, H a basis of the dual (``moore.nullspace_fqm`` of G)."""
+    U, H = _vectors(spec, U), moore.nullspace_fqm(spec.tower, generator_matrix(spec))
+    return ~moore.matmul(spec.tower, U, H.T).any(axis=1)
 
 
 def contains(spec: CodeSpec, u: Sequence[Element]) -> bool:
@@ -249,16 +251,33 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
 def is_deep_hole_many(spec: CodeSpec, U, report: Optional[CoveringReport] = None,
                       budgets: Budgets = Budgets()) -> np.ndarray:
     """Per row u of U, True iff the distance from u to the code equals the covering
-    radius.  The radius is walked for only when no report is given; a
-    bounds-only report raises at once."""
+    radius.  An empty stack gets an empty verdict array under any report;
+    otherwise the radius is walked for only when no report is given, and a
+    bounds-only report raises at once.
+
+    This is the one site where the deep-hole routes must agree.  For a spec in
+    the one-twist t = 0 family, every row outside the code (by
+    :func:`contains_many`) also goes through
+    :func:`deep_hole_via_extension_many`, and the first row, in stack order, on
+    which the extension and distance routes differ raises ConsistencyError.
+    """
     U = _vectors(spec, U)
+    if not len(U):
+        return np.zeros(0, dtype=bool)
     if report is None:
         report = covering_radius_exhaustive(spec, budgets)
     if report.rho is None:
         raise BudgetExceededError(
             "covering radius unknown: ambient space too large for brute force"
         )
-    return distance_to_code_many(spec, U, budgets) == report.rho
+    deep = distance_to_code_many(spec, U, budgets) == report.rho
+    if in_one_twist_t0_family(spec):
+        outside = np.flatnonzero(~contains_many(spec, U))
+        differ = outside[deep_hole_via_extension_many(spec, U[outside], budgets) != deep[outside]]
+        if len(differ):
+            u = U[differ[0]].tolist()
+            raise ConsistencyError(f"extension route and distance route disagree on u = {u}")
+    return deep
 
 
 def is_deep_hole(spec: CodeSpec, u: Sequence[Element], report: Optional[CoveringReport] = None,

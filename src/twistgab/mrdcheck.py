@@ -21,7 +21,12 @@ minor of the generator vanishes (stored as eta^(-1) for one twist),
 materialized per k-subset of evaluation points through the g_h^(t) scalars
 (one ``KSubsetTable`` per (alpha, k) holds the subsets, their annihilators and
 the g columns, each built for all subsets at once), or per subspace V through
-determinant ratios.
+determinant ratios.  Both determinant routes, the ratio set
+(:func:`forbidden_eta_set_one_twist`) and the expansion
+(:func:`mrd_membership_multi`), read one walk of twisted minors
+(:func:`_twisted_minors`); the rank route :func:`matrix_is_mrd_many` stays
+apart as their cross-check.  :func:`forbidden_sets_one_twist` builds the
+one-twist sets and holds the rule that Omega_1 lies in the ratio set.
 
 :func:`construct_chain_mrd` is the one route of the guaranteed-MRD
 constructions, for each mode of :class:`SubfieldChain` (nested subfield
@@ -177,9 +182,9 @@ class ForbiddenSet:
         return set(self.entries)
 
     def __contains__(self, eta) -> bool:
-        if isinstance(eta, int):
-            eta = (eta,)
-        return tuple(eta) in self.entries
+        """eta as one value (a Python or numpy integer) or a tuple of values."""
+        key = (eta,) if isinstance(eta, (int, np.integer)) else tuple(eta)
+        return tuple(map(int, key)) in self.entries
 
     def to_json_dict(self, tower: FieldTower) -> dict:
         ordered = sorted(self.entries)
@@ -197,6 +202,26 @@ class ForbiddenSet:
         }
 
 
+def _twisted_minors(tower: FieldTower, alpha: Sequence[Element], k: int, h: int,
+                    ts: Sequence[int], budgets: Budgets) -> Iterator[tuple]:
+    """The one walk of twisted minors behind both determinant routes: per block
+    Vs of subspace representatives, (Vs, |V M_k^T|, [|V M_k^(h,k+t)^T| per t
+    of ts]) over the block.  |V M_k^T| is a maximal minor of a Gabidulin
+    generator and can never vanish; a zero is an internal-consistency failure.
+    The walk checks the subspaces cap first.
+    """
+    n = len(alpha)
+    check_budget("subspace", gaussian_binomial(n, k, tower.q), budgets.subspaces)
+    M = moore.moore_matrix(tower, alpha, k)
+    twisted = [moore.modified_moore_matrix(tower, alpha, k, h, k + t) for t in ts]
+    for Vs in _subspace_blocks(n, k, tower.q):
+        dens = tower.det_many(moore.matmul(tower, Vs, M.T))
+        if (dens == 0).any():
+            raise ConsistencyError("Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
+                                   f"the MRD property, V = {Vs[(dens == 0).argmax()].tolist()}")
+        yield Vs, dens, [tower.det_many(moore.matmul(tower, Vs, X.T)) for X in twisted]
+
+
 def forbidden_eta_set_one_twist(
     tower: FieldTower,
     alpha: Sequence[Element],
@@ -210,30 +235,18 @@ def forbidden_eta_set_one_twist(
 
     |V G^T| = |V M_k^T| + eta |V M_k^(h,k+t)^T| vanishes iff eta^(-1) is the
     ratio -|V M_k^(h,k+t)^T| / |V M_k^T|, and the set holds these ratios over
-    all subspace representatives V (0 among them when a numerator vanishes,
-    though no eta^(-1) is 0).  The denominator is a maximal minor of a
-    Gabidulin generator and can never vanish (a zero denominator is reported
-    as an internal-consistency failure).  The code is MRD iff eta^(-1) avoids
-    the set, which holds Omega_1 (:func:`omega_one`) as a subset.
+    all subspace representatives V of :func:`_twisted_minors` (0 among them
+    when a numerator vanishes, though no eta^(-1) is 0).  The code is MRD iff
+    eta^(-1) avoids the set, which holds Omega_1 (:func:`omega_one`) as a
+    subset.
     """
     n = len(alpha)
     if tower.points_rank(alpha) != n:
         raise SpecInvariantError("alpha components must be F_q-independent")
     if not 0 <= h <= k - 1 or not 0 <= t <= n - k - 1:
         raise SpecInvariantError("need 0 <= h <= k-1 and 0 <= t <= n-k-1")
-    check_budget("subspace", gaussian_binomial(n, k, tower.q), budgets.subspaces)
-    M = moore.moore_matrix(tower, alpha, k)
-    Mht = moore.modified_moore_matrix(tower, alpha, k, h, k + t)
     out = ForbiddenSet(arity=1, provenance="one-twist-minor-ratio")
-    for Vs in _subspace_blocks(n, k, tower.q):
-        dens = tower.det_many(moore.matmul(tower, Vs, M.T))
-        zero = np.flatnonzero(dens == 0)
-        if len(zero):
-            raise ConsistencyError(
-                "Gabidulin maximal minor |V M_k^T| vanished; this contradicts "
-                f"the MRD property, V = {Vs[zero[0]].tolist()}"
-            )
-        nums = tower.det_many(moore.matmul(tower, Vs, Mht.T))
+    for Vs, dens, (nums,) in _twisted_minors(tower, alpha, k, h, (t,), budgets):
         etas = tower.neg_many(tower.mul_many(nums, tower.inv_many(dens)))
         # the first row of each eta value in the block, in row order
         _, first = np.unique(etas, return_index=True)
@@ -332,6 +345,31 @@ def omega_one_prime(table: KSubsetTable, h: int) -> ForbiddenSet:
     return out
 
 
+def forbidden_sets_one_twist(spec: CodeSpec, budgets: Budgets = Budgets()) -> dict:
+    """The forbidden sets of a one-twist spec by report name: "ratio_set"
+    (:func:`forbidden_eta_set_one_twist`), "omega_one" and, at t = 0,
+    "omega_one_prime", all of eta^(-1).
+
+    The ratio set is built before the k-subset table, so a run over both caps
+    names the subspaces cap.  Every value of Omega_1 must lie in the ratio set
+    (a k-subset I is the coordinate subspace V = I); the first one outside it,
+    in value order, raises ConsistencyError.
+    """
+    if spec.ell != 1:
+        raise SpecInvariantError("one-twist forbidden sets need exactly one twist")
+    tower, (t, _) = spec.tower, spec.twists[0]
+    ratio = forbidden_eta_set_one_twist(tower, spec.alpha, spec.k, spec.h, t, budgets)
+    table = KSubsetTable(tower, spec.alpha, spec.k, budgets)
+    sets = {"ratio_set": ratio, "omega_one": omega_one(table, spec.h, t)}
+    if t == 0:
+        sets["omega_one_prime"] = omega_one_prime(table, spec.h)
+    stray = min(sets["omega_one"].values() - ratio.values(), default=None)
+    if stray is not None:
+        raise ConsistencyError(f"Omega_1 value {tower.element_to_json(stray[0])} (k-subset "
+                               f"{sets['omega_one'].entries[stray]}) is outside the ratio set")
+    return sets
+
+
 def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tuple[int, ...]]:
     """First k-subset I (lexicographic) with 1 + sum_j eta_j g_h^(t_j)(I) = 0.
 
@@ -366,19 +404,12 @@ def mrd_membership_multi(
 
     Returns (verdict, violating V as a nested list or None).  Agrees with the
     subspace criterion because the sum is the expansion of |V G^T| along the
-    twisted row.
+    twisted row; the minors come from :func:`_twisted_minors`.
     """
-    t = spec.tower
-    check_budget("subspace", gaussian_binomial(spec.n, spec.k, t.q), budgets.subspaces)
-    terms = [(t.one, moore.moore_matrix(t, spec.alpha, spec.k))] + [
-        (ej, moore.modified_moore_matrix(t, spec.alpha, spec.k, spec.h, spec.k + tj))
-        for tj, ej in spec.twists
-    ]
-    for Vs in _subspace_blocks(spec.n, spec.k, t.q):
-        acc = 0
-        for e, X in terms:
-            acc = t.add_many(acc, t.mul_many(e, t.det_many(moore.matmul(t, Vs, X.T))))
-        zero = np.flatnonzero(acc == 0)
+    t, ts = spec.tower, [tj for tj, _ in spec.twists]
+    etas = [ej for _, ej in spec.twists]
+    for Vs, dens, nums in _twisted_minors(t, spec.alpha, spec.k, spec.h, ts, budgets):
+        zero = np.flatnonzero(_dot(t, etas, nums, dens) == 0)
         if len(zero):
             return False, Vs[zero[0]].tolist()
     return True, None

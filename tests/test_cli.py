@@ -286,12 +286,13 @@ class TestClassify:
         assert run_main(["classify", "--field", field, "--code", code]) == 4
 
     def test_deephole_route_disagreement_exits_4_naming_the_sample(self, files, capsys, monkeypatch):
-        # the routes run once over the stack of non-code samples; of the two
-        # disagreements, the message names the first in draw order, the second
+        # the routes run once over one stack, the two family vectors and then
+        # the samples outside the code; of the two disagreements (stack rows 3
+        # and 5), the message names the first in stack order, the second
         # sample outside the code, as the one-vector-at-a-time check did
         import random
 
-        from twistgab import cli, covering
+        from twistgab import covering
         from twistgab.codes import CodeSpec
         from twistgab.fieldtower import tower_from_json
 
@@ -300,10 +301,10 @@ class TestClassify:
 
         def flipped(spec, U, budgets):
             verdicts = extension(spec, U, budgets)
-            verdicts[[1, 3]] = ~verdicts[[1, 3]]
+            verdicts[[3, 5]] = ~verdicts[[3, 5]]
             return verdicts
 
-        monkeypatch.setattr(cli.covering, "deep_hole_via_extension_many", flipped)
+        monkeypatch.setattr(covering, "deep_hole_via_extension_many", flipped)
         assert run_main([
             "deephole", "--field", field, "--code", code, "--seed", 7, "--grid", 2, "--sample", 8,
         ]) == 4
@@ -451,6 +452,36 @@ class TestForbidden:
         assert "omega_one_prime" in report
         # omega_one and omega_one_prime read one k-subset table
         assert len(tables_built) == 1
+
+    def test_omega_one_outside_the_ratio_set_exits_4(self, files, capsys, monkeypatch):
+        # mrdcheck.forbidden_sets_one_twist holds the rule that Omega_1 lies in
+        # the ratio set; over F_32 with n = 4 the ratio set misses some values
+        from twistgab import mrdcheck
+        from twistgab.codes import CodeSpec
+        from twistgab.fieldtower import tower_from_json
+
+        tmp = files[0]
+        field, code = tmp / "field32.json", tmp / "code32.json"
+        field_obj = {"p": 2, "e": 1, "m": 5}
+        code_obj = {"alpha": [[int(i == j) for j in range(5)] for i in range(4)], "k": 2,
+                    "h": 0, "twists": [{"t": 1, "eta": [0, 1, 0, 0, 0]}]}
+        field.write_text(json.dumps(field_obj))
+        code.write_text(json.dumps(code_obj))
+        spec = CodeSpec.from_json_dict(tower_from_json(field_obj), code_obj)
+        ratio = mrdcheck.forbidden_sets_one_twist(spec)["ratio_set"]
+        stray = min(v for v in spec.tower.nonzero_elements() if (v,) not in ratio)
+        omega_one = mrdcheck.omega_one
+
+        def widened(table, h, t):
+            out = omega_one(table, h, t)
+            out.entries[(stray,)] = [0, 1]
+            return out
+
+        monkeypatch.setattr(mrdcheck, "omega_one", widened)
+        assert run_main(["forbidden", "--field", field, "--code", code]) == 4
+        err = capsys.readouterr().err
+        assert f"Omega_1 value {spec.tower.element_to_json(stray)} (k-subset [0, 1])" in err
+        assert "Traceback" not in err
 
     def test_gabidulin_rejected(self, files):
         tmp, field, _ = files

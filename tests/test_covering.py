@@ -1,3 +1,4 @@
+import re
 from itertools import product as iproduct
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import polynomial_basis
 from oracles import DISTANCE_TOWERS, scalar_codewords, scalar_is_mrd, tower_from
+import twistgab
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
-from twistgab.errors import ConsistencyError, SpecInvariantError
+from twistgab.errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
 from twistgab.mrdcheck import gaussian_binomial
 
@@ -376,6 +378,39 @@ class TestDeepHoles:
                 f = [f16.random_element(rng) for _ in range(2)]
                 u = cov.deep_hole_family(c1_spec, g, flavor, f)
                 assert cov.is_deep_hole(c1_spec, list(u), rep)
+
+    def test_flipped_extension_route_is_a_consistency_error(self, f16, c1_spec, monkeypatch):
+        # is_deep_hole_many holds the rule: a row outside the code must get the
+        # same verdict from the extension route as from the distance route
+        extension = cov.deep_hole_via_extension_many
+        monkeypatch.setattr(
+            cov, "deep_hole_via_extension_many", lambda spec, U, budgets: ~extension(spec, U, budgets)
+        )
+        u = [int(c) for c in cov.deep_hole_family(c1_spec, 1, "x^[k]")]
+        with pytest.raises(ConsistencyError, match=re.escape(f"disagree on u = {u}")):
+            twistgab.is_deep_hole(c1_spec, u)
+        # a codeword never reaches the extension route, which would refuse it
+        assert not twistgab.is_deep_hole(c1_spec, [int(c) for c in encode(c1_spec, [1, 0])])
+
+    def test_rows_outside_the_family_skip_the_extension_route(self, f16, alpha4, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the extension route covers one twist at t = 0 only")
+
+        monkeypatch.setattr(cov, "deep_hole_via_extension_many", refused)
+        spec = CodeSpec(f16, alpha4, 2, 0, ((1, W),))
+        rep = cov.covering_radius_exhaustive(spec)
+        U = [[1, 0, 0, 0], [0, 1, 2, 3]]
+        assert cov.is_deep_hole_many(spec, U, rep).tolist() == [
+            cov.distance_to_code(spec, u) == rep.rho for u in U
+        ]
+
+    def test_empty_stack_under_a_bounds_only_report(self, c1_spec):
+        rep = cov.covering_radius_exhaustive(c1_spec, Budgets(ambient=100))
+        assert rep.rho is None
+        got = cov.is_deep_hole_many(c1_spec, np.zeros((0, 4), dtype=np.int64), rep)
+        assert got.dtype == bool and got.tolist() == []
+        with pytest.raises(BudgetExceededError, match="covering radius unknown"):
+            cov.is_deep_hole_many(c1_spec, [[1, 0, 0, 0]], rep)
 
     def test_extension_iff(self, f16, c1_spec, rng):
         rep = cov.covering_radius_exhaustive(c1_spec)

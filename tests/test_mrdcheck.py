@@ -218,6 +218,52 @@ class TestForbiddenSets:
         d = o1.to_json_dict(f16)
         assert d["size"] == len(o1.entries) and d["provenance"] == "omega1"
 
+    def test_membership_of_numpy_integers(self, f16, alpha4):
+        # inv_many and mul_many give numpy integers, alone or in tuples
+        fset = mc.forbidden_eta_set_one_twist(f16, alpha4, 2, 0, 0)
+        (value,), *_ = fset.entries
+        for eta in (value, np.int64(value), (np.int64(value),), [np.int32(value)]):
+            assert eta in fset
+        assert np.int64(0) not in mc.ForbiddenSet(arity=1, provenance="empty")
+        pairs = mc.ForbiddenSet(arity=2, provenance="omega2", entries={(3, 5): [0]})
+        assert tuple(np.array([3, 5])) in pairs and (5, 3) not in pairs
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_one_twist_sets_by_name(self, f16, alpha4, t):
+        spec = CodeSpec(f16, alpha4, 2, 0, ((t, W),))
+        sets = mc.forbidden_sets_one_twist(spec)
+        table = mc.KSubsetTable(f16, alpha4, 2)
+        assert sets["ratio_set"] == mc.forbidden_eta_set_one_twist(f16, alpha4, 2, 0, t)
+        assert sets["omega_one"] == mc.omega_one(table, 0, t)
+        if t == 0:
+            assert sets.keys() == {"ratio_set", "omega_one", "omega_one_prime"}
+            assert sets["omega_one_prime"] == mc.omega_one_prime(table, 0)
+        else:
+            assert sets.keys() == {"ratio_set", "omega_one"}
+        with pytest.raises(SpecInvariantError, match="exactly one twist"):
+            mc.forbidden_sets_one_twist(CodeSpec(f16, alpha4, 2))
+
+    def test_omega_one_outside_the_ratio_set_is_a_consistency_error(self, monkeypatch):
+        # over F_32 with n = 4 the ratio set misses some eta^(-1); over F_16
+        # with n = m = 4 it holds every one
+        t = default_tower(2, 1, 5)
+        alpha = polynomial_basis(t, 4)
+        spec = CodeSpec(t, alpha, 2, 0, ((1, W),))
+        ratio = mc.forbidden_eta_set_one_twist(t, alpha, 2, 0, 1)
+        stray = min(v for v in t.nonzero_elements() if (v,) not in ratio)
+        omega_one = mc.omega_one
+
+        def widened(table, h, t):
+            out = omega_one(table, h, t)
+            out.entries[(stray,)] = [2, 3]
+            return out
+
+        monkeypatch.setattr(mc, "omega_one", widened)
+        with pytest.raises(ConsistencyError, match=re.escape(
+            f"value {t.element_to_json(stray)} (k-subset [2, 3]) is outside the ratio set"
+        )):
+            mc.forbidden_sets_one_twist(spec)
+
 
 class TestOmegaWitnesses:
     def test_two_twist_closed_form(self, f16, alpha4):
@@ -398,7 +444,8 @@ class TestBlockWalkWitnesses:
         self, monkeypatch, name, block_rows
     ):
         # a Moore matrix whose third column is the sum of the first two makes
-        # |V M^T| vanish on every V whose row space holds (1, 1, -1)
+        # |V M^T| vanish on every V whose row space holds (1, 1, -1); both
+        # determinant routes read the one walk of twisted minors, which raises
         if block_rows is not None:
             monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
         t = WITNESS_TOWERS[name]
@@ -418,6 +465,8 @@ class TestBlockWalkWitnesses:
         assert first != walk[0].tolist()
         with pytest.raises(ConsistencyError, match=re.escape(f"V = {first}")):
             mc.forbidden_eta_set_one_twist(t, alpha, 2, 0, 0)
+        with pytest.raises(ConsistencyError, match=re.escape(f"V = {first}")):
+            mc.mrd_membership_multi(CodeSpec(t, alpha, 2, 0, ((0, 1),)))
 
 
 def second_block_failure():
@@ -1111,3 +1160,31 @@ def test_classify_routes_agree_over_random_towers(params, data):
         etas[0] = t.neg(t.mul(rest, t.inv(g0)))
     spec = CodeSpec(t, alpha, k, h, tuple(zip(ts, etas)))
     assert twistgab.classify(spec) == min_rank_distance(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.sampled_from(CLASSIFY_TOWERS), data=st.data())
+def test_minor_walk_matches_the_subspace_criterion_over_random_towers(params, data):
+    # both determinant routes read one walk of twisted minors: the expansion
+    # route must agree with the rank route for one and two twists, and for one
+    # twist eta^(-1) lies in the ratio set exactly when the code is not MRD;
+    # half the one-twist draws take eta from the ratio set
+    p, e, m = params
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    n = data.draw(st.sampled_from(range(min(m, 4), 1, -1)))  # shrinks to the largest n
+    k = data.draw(st.integers(1, n - 1))
+    h = data.draw(st.integers(0, k - 1))
+    alpha = draw_independent(t, data, range(1, t.order), n)
+    ts = sorted(data.draw(st.sets(st.integers(0, n - k - 1), min_size=1, max_size=2)))
+    etas = [data.draw(st.integers(1, t.order - 1)) for _ in ts]
+    if len(ts) == 1:
+        ratio = mc.forbidden_eta_set_one_twist(t, alpha, k, h, ts[0])
+        forbidden = sorted(v for (v,) in ratio.entries if v)
+        if forbidden and data.draw(st.booleans()):
+            etas[0] = t.inv(data.draw(st.sampled_from(forbidden)))
+    spec = CodeSpec(t, tuple(alpha), k, h, tuple(zip(ts, etas)))
+    mrd = mc.is_mrd_subspace_criterion(spec)
+    ok, violation = mc.mrd_membership_multi(spec)
+    assert ok == mrd and (violation is None) == mrd
+    if len(ts) == 1:
+        assert (t.inv_many(np.int64(etas[0])) in ratio) == (not mrd)
