@@ -55,7 +55,9 @@ EXIT_CONSISTENCY = 4
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written directly:
-    with an indent, ``json`` falls back to its pure-Python encoder."""
+    with an indent, ``json`` falls back to its pure-Python encoder.  A list of
+    exact ints (most nodes of a report) fills a ``%d`` template cached per
+    length and indent; other values dispatch on their exact type first."""
     return _json_value(obj, "\n") + "\n"
 
 
@@ -68,29 +70,31 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
+def _int_list_template(length: int, newline: str) -> str:
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]"
+
+
+# writers by exact type (json's float layout, NaN and Infinity included); a
+# subclass of str, int or float goes to its base's
+_EXACT = {str: encode_basestring_ascii, int: int.__repr__, float: json.dumps,
+          bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
 def _json_value(obj, newline: str) -> str:
     """obj in the layout of ``json.dumps(obj, sort_keys=True, indent=2)``, its
     lines after the first starting with ``newline``."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)  # the float layout, NaN and Infinity included
+    kind = type(obj)
+    if kind in _EXACT:
+        return _EXACT[kind](obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if {*map(type, obj)} == {int}:  # ints only, no bools: one join
-            items = map(int.__repr__, obj)
-        else:
-            items = [_json_value(x, inner) for x in obj]
+        if {*map(type, obj)} == {int}:  # ints only, no bools: one template
+            return _int_list_template(len(obj), newline) % tuple(obj)
+        items = [_json_value(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -100,6 +104,9 @@ def _json_value(obj, newline: str) -> str:
             for key, value in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _EXACT[base](obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -22,9 +22,10 @@ weighed by rank (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual 
 :func:`min_hamming_distance` by Hamming weight alone.
 
 The structural route, :func:`nmds_conditions_many`, reads column ranks of the
-generators by batched elimination (:meth:`FieldTower.rank_many`,
-:meth:`FieldTower.det_many`) over the column subsets of the whole stack, one
-elimination per condition, and nothing from the enumeration.
+generators, and nothing from the enumeration: all (k-1)-, k- and (k+1)-column
+subsets of the stack in one batched elimination (:meth:`FieldTower.rank_many`).
+A stack's generators are built in one broadcast and kept in their specs, as
+are parity-check matrices (:func:`generator_matrix`, :func:`parity_check_matrix`).
 """
 
 from __future__ import annotations
@@ -97,18 +98,16 @@ class CodeSpec:
 
     @cached_property
     def _generator(self) -> np.ndarray:
-        """:func:`generator_matrix`, cached in the instance (not a field)."""
-        t = self.tower
-        G = moore.moore_matrix(t, self.alpha, self.k)
-        if self.twists:
-            a = np.asarray(self.alpha, dtype=np.int64)
-            row = G[self.h].copy()
-            for tj, ej in self.twists:
-                term = t.mul_many(np.int64(ej), t.frob_many(a, self.k + tj))
-                row = t.add_many(row, term)
-            G[self.h] = row
-        G.flags.writeable = False
-        return G
+        """:func:`generator_matrix`, cached in the instance (not a field): the
+        stack of one of :func:`_generators`, unless a stack stored it first."""
+        return _generators([self])[0]
+
+    @cached_property
+    def _parity_check(self) -> np.ndarray:
+        """:func:`parity_check_matrix`, cached in the instance (not a field)."""
+        H = moore.nullspace_fqm(self.tower, self._generator)
+        H.flags.writeable = False
+        return H
 
     def to_json_dict(self) -> dict:
         t = self.tower
@@ -181,6 +180,12 @@ def generator_matrix(spec: CodeSpec) -> np.ndarray:
     return spec._generator
 
 
+def parity_check_matrix(spec: CodeSpec) -> np.ndarray:
+    """(n - k) x n basis of the dual code (``moore.nullspace_fqm`` of the
+    generator); built once per spec and read-only."""
+    return spec._parity_check
+
+
 def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
     """Evaluate the message polynomial (twist coefficients tied to f_h) at alpha."""
     return moore.matmul(spec.tower, message, generator_matrix(spec))
@@ -245,13 +250,34 @@ def _min_weights_of_matrix(
     ]
 
 
+def _generators(specs: Sequence[CodeSpec]) -> np.ndarray:
+    """The read-only (S, k, n) generators of specs sharing the tower, n and k,
+    built at once from the powers alpha^[i], i < n: Moore rows, and row h plus
+    eta_j alpha^[k+t_j] per twist index j (eta_j = 0 past a spec's twists)."""
+    t, n, k, at = specs[0].tower, specs[0].n, specs[0].k, np.arange(len(specs))
+    A = np.array([s.alpha for s in specs], dtype=np.int64)
+    P = np.stack([t.frob_many(A, i) for i in range(n)], axis=1)  # P[s, i] = alpha_s^[i]
+    G, h = P[:, :k].copy(), np.array([s.h or 0 for s in specs])
+    row = G[at, h]
+    for j in range(max(s.ell for s in specs)):
+        tj, ej = np.array([s.twists[j] if j < s.ell else (0, 0) for s in specs]).T
+        row = t.add_many(row, t.mul_many(ej[:, None], P[at, k + tj]))
+    G[at, h] = row
+    G.flags.writeable = False
+    return G
+
+
 def _generator_stack(specs: Sequence[CodeSpec]) -> np.ndarray:
-    """The (S, k, n) stack of generators of specs over one tower with one n and one k."""
+    """The (S, k, n) stack of generators of specs over one tower with one n
+    and one k; those not cached yet are built in one :func:`_generators`."""
     if not specs:
         raise ValueError("a stack of specs needs at least one spec")
     t, n, k = specs[0].tower, specs[0].n, specs[0].k
     if any(s.tower is not t or s.n != n or s.k != k for s in specs):
         raise ValueError("the specs of a stack must share the tower, n and k")
+    todo = [s for s in specs if "_generator" not in vars(s)]
+    for s, G in zip(todo, _generators(todo) if todo else ()):
+        vars(s)["_generator"] = G  # where the cached property keeps it
     return np.stack([generator_matrix(s) for s in specs])
 
 
@@ -263,8 +289,8 @@ def min_rank_distance_many(
 
     One enumeration weighs every generator by rank and by Hamming weight.
     NMDS needs d_H = n - k and a dual with d_H = k, so one more, by Hamming
-    weight only, takes the dual bases (``moore.nullspace_fqm``) of the specs
-    with d_H = n - k alone, if any.  The codeword cap counts every spec's
+    weight only, takes the dual bases (:func:`parity_check_matrix`) of the
+    specs with d_H = n - k alone, if any.  The codeword cap counts every spec's
     dual before either runs (:func:`distance_class_count`).
     """
     specs = list(specs)
@@ -276,7 +302,7 @@ def min_rank_distance_many(
     near = [i for i, (_, _, d_h, _) in enumerate(code) if d_h == n - k]
     dual = {}
     if near:
-        Hs = np.stack([moore.nullspace_fqm(t, Gs[i]) for i in near])
+        Hs = np.stack([parity_check_matrix(specs[i]) for i in near])
         dual_weights = _min_weights_of_matrix(t, Hs, budgets.codewords, (_hamming_weights,))
         dual = dict(zip(near, dual_weights))
     return [
@@ -310,40 +336,41 @@ def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
     return d_h
 
 
-def _column_stack(Gs: np.ndarray, size: int) -> np.ndarray:
-    """The k x size column submatrices of each G of an (S, k, n) stack, one per
-    size-subset in lexicographic order, as an (S * C(n, size), k, size) stack."""
-    S, k, n = Gs.shape
-    subsets = list(combinations(range(n), size))
-    cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), size)
-    return Gs[:, :, cols].transpose(0, 2, 1, 3).reshape(S * len(subsets), k, size)
+def _column_stack(Gs: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The k x size column submatrices of each G of an (S, k, n) stack, per
+    size of ``sizes`` one per size-subset in lexicographic order, zero-padded
+    on the right to the largest size w, as an (S * subsets, k, w) stack."""
+    (S, k, n), w = Gs.shape, max(sizes)
+    subsets = [s for size in sizes for s in combinations(range(n), size)]
+    cols = np.array([s + (n,) * (w - len(s)) for s in subsets], dtype=np.int64)  # n: zeros
+    padded = np.concatenate([Gs, np.zeros((S, k, 1), dtype=np.int64)], axis=2)
+    return padded[:, :, cols].transpose(0, 2, 1, 3).reshape(S * len(subsets), k, w)
 
 
 def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
     """Per generator of an (S, k, n) stack of full-rank matrices, the three
     column-rank conditions of :func:`nmds_conditions`, as an (S, 3) bool array.
 
-    Each condition is one batched elimination over the column subsets of every
-    generator of the stack, concatenated, in steps of ``moore.blocks`` whole
-    generators.
+    Per step of ``moore.blocks`` whole generators, one batched elimination
+    ranks all their (k-1)-, k- and (k+1)-column subsets, zero-padded to k + 1
+    columns.  The first generator, in stack order, none of whose k-subsets
+    has rank k is not of full rank and raises SpecInvariantError.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
-    deficient = np.flatnonzero(tower.rank_many(Gs) != k)
-    if len(deficient):
-        raise SpecInvariantError(
-            f"generator matrix {int(deficient[0])} of the stack must have full rank k"
-        )
+    lo, hi = comb(n, k - 1), comb(n, k - 1) + comb(n, k)
     out = []
-    for step in moore.blocks(S, max(comb(n, size) for size in (k - 1, k, k + 1))):
+    for step in moore.blocks(S, hi + comb(n, k + 1)):
         G = Gs[step]
-        cond_i = tower.rank_many(_column_stack(G, k - 1)) == k - 1
-        cond_ii = tower.det_many(_column_stack(G, k)) == 0
-        cond_iii = tower.rank_many(_column_stack(G, k + 1)) == k
+        ranks = tower.rank_many(_column_stack(G, (k - 1, k, k + 1))).reshape(len(G), -1)
+        full = (ranks[:, lo:hi] == k).any(axis=1)
+        if not full.all():
+            first = step.start + int(full.argmin())
+            raise SpecInvariantError(f"generator matrix {first} of the stack must have full rank k")
         out.append(np.column_stack([
-            cond_i.reshape(len(G), comb(n, k - 1)).all(axis=1),
-            cond_ii.reshape(len(G), comb(n, k)).any(axis=1),
-            cond_iii.reshape(len(G), comb(n, k + 1)).all(axis=1),
+            (ranks[:, :lo] == k - 1).all(axis=1),
+            (ranks[:, lo:hi] < k).any(axis=1),
+            (ranks[:, hi:] == k).all(axis=1),
         ]))
     return np.concatenate(out)
 

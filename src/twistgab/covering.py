@@ -37,7 +37,7 @@ import numpy as np
 
 from . import moore
 from .budget import Budgets, check_budget
-from .codes import CodeSpec, encode, generator_matrix
+from .codes import CodeSpec, encode, generator_matrix, parity_check_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from .fieldtower import Element, FieldTower
 from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd_many
@@ -98,8 +98,8 @@ def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def contains_many(spec: CodeSpec, U) -> np.ndarray:
     """Per row u of U, True iff u lies in the code's row space: its syndrome
-    H u^T is 0, H a basis of the dual (``moore.nullspace_fqm`` of G)."""
-    U, H = _vectors(spec, U), moore.nullspace_fqm(spec.tower, generator_matrix(spec))
+    H u^T is 0, H the spec's basis of the dual (``codes.parity_check_matrix``)."""
+    U, H = _vectors(spec, U), parity_check_matrix(spec)
     return ~moore.matmul(spec.tower, U, H.T).any(axis=1)
 
 
@@ -173,7 +173,7 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     unreached = (n + 1) * total
     if unreached > np.iinfo(np.int64).max or coset_count > budgets.ambient:
         return None
-    H = moore.nullspace_fqm(t, generator_matrix(spec))
+    H = parity_check_matrix(spec)
     c = np.arange(N)
     multiples = t.mul_many(c[:, None], np.arange(q))  # [c, a] = a * c
     places = N ** np.arange(n, dtype=np.int64)  # component j of an index

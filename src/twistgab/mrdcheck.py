@@ -374,13 +374,20 @@ def omega_witness(spec: CodeSpec, budgets: Budgets = Budgets()) -> Optional[tupl
     """First k-subset I (lexicographic) with 1 + sum_j eta_j g_h^(t_j)(I) = 0.
 
     A witness certifies a vanishing maximal minor, hence a non-MRD code; None
-    proves nothing by itself (the theorems are one-directional).
+    proves nothing by itself (the theorems are one-directional).  The subsets
+    whose scalars vanish must be those whose k x k column minor of G does (one
+    ``det_many`` over all C(n, k)); any other answer raises ConsistencyError.
     """
     if not spec.twists:
         return None
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
     ts, etas = zip(*spec.twists)
     mask = table.vanishing_many(spec.h, ts, [etas])[0]
+    G = codes.generator_matrix(spec)[None]
+    differ = mask != (spec.tower.det_many(codes._column_stack(G, (spec.k,))) == 0)
+    if differ.any():
+        raise ConsistencyError(f"Omega scalars and column minors of G disagree on whether the "
+                               f"minor of k-subset {list(table.subsets[differ.argmax()])} vanishes")
     return table.subsets[mask.argmax()] if mask.any() else None
 
 

@@ -148,3 +148,20 @@ def scalar_is_mrd(t, G):
     return all(
         moore.rank_fqm(t, scalar_matmul(t, V, G.T)) == k for V in scalar_subspaces(n, k, t.q)
     )
+
+
+def scalar_column_conditions(t, G):
+    """Oracle for codes.nmds_conditions_many: one scalar rank or determinant
+    (``moore.rank_fqm`` / ``moore.det_fqm``, each the scalar ``_gauss_jordan``)
+    per column subset of a k x n G: (every k - 1 columns of rank k - 1, some k
+    columns singular, every k + 1 columns of rank k)."""
+    k, n = G.shape
+
+    def columns(size):
+        return (G[:, list(s)] for s in combinations(range(n), size))
+
+    return (
+        all(moore.rank_fqm(t, M) == k - 1 for M in columns(k - 1)),
+        any(moore.det_fqm(t, M) == 0 for M in columns(k)),
+        all(moore.rank_fqm(t, M) == k for M in columns(k + 1)),
+    )

@@ -683,22 +683,30 @@ class TestConstructAndCovering:
         assert checks["total"] > 0 and stacks == [6 + checks["total"]]
 
     def test_deephole_builds_the_generator_once(self, files, capsys, monkeypatch):
-        # every route reads generator_matrix(spec), built once for the one spec
-        from twistgab import moore
+        # every route reads generator_matrix(spec) and the walk and every
+        # membership pass parity_check_matrix(spec), each built once for the
+        # one spec
+        from twistgab import codes, moore
 
-        moore_matrix, calls = moore.moore_matrix, []
+        calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return moore_matrix(*args)
+        def counted(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(moore, "moore_matrix", counted)
+            def spy(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counted(codes, "_generators")
+        counted(moore, "nullspace_fqm")
         _, field, code = files
         assert run_main([
             "deephole", "--field", field, "--code", code, "--seed", 7, "--grid", 4, "--sample", 8,
         ]) == 0
         assert json.loads(capsys.readouterr().out)["sampled_iff_checks"]["total"] > 0
-        assert len(calls) == 1
+        assert sorted(calls) == ["_generators", "nullspace_fqm"]
 
     def test_deephole_sample_over_the_codeword_cap_exits_3_before_any_draw(
         self, files, capsys, monkeypatch

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from oracles import scalar_class_messages, scalar_codewords, scalar_is_nmds
+from oracles import (
+    DISTANCE_TOWERS,
+    scalar_class_messages,
+    scalar_codewords,
+    scalar_column_conditions,
+    scalar_is_nmds,
+    tower_from,
+)
 
 from twistgab import codes, moore, mrdcheck
 from twistgab.codes import (
@@ -139,6 +146,49 @@ class TestGeneratorMatrix:
             G[0, 0] = 1
         # the matrix lives in its spec, not in a cache of the process
         assert generator_matrix(CodeSpec(f16, alpha4, 2, 1, spec.twists)) is not G
+
+
+class TestGeneratorStack:
+    """The generators of a stack are built in one broadcast and stored in
+    their specs; each equals the scalar build of its own spec."""
+
+    @staticmethod
+    def scalar_generator(spec):
+        t, k = spec.tower, spec.k
+        G = [[t.frobenius(a, i) for a in spec.alpha] for i in range(k)]
+        for tj, ej in spec.twists:
+            G[spec.h] = [t.add(g, t.mul(ej, t.frobenius(a, k + tj)))
+                         for g, a in zip(G[spec.h], spec.alpha)]
+        return G
+
+    def mixed(self, t, alpha):
+        other = alpha[1:] + alpha[:1]
+        return [
+            CodeSpec(t, alpha, 2, 1, ((0, W), (1, 7))),
+            CodeSpec(t, alpha, 2),
+            CodeSpec(t, other, 2, 0, ((1, 3),)),
+            CodeSpec(t, other, 2),
+            CodeSpec(t, alpha, 2, 1, ((1, 9),)),
+            CodeSpec(t, other, 2, 0, ((0, 5), (1, 1))),
+        ]
+
+    @pytest.mark.parametrize("fresh", [(0, 1, 2, 3, 4, 5), (1, 4), ()])
+    def test_mixed_stack_equals_the_scalar_build(self, f16, alpha4, fresh):
+        specs = self.mixed(f16, alpha4)
+        before = {i: generator_matrix(s) for i, s in enumerate(specs) if i not in fresh}
+        Gs = codes._generator_stack(specs)
+        assert Gs.tolist() == [self.scalar_generator(s) for s in specs]
+        for i, (spec, G) in enumerate(zip(specs, Gs)):
+            cached = generator_matrix(spec)
+            assert cached is before.get(i, cached) and (cached == G).all()
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1
+        # the stack is a copy: writing to it leaves every spec's generator alone
+        Gs[:] = 0
+        assert [generator_matrix(s).tolist() for s in specs] == [
+            self.scalar_generator(s) for s in specs
+        ]
 
 
 class TestEncode:
@@ -301,6 +351,31 @@ class TestNmdsConditions:
             nmds_conditions(f16, G)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_conditions_match_the_scalar_oracle(data):
+    # random towers (odd p and e = 2 among them), k from 1 to n - 1, and
+    # generators with many dependent column subsets: entries from a small
+    # pool, so rank-deficient ones occur and the first of them is named
+    p, e, m = data.draw(st.sampled_from(DISTANCE_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    n = data.draw(st.integers(2, min(5, m)))
+    k = data.draw(st.sampled_from(sorted({1, n - 1, data.draw(st.integers(1, n - 1))})))
+    pool = data.draw(st.sampled_from([t.order, min(t.order, 3)]))
+    entries = st.lists(st.integers(0, pool - 1), min_size=n, max_size=n)
+    Gs = np.array(data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                     min_size=1, max_size=4)), dtype=np.int64)
+    deficient = [i for i, G in enumerate(Gs) if moore.rank_fqm(t, G) < k]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moore, "BLOCK_ROWS", data.draw(st.sampled_from([1, 7, 1 << 14])))
+        if deficient:
+            with pytest.raises(SpecInvariantError, match=f"matrix {deficient[0]} of the stack"):
+                nmds_conditions_many(t, Gs)
+        else:
+            got = [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()]
+            assert got == [scalar_column_conditions(t, G) for G in Gs]
+
+
 class TestClassify:
     def test_gabidulin(self, f16, alpha4):
         rep = classify(CodeSpec(f16, alpha4, 2))
@@ -411,6 +486,37 @@ class TestStacks:
             assert got == want, spec  # dataclass equality: every field and both witnesses
         assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == conditions
         assert mrdcheck.is_mrd_subspace_criterion_many(specs).tolist() == subspace
+
+    @pytest.mark.parametrize("block_rows", [1 << 14, 1, 7])
+    @pytest.mark.parametrize("name", sorted(STACK_GRIDS))
+    def test_column_conditions_equal_the_scalar_oracle(self, monkeypatch, name, block_rows):
+        t, n, k, hs, ts = STACK_GRIDS[name]
+        Gs = np.stack([generator_matrix(s) for s in grid_specs(t, n, k, hs, ts)])
+        want = [scalar_column_conditions(t, G) for G in Gs]
+        monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
+        assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == want
+
+    def test_a_sweep_classify_runs_two_eliminations(self, tmp_path, monkeypatch, capsys):
+        # the column ranks of the whole stack in one, the subspace criterion
+        # (every spec non-MRD within one block) in the other
+        from twistgab import cli
+
+        eliminate, calls = FieldTower._eliminate_many, []
+
+        def spy(self, M):
+            calls.append(np.shape(M))
+            return eliminate(self, M)
+
+        monkeypatch.setattr(FieldTower, "_eliminate_many", spy)
+        (tmp_path / "field.json").write_text(json.dumps({"p": 2, "e": 1, "m": 6}))
+        units = [[int(i == j) for j in range(6)] for i in range(5)]
+        grid = {"alpha": units, "k": 2, "h": [0, 1], "ts": [0],
+                "etas": [[[0, 1, 0, 0, 0, 0]], [[1, 1, 0, 1, 0, 0]]]}
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        argv = ["classify", "--field", tmp_path / "field.json", "--sweep", tmp_path / "grid.json"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)["entries"]) == 4
+        assert calls[0] == (4 * (5 + 10 + 10), 2, 3) and len(calls) == 2
 
     @pytest.mark.parametrize("block_rows", [1 << 14, 3, 7])
     @pytest.mark.parametrize("name", sorted(STACK_GRIDS))

@@ -321,6 +321,38 @@ class TestOmegaWitnesses:
     def test_gabidulin_has_no_witness(self, f16, alpha4):
         assert mc.omega_witness(CodeSpec(f16, alpha4, 2)) is None
 
+    @pytest.mark.parametrize("route", ["scalars", "minors"])
+    def test_witness_is_checked_against_the_column_minors(self, f16, alpha4, monkeypatch, route):
+        # two twists (the forbidden command's l >= 2 case), one spec with a
+        # witness and one without; flipping either route's mask on a single
+        # k-subset raises and names that subset
+        specs = [CodeSpec(f16, alpha4, 2, 0, ((0, e1), (1, e2)))
+                 for e1, e2 in product(f16.nonzero_elements(), repeat=2)]
+        found = [mc.omega_witness(spec) for spec in specs]
+        with_witness = specs[[w is not None for w in found].index(True)]
+        without = specs[found.index(None)]
+        if route == "scalars":
+            vanishing = mc.KSubsetTable.vanishing_many
+
+            def flipped(self, *args):
+                mask = vanishing(self, *args)
+                mask[:, 4] = ~mask[:, 4]
+                return mask
+
+            monkeypatch.setattr(mc.KSubsetTable, "vanishing_many", flipped)
+        else:
+            det_many = f16.det_many
+
+            def flipped(M):
+                dets = det_many(M)
+                dets[4] = 0 if dets[4] else 1
+                return dets
+
+            monkeypatch.setattr(f16, "det_many", flipped)
+        for spec in (with_witness, without):
+            with pytest.raises(ConsistencyError, match=r"k-subset \[1, 3\] vanishes"):
+                mc.omega_witness(spec)
+
     def test_materialized_omega_two_matches_witness_scan(self, f16, alpha4):
         # against the generator itself: (eta_1, eta_2) is in Omega_2 iff some
         # maximal minor vanishes, and the witness is the first such k-subset
