@@ -354,7 +354,8 @@ def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
     Per step of ``moore.blocks`` whole generators, one batched elimination
     ranks all their (k-1)-, k- and (k+1)-column subsets, zero-padded to k + 1
     columns.  The first generator, in stack order, none of whose k-subsets
-    has rank k is not of full rank and raises SpecInvariantError.
+    has rank k is not of full rank and raises SpecInvariantError.  An empty
+    stack gets an empty (0, 3) array.
     """
     Gs = np.asarray(Gs, dtype=np.int64)
     S, k, n = Gs.shape
@@ -372,7 +373,7 @@ def nmds_conditions_many(tower: FieldTower, Gs: np.ndarray) -> np.ndarray:
             (ranks[:, lo:hi] < k).any(axis=1),
             (ranks[:, hi:] == k).all(axis=1),
         ]))
-    return np.concatenate(out)
+    return np.concatenate(out) if out else np.zeros((0, 3), dtype=bool)
 
 
 def nmds_conditions(tower: FieldTower, G: np.ndarray) -> tuple[bool, bool, bool]:

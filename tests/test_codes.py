@@ -376,6 +376,11 @@ def test_column_conditions_match_the_scalar_oracle(data):
             assert got == [scalar_column_conditions(t, G) for G in Gs]
 
 
+def test_column_conditions_of_an_empty_stack(f16):
+    got = nmds_conditions_many(f16, np.zeros((0, 2, 4), dtype=np.int64))
+    assert got.dtype == bool and got.shape == (0, 3)
+
+
 class TestClassify:
     def test_gabidulin(self, f16, alpha4):
         rep = classify(CodeSpec(f16, alpha4, 2))
