@@ -296,11 +296,12 @@ def cmd_deephole(args, tower: FieldTower, budgets: Budgets) -> dict:
     # cross-checks: the family vectors, then the samples outside the code
     stack = np.array([*us, *outside], dtype=np.int64).reshape(-1, spec.n)
     verified = covering.is_deep_hole_many(spec, stack, report, budgets)[: len(us)]
+    gs = tower.elements_to_json([g for g, _, _ in families])
+    fs = tower.elements_to_json(np.reshape([f for _, _, f in families], (-1, spec.k)))
+    vectors = tower.elements_to_json(np.reshape(us, (-1, spec.n)))
     family_entries = [
-        {"flavor": flavor, "g": tower.element_to_json(g),
-         "f": [tower.element_to_json(c) for c in f],
-         "vector": [tower.element_to_json(int(c)) for c in u], "verified": bool(ok)}
-        for (g, flavor, f), u, ok in zip(families, us, verified)
+        {"flavor": flavor, "g": g, "f": f, "vector": vector, "verified": bool(ok)}
+        for (_, flavor, _), g, f, vector, ok in zip(families, gs, fs, vectors, verified)
     ]
     return {
         "spec": spec.to_json_dict(),

@@ -111,12 +111,11 @@ class CodeSpec:
 
     def to_json_dict(self) -> dict:
         t = self.tower
+        etas = t.elements_to_json([ej for _, ej in self.twists])
         out = {
-            "alpha": [t.element_to_json(a) for a in self.alpha],
+            "alpha": t.elements_to_json(self.alpha),
             "k": self.k,
-            "twists": [
-                {"t": tj, "eta": t.element_to_json(ej)} for tj, ej in self.twists
-            ],
+            "twists": [{"t": tj, "eta": eta} for (tj, _), eta in zip(self.twists, etas)],
         }
         if self.h is not None:
             out["h"] = self.h
@@ -169,8 +168,8 @@ class DistanceReport:
             "is_mds": self.is_mds,
             "is_amds": self.is_amds,
             "is_nmds": self.is_nmds,
-            "rank_witness": [tower.element_to_json(c) for c in self.rank_witness],
-            "hamming_witness": [tower.element_to_json(c) for c in self.hamming_witness],
+            "rank_witness": tower.elements_to_json(self.rank_witness),
+            "hamming_witness": tower.elements_to_json(self.hamming_witness),
         }
 
 
@@ -294,7 +293,13 @@ def min_rank_distance_many(
     dual before either runs (:func:`distance_class_count`).
     """
     specs = list(specs)
-    Gs = _generator_stack(specs)
+    return _min_rank_distance_stack(specs, _generator_stack(specs), budgets)
+
+
+def _min_rank_distance_stack(
+    specs: Sequence[CodeSpec], Gs: np.ndarray, budgets: Budgets
+) -> list[DistanceReport]:
+    """:func:`min_rank_distance_many` on the specs' generator stack Gs."""
     S, k, n = Gs.shape
     t = specs[0].tower
     check_budget("codeword", distance_class_count(S, t.order, n, k), budgets.codewords)

@@ -75,9 +75,7 @@ class CoveringReport:
             "rho": tagged(self.rho, self.rho_method) if self.rho is not None else None,
             "lower_bound": tagged(self.lower_bound, self.bounds_method),
             "upper_bound": tagged(self.upper_bound, self.bounds_method),
-            "deep_holes": [
-                [tower.element_to_json(c) for c in u] for u in self.deep_holes
-            ],
+            "deep_holes": tower.elements_to_json(self.deep_holes),
             "maximal_coset_count": self.maximal_coset_count,
             "coset_count": self.coset_count,
         }
@@ -215,10 +213,6 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
 MAX_DEEP_HOLES = 16
 
 
-def _unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
-    return tuple(u_idx // order**j % order for j in range(n))
-
-
 def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> CoveringReport:
     """Exact covering radius by coset leaders in increasing rank weight.
 
@@ -239,10 +233,12 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
     coset_min = best // total
     rho = int(coset_min.max())
     leaders = np.sort(best[coset_min == rho] % total)
+    # a leader's index packs its n components base q^m, component 0 lowest
+    holes = leaders[:MAX_DEEP_HOLES, None] // t.order ** np.arange(n) % t.order
     return CoveringReport(
         n=n, k=k, rho=rho, rho_method="exhaustive",
         lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",
-        deep_holes=[_unpack_vector(t.order, n, int(i)) for i in leaders[:MAX_DEEP_HOLES]],
+        deep_holes=list(map(tuple, holes.tolist())),
         maximal_coset_count=len(leaders),
         coset_count=len(best),
     )

@@ -22,10 +22,18 @@ echelon for every p: each F_p-multiple v of a component becomes the least of
 v + c * b over c in F_p, per earlier pivot b.  The vector layer branches on p
 only in addition and negation, and in ``_eliminate_many``'s det sign, which
 it skips at p = 2 (where -1 = 1).
-Construction (modulus search, irreducibility check, generator search, table
-build) runs on the ``_poly_*`` helpers, the one F_q[y]/(f) arithmetic, as do
-the table-free oracles ``_mul_raw`` and ``inv_euclid``.  One limit, order
-2^16 for every p, is checked before any other work.
+Construction runs on one F_p-matrix kernel: the multiplication matrices X
+(by x, block-diagonal) and Y (by y, the companion matrix of the top modulus)
+on the d = e * m base-p digits, and the repeated squares M^(2^i) of a
+multiplication matrix M.  From the squares of Y, the modulus search and the
+check of an explicit modulus run Rabin's irreducibility test, batched over
+blocks of candidates; from the squares of a candidate generator's matrix, the
+generator search runs the order test; and the accepted generator's squares
+fill the power table by doubling.  The ``_poly_*`` helpers, the one
+F_q[y]/(f) arithmetic, do Rabin's gcds and the table-free oracles
+``_mul_raw`` and ``inv_euclid``; trial division (``_find_factor``) only names
+the first factor of a reducible explicit modulus.  One limit, order 2^16 for
+every p, is checked before any other work.
 
 :func:`default_tower` returns one shared tower per (p, e, m) per process;
 :func:`tower_from_json` and ``FieldTower`` build a new one on every call.  A
@@ -75,6 +83,7 @@ class _PrimeField:
 
     def __init__(self, p: int):
         self.p = self.order = p
+        self._ysquares = np.ones((1, 1, 1), dtype=np.int64)  # F_p = F_p[y]/(y - 1)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -137,26 +146,13 @@ def _poly_divmod(field, a: Sequence[int], b: Sequence[int]):
     return quot, a
 
 
-def _poly_powmod(field, base: Sequence[int], exp: int, mod: Sequence[int]) -> list[int]:
-    result = [1]
-    cur = list(_poly_divmod(field, base, mod)[1])
-    while exp:
-        if exp & 1:
-            result = _poly_divmod(field, _poly_mul(field, result, cur), mod)[1]
-        exp >>= 1
-        if exp:
-            cur = _poly_divmod(field, _poly_mul(field, cur, cur), mod)[1]
-    return result
-
-
-def _is_primitive(field, x: Sequence[int], mod: Sequence[int]) -> bool:
-    """True iff x generates the multiplicative group of field[y]/(mod).
-
-    mod is irreducible of degree d over a field of order q: x is primitive iff
-    x^((q^d - 1)/r) != 1 for every prime r dividing q^d - 1.
-    """
-    group = field.order ** (len(mod) - 1) - 1
-    return all(_poly_powmod(field, x, group // r, mod) != [1] for r in _prime_factors(group))
+def _poly_gcd(field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A greatest common divisor of a and b by Euclid, not made monic; a
+    constant exactly when they are coprime."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(field, a, b)[1]
+    return a
 
 
 def _monic(q: int, d: int, tail: int) -> list[int]:
@@ -169,7 +165,10 @@ def _monic(q: int, d: int, tail: int) -> list[int]:
 
 
 def _find_factor(field, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Return a nontrivial monic factor of `poly` by trial division, or None."""
+    """Return a nontrivial monic factor of `poly` by trial division, or None.
+
+    The first one in counting order; it names the factor of a reducible
+    explicit modulus, after Rabin's test has refused it."""
     deg = len(poly) - 1
     q = field.order
     for d in range(1, deg // 2 + 1):
@@ -182,23 +181,143 @@ def _find_factor(field, poly: Sequence[int]) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _find_irreducible(field, deg: int, want_primitive_y: bool = False) -> tuple[int, ...]:
-    """Smallest-in-counting-order monic irreducible of given degree over `field`.
+# ---------------------------------------------------------------------------
+# the F_p-matrix kernel of construction.  An element of a tower is its
+# d = e * m base-p digits, and multiplication by c is the F_p-linear map whose
+# row k, in the d x d matrix M(c), is the digits of c times the k-th basis
+# element x^i y^j (k = i + e j).  X = M(x) is block-diagonal, one copy of the
+# F_q level's own Y per power of y; Y = M(y) is the companion matrix of the
+# top modulus.  Every power of c comes from the repeated squares
+# S_i = M(c)^(2^i), and an entry of a product is a sum of d terms below p^2,
+# with d (p - 1)^2 < 2^63 up to the order limit.  `field` below is an F_q
+# level: F_p, or a tower F_p <= F_p <= F_q, whose y is x.
 
-    With ``want_primitive_y`` the search continues until the class of y
-    generates the multiplicative group; a primitive polynomial exists in every
-    degree over every finite field, so the search always ends in the loop.
+def _blocks(lo: int, hi: int):
+    """[lo, hi) as consecutive aranges of 8, 16, 32, then 64 entries: a
+    search tests a few candidates first and larger batches later."""
+    size = 8
+    while lo < hi:
+        yield np.arange(lo, min(lo + size, hi))
+        lo += size
+        size = min(2 * size, 64)
+
+
+def _squares(M: np.ndarray, count: int, p: int) -> list[np.ndarray]:
+    """[M, M^2, M^4, ..., M^(2^(count - 1))] mod p, for a (..., d, d) stack M."""
+    S = [M]
+    for _ in range(count - 1):
+        S.append(S[-1] @ S[-1] % p)
+    return S
+
+
+def _power(S: Sequence[np.ndarray], E: int, p: int) -> np.ndarray:
+    """The digits of c^E, E >= 1, from the squares S of M(c): row 0 of M(c)^E,
+    the product of the S_i over the bits i of E."""
+    bits = [i for i in range(E.bit_length()) if E >> i & 1]
+    v = S[bits[0]][..., :1, :]
+    for i in bits[1:]:
+        v = v @ S[i] % p
+    return v[..., 0, :]
+
+
+def _generates(S: Sequence[np.ndarray], p: int, group: int) -> np.ndarray:
+    """The order test, per c of a stack of squares: c^(group/r) != 1 for every
+    prime r dividing group.  In a field of order group + 1 it holds exactly
+    when c generates the multiplicative group (Lidl-Niederreiter, ch. 3)."""
+    one = np.zeros(S[0].shape[-1], dtype=np.int64)
+    one[0] = 1
+    ok = np.ones(S[0].shape[:-2], dtype=bool)
+    for r in _prime_factors(group):
+        ok &= (_power(S, group // r, p) != one).any(-1)
+    return ok
+
+
+def _orbit(rows: np.ndarray, S: Sequence[np.ndarray], count: int, p: int) -> np.ndarray:
+    """rows M^j for j < count, a (count, r, d) stack, from the (r, d) rows and
+    the squares S of M, by doubling: the first k blocks times S_i = M^k are
+    the next k."""
+    if count == 1:  # nothing to double
+        return rows[None]
+    r, d = rows.shape
+    out = np.empty((1 << (count - 1).bit_length(), r, d), dtype=np.int64)
+    out[0] = rows
+    flat = out.reshape(-1, d)
+    k = 1
+    for Si in S[: (count - 1).bit_length()]:
+        np.remainder(flat[: k * r] @ Si, p, out=flat[k * r : 2 * k * r])
+        k *= 2
+    return out[:count]
+
+
+def _companions(field, m: int, tails: np.ndarray) -> np.ndarray:
+    """Y = M(y) modulo y^m + tail over `field` (tail read base q), for each
+    tail: a (B, d, d) stack.  Y takes x^i y^j to x^i y^(j+1) for j < m - 1;
+    its last block row holds y^m = -(f_0 + f_1 y + ... + f_(m-1) y^(m-1)), as
+    the F_q-multiplication blocks of the -f_k."""
+    p, e = field.p, field._ysquares.shape[-1]
+    d = e * m
+    minus_f = -(tails[:, None] // p ** np.arange(d)) % p  # the residues of every -f_k
+    blocks = _orbit(minus_f.reshape(-1, e), field._ysquares, e, p)  # [i, (b, k)]: -x^i f_k
+    Y = np.zeros((len(tails), d, d), dtype=np.int64)
+    Y.reshape(len(tails), -1)[:, e : (d - e) * (d + 1) : d + 1] = 1  # entries (r, r + e), r < d - e
+    Y[:, d - e :] = blocks.reshape(e, -1, d).transpose(1, 0, 2)
+    return Y
+
+
+def _rabin(field, m: int, tails: np.ndarray, primitive_y: bool = False):
+    """The first y^m + tail of `tails` that is irreducible over `field` (with
+    ``primitive_y``, whose y also generates the multiplicative group), as
+    (its place in tails, the squares of its Y, whether its y is primitive);
+    None if there is none.
+
+    Rabin's test: f of degree m is irreducible over F_q iff y^(q^m) = y mod f
+    and gcd(f, y^(q^(m/r)) - y) = 1 for every prime r dividing m.  The powers
+    of y are rows of products of the squares of Y; the first condition is
+    batched over the tails.  A candidate that meets it takes the order test of
+    y, which the generator search needs too: when f(0) != 0, y is a unit whose
+    order divides q^m - 1, and if the test passes every non-zero class is a
+    power of y, so f is irreducible (it is primitive; Lidl-Niederreiter,
+    Thm 3.16) and the gcds are not needed.  Otherwise they run on the
+    ``_poly_*`` helpers.
     """
-    q = field.order
-    for tail in range(1, q**deg):
-        cand = _monic(q, deg, tail)
-        if cand[0] == 0:
-            continue  # divisible by y
-        if _find_factor(field, cand) is not None:
+    p, q = field.p, field.order
+    order = q**m
+    S = _squares(_companions(field, m, tails), order.bit_length(), p)
+    y = S[0][:, 0]  # row 0 of Y
+    for b, fixes_y in enumerate((_power(S, order, p) == y).all(-1).tolist()):
+        if not fixes_y:
             continue
-        if not want_primitive_y or _is_primitive(field, [0, 1], cand):
-            return tuple(cand)
-    raise FieldConstructionError(f"no irreducible of degree {deg} over F_{q} found")
+        Sb = [Si[b] for Si in S]
+        primitive = bool(tails[b] % q) and bool(_generates(Sb, p, order - 1))
+        if primitive or not primitive_y and _rabin_gcds(field, m, int(tails[b]), Sb):
+            return b, Sb, primitive
+    return None
+
+
+def _rabin_gcds(field, m: int, tail: int, S: Sequence[np.ndarray]) -> bool:
+    """gcd(f, y^(q^(m/r)) - y) = 1 for every prime r dividing m, for
+    f = y^m + tail, from the squares S of its Y."""
+    p, q, e = field.p, field.order, field._ysquares.shape[-1]
+    f, y, places = _monic(q, m, tail), S[0][0], p ** np.arange(e)
+    for r in _prime_factors(m):
+        g = ((_power(S, q ** (m // r), p) - y) % p).reshape(m, e) @ places  # F_q digits
+        if len(_poly_gcd(field, f, g.tolist())) != 1:
+            return False
+    return True
+
+
+def _find_irreducible(field, m: int, primitive_y: bool = False):
+    """The first monic irreducible of degree m over `field` in counting order
+    (with ``primitive_y``, the first whose y is primitive), the squares of its
+    Y and whether its y is primitive.  A primitive polynomial exists in every
+    degree over every finite field, so the search always ends in the loop."""
+    q = field.order
+    for tails in _blocks(1, q**m):
+        tails = tails[tails % q != 0]  # y divides a polynomial with no constant term
+        found = _rabin(field, m, tails, primitive_y)
+        if found is not None:
+            return tuple(_monic(q, m, int(tails[found[0]]))), *found[1:]
+    raise FieldConstructionError(f"no irreducible of degree {m} over F_{q} found")
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +439,9 @@ class FieldTower:
         self.base_modulus = base
 
         top = params.top_modulus
-        if top is None:  # the search checks irreducibility by the same trial division
-            top = _find_irreducible(
-                self._sf, m, want_primitive_y=self.order > _PRIMITIVE_Y_ABOVE
+        if top is None:  # the search proves its result irreducible by Rabin's test
+            top, squares, y_primitive = _find_irreducible(
+                self._sf, m, primitive_y=self.order > _PRIMITIVE_Y_ABOVE
             )
         else:
             top = tuple(int(c) for c in top)
@@ -330,19 +449,28 @@ class FieldTower:
                 raise FieldConstructionError(f"top_modulus must be monic of degree {m}")
             if any(not 0 <= c < self.q for c in top):
                 raise FieldConstructionError(f"top_modulus coefficients must lie in [0, {self.q})")
-            factor = _find_factor(self._sf, top) if m > 1 else None
-            if factor is not None:
+            tail = sum(c * self.q**k for k, c in enumerate(top[:-1]))
+            found = _rabin(self._sf, m, np.array([tail]))
+            if found is None:
+                factor = _find_factor(self._sf, top)
+                if factor is None:
+                    raise ConsistencyError(
+                        f"Rabin's test refuses top_modulus {list(top)}, but trial division finds no factor"
+                    )
                 raise FieldConstructionError(
                     f"top_modulus {list(top)} is reducible over F_{self.q}: "
                     f"factor {list(factor)} found"
                 )
+            _, squares, y_primitive = found
+        self._ysquares = np.array(squares)  # a copy, not views of the search's block
+        self._ysquares.flags.writeable = False  # shared through default_tower
         self.top_modulus = top
         self.params = TowerParams(p, e, m, base, top)
 
         self.zero: Element = 0
         self.one: Element = 1
         self._points_rank: dict[tuple[Element, ...], int] = {}
-        self._build_log_tables()
+        self._build_log_tables(y_primitive)
 
     # -- construction internals ------------------------------------------------
 
@@ -371,44 +499,46 @@ class FieldTower:
         prod = _poly_mul(sf, self._digits_of(a), self._digits_of(b))
         return self._pack_digits(_poly_divmod(sf, prod, self.top_modulus)[1])
 
-    def _build_log_tables(self) -> None:
-        """Powers of the generator, the first primitive element in counting order.
+    def _matrices(self, cs: np.ndarray) -> np.ndarray:
+        """M(c) for each element c of an array, a (B, d, d) stack: the rows
+        x^i c by the F_q level's squares (X is block-diagonal), then those rows
+        times the powers of Y."""
+        p, e, d = self.p, self.e, self.e * self.m
+        rows = np.asarray(cs)[:, None] // p ** np.arange(d) % p
+        rows = _orbit(rows.reshape(-1, e), self._sf._ysquares, e, p)  # [i, (b, j)]: x^i c_bj
+        rows = _orbit(rows.reshape(-1, d), self._ysquares, self.m, p)  # [j, (i, b)]: y^j x^i c_b
+        return rows.reshape(d, len(cs), d).transpose(1, 0, 2)
 
-        For m > 1 the search starts at y = q: 1, ..., q - 1 lie in F_q^*,
-        whose orders divide q - 1.
+    def _build_log_tables(self, y_primitive: bool) -> None:
+        """Powers of the generator, the first primitive element in counting
+        order.
 
-        The powers are built by doubling.  An element is its d = e * m base-p
-        digits, and multiplying by the generator is the F_p-linear map on them
-        whose row j, in the matrix M, is the digits of p^j times the generator.
-        Rows E[:k] hold the digits of the first k powers; E[:k] M gives the next
-        k, and M becomes M^2, multiplication by the generator to the 2k.  The
-        generator is primitive iff its n1 first powers are the n1 non-zero
-        elements.
+        For m > 1 the first candidate is y = q, whose order test the modulus
+        check ran (``y_primitive``) on the squares of Y; 1, ..., q - 1 lie in
+        F_q^*, whose orders divide q - 1.  Later candidates, or every one from
+        1 when m = 1, are tested in blocks by the order test on the squares of
+        their multiplication matrices.  The accepted candidate's squares then
+        give its n1 powers by doubling, and it is primitive iff they are the
+        n1 non-zero elements.
         """
         n1 = self._group = self.order - 1
         p, d = self.p, self.e * self.m
-        sf, top = self._sf, self.top_modulus
-        gen = next(
-            (c for c in range(self.q if self.m > 1 else 1, self.order)
-             if _is_primitive(sf, self._digits_of(c), top)),
-            None,
-        )
-        if gen is None:
-            raise FieldConstructionError("no multiplicative generator found")
+        if self.m > 1 and y_primitive:
+            gen, S = self.q, self._ysquares
+        else:
+            for cs in _blocks(self.q + 1 if self.m > 1 else 1, self.order):
+                S = _squares(self._matrices(cs), n1.bit_length(), p)
+                found = np.flatnonzero(_generates(S, p, n1))
+                if len(found):
+                    break
+            else:
+                raise FieldConstructionError("no multiplicative generator found")
+            gen, S = int(cs[found[0]]), [Si[found[0]] for Si in S]
+        one = np.zeros((1, d), dtype=np.int64)
+        one[0, 0] = 1
+        E = _orbit(one, S, n1, p).reshape(n1, d)
         places = p ** np.arange(d, dtype=np.int64)
-        M = np.array([self._mul_raw(p**j, gen) for j in range(d)], dtype=np.int64)
-        M = M[:, None] // places % p
-        E = np.zeros((1 << (n1 - 1).bit_length(), d), dtype=np.int64)
-        E[0, 0] = 1
-        # entries of a product are sums of d terms below p^2, and d (p - 1)^2 < 2^63
-        # for every tower up to the order limit
-        k = 1
-        while k < n1:
-            np.remainder(E[:k] @ M, p, out=E[k : 2 * k])
-            k *= 2
-            if k < n1:
-                M = M @ M % p
-        exp = E[:n1] @ places
+        exp = E @ places
         if (np.bincount(exp, minlength=self.order)[1:] != 1).any():
             raise FieldConstructionError("generator order check failed")
         log = np.zeros(self.order, dtype=np.int64)
@@ -421,8 +551,7 @@ class FieldTower:
         log[0] = 2 * n1
         self._log_z = log
         self._exp_z = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)])
-        self._inv_z = self._exp_z[-log % n1]
-        self._inv_z[0] = 0
+        self._inv_z = self._exp_z[n1 - log]  # n1 - 2 n1 indexes the zero tail
         self._frob_z = self._exp_z[log * self.q % n1]
         self._frob_z[0] = 0
         for table in (self._log_z, self._exp_z, self._inv_z, self._frob_z):
@@ -686,12 +815,17 @@ class FieldTower:
 
     # -- serialization ---------------------------------------------------------------
 
+    def elements_to_json(self, xs) -> list:
+        """:meth:`element_to_json` of every entry of an array of elements, in
+        one numpy pass: the base-p digits of each entry, as (..., m) F_q digits
+        at e = 1 and (..., m, e) residues otherwise."""
+        xs = np.asarray(xs, dtype=np.int64)
+        digits = xs[..., None] // self.p ** np.arange(self.e * self.m) % self.p
+        return digits.reshape(xs.shape + ((self.m,) if self.e == 1 else (self.m, self.e))).tolist()
+
     def element_to_json(self, x: Element):
         """Little-endian coordinate array; digits are ints (e = 1) or residue arrays."""
-        ds = self._digits_of(x)
-        if self.e == 1:
-            return ds
-        return [list(self._sf.coords(d)) for d in ds]
+        return self.elements_to_json(x)
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or len(obj) != self.m:

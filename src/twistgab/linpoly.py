@@ -145,7 +145,7 @@ class LinearizedPoly:
 
     def to_json(self) -> list:
         """Array of element coordinate arrays, index = q-power."""
-        return [self.tower.element_to_json(c) for c in self.coeffs]
+        return self.tower.elements_to_json(self.coeffs)
 
     @classmethod
     def from_json(cls, tower: FieldTower, obj) -> "LinearizedPoly":

@@ -149,8 +149,12 @@ def is_mrd_subspace_criterion_many(
     """
     specs = list(specs)
     Gs = codes._generator_stack(specs)
+    return _subspace_criterion_stack(specs[0].tower, Gs, budgets)
+
+
+def _subspace_criterion_stack(tower: FieldTower, Gs: np.ndarray, budgets: Budgets) -> np.ndarray:
+    """:func:`is_mrd_subspace_criterion_many` on a stack of generators Gs."""
     S, k, n = Gs.shape
-    tower = specs[0].tower
     per = max(1, budgets.subspaces // gaussian_binomial(n, k, tower.q))
     return np.concatenate(
         [matrix_is_mrd_many(tower, Gs[lo : lo + per], budgets) for lo in range(0, S, per)]
@@ -188,16 +192,14 @@ class ForbiddenSet:
 
     def to_json_dict(self, tower: FieldTower) -> dict:
         ordered = sorted(self.entries)
+        values = tower.elements_to_json(np.reshape(ordered, (-1, self.arity)))
         return {
             "arity": self.arity,
             "provenance": self.provenance,
             "size": len(ordered),
             "entries": [
-                {
-                    "value": [tower.element_to_json(v) for v in val],
-                    "witness": self.entries[val],
-                }
-                for val in ordered
+                {"value": value, "witness": self.entries[val]}
+                for val, value in zip(ordered, values)
             ],
         }
 
@@ -659,9 +661,9 @@ def classify_many(
     if any(s.alpha != alpha for s in specs):
         raise ValueError("the specs of a stack must share alpha: it fixes the k-subset table")
     table = KSubsetTable(tower, alpha, k, budgets)
-    reports = codes.min_rank_distance_many(specs, budgets)
+    reports = codes._min_rank_distance_stack(specs, Gs, budgets)
     conditions = codes.nmds_conditions_many(tower, Gs).tolist()
-    subspace = is_mrd_subspace_criterion_many(specs, budgets).tolist()
+    subspace = _subspace_criterion_stack(tower, Gs, budgets).tolist()
     hclasses = hamming_class_many(table, [(s.h, s.twists) for s in specs])
     for spec, rep, (i, ii, iii), subspace_mrd, hclass in zip(
         specs, reports, conditions, subspace, hclasses

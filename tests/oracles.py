@@ -11,7 +11,13 @@ import numpy as np
 
 from twistgab import moore
 from twistgab.errors import FieldConstructionError
-from twistgab.fieldtower import FieldTower, TowerParams
+from twistgab.fieldtower import (
+    FieldTower,
+    TowerParams,
+    _poly_divmod,
+    _poly_mul,
+    _prime_factors,
+)
 
 # (p, e, m) of the towers of the distance property, order <= 256
 DISTANCE_TOWERS = [
@@ -33,6 +39,33 @@ def tower_from(p, e, m, tail):
         except FieldConstructionError:
             continue
     raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
+
+
+def _poly_powmod(field, base, exp, mod):
+    """base^exp mod `mod` over `field` by square and multiply on the
+    polynomial helpers; the oracle of the kernel's powers from squares."""
+    result = [1]
+    cur = list(_poly_divmod(field, base, mod)[1])
+    while exp:
+        if exp & 1:
+            result = _poly_divmod(field, _poly_mul(field, result, cur), mod)[1]
+        exp >>= 1
+        if exp:
+            cur = _poly_divmod(field, _poly_mul(field, cur, cur), mod)[1]
+    return result
+
+
+def _is_primitive(field, x, mod):
+    """True iff x generates the multiplicative group of field[y]/(mod), for
+    mod irreducible of degree d over a field of order q: x^((q^d - 1)/r) != 1
+    for every prime r dividing q^d - 1.  The oracle of the order test."""
+    group = field.order ** (len(mod) - 1) - 1
+    return all(_poly_powmod(field, x, group // r, mod) != [1] for r in _prime_factors(group))
+
+
+def unpack_vector(order: int, n: int, u_idx: int) -> tuple[int, ...]:
+    """The n components of a vector index packed base `order`, component 0 lowest."""
+    return tuple(u_idx // order**j % order for j in range(n))
 
 
 def scalar_class_messages(order: int, k: int):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_basis
-from oracles import DISTANCE_TOWERS, scalar_codewords, scalar_is_mrd, tower_from
+from oracles import DISTANCE_TOWERS, scalar_codewords, scalar_is_mrd, tower_from, unpack_vector
 import twistgab
 from twistgab import covering as cov
 from twistgab import moore
@@ -218,7 +218,7 @@ class TestExhaustiveCoveringRadius:
         for index, synd, rank in blocks:
             assert len(index) == len(synd) == len(rank)
             for i, s, r in zip(index, synd, rank):
-                u = cov._unpack_vector(N, n, int(i))
+                u = unpack_vector(N, n, int(i))
                 assert s == scalar_syndrome(t, H, u)
                 assert r == t.fq_rank(u)
 
@@ -233,7 +233,7 @@ class TestExhaustiveCoveringRadius:
         coset_min = cov._walk(c1_spec, Budgets()) // N**n
         assert len(coset_min) == N ** (n - c1_spec.k)
         for j, i in enumerate(rng.sample(range(N**n), 400)):
-            u = cov._unpack_vector(N, n, i)
+            u = unpack_vector(N, n, i)
             assert synd[i] == scalar_syndrome(f16, H, u)
             assert rank[i] == f16.fq_rank(u)
             if j < 40:
@@ -246,7 +246,7 @@ class TestExhaustiveCoveringRadius:
         coset_min = cov._walk(spec, Budgets()) // N**n
         for index, synd, _ in _scan_blocks(spec):
             for i, s in zip(index, synd):
-                u = cov._unpack_vector(N, n, int(i))
+                u = unpack_vector(N, n, int(i))
                 assert coset_min[s] == cov.distance_to_code(spec, u)
 
     @pytest.mark.parametrize("name", sorted(WALK_SPECS))
@@ -508,7 +508,7 @@ def test_covering_report_over_random_towers(spec):
     H = moore.nullspace_fqm(t, generator_matrix(spec))
     brute = [(n + 1) * total] * N ** (n - k)
     for i in range(total):
-        u = cov._unpack_vector(N, n, i)
+        u = unpack_vector(N, n, i)
         s = scalar_syndrome(t, H, u)
         brute[s] = min(brute[s], t.fq_rank(u) * total + i)
     assert cov._walk(spec, Budgets()).tolist() == brute

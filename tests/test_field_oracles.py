@@ -12,10 +12,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Poly, resultant, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
+from oracles import _is_primitive, _poly_powmod, tower_from
 from twistgab import fieldtower
 from twistgab.errors import FieldConstructionError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower, tower_to_json
@@ -199,9 +202,11 @@ def test_log_tables_step_by_the_generator(pem):
 
 
 def test_a_non_primitive_generator_fails_the_order_check(monkeypatch):
-    # y^3 has order 5 in F_16^*: accepted as the generator, its powers repeat
+    # y^3 has order 5 in F_16^*: accepted as the generator by an order test
+    # that passes it alone (row 0 of M(c) is the digits of c), its powers
+    # repeat and the bincount check of the power table refuses them
     y3 = [0, 0, 0, 1]
-    monkeypatch.setattr(fieldtower, "_is_primitive", lambda field, x, mod: list(x) == y3)
+    monkeypatch.setattr(fieldtower, "_generates", lambda S, p, group: (S[0][..., 0, :] == y3).all(-1))
     with pytest.raises(FieldConstructionError, match="generator order check failed"):
         FieldTower(TowerParams(2, 1, 4, top_modulus=(1, 1, 0, 0, 1)))
 
@@ -209,6 +214,11 @@ def test_a_non_primitive_generator_fails_the_order_check(monkeypatch):
 # the F_q levels the construction helpers run over: prime fields and F_4
 HELPER_FIELDS = {"F_2": fieldtower._PrimeField(2), "F_3": fieldtower._PrimeField(3),
                  "F_4": default_tower(2, 2, 1)}
+
+# the F_q levels of the construction kernel, as the constructor builds them:
+# F_p, and the towers F_p <= F_p <= F_q, whose y is the x of F_q
+KERNEL_FIELDS = {"F_2": fieldtower._PrimeField(2), "F_3": fieldtower._PrimeField(3),
+                 "F_4": default_tower(2, 1, 2), "F_9": default_tower(3, 1, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(HELPER_FIELDS))
@@ -235,26 +245,30 @@ def test_trial_division_finds_the_first_factor_in_counting_order(name):
             assert fieldtower._find_factor(field, poly) == first_factor(poly)
 
 
-@pytest.mark.parametrize("name", sorted(HELPER_FIELDS))
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_powmod_matches_repeated_products(name):
-    field = HELPER_FIELDS[name]
+    # the oracle of the kernel's powers against repeated products
+    field = KERNEL_FIELDS[name]
     q = field.order
-    mod = list(fieldtower._find_irreducible(field, 3))
+    mod = list(fieldtower._find_irreducible(field, 3)[0])
     for base in ([0, 1], [1, 1], [q - 1, 0, 1]):
         power = [1]
         for exp in range(40):
-            assert fieldtower._poly_powmod(field, base, exp, mod) == power
+            assert _poly_powmod(field, base, exp, mod) == power
             power = fieldtower._poly_divmod(field, fieldtower._poly_mul(field, power, base), mod)[1]
 
 
 def test_a_default_modulus_is_checked_once(monkeypatch):
-    # the modulus search proves its result irreducible; the constructor does
-    # not divide it again
+    # the modulus search proves its result irreducible by Rabin's test; the
+    # constructor does not test it again
     checked = []
-    find_factor = fieldtower._find_factor
-    monkeypatch.setattr(
-        fieldtower, "_find_factor", lambda field, poly: checked.append(tuple(poly)) or find_factor(field, poly)
-    )
+    rabin = fieldtower._rabin
+
+    def spy(field, m, tails, primitive_y=False):
+        checked.extend(tuple(fieldtower._monic(field.order, m, int(t))) for t in tails)
+        return rabin(field, m, tails, primitive_y)
+
+    monkeypatch.setattr(fieldtower, "_rabin", spy)
     t = FieldTower(TowerParams(2, 1, 6))
     assert checked.count(t.top_modulus) == 1
     checked.clear()
@@ -265,3 +279,154 @@ def test_a_default_modulus_is_checked_once(monkeypatch):
     t = FieldTower(TowerParams(2, 2, 3))
     assert checked.count(t.base_modulus) == 1
     assert checked.count(t.top_modulus) == 1
+
+
+def _tail(poly, q):
+    """The tail of a monic polynomial: its low coefficients read base q."""
+    return sum(c * q**k for k, c in enumerate(poly[:-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rabin_matches_trial_division(data):
+    # a block of random monic polynomials of one degree: Rabin's test picks
+    # the first one that trial division finds no factor of, and reports
+    # whether its y is primitive; with primitive_y, the first that is both
+    name = data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    field = KERNEL_FIELDS[name]
+    q = field.order
+    m = data.draw(st.integers(1, 8 if q < 9 else 5))
+    polys = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=m, max_size=m).map(lambda cs: cs + [1]),
+        min_size=1, max_size=6,
+    ))
+    tails = np.array([_tail(f, q) for f in polys])
+    irreducible = [fieldtower._find_factor(field, f) is None for f in polys]
+    primitive = [i and f[0] != 0 and _is_primitive(field, [0, 1], f) for f, i in zip(polys, irreducible)]
+    found = fieldtower._rabin(field, m, tails)
+    if True in irreducible:
+        b = irreducible.index(True)
+        assert found[0] == b and found[2] == primitive[b]
+        alone = fieldtower._squares(fieldtower._companions(field, m, tails[b : b + 1]), len(found[1]), field.p)
+        assert all((Si[0] == Sb).all() for Si, Sb in zip(alone, found[1]))
+    else:
+        assert found is None
+    found = fieldtower._rabin(field, m, tails, primitive_y=True)
+    assert (found[0] if found else None) == (primitive.index(True) if True in primitive else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_explicit_moduli_are_checked_by_rabin_and_named_by_their_first_factor(data):
+    # explicit top and base moduli, reducible and irreducible: the tower
+    # builds exactly when trial division finds no factor, and a reducible
+    # modulus is named with the first factor in counting order
+    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    q = p**e
+    m = data.draw(st.integers(1, 8 if q < 9 else 4))
+    base = data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)) + [1]
+    top = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m)) + [1]
+    params = TowerParams(p, e, m, tuple(base) if e > 1 else None, tuple(top))
+    if e == 1:
+        field = fieldtower._PrimeField(p)
+    elif (factor := fieldtower._find_factor(fieldtower._PrimeField(p), base)) is not None:
+        with pytest.raises(FieldConstructionError) as info:
+            FieldTower(params)
+        assert str(info.value) == f"base_modulus {base} is reducible over F_{p}: factor {list(factor)} found"
+        return
+    else:
+        field = FieldTower(TowerParams(p, 1, e, top_modulus=tuple(base)))
+    factor = fieldtower._find_factor(field, top)
+    if factor is None:
+        assert FieldTower(params).top_modulus == tuple(top)
+    else:
+        with pytest.raises(FieldConstructionError) as info:
+            FieldTower(params)
+        assert str(info.value) == f"top_modulus {top} is reducible over F_{q}: factor {list(factor)} found"
+
+
+# (p, e, m) with p in {2, 3, 5, 7}, e in {1, 2} and order <= 4096
+KERNEL_TOWERS = [
+    (p, e, m) for p in (2, 3, 5, 7) for e in (1, 2) for m in range(1, 13) if p ** (e * m) <= 4096
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_multiplication_matrices_and_order_test_match_the_scalar_oracles(data):
+    # over random towers: M(c) built from X and Y has row k equal to the
+    # digits of the table-free product of c and the k-th basis element, and
+    # the order test on its squares equals the powmod oracle
+    p, e, m = data.draw(st.sampled_from(KERNEL_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    d, n1 = e * m, t.order - 1
+    cs = np.array(data.draw(st.lists(st.integers(1, n1), min_size=1, max_size=8)))
+    M = t._matrices(cs)
+    digits = lambda x: [x // p**i % p for i in range(d)]
+    for c, Mc in zip(cs.tolist(), M.tolist()):
+        assert Mc == [digits(t._mul_raw(p**k, c)) for k in range(d)]
+    S = fieldtower._squares(M, n1.bit_length(), p)
+    assert fieldtower._generates(S, p, n1).tolist() == [
+        _is_primitive(t._sf, t._digits_of(c), t.top_modulus) for c in cs.tolist()
+    ]
+
+
+def test_a_built_tower_calls_no_scalar_oracle(monkeypatch):
+    # the construction runs on the matrix kernel alone: trial division is
+    # the error path's, and the powmod oracles live in the tests
+    def refuse(*args):
+        raise AssertionError("scalar oracle called")
+
+    assert not hasattr(fieldtower, "_poly_powmod") and not hasattr(fieldtower, "_is_primitive")
+    monkeypatch.setattr(fieldtower, "_find_factor", refuse)
+    monkeypatch.setattr(FieldTower, "_mul_raw", refuse)
+    for pem in [(2, 1, 6), (2, 1, 8), (2, 2, 3), (3, 2, 3), (7, 1, 3), (2, 1, 13), (251, 1, 2)]:
+        FieldTower(TowerParams(*pem))
+    FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
+    FieldTower(TowerParams(3, 1, 4, top_modulus=(2, 0, 0, 1, 1)))
+
+
+def _scalar_build(t):
+    """(base modulus, top modulus, generator, exp, log) of t's (p, e, m) by the
+    scalar oracles: moduli by trial division in counting order (primitive y
+    above order 4096, by powmod), the generator by powmod, the tables by
+    stepping the table-free product."""
+    p, e, m, q = t.p, t.e, t.m, t.q
+    above = fieldtower._PRIMITIVE_Y_ABOVE
+
+    def first_modulus(field, deg, order):
+        for tail in range(1, field.order**deg):
+            f = fieldtower._monic(field.order, deg, tail)
+            if f[0] and fieldtower._find_factor(field, f) is None and (
+                order <= above or _is_primitive(field, [0, 1], f)
+            ):
+                return tuple(f)
+
+    base = first_modulus(fieldtower._PrimeField(p), e, q) if e > 1 and t.params.base_modulus is None else t.base_modulus
+    top = first_modulus(t._sf, m, t.order)
+    gen = next(c for c in range(q if m > 1 else 1, t.order)
+               if _is_primitive(t._sf, t._digits_of(c), t.top_modulus))
+    exp = [1]
+    for _ in range(t.order - 2):
+        exp.append(t._mul_raw(exp[-1], gen))
+    log = [0] * t.order
+    for i, x in enumerate(exp):
+        log[x] = i
+    return base, top, gen, tuple(exp), tuple(log)
+
+
+@pytest.mark.parametrize("pem", sorted(DEFAULT_MODULI), ids=lambda pem: "F_%d^%d^%d" % pem)
+def test_default_towers_equal_a_scalar_oracle_build(pem):
+    t = default_tower(*pem)
+    assert _scalar_build(t) == (t.base_modulus, t.top_modulus, t.generator, t._exp, t._log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_explicit_towers_equal_a_scalar_oracle_build(data):
+    # random explicit top moduli (the first irreducible at or after a random
+    # tail), so only the generator and the tables are searched
+    p, e, m = data.draw(st.sampled_from(KERNEL_TOWERS))
+    t = tower_from(p, e, m, data.draw(st.integers(0, p ** (e * m) - 1)))
+    base, _, gen, exp, log = _scalar_build(t)
+    assert (base, gen, exp, log) == (t.base_modulus, t.generator, t._exp, t._log)

@@ -1194,6 +1194,19 @@ def test_classify_routes_agree_over_random_towers(params, data):
     assert twistgab.classify(spec) == min_rank_distance(spec)
 
 
+def test_classify_many_stacks_the_generators_once(monkeypatch):
+    # the enumeration, the column ranks and the subspace criterion all read
+    # the one (S, k, n) stack that classify_many builds
+    stack, calls = codes._generator_stack, []
+    monkeypatch.setattr(codes, "_generator_stack", lambda specs: calls.append(len(specs)) or stack(specs))
+    t = default_tower(2, 1, 4)
+    alpha = (1, 2, 4)
+    specs = [CodeSpec(t, alpha, 2, h, ((0, eta),)) for h in (0, 1) for eta in (3, 7)]
+    results = mc.classify_many(specs)
+    assert calls == [4]
+    assert [rep for rep, _, _ in results] == [min_rank_distance(s) for s in specs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=st.sampled_from(CLASSIFY_TOWERS), data=st.data())
 def test_minor_walk_matches_the_subspace_criterion_over_random_towers(params, data):
