@@ -15,10 +15,14 @@ library function that holds the rules and only parses, draws and formats.
 ``deephole`` draws its vectors and hands the family vectors and the samples
 outside the code, as one stack, to ``covering.is_deep_hole_many``.  Reports are
 byte-stable for a fixed seed: collections are sorted and JSON keys are
-sorted.  Every command runs in one thread; ``--workers`` is accepted for
-compatibility and ignored, because the work is CPU-bound Python that a thread
-pool only slowed down.  The wall-clock time of a command goes to stderr as a
-``[timing]`` line, never into the report.
+sorted, and :func:`canonical_json` writes each rectangular block of exact ints
+(a vector, a matrix, a stack of deep holes) with one ``%d`` template.  Input
+files are UTF-8 JSON whatever the locale, and one that starts with a BOM is
+refused; a report is ASCII with ``\\n`` line ends, so an ``--out`` file holds
+the bytes stdout gets, on every platform.  Every command runs in one thread;
+``--workers`` is accepted for compatibility and ignored, because the work is
+CPU-bound Python that a thread pool only slowed down.  The wall-clock time of
+a command goes to stderr as a ``[timing]`` line, never into the report.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
 consistency failure (two verification routes disagreed -- the most important
@@ -33,7 +37,7 @@ import json
 import random
 import sys
 import time
-from itertools import islice, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Optional, Sequence
@@ -55,9 +59,12 @@ EXIT_CONSISTENCY = 4
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written directly:
-    with an indent, ``json`` falls back to its pure-Python encoder.  A list of
-    exact ints (most nodes of a report) fills a ``%d`` template cached per
-    length and indent; other values dispatch on their exact type first."""
+    with an indent, ``json`` falls back to its pure-Python encoder.  A
+    rectangular block of exact ints at any depth (a vector, a generator
+    matrix, a stack of deep holes: most nodes of a report) fills one ``%d``
+    template cached per shape and indent; other values dispatch on their
+    exact type first.  The text is ASCII: ``json`` escapes every other
+    character."""
     return _json_value(obj, "\n") + "\n"
 
 
@@ -71,9 +78,31 @@ def _json_key(key) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _int_list_template(length: int, newline: str) -> str:
+def _int_block_template(shape: tuple, newline: str) -> str:
+    """The layout of a rectangular int block of this shape, one ``%d`` per leaf."""
+    if not shape:
+        return "%d"
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]"
+    row = _int_block_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([row] * shape[0]) + newline + "]"
+
+
+def _int_block(obj) -> Optional[tuple]:
+    """(shape, leaves) of a non-empty list or tuple whose every level is
+    non-empty, made of lists or tuples of one length, and whose leaves all have
+    type exactly ``int`` (so no bool and no numpy int); None otherwise."""
+    shape, level = [len(obj)], obj
+    while True:
+        kinds = {*map(type, level)}
+        if kinds == {int}:
+            return tuple(shape), level
+        if not kinds <= {list, tuple}:
+            return None
+        lengths = {*map(len, level)}
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = [*chain.from_iterable(level)]
 
 
 # writers by exact type (json's float layout, NaN and Infinity included); a
@@ -92,8 +121,9 @@ def _json_value(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if {*map(type, obj)} == {int}:  # ints only, no bools: one template
-            return _int_list_template(len(obj), newline) % tuple(obj)
+        if (block := _int_block(obj)) is not None:  # one template fill
+            shape, leaves = block
+            return _int_block_template(shape, newline) % tuple(leaves)
         items = [_json_value(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
@@ -111,10 +141,12 @@ def _json_value(obj, newline: str) -> str:
 
 
 def _load_json(path: str):
+    """The JSON document in a file, decoded as strict UTF-8 whatever the
+    locale; a BOM is kept, so ``json`` refuses it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -138,8 +170,8 @@ def _write_report(args, report: dict) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:  # ASCII bytes, "\n" line ends on every platform
+            fh.write(text.encode("ascii"))
     except OSError as exc:
         raise ValueError(f"cannot write report to {args.out}: {exc}") from exc
 

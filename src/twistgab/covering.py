@@ -232,9 +232,12 @@ def covering_radius_exhaustive(spec: CodeSpec, budgets: Budgets = Budgets()) -> 
     total = t.order**n
     coset_min = best // total
     rho = int(coset_min.max())
-    leaders = np.sort(best[coset_min == rho] % total)
+    leaders = best[coset_min == rho] % total
+    # the MAX_DEEP_HOLES smallest leaders, ascending, without sorting the rest
+    kth = min(MAX_DEEP_HOLES, len(leaders)) - 1
+    smallest = np.sort(np.partition(leaders, kth)[:MAX_DEEP_HOLES])
     # a leader's index packs its n components base q^m, component 0 lowest
-    holes = leaders[:MAX_DEEP_HOLES, None] // t.order ** np.arange(n) % t.order
+    holes = smallest[:, None] // t.order ** np.arange(n) % t.order
     return CoveringReport(
         n=n, k=k, rho=rho, rho_method="exhaustive",
         lower_bound=lo, upper_bound=hi, bounds_method="theorem-bound",

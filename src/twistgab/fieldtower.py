@@ -415,6 +415,8 @@ class FieldTower:
         self.p, self.e, self.m = p, e, m
         self.q = p**e
         self.order = self.q**m
+        self._places = p ** np.arange(e * m, dtype=np.int64)  # base-p digit j is worth p^j
+        self._places.flags.writeable = False  # shared through default_tower
 
         base = params.base_modulus
         if e == 1:
@@ -504,7 +506,7 @@ class FieldTower:
         x^i c by the F_q level's squares (X is block-diagonal), then those rows
         times the powers of Y."""
         p, e, d = self.p, self.e, self.e * self.m
-        rows = np.asarray(cs)[:, None] // p ** np.arange(d) % p
+        rows = np.asarray(cs)[:, None] // self._places % p
         rows = _orbit(rows.reshape(-1, e), self._sf._ysquares, e, p)  # [i, (b, j)]: x^i c_bj
         rows = _orbit(rows.reshape(-1, d), self._ysquares, self.m, p)  # [j, (i, b)]: y^j x^i c_b
         return rows.reshape(d, len(cs), d).transpose(1, 0, 2)
@@ -537,8 +539,7 @@ class FieldTower:
         one = np.zeros((1, d), dtype=np.int64)
         one[0, 0] = 1
         E = _orbit(one, S, n1, p).reshape(n1, d)
-        places = p ** np.arange(d, dtype=np.int64)
-        exp = E @ places
+        exp = E @ self._places
         if (np.bincount(exp, minlength=self.order)[1:] != 1).any():
             raise FieldConstructionError("generator order check failed")
         log = np.zeros(self.order, dtype=np.int64)
@@ -820,7 +821,7 @@ class FieldTower:
         one numpy pass: the base-p digits of each entry, as (..., m) F_q digits
         at e = 1 and (..., m, e) residues otherwise."""
         xs = np.asarray(xs, dtype=np.int64)
-        digits = xs[..., None] // self.p ** np.arange(self.e * self.m) % self.p
+        digits = xs[..., None] // self._places % self.p
         return digits.reshape(xs.shape + ((self.m,) if self.e == 1 else (self.m, self.e))).tolist()
 
     def element_to_json(self, x: Element):

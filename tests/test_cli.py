@@ -832,12 +832,57 @@ json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), json_text,
     st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
 )
+NEAR_MISSES = ["ragged row", "empty inner list", "bool leaf", "int beyond 64 bits", "mixed rows"]
+
+
+def _rows_as(obj, kind, odd=None):
+    """obj with every list rebuilt as kind, and the row that is odd as the other kind."""
+    if not isinstance(obj, list):
+        return obj
+    rows = [_rows_as(x, kind, odd) for x in obj]
+    return ({list: tuple, tuple: list}[kind] if obj is odd else kind)(rows)
+
+
+@st.composite
+def int_blocks(draw, near_miss: bool = False):
+    """A rectangular 2-D or 3-D block of exact ints, its rows all lists or all
+    tuples; with near_miss, one innermost row or leaf is changed by one of
+    NEAR_MISSES (every dimension at least 2, so that a longer row is ragged)."""
+    shape = draw(st.lists(st.integers(1 + near_miss, 4), min_size=2, max_size=3))
+    leaf = st.integers(-(2**63), 2**63 - 1)
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(leaf)
+
+    block, odd = build(shape), None
+    if near_miss:
+        parent = block
+        for size in shape[:-2]:
+            parent = parent[draw(st.integers(0, size - 1))]
+        i = draw(st.integers(0, shape[-2] - 1))
+        row, j = parent[i], draw(st.integers(0, shape[-1] - 1))
+        kind = draw(st.sampled_from(NEAR_MISSES))
+        if kind == "ragged row":
+            row.append(draw(leaf))
+        elif kind == "empty inner list":
+            parent[i] = []
+        elif kind == "bool leaf":
+            row[j] = draw(st.booleans())
+        elif kind == "int beyond 64 bits":
+            row[j] = draw(st.sampled_from([2**64, -(2**64) - 1, 2**70 + 3]))
+        else:
+            odd = row
+    return _rows_as(block, draw(st.sampled_from([list, tuple])), odd)
+
+
 json_trees = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(st.integers(-(2**66), 2**66), max_size=5),
+        int_blocks(),
+        int_blocks(near_miss=True),
         st.dictionaries(json_text, children, max_size=4),
         # keys of other types, or of mixed types that do not sort
         st.dictionaries(st.one_of(st.integers(-3, 3), st.booleans(), st.none(), json_text),
@@ -868,6 +913,32 @@ class TestCanonicalJson:
             json_oracle(obj)
         with pytest.raises(TypeError):
             canonical_json(obj)
+
+    def test_a_deep_hole_block_is_one_template_fill(self, files, monkeypatch):
+        tmp, field, code = files
+        fills = []
+
+        class Template(str):
+            def __mod__(self, leaves):
+                fills.append((self.shape, self.newline, len(leaves)))
+                return str.__mod__(self, leaves)
+
+        def spy(shape, newline):
+            template = Template(block_template(shape, newline))
+            template.shape, template.newline = shape, newline
+            return template
+
+        block_template = cli._int_block_template
+        monkeypatch.setattr(cli, "_int_block_template", spy)
+        out = tmp / "report.json"
+        assert run_main(["covering", "--field", field, "--code", code, "--out", out]) == 0
+        holes = json.loads(out.read_text())["report"]["deep_holes"]
+        # deep holes, alpha and eta: one fill each, none per row or per digit
+        assert fills == [
+            ((len(holes), 4, 4), "\n    ", len(holes) * 16),
+            ((4, 4), "\n    ", 16),
+            ((4,), "\n        ", 4),
+        ]
 
     def test_every_command_report(self, files, capsys, monkeypatch):
         # the report objects of the README example, as the commands build them

@@ -2,11 +2,13 @@
 bytes or report values the project pins, with the same check for each.
 
 A case holds its argv, its expected exit code, the values the projection of
-its command must give and, where one is pinned, the sha256 of its report.  An
-argv entry that is not a string is an input file: bytes are written as they
-are, any other value as JSON, and the entry is replaced by the file's path.
+its command must give and, where one is pinned, the sha256 of its report, or
+the error a refused run must write.  An argv entry that is not a string is an
+input file: bytes are written as they are, any other value as JSON, and the
+entry is replaced by the file's path.  Every case that exits 0 runs a second
+time with ``--out FILE``, and the file must hold the bytes its stdout held.
 
-Two drivers run the table through :func:`check`:
+Two drivers run the table through :func:`run_case`:
 
 - pytest runs every case in process through ``cli.main``;
 - ``python tests/test_console_pins.py`` runs every case through the
@@ -36,6 +38,8 @@ class Case(NamedTuple):
     expect: Optional[dict] = None  # the projection of an exit-0 report
     exit: int = 0
     sha256: Optional[str] = None
+    # a refused run's stderr line; {argv[i]} is the path of the input at argv[i]
+    message: Optional[str] = None
 
 
 def _classify(report: dict) -> dict:
@@ -144,6 +148,16 @@ CASES = {
     # JSON nested past the decoder's recursion limit is an input error
     "classify-nested-json-field": Case(
         ["classify", "--field", b"[" * 200_000, "--code", CODE16], exit=2),
+    # inputs are UTF-8 whatever the locale: bytes that do not decode (here a
+    # UTF-16 BOM, which json.loads of bytes would accept) and a UTF-8 BOM are
+    # input errors that name the file
+    "covering-undecodable-code": Case(
+        ["covering", "--field", F16, "--code", b"\xff\xfe{"], exit=2,
+        message="error: cannot read JSON from {argv[4]}: 'utf-8' codec can't decode byte 0xff"
+                " in position 0: invalid start byte"),
+    "classify-bom-field": Case(
+        ["classify", "--field", b"\xef\xbb\xbf" + json.dumps(F16).encode(), "--code", CODE16],
+        exit=2, message="error: cannot read JSON from {argv[2]}: Unexpected UTF-8 BOM"),
     # a nested construction over F_4 < F_16: alpha = (1, y^5) spans F_4, eta =
     # y lies outside it; construct re-checks it by mrd_membership_multi
     "construct-F4<F16": Case(
@@ -269,12 +283,13 @@ def write_inputs(case: Case, directory: Path) -> list:
     return argv
 
 
-def check(case: Case, code: int, stdout: str, stderr: str) -> None:
-    """Every check of a case on one run's exit code, stdout and stderr."""
+def check(case: Case, argv: list, code: int, stdout: str, stderr: str) -> None:
+    """Every check of a case on one run of argv: its exit code, stdout and stderr."""
     assert code == case.exit, f"exit {code}, expected {case.exit}; stderr: {stderr[-2000:]}"
     if code != 0:
         assert "Traceback" not in stderr, stderr
         assert stdout == "", "a refused run writes no report"
+        assert case.message is None or case.message.format(argv=argv) in stderr, stderr
         return
     report = json.loads(stdout)
     assert stdout == json.dumps(report, sort_keys=True, indent=2) + "\n", "not canonical JSON"
@@ -296,18 +311,32 @@ def run_installed(argv: list) -> tuple:
     return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
+def run_case(case: Case, run, directory: Path) -> None:
+    """Run a case by run (in process or installed) with its inputs in
+    directory and check it; a case that exits 0 runs again with --out, whose
+    file must hold the bytes of the first run's stdout."""
+    argv = write_inputs(case, directory)
+    code, stdout, stderr = run(argv)
+    check(case, argv, code, stdout, stderr)
+    if code == 0:
+        out = directory / "report.out.json"
+        code, again, stderr = run([*argv, "--out", str(out)])
+        assert (code, again) == (0, ""), f"--out run: exit {code}; stderr: {stderr[-2000:]}"
+        assert out.read_bytes() == stdout.encode(), "the --out file differs from stdout"
+
+
 PINNED = sorted(name for name, case in CASES.items() if case.sha256 is not None)
 
 
 # the digest-pinned cases, under a test name of their own
 @pytest.mark.parametrize("name", PINNED)
 def test_report_matches_the_ci_sha256(tmp_path, name):
-    check(CASES[name], *run_in_process(write_inputs(CASES[name], tmp_path)))
+    run_case(CASES[name], run_in_process, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CASES.keys() - set(PINNED)))
 def test_console_case(tmp_path, name):
-    check(CASES[name], *run_in_process(write_inputs(CASES[name], tmp_path)))
+    run_case(CASES[name], run_in_process, tmp_path)
 
 
 def run_all_installed() -> int:
@@ -316,7 +345,7 @@ def run_all_installed() -> int:
         for name, case in CASES.items():
             print(f"== {name}", flush=True)
             try:
-                check(case, *run_installed(write_inputs(case, Path(tmp))))
+                run_case(case, run_installed, Path(tmp))
             except (AssertionError, subprocess.TimeoutExpired) as exc:
                 print(f"FAILED: {exc!r}", flush=True)
                 failed.append(name)
