@@ -47,7 +47,7 @@ import numpy as np
 from . import codes, covering, mrdcheck
 from .budget import DEFAULT_AMBIENT, DEFAULT_CODEWORDS, DEFAULT_SUBSPACES, Budgets, check_budget
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
-from .fieldtower import FieldTower, json_array, json_int, json_object, tower_from_json
+from .fieldtower import FieldTower, exact_int, json_array, json_object, tower_from_json
 
 SCHEMA = "twistgab/1"
 
@@ -218,13 +218,13 @@ def _elements(tower: FieldTower, obj, what: str) -> list:
 def _sweep_specs(tower: FieldTower, grid: dict, budgets: Budgets) -> list[codes.CodeSpec]:
     grid = json_object(grid, "a sweep grid")
     alpha = tuple(_elements(tower, grid["alpha"], "alpha"))
-    k = json_int(grid["k"])
+    k = exact_int(grid["k"])
     if not 1 <= k < len(alpha):
         # checked before the class counts below, which k outside [1, n) breaks
         raise ValueError(f"need 1 <= k < n, got k={k}, n={len(alpha)}")
     hs = grid.get("h", [0])
-    hs = [json_int(h) for h in ([hs] if isinstance(hs, int) else json_array(hs, "h"))]
-    ts = tuple(json_int(x) for x in json_array(grid.get("ts", [0]), "ts"))
+    hs = [exact_int(h) for h in ([hs] if isinstance(hs, int) else json_array(hs, "h"))]
+    ts = tuple(exact_int(x) for x in json_array(grid.get("ts", [0]), "ts"))
     etas = grid.get("etas", "all")
     if etas == "all":
         # counted here, listed only once the budget admits them
@@ -276,15 +276,15 @@ def cmd_construct(args, tower: FieldTower, budgets: Budgets) -> dict:
     task = json_object(_load_json(args.task), "a construction task")
     mode = task.get("mode", "nested")
     alpha = tuple(_elements(tower, task["alpha"], "alpha"))
-    k = json_int(task["k"])
-    h = json_int(task.get("h", 0))
-    ts = [json_int(x) for x in json_array(task["ts"], "ts")]
+    k = exact_int(task["k"])
+    h = exact_int(task.get("h", 0))
+    ts = [exact_int(x) for x in json_array(task["ts"], "ts")]
     if mode not in ("nested", "scalar", "sum-product-free"):
         raise ValueError(f"unknown construction mode {mode!r}")
     if mode == "sum-product-free":
-        degrees = [json_int(task["s"])]
+        degrees = [exact_int(task["s"])]
     else:
-        degrees = [json_int(s) for s in json_array(task["degrees"], "degrees")]
+        degrees = [exact_int(s) for s in json_array(task["degrees"], "degrees")]
     etas = _elements(tower, task["etas"], "etas")
     if mode == "scalar":
         if len(degrees) != 1 or len(etas) != 1:

@@ -19,13 +19,17 @@ cross-checks them with the subspace and Omega routes.
 of the tables c * G[p], at most max(``moore.BLOCK_ROWS``, S) codewords per
 block for a stack of S, and each block is folded once per weight: the code is
 weighed by rank (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual and
-:func:`min_hamming_distance` by Hamming weight alone.
+:func:`min_hamming_distance` by Hamming weight alone.  The blocks are
+``fieldtower.ELEMENT_DTYPE`` (uint16) and weighed in that dtype; generators,
+witnesses and every other array of elements here are int64.
 
 The structural route, :func:`nmds_conditions_many`, reads column ranks of the
 generators, and nothing from the enumeration: all (k-1)-, k- and (k+1)-column
 subsets of the stack in one batched elimination (:meth:`FieldTower.rank_many`).
 A stack's generators are built in one broadcast and kept in their specs, as
 are parity-check matrices (:func:`generator_matrix`, :func:`parity_check_matrix`).
+Every field of a :class:`CodeSpec` passes ``fieldtower.exact_int``, and every
+route over a stack of specs gives an empty result for an empty stack.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from . import moore
 from .budget import Budgets, check_budget
 from .errors import ConsistencyError, SpecInvariantError
-from .fieldtower import Element, FieldTower, json_array, json_int, json_object
+from .fieldtower import Element, FieldTower, exact_int, json_array, json_object
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,12 @@ class CodeSpec:
     twists: tuple[tuple[int, Element], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        # every field by ``fieldtower.exact_int``: a bool or float is refused, never truncated
+        object.__setattr__(self, "alpha", tuple(map(exact_int, self.alpha)))
+        object.__setattr__(self, "k", exact_int(self.k))
+        object.__setattr__(self, "h", None if self.h is None else exact_int(self.h))
         object.__setattr__(
-            self, "twists", tuple((int(t), int(e)) for t, e in self.twists)
+            self, "twists", tuple((exact_int(t), exact_int(e)) for t, e in self.twists)
         )
         t = self.tower
         n, k = self.n, self.k
@@ -128,10 +135,8 @@ class CodeSpec:
         twists = []
         for tw in json_array(obj.get("twists", []), "twists"):
             tw = json_object(tw, "a twist")
-            twists.append((json_int(tw["t"]), tower.element_from_json(tw["eta"])))
-        h = obj.get("h")
-        h = None if h is None else json_int(h)
-        return cls(tower, alpha, json_int(obj["k"]), h, tuple(twists))
+            twists.append((tw["t"], tower.element_from_json(tw["eta"])))
+        return cls(tower, alpha, obj["k"], obj.get("h"), tuple(twists))
 
 
 @dataclass
@@ -290,10 +295,11 @@ def min_rank_distance_many(
     NMDS needs d_H = n - k and a dual with d_H = k, so one more, by Hamming
     weight only, takes the dual bases (:func:`parity_check_matrix`) of the
     specs with d_H = n - k alone, if any.  The codeword cap counts every spec's
-    dual before either runs (:func:`distance_class_count`).
+    dual before either runs (:func:`distance_class_count`).  An empty stack
+    gets an empty list.
     """
     specs = list(specs)
-    return _min_rank_distance_stack(specs, _generator_stack(specs), budgets)
+    return _min_rank_distance_stack(specs, _generator_stack(specs), budgets) if specs else []
 
 
 def _min_rank_distance_stack(

@@ -17,8 +17,13 @@ The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 The deep-hole routes take a stack U of vectors, one per row.  The distance
 route (:func:`distance_to_code_many`) is independent of the walk: it builds
 the codewords of all q^(mk) messages as ``moore.span_blocks``, adds every u
-to each block and weighs the sums with ``fq_rank_many``;
-its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).  The
+to each block and weighs the sums with ``fq_rank_many``, all in
+``fieldtower.ELEMENT_DTYPE`` (uint16) words, while the walk's packed keys and
+every table stay int64;
+its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).
+A stack U must hold integers (an empty stack may have any dtype): a float or
+bool entry is refused, never truncated, as is a float g or coefficient of f
+in :func:`deep_hole_family`.  The
 extension route (:func:`deep_hole_via_extension_many`) is the subspace
 criterion on the stack of every [G; u], ``mrdcheck.matrix_is_mrd_many``.
 Neither route calls the other, and each one-vector function is its route on
@@ -39,7 +44,7 @@ from . import moore
 from .budget import Budgets, check_budget
 from .codes import CodeSpec, encode, generator_matrix, parity_check_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
-from .fieldtower import Element, FieldTower
+from .fieldtower import ELEMENT_DTYPE, Element, FieldTower, exact_int
 from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd_many
 
 
@@ -82,11 +87,15 @@ class CoveringReport:
 
 
 def _vectors(spec: CodeSpec, U) -> np.ndarray:
-    """U as an (S, n) int64 array, once each row is known to be a vector of F_(q^m)^n."""
-    V, order = np.asarray(U, dtype=np.int64), spec.tower.order
+    """U as an (S, n) int64 array, once each row is known to be a vector of
+    F_(q^m)^n: integer entries (an empty stack may have any dtype), never
+    truncated, in [0, q^m)."""
+    V, order = np.asarray(U), spec.tower.order
+    if V.size and V.dtype.kind not in "iu":
+        raise ValueError(f"u must have integer entries, got dtype {V.dtype}")
     if V.ndim != 2 or V.shape[1] != spec.n or ((V < 0) | (V >= order)).any():
         raise ValueError(f"u must have length n = {spec.n} and entries in [0, {order})")
-    return V
+    return V.astype(np.int64, copy=False)
 
 
 def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -119,9 +128,10 @@ def distance_to_code_many(spec: CodeSpec, U, budgets: Budgets = Budgets()) -> np
     The codewords come as ``moore.span_blocks`` of one segment, every message
     coordinate counting base q^m, n rows of codeword components at a time;
     every codeword of a block is added to the vectors u of each
-    ``moore.blocks`` step.  It stops once every distance is 0.
+    ``moore.blocks`` step, in ``ELEMENT_DTYPE`` words.  It stops once every
+    distance is 0.
     """
-    U, t, n, k = _vectors(spec, U), spec.tower, spec.n, spec.k
+    U, t, n, k = _vectors(spec, U).astype(ELEMENT_DTYPE), spec.tower, spec.n, spec.k
     check_distance_budget(spec, len(U), budgets)
     G, best = generator_matrix(spec), np.full(len(U), n)
     for (words,) in moore.span_blocks(t, G[:, None], [((), range(k))]):
@@ -327,17 +337,18 @@ def deep_hole_family(
     if not in_one_twist_t0_family(spec):
         raise SpecInvariantError(FAMILY_REFUSAL)
     order = spec.tower.order
-    if not all(0 <= int(c) < order for c in (g, *f_coeffs)):
+    g, *f_coeffs = map(exact_int, (g, *f_coeffs))
+    if not all(0 <= c < order for c in (g, *f_coeffs)):
         raise ValueError(f"g and the coefficients of f must lie in [0, {order})")
     if g == 0:
         raise SpecInvariantError("g must be non-zero (g = 0 would land in the code)")
     if flavor not in ("x^[k]", "x^[h]"):
         raise ValueError("flavor must be 'x^[k]' or 'x^[h]'")
     t = spec.tower
-    f_coeffs = list(f_coeffs) or [0] * spec.k
+    f_coeffs = f_coeffs or [0] * spec.k
     if len(f_coeffs) != spec.k:
         raise ValueError(f"f needs {spec.k} coefficients")
     exponent = spec.k if flavor == "x^[k]" else spec.h
     a = np.asarray(spec.alpha, dtype=np.int64)
-    u = t.mul_many(np.int64(int(g)), t.frob_many(a, exponent))
+    u = t.mul_many(g, t.frob_many(a, exponent))
     return t.add_many(u, encode(spec, f_coeffs))

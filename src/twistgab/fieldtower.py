@@ -15,13 +15,14 @@ arithmetic mod p, with no tables.
 
 Multiplication, inversion, Frobenius and norm run on log/antilog tables built
 once per tower; addition is XOR when p == 2 and digitwise mod p otherwise.
-The ``*_many`` methods apply them to numpy arrays of indices, and
-``rank_many`` / ``det_many`` eliminate stacks of matrices at once, with the
-scalar ``_gauss_jordan`` as their oracle.  ``fq_rank_many`` is one F_p
-echelon for every p: each F_p-multiple v of a component becomes the least of
-v + c * b over c in F_p, per earlier pivot b.  The vector layer branches on p
-only in addition and negation, and in ``_eliminate_many``'s det sign, which
-it skips at p = 2 (where -1 = 1).
+The ``*_many`` methods apply them to numpy arrays of indices (int64, or
+:data:`ELEMENT_DTYPE` for the codeword blocks that ``add_many`` and
+``fq_rank_many`` stream over), and ``rank_many`` / ``det_many`` eliminate
+stacks of matrices at once, with the scalar ``_gauss_jordan`` as their oracle.
+``fq_rank_many`` is one F_p echelon for every p: each F_p-multiple v of a
+component becomes the least of v + c * b over c in F_p, per earlier pivot b.
+The vector layer branches on p only in addition and negation, and in
+``_eliminate_many``'s det sign, which it skips at p = 2 (where -1 = 1).
 Construction runs on one F_p-matrix kernel: the multiplication matrices X
 (by x, block-diagonal) and Y (by y, the companion matrix of the top modulus)
 on the d = e * m base-p digits, and the repeated squares M^(2^i) of a
@@ -57,6 +58,10 @@ from .errors import ConsistencyError, FieldConstructionError
 Element = int  # index encoding of an element of F_(q^m)
 
 _ORDER_LIMIT = 1 << 16  # for every p; F_2^16 is the largest tower the tests and demos build
+
+# the dtype of codeword blocks: exact, since every index lies below _ORDER_LIMIT;
+# tables, gathers and eliminations stay int64, as numpy gathers with intp indices
+ELEMENT_DTYPE = np.uint16
 
 # above this order the default top modulus makes the class of y primitive; the
 # threshold is what fixes the pinned default moduli of F_2^16 and other big towers
@@ -694,18 +699,23 @@ class FieldTower:
 
     def add_many(self, a: np.ndarray, b: np.ndarray, width: int = 1) -> np.ndarray:
         """Elementwise sum; with ``width`` > 1, of vectors of that many elements
-        packed base q^m (component j times q^(mj)), component by component."""
+        packed base q^m (component j times q^(mj)), component by component.
+        The sum has the dtype numpy gives ``a ^ b``: two :data:`ELEMENT_DTYPE`
+        arrays add to one."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         # an index is the base-p residue vector of all e*m F_p coordinates
-        p = self.p
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        p, a, b = self.p, np.asarray(a), np.asarray(b)
+        dtype = np.result_type(a, b)
+        # in 16 bits only while a + b, the largest digit sum, cannot wrap
+        work = dtype if dtype == ELEMENT_DTYPE and 2 * self.order <= 1 << 16 else np.int64
+        a, b = a.astype(work, copy=False), b.astype(work, copy=False)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=work)
         place = 1
         for _ in range(self.e * self.m * width):
             out += (a // place + b // place) % p * place
             place *= p
-        return out
+        return out.astype(dtype, copy=False)
 
     def fq_rank_many(self, comps: Sequence[np.ndarray]) -> np.ndarray:
         """Rank weight of a batch of vectors, given as its n component arrays.
@@ -719,16 +729,20 @@ class FieldTower:
         the digits above b's leading digit do not change, so the least of these
         has a zero digit there (at p = 2, ``min(v, v ^ b)``).  The rank is the
         number of non-zero pivots over e.  Only :meth:`add_many` branches on p
-        here.  :meth:`fq_rank` is the scalar oracle.
+        here.  Every pivot and multiple keeps the dtype of its component (the
+        products ``mul_many`` gathers are cast back to it), so an
+        :data:`ELEMENT_DTYPE` batch is eliminated in 16-bit words.
+        :meth:`fq_rank` is the scalar oracle.
         """
         pivots = []  # per pivot b: b, 2b, ..., (p - 1)b
         for v in comps:
-            v = np.asarray(v, dtype=np.int64)
+            v = np.asarray(v)
             for j in range(self.e):
-                w = self.mul_many(v, self.p**j) if j else v
+                w = self.mul_many(v, self.p**j).astype(v.dtype, copy=False) if j else v
                 for bs in pivots:
                     w = functools.reduce(np.minimum, [self.add_many(w, cb) for cb in bs], w)
-                pivots.append([w] + [self.mul_many(w, c) for c in range(2, self.p)])
+                multiples = (self.mul_many(w, c) for c in range(2, self.p))
+                pivots.append([w, *(cw.astype(v.dtype, copy=False) for cw in multiples)])
         return np.count_nonzero([bs[0] for bs in pivots], axis=0) // self.e
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -836,10 +850,10 @@ class FieldTower:
             if isinstance(c, (list, tuple)):
                 if len(c) != self.e:
                     raise ValueError(f"each F_q coordinate needs {self.e} residues")
-                rs = [json_int(r) for r in c]
+                rs = [exact_int(r) for r in c]
                 ds.append(self._sf.from_coords(rs) if self.e > 1 else rs[0])
             else:
-                ds.append(json_int(c))
+                ds.append(exact_int(c))
         return self.from_coords(ds)
 
     def __repr__(self):
@@ -852,11 +866,13 @@ def default_tower(p: int, e: int, m: int) -> FieldTower:
     return FieldTower(TowerParams(p, e, m))
 
 
-def json_int(x) -> int:
-    """x if it is a JSON integer; a bool, float, string, null or array is a ValueError."""
-    if not isinstance(x, int) or isinstance(x, bool):
+def exact_int(x) -> int:
+    """x as an int if it is a Python or numpy integer, the one rule for every
+    integer the library reads, from JSON or from a caller; a bool, float,
+    string, None or array is a ValueError, never truncated."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
         raise ValueError(f"expected an integer, got {x!r}")
-    return x
+    return int(x)
 
 
 def json_array(x, what: str) -> list:
@@ -879,13 +895,13 @@ def tower_from_json(obj: dict) -> FieldTower:
 
     def modulus(key):  # absent or [] picks the default
         cs = obj.get(key)
-        return None if cs is None else tuple(json_int(c) for c in json_array(cs, key)) or None
+        return None if cs is None else tuple(exact_int(c) for c in json_array(cs, key)) or None
 
     return FieldTower(
         TowerParams(
-            p=json_int(obj["p"]),
-            e=json_int(obj["e"]),
-            m=json_int(obj["m"]),
+            p=exact_int(obj["p"]),
+            e=exact_int(obj["e"]),
+            m=exact_int(obj["m"]),
             base_modulus=modulus("base_modulus"),
             top_modulus=modulus("top_modulus"),
         )

@@ -1,7 +1,11 @@
 """Moore matrices and exact linear algebra over F_(q^m).
 
-Matrices are numpy int64 arrays of element indices; the owning tower is passed
-explicitly.  Row/column indices are 0-based here; reports and docs speaking of
+Matrices, tables and the products ``mul_many`` gathers are numpy int64 arrays
+of element indices; the owning tower is passed explicitly.  Codeword blocks
+are the one exception: :func:`span_blocks` yields them as
+``fieldtower.ELEMENT_DTYPE`` (uint16, exact since every tower has order at
+most 2^16), so the sums and rank weights streamed over them move a quarter of
+the bytes.  Row/column indices are 0-based here; reports and docs speaking of
 "the (h+1)-th row" follow the 1-based convention of the generator layouts.
 
 :func:`matmul` is the one matrix product, batched over leading axes.
@@ -22,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fieldtower import Element, FieldTower, _gauss_jordan, _nullspace
+from .fieldtower import ELEMENT_DTYPE, Element, FieldTower, _gauss_jordan, _nullspace
 
 # rows per block of every batched route
 BLOCK_ROWS = 1 << 14
@@ -70,7 +74,8 @@ def span_blocks(tower: FieldTower, B: np.ndarray, segments: Iterable) -> Iterato
     most max(1, BLOCK_ROWS // S) items.  No message is multiplied by B: the
     fastest j digits of a segment, whose q^(mj) items fit a block, run over
     the tables c * B[p] in a broadcast sum, and each slower digit adds one
-    product per q^(mj) items."""
+    product per q^(mj) items.  The blocks, the sums and the tables they add
+    are ``ELEMENT_DTYPE``; B and the products ``mul_many`` gathers are int64."""
     B = np.asarray(B, dtype=np.int64).transpose(1, 2, 0)  # (S, n, K)
     S, n, _ = B.shape
     N, step, pieces, held = tower.order, max(1, BLOCK_ROWS // max(1, S)), [], 0
@@ -78,11 +83,12 @@ def span_blocks(tower: FieldTower, B: np.ndarray, segments: Iterable) -> Iterato
         digits, low = list(digits), np.zeros((S, n, 1), dtype=np.int64)
         for o in ones:
             low = tower.add_many(low, B[:, :, o, None])
+        low = low.astype(ELEMENT_DTYPE)
         j = 0
         while j < len(digits) and N ** (j + 1) <= step:
             j += 1
         for p in reversed(digits[:j]):  # the first digit fastest
-            table = tower.mul_many(B[:, :, p, None, None], np.arange(N))
+            table = tower.mul_many(B[:, :, p, None, None], np.arange(N)).astype(ELEMENT_DTYPE)
             low = tower.add_many(low[..., None], table).reshape(S, n, -1)
         count, reps = N ** (len(digits) - j), step // N**j
         for start in range(0, count, reps):
@@ -91,6 +97,7 @@ def span_blocks(tower: FieldTower, B: np.ndarray, segments: Iterable) -> Iterato
             for p in digits[j:]:
                 high = tower.add_many(high, tower.mul_many(B[:, :, p, None], idx % N))
                 idx //= N
+            high = high.astype(ELEMENT_DTYPE)
             piece = tower.add_many(high[..., None], low[:, :, None]).reshape(S, n, -1)
             if held + piece.shape[2] > step:
                 yield np.concatenate(pieces, axis=2)

@@ -145,9 +145,11 @@ def is_mrd_subspace_criterion_many(
     every subspace representative V.  :func:`matrix_is_mrd_many` walks the
     generators in as few stacks as the subspaces cap admits, S * [n, k]_q
     products each, so the cap refuses a stack only when one spec's [n, k]_q
-    exceeds it.
+    exceeds it.  An empty stack gets an empty verdict array.
     """
     specs = list(specs)
+    if not specs:
+        return np.zeros(0, dtype=bool)
     Gs = codes._generator_stack(specs)
     return _subspace_criterion_stack(specs[0].tower, Gs, budgets)
 
@@ -653,9 +655,12 @@ def classify_many(
     flags, the subspace criterion its MRD flag, an Omega witness a non-MRD
     code, and the enumeration the Omega label (AMDS as AMDS only: NMDS is out
     of the theorems' reach for middle h).  The first spec, in stack order,
-    whose routes disagree raises ConsistencyError.
+    whose routes disagree raises ConsistencyError.  An empty stack gets an
+    empty list.
     """
     specs = list(specs)
+    if not specs:
+        return []
     Gs = codes._generator_stack(specs)
     tower, alpha, k = specs[0].tower, specs[0].alpha, specs[0].k
     if any(s.alpha != alpha for s in specs):

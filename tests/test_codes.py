@@ -103,6 +103,47 @@ class TestCodeSpecInvariants:
         again = CodeSpec.from_json_dict(f16, spec.to_json_dict())
         assert again == spec
 
+    # every field by fieldtower.exact_int: a bool or float is refused, never truncated
+    NOT_INTEGERS = [True, False, 1.0, 0.7, np.float64(2.0), np.bool_(True)]
+
+    @pytest.mark.parametrize("k", NOT_INTEGERS)
+    def test_k_must_be_an_integer(self, f16, alpha4, k):
+        # k = True used to write "k": true in a report, k = 2.0 "k": 2.0
+        with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, alpha4, k)
+
+    @pytest.mark.parametrize("h", NOT_INTEGERS)
+    def test_h_must_be_an_integer(self, f16, alpha4, h):
+        # h = 0.7 used to pass the range check 0 <= h <= k - 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, alpha4, 2, h, ((0, W),))
+
+    @pytest.mark.parametrize("t", NOT_INTEGERS)
+    def test_twist_exponent_must_be_an_integer(self, f16, alpha4, t):
+        with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, alpha4, 2, 0, ((t, W),))
+
+    @pytest.mark.parametrize("a", NOT_INTEGERS)
+    def test_alpha_entries_must_be_integers(self, f16, alpha4, a):
+        # alpha entries used to be truncated by int()
+        with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, (*alpha4[:3], a), 2)
+
+    @pytest.mark.parametrize("eta", NOT_INTEGERS)
+    def test_eta_must_be_an_integer(self, f16, alpha4, eta):
+        with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
+
+    def test_numpy_integers_are_kept_as_int(self, f16, alpha4):
+        spec = CodeSpec(f16, np.array(alpha4, dtype=np.uint16), np.int64(2), np.uint8(1),
+                        ((np.int32(0), np.uint16(W)),))
+        assert spec == CodeSpec(f16, alpha4, 2, 1, ((0, W),))
+        fields = (*spec.alpha, spec.k, spec.h, *(x for tw in spec.twists for x in tw))
+        assert all(type(x) is int for x in fields)
+        assert json.dumps(spec.to_json_dict()) == json.dumps(
+            CodeSpec(f16, alpha4, 2, 1, ((0, W),)).to_json_dict()
+        )
+
 
 class TestGeneratorMatrix:
     def test_gabidulin_is_moore(self, f16, alpha4):
@@ -381,6 +422,16 @@ def test_column_conditions_of_an_empty_stack(f16):
     assert got.dtype == bool and got.shape == (0, 3)
 
 
+def test_every_stack_route_takes_an_empty_stack(f16):
+    # the spec-stack routes used to raise "a stack of specs needs at least one spec"
+    assert codes.min_rank_distance_many([]) == []
+    assert classify_many([]) == []
+    got = mrdcheck.is_mrd_subspace_criterion_many([])
+    assert got.dtype == bool and got.shape == (0,)
+    got = mrdcheck.matrix_is_mrd_many(f16, np.zeros((0, 2, 4), dtype=np.int64))
+    assert got.dtype == bool and got.shape == (0,)
+
+
 class TestClassify:
     def test_gabidulin(self, f16, alpha4):
         rep = classify(CodeSpec(f16, alpha4, 2))
@@ -574,8 +625,6 @@ class TestStacks:
             mrdcheck.is_mrd_subspace_criterion_many(
                 [CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[:3], 2)]
             )
-        with pytest.raises(ValueError, match="at least one"):
-            classify_many([])
         # one tower, n and k, but two alphas: the k-subset table reads the first
         with pytest.raises(ValueError, match="share alpha"):
             classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[::-1], 2)])

@@ -262,6 +262,13 @@ CASES = {
          {"alpha": unit(3, 3), "k": 2, "h": [0, 1], "ts": [0], "etas": "all"}],
         classified(248, {"MDS": 242, "NMDS": 6}, mrd=186, nmds=6),
         sha256="3d3c583efad26208a08bf62d1ab4926f62ca045163591ba557caff9082030091"),
+    # a one-twist F_2^16 code, n=3 k=2, eta = the element 65 535: its 65 537
+    # message classes reach index 65 535, the top of the 16-bit codeword blocks
+    "classify-F2^16": Case(
+        ["classify", "--field", F2_16, "--code",
+         {"alpha": unit(3, 16), "k": 2, "h": 0, "twists": [{"t": 0, "eta": [1] * 16}]}],
+        classified(1, {"MDS": 1}, mrd=1),
+        sha256="a68aa9183c49ad6c68e12f68388ad1ef550b63e7c24bdd82f8997f715159bdbe"),
     # each vector has 65 536 codewords, so the batched distance route spans
     # several message blocks
     "deephole-F256": Case(

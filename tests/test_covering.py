@@ -455,6 +455,18 @@ class TestDeepHoles:
         with pytest.raises(ValueError, match=r"\[0, 16\)"):
             cov.deep_hole_family(c1_spec, g, "x^[k]", f)
 
+    @pytest.mark.parametrize("g, f", [(0.5, ()), (1.0, ()), (True, ()), (1, (1.5, 0)),
+                                      (1, (0, True)), (1, (np.float64(1), 0))])
+    def test_family_non_integer_is_refused(self, c1_spec, g, f):
+        # g = 0.5 used to pass the g == 0 check and give the zero codeword,
+        # and a coefficient 1.5 of f was read as 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            cov.deep_hole_family(c1_spec, g, "x^[k]", f)
+
+    def test_family_takes_numpy_integers(self, c1_spec):
+        got = cov.deep_hole_family(c1_spec, np.uint16(3), "x^[h]", np.array([5, 0]))
+        assert got.tolist() == cov.deep_hole_family(c1_spec, 3, "x^[h]", (5, 0)).tolist()
+
     def test_family_never_in_code(self, f16, c1_spec, rng):
         for _ in range(20):
             g = f16.random_nonzero(rng)
@@ -656,6 +668,26 @@ def test_deep_hole_family_vectors_are_deep_by_distance_over_random_towers(spec, 
     for flavor in ("x^[k]", "x^[h]"):
         u = cov.deep_hole_family(spec, g, flavor, f)
         assert cov.distance_to_code(spec, list(u)) == spec.n - spec.k
+
+
+@pytest.mark.parametrize("U", [[[0.5, 0, 0, 0]], [[1.9, 0, 0, 0]], [[1.0, 0, 0, 0]],
+                               [[True, False, False, False]], [["1", 0, 0, 0]]])
+def test_non_integer_vectors_are_refused(c1_spec, U):
+    # 0.5 used to truncate to the codeword 0 (contains_many said True), and
+    # the distance route weighed [1.9, 0, 0, 0] as [1, 0, 0, 0]
+    rep = cov.covering_radius_exhaustive(c1_spec)
+    for route in (cov.contains_many, cov.distance_to_code_many,
+                  cov.deep_hole_via_extension_many, lambda s, U: cov.is_deep_hole_many(s, U, rep)):
+        with pytest.raises(ValueError, match="integer entries"):
+            route(c1_spec, U)
+
+
+def test_empty_stacks_of_any_dtype_are_accepted(c1_spec):
+    for dtype in (np.float64, bool, np.uint16):
+        U = np.zeros((0, 4), dtype=dtype)
+        assert cov.contains_many(c1_spec, U).shape == (0,)
+        assert cov.distance_to_code_many(c1_spec, U).tolist() == []
+        assert cov.is_deep_hole_many(c1_spec, U).tolist() == []
 
 
 def test_batched_routes_check_every_row(c1_spec):

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from oracles import tower_from
 from twistgab.errors import ConsistencyError, FieldConstructionError
 from twistgab.fieldtower import (
+    _ORDER_LIMIT,
+    ELEMENT_DTYPE,
     FieldTower,
     TowerParams,
     default_tower,
+    exact_int,
     tower_from_json,
     tower_to_json,
 )
@@ -391,12 +394,16 @@ SMALL_TOWERS = [
 ]
 
 
+# towers near the order limit, whose indices use all 16 bits of ELEMENT_DTYPE
+BIG_TOWERS = [(2, 1, 16), (3, 1, 10), (2, 4, 4), (251, 1, 2)]
+
+
 @st.composite
-def vector_batches(draw):
-    """A random tower and a batch of 1..8 vectors of the same length 1..m+2,
-    whose components are random, zero, a repeat of an earlier component or
-    an F_q-multiple of one."""
-    p, e, m = draw(st.sampled_from(SMALL_TOWERS))
+def vector_batches(draw, towers=SMALL_TOWERS):
+    """A random tower, (p, e, m) drawn from ``towers``, and a batch of 1..8
+    vectors of the same length 1..m+2, whose components are random, zero, a
+    repeat of an earlier component or an F_q-multiple of one."""
+    p, e, m = draw(st.sampled_from(towers))
     t = tower_from(p, e, m, draw(st.integers(0, p ** (e * m) - 1)))
     n = draw(st.integers(1, m + 2))
     vecs = []
@@ -421,6 +428,39 @@ def test_fq_rank_many_matches_scalar_fq_rank_over_random_towers(case):
     t, vecs = case
     comps = [np.array([v[j] for v in vecs], dtype=np.int64) for j in range(len(vecs[0]))]
     assert t.fq_rank_many(comps).tolist() == [t.fq_rank(v) for v in vecs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=vector_batches(SMALL_TOWERS + BIG_TOWERS))
+def test_fq_rank_many_gives_the_same_ranks_on_element_dtype_and_int64(case):
+    t, vecs = case
+    ranks = [t.fq_rank(v) for v in vecs]
+    for dtype in (ELEMENT_DTYPE, np.int64):
+        comps = [np.array([v[j] for v in vecs], dtype=dtype) for j in range(len(vecs[0]))]
+        assert t.add_many(comps[0], comps[-1]).dtype == dtype  # for every p
+        assert t.fq_rank_many(comps).tolist() == ranks
+
+
+def test_every_index_below_the_order_limit_fits_the_element_dtype():
+    # raising the limit past 2^16 fails here instead of wrapping codeword blocks
+    assert _ORDER_LIMIT - 1 <= np.iinfo(ELEMENT_DTYPE).max
+    t = default_tower(2, 1, 16)
+    assert t.order == _ORDER_LIMIT
+    top = np.arange(t.order - 2, t.order)
+    assert top.astype(ELEMENT_DTYPE).tolist() == top.tolist() == [65534, 65535]
+
+
+class TestExactInt:
+    def test_python_and_numpy_integers_pass_as_int(self):
+        for x in (0, 7, -3, np.int64(7), np.uint16(65535), np.int8(-3)):
+            got = exact_int(x)
+            assert type(got) is int and got == x
+
+    @pytest.mark.parametrize("x", [True, False, np.bool_(True), 0.5, 2.0, np.float64(1.0),
+                                   "1", None, [1], np.array([1])])
+    def test_bools_floats_and_others_are_refused(self, x):
+        with pytest.raises(ValueError, match="expected an integer"):
+            exact_int(x)
 
 
 class TestRepresentationIndependence:

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import DISTANCE_TOWERS, scalar_matmul, tower_from
 from twistgab import moore
-from twistgab.fieldtower import default_tower
+from twistgab.fieldtower import ELEMENT_DTYPE, default_tower
 
 W = 2
 
@@ -270,7 +270,7 @@ def test_span_blocks_match_matmul_of_counter_blocks(case):
                   for msgs in moore.counter_blocks((K,), segments, t.order)]
         got = list(moore.span_blocks(t, B, segments))
     # each block is (S, n, items), at most max(rows, S) codewords
-    assert all(b.dtype == np.int64 and b.shape[:2] == (S, n) for b in got)
+    assert all(b.dtype == ELEMENT_DTYPE and b.shape[:2] == (S, n) for b in got)
     assert all(1 <= b.shape[2] and b.shape[2] * S <= max(rows, S) for b in got)
     words = np.concatenate([np.zeros((S, n, 0), dtype=np.int64), *got], axis=2)
     expect = np.concatenate([np.zeros((0, S, n), dtype=np.int64), *expect])
