@@ -45,7 +45,7 @@ print("scalar, 2 twists -> MRD:", is_mrd_subspace_criterion(spec2))
 # 3) sum-product-free triple, three twists at k = 1
 sub = t.subfield_elements(S)
 etas = [eta_out, t.mul(sub[2], eta_out), t.mul(sub[9], eta_out)]
-print("\n1-sum-product free over F_16:", sum_product_free_test(t, etas, S, 1))
+print("\n1-sum-product free over F_16:", sum_product_free_test(t, etas, S))
 spec3, _ = construct_chain_mrd(
     t, SubfieldChain.sum_product_free(S, etas), alpha, 1, 0, [0, 1, 2]
 )

@@ -13,7 +13,6 @@ from .codes import (
     DistanceReport,
     encode,
     generator_matrix,
-    min_hamming_distance,
     min_rank_distance,
     nmds_conditions,
 )
@@ -41,21 +40,9 @@ from .fieldtower import (
     tower_from_json,
     tower_to_json,
 )
-from .gcoeff import (
-    AnnihilatorCoeffs,
-    g_coefficient,
-    g_of_subset,
-    triangular_inverse,
-    verify_modified_moore_identity,
-)
+from .gcoeff import AnnihilatorCoeffs, g_coefficient, triangular_inverse
 from .linpoly import LinearizedPoly, annihilator, annihilator_product
-from .moore import (
-    det_fqm,
-    modified_moore_matrix,
-    moore_det_product,
-    moore_matrix,
-    rank_fqm,
-)
+from .moore import det_fqm, modified_moore_matrix, moore_matrix, rank_fqm
 from .mrdcheck import (
     ForbiddenSet,
     HammingClassification,

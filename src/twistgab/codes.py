@@ -18,8 +18,8 @@ cross-checks them with the subspace and Omega routes.
 ``moore.span_blocks`` builds the codewords of the whole stack as broadcast sums
 of the tables c * G[p], at most max(``moore.BLOCK_ROWS``, S) codewords per
 block for a stack of S, and each block is folded once per weight: the code is
-weighed by rank (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual and
-:func:`min_hamming_distance` by Hamming weight alone.  The blocks are
+weighed by rank (:meth:`FieldTower.fq_rank_many`) and by Hamming weight, a dual
+by Hamming weight alone.  The blocks are
 ``fieldtower.ELEMENT_DTYPE`` (uint16) and weighed in that dtype; generators,
 witnesses and every other array of elements here are int64.
 
@@ -28,13 +28,14 @@ generators, and nothing from the enumeration: all (k-1)-, k- and (k+1)-column
 subsets of the stack in one batched elimination (:meth:`FieldTower.rank_many`).
 A stack's generators are built in one broadcast and kept in their specs, as
 are parity-check matrices (:func:`generator_matrix`, :func:`parity_check_matrix`).
-Every field of a :class:`CodeSpec` passes ``fieldtower.exact_int``, and every
-route over a stack of specs gives an empty result for an empty stack.
+Every field of a :class:`CodeSpec` passes ``fieldtower.exact_int``, its alpha
+and etas and every message of :func:`encode` pass ``fieldtower.element_array``,
+and every route over a stack of specs gives an empty result for an empty stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -45,7 +46,7 @@ import numpy as np
 from . import moore
 from .budget import Budgets, check_budget
 from .errors import ConsistencyError, SpecInvariantError
-from .fieldtower import Element, FieldTower, exact_int, json_array, json_object
+from .fieldtower import Element, FieldTower, element_array, exact_int, json_array, json_object
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,16 @@ class CodeSpec:
     twists: tuple[tuple[int, Element], ...] = ()
 
     def __post_init__(self):
-        # every field by ``fieldtower.exact_int``: a bool or float is refused, never truncated
-        object.__setattr__(self, "alpha", tuple(map(exact_int, self.alpha)))
+        # every field by ``fieldtower.exact_int``, alpha and the etas by
+        # ``fieldtower.element_array``: a bool or float is refused, never truncated
+        t = self.tower
+        object.__setattr__(self, "alpha", tuple(element_array(t, self.alpha, "alpha").tolist()))
         object.__setattr__(self, "k", exact_int(self.k))
         object.__setattr__(self, "h", None if self.h is None else exact_int(self.h))
+        etas = element_array(t, [e for _, e in self.twists], "eta").tolist()
         object.__setattr__(
-            self, "twists", tuple((exact_int(t), exact_int(e)) for t, e in self.twists)
+            self, "twists", tuple((exact_int(t_), e) for (t_, _), e in zip(self.twists, etas))
         )
-        t = self.tower
         n, k = self.n, self.k
         if not 1 <= k < n:
             raise SpecInvariantError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -98,10 +101,6 @@ class CodeSpec:
     @property
     def ell(self) -> int:
         return len(self.twists)
-
-    @property
-    def is_gabidulin(self) -> bool:
-        return not self.twists
 
     @cached_property
     def _generator(self) -> np.ndarray:
@@ -191,7 +190,9 @@ def parity_check_matrix(spec: CodeSpec) -> np.ndarray:
 
 
 def encode(spec: CodeSpec, message: Sequence[Element]) -> np.ndarray:
-    """Evaluate the message polynomial (twist coefficients tied to f_h) at alpha."""
+    """Evaluate the message polynomial (twist coefficients tied to f_h) at
+    alpha; the message's entries pass ``fieldtower.element_array``."""
+    message = element_array(spec.tower, message, "message")
     return moore.matmul(spec.tower, message, generator_matrix(spec))
 
 
@@ -337,14 +338,6 @@ def min_rank_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> DistanceR
     """Exact minimum rank distance and all flags: the stack of one of
     :func:`min_rank_distance_many`."""
     return min_rank_distance_many([spec], budgets)[0]
-
-
-def min_hamming_distance(spec: CodeSpec, budgets: Budgets = Budgets()) -> int:
-    G = generator_matrix(spec)
-    ((d_h, _),) = _min_weights_of_matrix(
-        spec.tower, G[None], budgets.codewords, (_hamming_weights,)
-    )
-    return d_h
 
 
 def _column_stack(Gs: np.ndarray, sizes: Sequence[int]) -> np.ndarray:

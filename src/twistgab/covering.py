@@ -21,9 +21,9 @@ to each block and weighs the sums with ``fq_rank_many``, all in
 ``fieldtower.ELEMENT_DTYPE`` (uint16) words, while the walk's packed keys and
 every table stay int64;
 its codeword cap counts len(U) * q^(mk) (:func:`check_distance_budget`).
-A stack U must hold integers (an empty stack may have any dtype): a float or
-bool entry is refused, never truncated, as is a float g or coefficient of f
-in :func:`deep_hole_family`.  The
+A stack U passes ``fieldtower.element_array`` (an empty stack may have any
+dtype): a float or bool entry is refused, never truncated, as is a float g or
+coefficient of f in :func:`deep_hole_family`.  The
 extension route (:func:`deep_hole_via_extension_many`) is the subspace
 criterion on the stack of every [G; u], ``mrdcheck.matrix_is_mrd_many``.
 Neither route calls the other, and each one-vector function is its route on
@@ -44,7 +44,7 @@ from . import moore
 from .budget import Budgets, check_budget
 from .codes import CodeSpec, encode, generator_matrix, parity_check_matrix
 from .errors import BudgetExceededError, ConsistencyError, SpecInvariantError
-from .fieldtower import ELEMENT_DTYPE, Element, FieldTower, exact_int
+from .fieldtower import ELEMENT_DTYPE, Element, FieldTower, element_array
 from .mrdcheck import _subspace_blocks, gaussian_binomial, matrix_is_mrd_many
 
 
@@ -88,14 +88,11 @@ class CoveringReport:
 
 def _vectors(spec: CodeSpec, U) -> np.ndarray:
     """U as an (S, n) int64 array, once each row is known to be a vector of
-    F_(q^m)^n: integer entries (an empty stack may have any dtype), never
-    truncated, in [0, q^m)."""
-    V, order = np.asarray(U), spec.tower.order
-    if V.size and V.dtype.kind not in "iu":
-        raise ValueError(f"u must have integer entries, got dtype {V.dtype}")
-    if V.ndim != 2 or V.shape[1] != spec.n or ((V < 0) | (V >= order)).any():
-        raise ValueError(f"u must have length n = {spec.n} and entries in [0, {order})")
-    return V.astype(np.int64, copy=False)
+    F_(q^m)^n: entries by ``fieldtower.element_array``, rows of length n."""
+    V = element_array(spec.tower, U, "u")
+    if V.ndim != 2 or V.shape[1] != spec.n:
+        raise ValueError(f"u must have length n = {spec.n}")
+    return V
 
 
 def _extended(G: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -336,10 +333,7 @@ def deep_hole_family(
     """
     if not in_one_twist_t0_family(spec):
         raise SpecInvariantError(FAMILY_REFUSAL)
-    order = spec.tower.order
-    g, *f_coeffs = map(exact_int, (g, *f_coeffs))
-    if not all(0 <= c < order for c in (g, *f_coeffs)):
-        raise ValueError(f"g and the coefficients of f must lie in [0, {order})")
+    g, *f_coeffs = element_array(spec.tower, [g, *f_coeffs], "g and f").tolist()
     if g == 0:
         raise SpecInvariantError("g must be non-zero (g = 0 would land in the code)")
     if flavor not in ("x^[k]", "x^[h]"):

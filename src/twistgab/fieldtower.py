@@ -31,10 +31,15 @@ check of an explicit modulus run Rabin's irreducibility test, batched over
 blocks of candidates; from the squares of a candidate generator's matrix, the
 generator search runs the order test; and the accepted generator's squares
 fill the power table by doubling.  The ``_poly_*`` helpers, the one
-F_q[y]/(f) arithmetic, do Rabin's gcds and the table-free oracles
-``_mul_raw`` and ``inv_euclid``; trial division (``_find_factor``) only names
-the first factor of a reducible explicit modulus.  One limit, order 2^16 for
-every p, is checked before any other work.
+F_q[y]/(f) arithmetic, do Rabin's gcds and the trial division
+(``_find_factor``) that only names the first factor of a reducible explicit
+modulus; the table-free product and Euclid inverse that check the tables are
+test oracles, built on the same helpers.  One limit, order 2^16 for every p,
+is checked before any other work.
+
+:func:`exact_int` is the one rule for an integer the library reads, and
+:func:`element_array` the one rule for elements a caller passes: integers,
+never truncated, each in [0, q^m).
 
 :func:`default_tower` returns one shared tower per (p, e, m) per process;
 :func:`tower_from_json` and ``FieldTower`` build a new one on every call.  A
@@ -48,7 +53,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -116,19 +120,6 @@ def _poly_trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _poly_mul(field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    add, mul = field.add, field.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return _poly_trim(out)
 
 
 def _poly_divmod(field, a: Sequence[int], b: Sequence[int]):
@@ -500,12 +491,6 @@ class FieldTower:
         """op applied to each pair of F_q coordinate digits of a and b."""
         return self._pack_digits(list(map(op, self._digits_of(a), self._digits_of(b))))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product: the polynomial product mod top_modulus."""
-        sf = self._sf
-        prod = _poly_mul(sf, self._digits_of(a), self._digits_of(b))
-        return self._pack_digits(_poly_divmod(sf, prod, self.top_modulus)[1])
-
     def _matrices(self, cs: np.ndarray) -> np.ndarray:
         """M(c) for each element c of an array, a (B, d, d) stack: the rows
         x^i c by the F_q level's squares (X is block-diagonal), then those rows
@@ -586,28 +571,6 @@ class FieldTower:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_(q^m)")
         return self._exp[(self._group - self._log[a]) % self._group]
-
-    def inv_euclid(self, a: Element) -> Element:
-        """Inverse via extended Euclid on the representing polynomial.
-
-        Independent of the log tables; kept as the cross-check oracle for inv.
-        """
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_(q^m)")
-        sf = self._sf
-        r0, r1 = list(self.top_modulus), self._digits_of(a)
-        _poly_trim(r1)
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(sf, r0, r1)
-            qs = _poly_mul(sf, q, s1)
-            new_s = [sf.sub(x, y) for x, y in zip_longest(s0, qs, fillvalue=0)]
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(new_s)
-        if not r1:
-            raise ZeroDivisionError("element not invertible: modulus reducible?")
-        c = sf.inv(r1[0])
-        return self._pack_digits([sf.mul(c, x) for x in s1])  # deg s1 < m
 
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
@@ -831,16 +794,13 @@ class FieldTower:
     # -- serialization ---------------------------------------------------------------
 
     def elements_to_json(self, xs) -> list:
-        """:meth:`element_to_json` of every entry of an array of elements, in
-        one numpy pass: the base-p digits of each entry, as (..., m) F_q digits
-        at e = 1 and (..., m, e) residues otherwise."""
+        """The little-endian coordinate array of every entry of an array of
+        elements (of one element, for a scalar), in one numpy pass: the base-p
+        digits of each entry, as (..., m) F_q digits at e = 1 and (..., m, e)
+        residues otherwise."""
         xs = np.asarray(xs, dtype=np.int64)
         digits = xs[..., None] // self._places % self.p
         return digits.reshape(xs.shape + ((self.m,) if self.e == 1 else (self.m, self.e))).tolist()
-
-    def element_to_json(self, x: Element):
-        """Little-endian coordinate array; digits are ints (e = 1) or residue arrays."""
-        return self.elements_to_json(x)
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or len(obj) != self.m:
@@ -873,6 +833,28 @@ def exact_int(x) -> int:
     if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def element_array(tower: FieldTower, xs, what: str) -> np.ndarray:
+    """xs as an int64 array of elements of ``tower``, the one rule for the
+    elements a caller passes: an array needs an integer dtype (an empty one may
+    have any), every entry of any other sequence passes :func:`exact_int`
+    (numpy would read a bool among ints as an int), and every entry lies in
+    [0, q^m).  Anything else is a ValueError: a bool or float is never
+    truncated, and a negative or too large index never wraps through the
+    tables or indexes past them."""
+    if isinstance(xs, np.ndarray):
+        if xs.size and xs.dtype.kind not in "iu":
+            raise ValueError(f"{what} must have integer entries, got dtype {xs.dtype}")
+        inside = not xs.size or 0 <= xs.min() and xs.max() < tower.order
+    else:
+        xs = np.asarray(xs, dtype=object)
+        for x in xs.flat:
+            exact_int(x)
+        inside = all(0 <= x < tower.order for x in xs.flat)
+    if not inside:
+        raise ValueError(f"{what} entries must lie in [0, {tower.order})")
+    return xs.astype(np.int64, copy=False)
 
 
 def json_array(x, what: str) -> list:

@@ -7,7 +7,11 @@ E = (e_(i,j)), and the scalars
 
     g_h^(t) = - sum_(i=0)^(min(t,h)) e_(t,i) * c_(k-h+i)^[i]
 
-that relate the modified Moore determinant to the plain one.
+that relate the modified Moore determinant to the plain one:
+|M_k^(h,k+t)(alpha)| = g_h^(t) |M_k(alpha)| for an F_q-independent k-tuple
+alpha.  These are the scalar forms of the batched g columns of
+``mrdcheck.KSubsetTable``; the identity itself, checked by two determinants,
+and g on a k-subset of evaluation points are test oracles.
 """
 
 from __future__ import annotations
@@ -102,29 +106,3 @@ def g_coefficient(coeffs: AnnihilatorCoeffs, h: int, t: int) -> Element:
     for i in range(min(t, h) + 1):
         acc = tw.add(acc, tw.mul(int(E[t, i]), tw.frobenius(coeffs.at(k - h + i), i)))
     return tw.neg(acc)
-
-
-def g_of_subset(
-    tower: FieldTower, alpha: Sequence[Element], subset: Sequence[int], h: int, t: int
-) -> Element:
-    """g_h^(t) of the span of the alpha components indexed by `subset` (0-based)."""
-    picked = [int(alpha[i]) for i in subset]
-    k = len(picked)
-    if tower.fq_rank(picked) != k:
-        raise SpecInvariantError(
-            f"components at {tuple(subset)} are F_q-dependent; g is defined on independent k-subsets"
-        )
-    return g_coefficient(AnnihilatorCoeffs.from_span(tower, picked), h, t)
-
-
-def verify_modified_moore_identity(
-    tower: FieldTower, alpha_k: Sequence[Element], h: int, t: int
-) -> bool:
-    """Check |M_k^(h,k+t)(alpha)| = g_h^(t) |M_k(alpha)| for an independent k-tuple."""
-    k = len(alpha_k)
-    if tower.fq_rank(alpha_k) != k:
-        raise SpecInvariantError("alpha components must be F_q-independent")
-    g = g_coefficient(AnnihilatorCoeffs.from_span(tower, alpha_k), h, t)
-    lhs = moore.det_fqm(tower, moore.modified_moore_matrix(tower, alpha_k, k, h, k + t))
-    rhs = tower.mul(g, moore.det_fqm(tower, moore.moore_matrix(tower, alpha_k, k)))
-    return lhs == rhs

@@ -143,14 +143,6 @@ class LinearizedPoly:
                 rem.pop()
         return LinearizedPoly(t, quot), LinearizedPoly(t, rem)
 
-    def to_json(self) -> list:
-        """Array of element coordinate arrays, index = q-power."""
-        return self.tower.elements_to_json(self.coeffs)
-
-    @classmethod
-    def from_json(cls, tower: FieldTower, obj) -> "LinearizedPoly":
-        return cls(tower, (tower.element_from_json(c) for c in obj))
-
     def __repr__(self):
         if self.is_zero:
             return "LinearizedPoly(0)"

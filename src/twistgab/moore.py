@@ -12,7 +12,9 @@ the bytes.  Row/column indices are 0-based here; reports and docs speaking of
 :func:`det_fqm`, :func:`rank_fqm` and :func:`nullspace_fqm` eliminate one
 matrix with the scalar ``_gauss_jordan``; stacks of matrices go through
 :meth:`FieldTower.rank_many` and :meth:`FieldTower.det_many`, which these
-scalar forms check in the tests.  The block policy of every batched route is
+scalar forms check in the tests.  ``det_fqm`` is itself checked against the
+closed-form Moore determinant, a product over F_q-combinations of alpha that
+lives in the tests as its oracle.  The block policy of every batched route is
 here too: :data:`BLOCK_ROWS`, the step slices :func:`blocks`, the block
 enumerator :func:`counter_blocks` and the one codeword enumerator
 :func:`span_blocks`, whose test oracle is ``matmul`` of ``counter_blocks``.
@@ -20,7 +22,6 @@ enumerator :func:`counter_blocks` and the one codeword enumerator
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -165,25 +166,3 @@ def nullspace_fqm(tower: FieldTower, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.int64)
     c = M.shape[1]
     return np.array(_nullspace(tower, M.tolist(), c), dtype=np.int64).reshape(-1, c)
-
-
-def moore_det_product(tower: FieldTower, alpha: Sequence[Element]) -> Element:
-    """Closed-form Moore determinant.
-
-    alpha_1 * prod over j = 1..k-1 and all (b_1..b_j) in F_q^j of
-    (alpha_(j+1) - sum_i b_i alpha_i); enumerates the coefficient tuples
-    literally, so it stays an independent oracle for det_fqm.
-    """
-    k = len(alpha)
-    if k < 1:
-        raise ValueError("alpha must be non-empty")
-    acc = int(alpha[0])
-    for j in range(1, k):
-        for bs in product(range(tower.q), repeat=j):
-            s = 0
-            for b, a in zip(bs, alpha):
-                s = tower.add(s, tower.mul(b, int(a)))
-            acc = tower.mul(acc, tower.sub(int(alpha[j]), s))
-            if acc == 0:
-                return 0
-    return acc

@@ -11,10 +11,10 @@ and eliminates the whole block in one batched elimination
 enumeration order and a witness is the first V of its block in row order, so
 it is the first V in that order.  Each route checks the subspaces cap itself
 before it walks.  :func:`matrix_is_mrd_many` walks the blocks once for a whole
-stack of generators: the specs of a sweep
-(:func:`is_mrd_subspace_criterion_many`, in stacks that fit the subspaces cap)
-or every [G; u] of the deep-hole extension route.  :func:`matrix_is_mrd` and
-:func:`is_mrd_subspace_criterion` are the stack of one.
+stack of generators: the specs of a sweep (in :func:`classify_many`, in stacks
+that fit the subspaces cap) or every [G; u] of the deep-hole extension route.
+:func:`matrix_is_mrd` is the stack of one, and
+:func:`is_mrd_subspace_criterion` is it on the generator of one spec.
 
 Forbidden sets certify the other direction: eta tuples on which some maximal
 minor of the generator vanishes (stored as eta^(-1) for one twist),
@@ -138,24 +138,11 @@ def matrix_is_mrd(tower: FieldTower, G: np.ndarray, budgets: Budgets = Budgets()
     return bool(matrix_is_mrd_many(tower, np.asarray(G)[None], budgets)[0])
 
 
-def is_mrd_subspace_criterion_many(
-    specs: Sequence[CodeSpec], budgets: Budgets = Budgets()
-) -> np.ndarray:
-    """Per spec of a stack (one tower, n and k), True iff rank(V G^T) = k for
-    every subspace representative V.  :func:`matrix_is_mrd_many` walks the
-    generators in as few stacks as the subspaces cap admits, S * [n, k]_q
-    products each, so the cap refuses a stack only when one spec's [n, k]_q
-    exceeds it.  An empty stack gets an empty verdict array.
-    """
-    specs = list(specs)
-    if not specs:
-        return np.zeros(0, dtype=bool)
-    Gs = codes._generator_stack(specs)
-    return _subspace_criterion_stack(specs[0].tower, Gs, budgets)
-
-
 def _subspace_criterion_stack(tower: FieldTower, Gs: np.ndarray, budgets: Budgets) -> np.ndarray:
-    """:func:`is_mrd_subspace_criterion_many` on a stack of generators Gs."""
+    """Per generator of an (S, k, n) stack Gs, the subspace criterion:
+    :func:`matrix_is_mrd_many` walks the generators in as few stacks as the
+    subspaces cap admits, S * [n, k]_q products each, so the cap refuses the
+    stack only when one generator's [n, k]_q exceeds it."""
     S, k, n = Gs.shape
     per = max(1, budgets.subspaces // gaussian_binomial(n, k, tower.q))
     return np.concatenate(
@@ -164,9 +151,9 @@ def _subspace_criterion_stack(tower: FieldTower, Gs: np.ndarray, budgets: Budget
 
 
 def is_mrd_subspace_criterion(spec: CodeSpec, budgets: Budgets = Budgets()) -> bool:
-    """True iff rank(V G^T) = k for every subspace representative V: the
-    stack of one of :func:`is_mrd_subspace_criterion_many`."""
-    return bool(is_mrd_subspace_criterion_many([spec], budgets)[0])
+    """True iff rank(V G^T) = k for every subspace representative V:
+    :func:`matrix_is_mrd` of the spec's generator."""
+    return matrix_is_mrd(spec.tower, codes.generator_matrix(spec), budgets)
 
 
 @dataclass
@@ -369,7 +356,7 @@ def forbidden_sets_one_twist(spec: CodeSpec, budgets: Budgets = Budgets()) -> di
         sets["omega_one_prime"] = omega_one_prime(table, spec.h)
     stray = min(sets["omega_one"].values() - ratio.values(), default=None)
     if stray is not None:
-        raise ConsistencyError(f"Omega_1 value {tower.element_to_json(stray[0])} (k-subset "
+        raise ConsistencyError(f"Omega_1 value {tower.elements_to_json(stray[0])} (k-subset "
                                f"{sets['omega_one'].entries[stray]}) is outside the ratio set")
     return sets
 
@@ -536,27 +523,21 @@ def construct_chain_mrd(
     return spec, verified
 
 
-def sum_product_free_test(
-    tower: FieldTower, etas: Sequence[Element], s: int, t: int = 1
-) -> bool:
-    """t-sum-product-freeness of `etas` over the subfield F_(q^s): no
-    F_(q^s)-linear combination of the products of up to t distinct etas lies
-    in F_(q^s)^* (t = 1 is what the MRD constructions need).
+def sum_product_free_test(tower: FieldTower, etas: Sequence[Element], s: int) -> bool:
+    """1-sum-product-freeness of `etas` over the subfield F_(q^s), which the
+    MRD constructions need: no F_(q^s)-linear combination of the etas lies in
+    F_(q^s)^*.
 
     The combinations form an F_(q^s)-space W, which meets F_(q^s)^* iff it
     holds 1 (divide by the value it meets).  As an F_q-space W is spanned by
-    beta^i * pi for i < s and every product pi, where beta generates
-    F_(q^s)^*; so the etas are free iff adding 1 raises that F_q rank.
+    beta^i * eta for i < s and every eta, where beta generates F_(q^s)^*; so
+    the etas are free iff adding 1 raises that F_q rank.
     """
     if s < 1 or tower.m % s != 0:
         raise ValueError("s must be a positive divisor of m")
     beta = tower.pow_(tower.generator, (tower.order - 1) // (tower.q**s - 1))
     basis = [tower.pow_(beta, i) for i in range(s)]
-    span = []
-    for size in range(1, t + 1):
-        for ss in combinations(etas, size):
-            pi = functools.reduce(tower.mul, ss, tower.one)
-            span += [tower.mul(b, pi) for b in basis]
+    span = [tower.mul(b, eta) for eta in etas for b in basis]
     return tower.fq_rank([*span, tower.one]) > tower.fq_rank(span)
 
 
@@ -631,15 +612,11 @@ def hamming_class_many(
     return out
 
 
-def hamming_class(table: KSubsetTable, h: int, twists) -> HammingClassification:
-    """The stack of one of :func:`hamming_class_many`."""
-    return hamming_class_many(table, [(h, twists)])[0]
-
-
 def hamming_class_via_omega(spec: CodeSpec, budgets: Budgets = Budgets()) -> HammingClassification:
-    """hamming_class on the k-subset table of the spec's alpha and k."""
+    """:func:`hamming_class_many` of one spec, on the k-subset table of its
+    alpha and k."""
     table = KSubsetTable(spec.tower, spec.alpha, spec.k, budgets)
-    return hamming_class(table, spec.h, spec.twists)
+    return hamming_class_many(table, [(spec.h, spec.twists)])[0]
 
 
 def classify_many(
@@ -650,7 +627,7 @@ def classify_many(
 
     Each route runs once over the stack, in this order: the k-subset table,
     ``codes.min_rank_distance_many``, ``codes.nmds_conditions_many``,
-    :func:`is_mrd_subspace_criterion_many`, :func:`hamming_class_many`.  On
+    :func:`_subspace_criterion_stack`, :func:`hamming_class_many`.  On
     every spec the column ranks must give the enumeration's MDS/AMDS/NMDS
     flags, the subspace criterion its MRD flag, an Omega witness a non-MRD
     code, and the enumeration the Omega label (AMDS as AMDS only: NMDS is out

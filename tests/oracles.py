@@ -5,19 +5,20 @@ test module, and every ``tests/test_*.py`` runs on its own.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import numpy as np
 
 from twistgab import moore
-from twistgab.errors import FieldConstructionError
+from twistgab.errors import FieldConstructionError, SpecInvariantError
 from twistgab.fieldtower import (
     FieldTower,
     TowerParams,
     _poly_divmod,
-    _poly_mul,
+    _poly_trim,
     _prime_factors,
 )
+from twistgab.gcoeff import AnnihilatorCoeffs, g_coefficient
 
 # (p, e, m) of the towers of the distance property, order <= 256
 DISTANCE_TOWERS = [
@@ -39,6 +40,47 @@ def tower_from(p, e, m, tail):
         except FieldConstructionError:
             continue
     raise AssertionError(f"no irreducible modulus of degree {m} over F_{q}")
+
+
+def _poly_mul(field, a, b):
+    """The schoolbook product of two coefficient lists over `field`, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _poly_trim(out)
+
+
+def mul_raw(t, a, b):
+    """Oracle for the log-table product: the polynomial product of the F_q
+    digits of a and b mod the top modulus, table-free."""
+    sf = t._sf
+    prod = _poly_mul(sf, t._digits_of(a), t._digits_of(b))
+    return t._pack_digits(_poly_divmod(sf, prod, t.top_modulus)[1])
+
+
+def inv_euclid(t, a):
+    """Oracle for the log-table inverse: extended Euclid on the representing
+    polynomial, independent of the tables."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero in F_(q^m)")
+    sf = t._sf
+    r0, r1 = list(t.top_modulus), _poly_trim(t._digits_of(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(sf, r0, r1)
+        qs = _poly_mul(sf, quot, s1)
+        new_s = [sf.sub(x, y) for x, y in zip_longest(s0, qs, fillvalue=0)]
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_trim(new_s)
+    if not r1:
+        raise ZeroDivisionError("element not invertible: modulus reducible?")
+    c = sf.inv(r1[0])
+    return t._pack_digits([sf.mul(c, x) for x in s1])  # deg s1 < m
 
 
 def _poly_powmod(field, base, exp, mod):
@@ -152,23 +194,16 @@ def scalar_subspaces(n, k, q):
             yield V
 
 
-def sum_product_free_walk(tower, etas, s, t=1):
+def sum_product_free_walk(tower, etas, s):
     """Oracle for mrdcheck.sum_product_free_test: every F_(q^s)-coefficient
-    tuple on the products of up to t distinct etas, one scalar combination at
-    a time; free iff none lands in F_(q^s)^*."""
-    prods = []
-    for size in range(1, t + 1):
-        for ss in combinations(etas, size):
-            pi = 1
-            for eta in ss:
-                pi = tower.mul(pi, eta)
-            prods.append(pi)
+    tuple on the etas, one scalar combination at a time; free iff none lands
+    in F_(q^s)^*."""
     sub = tower.subfield_elements(s)
     sub_set = frozenset(sub)
-    for coeff in product(sub, repeat=len(prods)):
+    for coeff in product(sub, repeat=len(etas)):
         acc = 0
-        for a, pi in zip(coeff, prods):
-            acc = tower.add(acc, tower.mul(a, pi))
+        for a, eta in zip(coeff, etas):
+            acc = tower.add(acc, tower.mul(a, eta))
         if acc != 0 and acc in sub_set:
             return False
     return True
@@ -198,3 +233,48 @@ def scalar_column_conditions(t, G):
         any(moore.det_fqm(t, M) == 0 for M in columns(k)),
         all(moore.rank_fqm(t, M) == k for M in columns(k + 1)),
     )
+
+
+def moore_det_product(tower, alpha):
+    """Oracle for moore.det_fqm of a Moore matrix, the closed form:
+    alpha_1 * prod over j = 1..k-1 and all (b_1..b_j) in F_q^j of
+    (alpha_(j+1) - sum_i b_i alpha_i); enumerates the coefficient tuples
+    literally, so it shares no elimination with det_fqm."""
+    k = len(alpha)
+    if k < 1:
+        raise ValueError("alpha must be non-empty")
+    acc = int(alpha[0])
+    for j in range(1, k):
+        for bs in product(range(tower.q), repeat=j):
+            s = 0
+            for b, a in zip(bs, alpha):
+                s = tower.add(s, tower.mul(b, int(a)))
+            acc = tower.mul(acc, tower.sub(int(alpha[j]), s))
+            if acc == 0:
+                return 0
+    return acc
+
+
+def g_of_subset(tower, alpha, subset, h, t):
+    """Oracle for the g columns of mrdcheck.KSubsetTable: g_h^(t) of the span
+    of the alpha components indexed by `subset` (0-based), by the scalar
+    annihilator and ``gcoeff.g_coefficient``."""
+    picked = [int(alpha[i]) for i in subset]
+    k = len(picked)
+    if tower.fq_rank(picked) != k:
+        raise SpecInvariantError(
+            f"components at {tuple(subset)} are F_q-dependent; g is defined on independent k-subsets"
+        )
+    return g_coefficient(AnnihilatorCoeffs.from_span(tower, picked), h, t)
+
+
+def verify_modified_moore_identity(tower, alpha_k, h, t):
+    """The identity behind every Omega route, by two scalar determinants:
+    |M_k^(h,k+t)(alpha)| = g_h^(t) |M_k(alpha)| for an independent k-tuple."""
+    k = len(alpha_k)
+    if tower.fq_rank(alpha_k) != k:
+        raise SpecInvariantError("alpha components must be F_q-independent")
+    g = g_coefficient(AnnihilatorCoeffs.from_span(tower, alpha_k), h, t)
+    lhs = moore.det_fqm(tower, moore.modified_moore_matrix(tower, alpha_k, k, h, k + t))
+    rhs = tower.mul(g, moore.det_fqm(tower, moore.moore_matrix(tower, alpha_k, k)))
+    return lhs == rhs

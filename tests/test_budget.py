@@ -21,10 +21,10 @@ def test_check_budget_message():
 
 
 def test_explicit_budget_ignores_environment(monkeypatch, f16, alpha4):
-    from twistgab.codes import CodeSpec, min_hamming_distance, min_rank_distance
+    from twistgab.codes import CodeSpec, min_rank_distance
 
     monkeypatch.setenv("TWISTGAB_BUDGET_SUBSPACES", "abc")
     monkeypatch.setenv("TWISTGAB_BUDGET_CODEWORDS", "3")
     spec = CodeSpec(f16, alpha4, 2)
     assert min_rank_distance(spec).d_rank == 3
-    assert min_hamming_distance(spec, Budgets(codewords=1000)) == 3
+    assert min_rank_distance(spec, Budgets(codewords=1000)).d_hamming == 3

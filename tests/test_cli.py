@@ -480,7 +480,7 @@ class TestForbidden:
         monkeypatch.setattr(mrdcheck, "omega_one", widened)
         assert run_main(["forbidden", "--field", field, "--code", code]) == 4
         err = capsys.readouterr().err
-        assert f"Omega_1 value {spec.tower.element_to_json(stray)} (k-subset [0, 1])" in err
+        assert f"Omega_1 value {spec.tower.elements_to_json(stray)} (k-subset [0, 1])" in err
         assert "Traceback" not in err
 
     def test_gabidulin_rejected(self, files):
@@ -521,8 +521,8 @@ class TestConstructAndCovering:
         task = tmp_path / "task.json"
         task.write_text(json.dumps({
             "mode": "nested", "degrees": [4],
-            "etas": [t.element_to_json(eta)],
-            "alpha": [t.element_to_json(a) for a in basis],
+            "etas": [t.elements_to_json(eta)],
+            "alpha": [t.elements_to_json(a) for a in basis],
             "k": 2, "h": 0, "ts": [0],
         }))
         spec_out = tmp_path / "constructed.json"
@@ -593,8 +593,8 @@ class TestConstructAndCovering:
         task = tmp_path / "spf.json"
         task.write_text(json.dumps({
             "mode": "sum-product-free", "s": 4,
-            "etas": [t.element_to_json(e) for e in etas],
-            "alpha": [t.element_to_json(a) for a in basis],
+            "etas": [t.elements_to_json(e) for e in etas],
+            "alpha": [t.elements_to_json(a) for a in basis],
             "k": 1, "h": 0, "ts": [0, 1, 2],
         }))
         out = tmp_path / "spf_out.json"

@@ -25,7 +25,6 @@ from twistgab.codes import (
     _min_weights_of_matrix,
     encode,
     generator_matrix,
-    min_hamming_distance,
     min_rank_distance,
     nmds_conditions,
     nmds_conditions_many,
@@ -43,7 +42,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_sweep_q2_m4_k2.json").read_
 class TestCodeSpecInvariants:
     def test_gabidulin_ok(self, f16, alpha4):
         spec = CodeSpec(f16, alpha4, 2)
-        assert spec.is_gabidulin and spec.n == 4 and spec.ell == 0
+        assert not spec.twists and spec.n == 4 and spec.ell == 0
 
     def test_k_bounds(self, f16, alpha4):
         with pytest.raises(SpecInvariantError):
@@ -132,6 +131,18 @@ class TestCodeSpecInvariants:
     @pytest.mark.parametrize("eta", NOT_INTEGERS)
     def test_eta_must_be_an_integer(self, f16, alpha4, eta):
         with pytest.raises(ValueError, match="expected an integer"):
+            CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
+
+    @pytest.mark.parametrize("a", [-8, 16, 99])
+    def test_alpha_entries_must_be_elements(self, f16, a):
+        # alpha = (1, 2, 4, -8) used to build a generator holding -6
+        with pytest.raises(ValueError, match=r"alpha entries must lie in \[0, 16\)"):
+            CodeSpec(f16, (1, 2, 4, a), 2)
+
+    @pytest.mark.parametrize("eta", [-1, 16, 99])
+    def test_eta_must_be_an_element(self, f16, alpha4, eta):
+        # eta = 99 used to die with a bare IndexError in the generator build
+        with pytest.raises(ValueError, match=r"eta entries must lie in \[0, 16\)"):
             CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
 
     def test_numpy_integers_are_kept_as_int(self, f16, alpha4):
@@ -255,6 +266,22 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(CodeSpec(f16, alpha4, 2), [1])
 
+    @pytest.mark.parametrize("msg, match", [
+        ([1.5, 0], "expected an integer"), (np.array([1.0, 0.0]), "integer entries"),
+        ([True, 0], "expected an integer, got True"), ([0, np.bool_(True)], "expected an integer"),
+        ([-1, 0], r"\[0, 16\)"), ([16, 0], r"\[0, 16\)"), (np.array([0, -3]), r"\[0, 16\)"),
+    ])
+    def test_message_entries_must_be_elements(self, f16, alpha4, msg, match):
+        # [1.5, 0] and [True, 0] used to encode as [1, 0], and -1 to wrap
+        # through the log table
+        with pytest.raises(ValueError, match=match):
+            encode(CodeSpec(f16, alpha4, 2, 0, ((0, W),)), msg)
+
+    def test_numpy_integer_messages_are_accepted(self, f16, alpha4):
+        spec = CodeSpec(f16, alpha4, 2, 0, ((0, W),))
+        for msg in (np.array([3, 5], dtype=np.uint16), [np.int64(3), 5]):
+            assert encode(spec, msg).tolist() == encode(spec, [3, 5]).tolist()
+
     def test_linear_combination(self, f16, alpha4, rng):
         spec = CodeSpec(f16, alpha4, 2, 0, ((1, 9),))
         G = generator_matrix(spec)
@@ -290,7 +317,7 @@ class TestDistances:
             assert rep.d_rank <= rep.d_hamming <= 3
 
     def test_gabidulin_hamming(self, f16, alpha4):
-        assert min_hamming_distance(CodeSpec(f16, alpha4, 2)) == 3
+        assert min_rank_distance(CodeSpec(f16, alpha4, 2)).d_hamming == 3
 
     def test_budget_exceeded(self, f16, alpha4):
         with pytest.raises(BudgetExceededError, match="brute force"):
@@ -426,8 +453,6 @@ def test_every_stack_route_takes_an_empty_stack(f16):
     # the spec-stack routes used to raise "a stack of specs needs at least one spec"
     assert codes.min_rank_distance_many([]) == []
     assert classify_many([]) == []
-    got = mrdcheck.is_mrd_subspace_criterion_many([])
-    assert got.dtype == bool and got.shape == (0,)
     got = mrdcheck.matrix_is_mrd_many(f16, np.zeros((0, 2, 4), dtype=np.int64))
     assert got.dtype == bool and got.shape == (0,)
 
@@ -454,7 +479,7 @@ class TestClassify:
     def test_golden_sweep(self, f16, alpha4):
         # frozen output of the brute-force enumeration, regenerated only on
         # purpose; every classify() run must keep matching it bit for bit
-        assert [f16.element_to_json(a) for a in alpha4] == GOLDEN["alpha"]
+        assert [f16.elements_to_json(a) for a in alpha4] == GOLDEN["alpha"]
         for entry in GOLDEN["entries"]:
             eta = f16.element_from_json(entry["eta"])
             spec = CodeSpec(f16, alpha4, 2, entry["h"], ((0, eta),))
@@ -478,7 +503,7 @@ class TestClassify:
             spec = CodeSpec(f16, alpha4, 2, 0, ((0, eta),))
             if (f16.inv(eta),) in omega_one(KSubsetTable(f16, alpha4, 2), 0, 0):
                 if hamming_class_via_omega(spec).label in ("AMDS", "NMDS"):
-                    assert min_hamming_distance(spec) == 2
+                    assert min_rank_distance(spec).d_hamming == 2
                     found += 1
         assert found > 0
 
@@ -537,11 +562,11 @@ class TestStacks:
         subspace = [mrdcheck.is_mrd_subspace_criterion(spec) for spec in specs]
         # blocks of 3 or 7 rows split class blocks and spec chunks mid-stack
         monkeypatch.setattr(moore, "BLOCK_ROWS", block_rows)
-        stacked = [report for report, _, _ in classify_many(specs)]
-        for spec, got, want in zip(specs, stacked, alone):
+        stacked = classify_many(specs)
+        for spec, (got, _, _), want in zip(specs, stacked, alone):
             assert got == want, spec  # dataclass equality: every field and both witnesses
         assert [tuple(row) for row in nmds_conditions_many(t, Gs).tolist()] == conditions
-        assert mrdcheck.is_mrd_subspace_criterion_many(specs).tolist() == subspace
+        assert [subspace_mrd for _, subspace_mrd, _ in stacked] == subspace
 
     @pytest.mark.parametrize("block_rows", [1 << 14, 1, 7])
     @pytest.mark.parametrize("name", sorted(STACK_GRIDS))
@@ -622,9 +647,7 @@ class TestStacks:
         with pytest.raises(ValueError, match="share"):
             classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4, 1)])
         with pytest.raises(ValueError, match="share"):
-            mrdcheck.is_mrd_subspace_criterion_many(
-                [CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[:3], 2)]
-            )
+            classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[:3], 2)])
         # one tower, n and k, but two alphas: the k-subset table reads the first
         with pytest.raises(ValueError, match="share alpha"):
             classify_many([CodeSpec(f16, alpha4, 2), CodeSpec(f16, alpha4[::-1], 2)])

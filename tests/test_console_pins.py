@@ -58,7 +58,7 @@ PROJECTIONS = {
     "classify": _classify,
     "forbidden": lambda r: {
         name: r[name]["size"] for name in ("omega_one", "omega_one_prime", "ratio_set") if name in r
-    },
+    } | {name: r[name] for name in ("omega_witness", "certifies_non_mrd") if name in r},
     "construct": lambda r: {"verified_mrd": r["verified_mrd"] is True},
     "covering": lambda r: {"rho": r["report"]["rho"]},
     "deephole": lambda r: {
@@ -123,8 +123,8 @@ def _spf_task_over_f2_16() -> dict:
     t = default_tower(2, 1, 16)
     b = t.pow_(t.generator, 257)
     return {"mode": "sum-product-free", "s": 8, "k": 4, "h": 0, "ts": [0, 1, 2, 3],
-            "alpha": [t.element_to_json(t.pow_(b, i)) for i in range(8)],
-            "etas": [t.element_to_json(t.mul(t.pow_(b, i), 2)) for i in range(4)]}
+            "alpha": [t.elements_to_json(t.pow_(b, i)) for i in range(8)],
+            "etas": [t.elements_to_json(t.mul(t.pow_(b, i), 2)) for i in range(4)]}
 
 
 CASES = {
@@ -133,6 +133,18 @@ CASES = {
                          classified(1, {"MDS": 1})),
     "forbidden-F16": Case(["forbidden", "--field", F16, "--code", CODE16],
                           {"omega_one": 6, "omega_one_prime": 6, "ratio_set": 15}),
+    # two twists, (0, y) and (1, y + 1) at k = 1: forbidden gives the first
+    # k-subset whose Omega scalar vanishes, checked against the column minors of G
+    "forbidden-F16-two-twists": Case(
+        ["forbidden", "--field", F16, "--code",
+         {**CODE16, "k": 1, "twists": [{"t": 0, "eta": [0, 1, 0, 0]},
+                                       {"t": 1, "eta": [1, 1, 0, 0]}]}],
+        {"omega_witness": [0], "certifies_non_mrd": True}),
+    # an explicit top modulus that Rabin's test refuses: trial division names its factor
+    "classify-reducible-modulus": Case(
+        ["classify", "--field", {**F16, "top_modulus": [1, 0, 1, 0, 1]}, "--code", CODE16],
+        exit=2,
+        message="error: top_modulus [1, 0, 1, 0, 1] is reducible over F_2: factor [1, 1, 1] found"),
     "covering-F16": Case(["covering", "--field", F16, "--code", CODE16], {"rho": exact_rho(2)}),
     "deephole-F16": Case(["deephole", "--seed", "7", "--field", F16, "--code", CODE16],
                          deep_holes(2, 63)),

@@ -674,11 +674,25 @@ def test_deep_hole_family_vectors_are_deep_by_distance_over_random_towers(spec, 
                                [[True, False, False, False]], [["1", 0, 0, 0]]])
 def test_non_integer_vectors_are_refused(c1_spec, U):
     # 0.5 used to truncate to the codeword 0 (contains_many said True), and
-    # the distance route weighed [1.9, 0, 0, 0] as [1, 0, 0, 0]
+    # the distance route weighed [1.9, 0, 0, 0] as [1, 0, 0, 0]; every entry
+    # of a list passes fieldtower.exact_int, and an array needs an integer dtype
     rep = cov.covering_radius_exhaustive(c1_spec)
     for route in (cov.contains_many, cov.distance_to_code_many,
                   cov.deep_hole_via_extension_many, lambda s, U: cov.is_deep_hole_many(s, U, rep)):
-        with pytest.raises(ValueError, match="integer entries"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            route(c1_spec, U)
+        with pytest.raises(ValueError, match="integer entries, got dtype"):
+            route(c1_spec, np.array(U))
+
+
+@pytest.mark.parametrize("U", [[[True, 0, 0, 0]], [[1, 0, 0, np.bool_(False)]],
+                               [np.array([1, 0, 0, 0]), [0, 0, 0, True]]])
+def test_a_bool_among_integers_is_refused(c1_spec, U):
+    # numpy reads a bool among ints as an int, so [[True, 0, 0, 0]] used to be [[1, 0, 0, 0]]
+    rep = cov.covering_radius_exhaustive(c1_spec)
+    for route in (cov.contains_many, cov.distance_to_code_many,
+                  cov.deep_hole_via_extension_many, lambda s, U: cov.is_deep_hole_many(s, U, rep)):
+        with pytest.raises(ValueError, match="expected an integer"):
             route(c1_spec, U)
 
 
@@ -694,8 +708,11 @@ def test_batched_routes_check_every_row(c1_spec):
     codeword = [int(c) for c in encode(c1_spec, [1, 0])]
     with pytest.raises(SpecInvariantError, match="lies in the code"):
         cov.deep_hole_via_extension_many(c1_spec, [[1, 0, 0, 0], codeword])
-    for U in ([[1, 0, 0, 0], [0, 0, 0, 16]], [1, 0, 0, 0], [[1, 2, 3]]):
+    for U in ([1, 0, 0, 0], [[1, 2, 3]]):
         with pytest.raises(ValueError, match="length"):
+            cov.distance_to_code_many(c1_spec, U)
+    for U in ([[1, 0, 0, 0], [0, 0, 0, 16]], [[1, 0, 0, 0], [-1, 0, 0, 0]]):
+        with pytest.raises(ValueError, match=r"\[0, 16\)"):
             cov.distance_to_code_many(c1_spec, U)
     with pytest.raises(ValueError):  # a ragged stack
         cov.contains_many(c1_spec, [[1, 0, 0, 0], [1, 2, 3]])

@@ -18,7 +18,14 @@ from sympy import Poly, resultant, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-from oracles import _is_primitive, _poly_powmod, tower_from
+from oracles import (
+    _is_primitive,
+    _poly_mul,
+    _poly_powmod,
+    inv_euclid,
+    mul_raw,
+    tower_from,
+)
 from twistgab import fieldtower
 from twistgab.errors import FieldConstructionError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower, tower_to_json
@@ -171,7 +178,7 @@ def test_largest_prime_field_is_modular_arithmetic():
         assert t.neg(b) == -b % p
         assert t.mul(a, b) == a * b % p
         assert t._sf.mul(a, b) == a * b % p
-        assert t.inv(b) == t.inv_euclid(b) == pow(b, -1, p)
+        assert t.inv(b) == inv_euclid(t, b) == pow(b, -1, p)
         assert b * t.inv(b) % p == 1
 
 
@@ -190,7 +197,7 @@ def test_log_tables_step_by_the_generator(pem):
     if n1 > 4096:
         steps += random.Random(n1).sample(range(4096, n1), 2000)
     for i in steps:
-        assert t._exp[(i + 1) % n1] == t._mul_raw(t._exp[i], t.generator)
+        assert t._exp[(i + 1) % n1] == mul_raw(t, t._exp[i], t.generator)
         assert t._log[t._exp[i]] == i
     assert len(t._exp) == n1 and len(t._log) == t.order
     assert (t._exp_z[: 2 * n1] == np.tile(t._exp, 2)).all()
@@ -255,7 +262,7 @@ def test_powmod_matches_repeated_products(name):
         power = [1]
         for exp in range(40):
             assert _poly_powmod(field, base, exp, mod) == power
-            power = fieldtower._poly_divmod(field, fieldtower._poly_mul(field, power, base), mod)[1]
+            power = fieldtower._poly_divmod(field, _poly_mul(field, power, base), mod)[1]
 
 
 def test_a_default_modulus_is_checked_once(monkeypatch):
@@ -364,7 +371,7 @@ def test_multiplication_matrices_and_order_test_match_the_scalar_oracles(data):
     M = t._matrices(cs)
     digits = lambda x: [x // p**i % p for i in range(d)]
     for c, Mc in zip(cs.tolist(), M.tolist()):
-        assert Mc == [digits(t._mul_raw(p**k, c)) for k in range(d)]
+        assert Mc == [digits(mul_raw(t, p**k, c)) for k in range(d)]
     S = fieldtower._squares(M, n1.bit_length(), p)
     assert fieldtower._generates(S, p, n1).tolist() == [
         _is_primitive(t._sf, t._digits_of(c), t.top_modulus) for c in cs.tolist()
@@ -373,13 +380,15 @@ def test_multiplication_matrices_and_order_test_match_the_scalar_oracles(data):
 
 def test_a_built_tower_calls_no_scalar_oracle(monkeypatch):
     # the construction runs on the matrix kernel alone: trial division is
-    # the error path's, and the powmod oracles live in the tests
+    # the error path's, and the powmod, product and inverse oracles live in
+    # the tests
     def refuse(*args):
         raise AssertionError("scalar oracle called")
 
-    assert not hasattr(fieldtower, "_poly_powmod") and not hasattr(fieldtower, "_is_primitive")
+    for name in ("_poly_powmod", "_is_primitive", "_poly_mul"):
+        assert not hasattr(fieldtower, name)
+    assert not hasattr(FieldTower, "_mul_raw") and not hasattr(FieldTower, "inv_euclid")
     monkeypatch.setattr(fieldtower, "_find_factor", refuse)
-    monkeypatch.setattr(FieldTower, "_mul_raw", refuse)
     for pem in [(2, 1, 6), (2, 1, 8), (2, 2, 3), (3, 2, 3), (7, 1, 3), (2, 1, 13), (251, 1, 2)]:
         FieldTower(TowerParams(*pem))
     FieldTower(TowerParams(2, 2, 2, base_modulus=(1, 1, 1), top_modulus=(2, 1, 1)))
@@ -408,7 +417,7 @@ def _scalar_build(t):
                if _is_primitive(t._sf, t._digits_of(c), t.top_modulus))
     exp = [1]
     for _ in range(t.order - 2):
-        exp.append(t._mul_raw(exp[-1], gen))
+        exp.append(mul_raw(t, exp[-1], gen))
     log = [0] * t.order
     for i, x in enumerate(exp):
         log[x] = i

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tower_from
+from oracles import inv_euclid, mul_raw, tower_from
 from twistgab.errors import ConsistencyError, FieldConstructionError
 from twistgab.fieldtower import (
     _ORDER_LIMIT,
@@ -60,8 +60,8 @@ class TestConstruction:
         assert t.order == 59049
         for _ in range(300):
             a, b = t.random_element(rng), t.random_nonzero(rng)
-            assert t.mul(a, b) == t._mul_raw(a, b)
-            assert t.inv(b) == t.inv_euclid(b)
+            assert t.mul(a, b) == mul_raw(t, a, b)
+            assert t.inv(b) == inv_euclid(t, b)
 
     def test_p_not_prime(self):
         with pytest.raises(FieldConstructionError, match="prime"):
@@ -136,19 +136,19 @@ class TestArithmetic:
         t = f16_any
         for _ in range(300):
             a, b = t.random_element(rng), t.random_element(rng)
-            assert t.mul(a, b) == t._mul_raw(a, b)
+            assert t.mul(a, b) == mul_raw(t, a, b)
 
     def test_inverse_of_zero(self, f16):
         with pytest.raises(ZeroDivisionError):
             f16.inv(0)
         with pytest.raises(ZeroDivisionError):
-            f16.inv_euclid(0)
+            inv_euclid(f16, 0)
 
     def test_inverse_matches_extended_euclid(self, f16_any, f9, f4_tower, f256):
         # two independent routes: log tables vs extended Euclid on polynomials
         for t in (f16_any, f9, f4_tower, f256):
             for a in t.nonzero_elements():
-                e = t.inv_euclid(a)
+                e = inv_euclid(t, a)
                 assert e == t.inv(a)
                 assert t.mul(a, e) == 1
 
@@ -193,7 +193,7 @@ class TestArithmetic:
         inv = t.inv_many(np.arange(t.order))
         assert inv[0] == 0
         expected = [t.inv(a) for a in t.nonzero_elements()]
-        assert inv[1:].tolist() == expected == [t.inv_euclid(a) for a in t.nonzero_elements()]
+        assert inv[1:].tolist() == expected == [inv_euclid(t, a) for a in t.nonzero_elements()]
 
 
 class TestFrobenius:
@@ -208,7 +208,7 @@ class TestFrobenius:
 
     def test_w_squared_twice_oracle(self, f16):
         # frobenius(w, 2) = w^4, verified by direct polynomial multiplication
-        w4 = f16._mul_raw(f16._mul_raw(W, W), f16._mul_raw(W, W))
+        w4 = mul_raw(f16, mul_raw(f16, W, W), mul_raw(f16, W, W))
         assert f16.frobenius(W, 2) == w4 == 3  # w^4 = w + 1 under y^4+y+1
 
     def test_agrees_with_repeated_qth_powering(self, f16, f9, rng):
@@ -221,7 +221,7 @@ class TestFrobenius:
                 for _ in range(i % t.m):
                     powed = acc
                     for _ in range(t.q - 1):
-                        powed = t._mul_raw(powed, acc)
+                        powed = mul_raw(t, powed, acc)
                     acc = powed
                 assert t.frobenius(x, i) == acc
 
@@ -259,7 +259,7 @@ class TestNorm:
         # oracle: w^(1+2+4+8) = w^15 = 1 via repeated raw multiplication
         acc = 1
         for _ in range(15):
-            acc = f16._mul_raw(acc, W)
+            acc = mul_raw(f16, acc, W)
         assert acc == 1
         assert f16.norm(W) == 1
 
@@ -480,12 +480,12 @@ class TestElementJson:
     def test_roundtrip_e1(self, f16, rng):
         for _ in range(30):
             x = f16.random_element(rng)
-            assert f16.element_from_json(f16.element_to_json(x)) == x
+            assert f16.element_from_json(f16.elements_to_json(x)) == x
 
     def test_roundtrip_e2(self, f4_tower, rng):
         for _ in range(30):
             x = f4_tower.random_element(rng)
-            j = f4_tower.element_to_json(x)
+            j = f4_tower.elements_to_json(x)
             assert all(isinstance(c, list) and len(c) == 2 for c in j)
             assert f4_tower.element_from_json(j) == x
 

@@ -3,15 +3,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import g_of_subset, verify_modified_moore_identity
 from twistgab import moore
 from twistgab.errors import SpecInvariantError
 from twistgab.gcoeff import (
     AnnihilatorCoeffs,
     g_coefficient,
-    g_of_subset,
     sigma_lower_triangular,
     triangular_inverse,
-    verify_modified_moore_identity,
 )
 from twistgab.linpoly import annihilator
 

@@ -183,18 +183,6 @@ class TestRightDivision:
             rand_poly(f16, rng, 1).right_divmod(LinearizedPoly.zero(f16))
 
 
-class TestSerialization:
-    def test_json_roundtrip(self, f16, f4_tower, rng):
-        for t in (f16, f4_tower):
-            f = rand_poly(t, rng, 3)
-            assert LinearizedPoly.from_json(t, f.to_json()) == f
-
-    def test_index_is_q_power(self, f16):
-        f = LinearizedPoly.monomial(f16, W, 2)
-        j = f.to_json()
-        assert len(j) == 3 and j[2] == f16.element_to_json(W)
-
-
 @st.composite
 def towers(draw):
     p, e, m = draw(st.sampled_from(DISTANCE_TOWERS))
