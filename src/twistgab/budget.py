@@ -33,7 +33,9 @@ class Budgets:
     ambient:   vectors of rank <= w, for the covering-radius walk's layers 0..w
                in increasing rank weight; layer w forms a.B for every w-tuple
                a, dependent or not, fewer than 3.47 times its rank-w count.
-               Checked on its own: the coset count q^(m(n-k)).
+               It also bounds the walk's memory: the walk keeps a table of
+               its layer-1 vectors, 16 bytes each, built once the cap admits
+               layer 1.  Checked on its own: the coset count q^(m(n-k)).
     """
 
     subspaces: int = DEFAULT_SUBSPACES

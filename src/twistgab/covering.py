@@ -4,14 +4,20 @@ The exhaustive covering radius visits coset leaders in increasing rank weight,
 since a vector's distance to the code is the least rank weight in its coset.
 A vector of rank w is a.B for exactly one w x n RREF matrix B over F_q (its row
 space, from ``mrdcheck._subspace_blocks``) and one ordered F_q-independent
-w-tuple a of F_(q^m); its syndrome is sum_i a_i (H B_i^T).  Layer w forms a.B
-for every w-tuple a, its (w-1)-prefixes as ``moore.counter_blocks`` and its last
-coordinate every c of F_(q^m); indices and syndromes are packed base q^m and
-summed from q^m-entry tables per B.  rank(a.B) = dim span(a), so a dependent a
-gives a vector of rank r < w, whose coset layer r has already reached with a
-smaller key.  Layers fold into one int64 per coset, min(rank * q^(mn) + index),
-its minimum and first minimum-weight vector, until every coset is reached.
-Memory is O(``moore.BLOCK_ROWS`` + cosets).
+w-tuple a of F_(q^m); its syndrome is sum_i a_i (H B_i^T).  Indices and
+syndromes are packed base q^m.  Layer 1 is one table per walk, the packed
+index and syndrome of c.b for every c of F_(q^m) and every RREF row b, built a
+``moore.blocks`` step of c at a time.  Every row B_i of a later B is such a b,
+so layer w forms a.B for every w-tuple a, its (w-1)-prefixes as
+``moore.counter_blocks`` and its last coordinate every c of F_(q^m), as sums of
+the table columns that a lookup from row code to column gives for the rows of
+B.  rank(a.B) = dim span(a), so a dependent a gives a vector of rank r < w,
+whose coset layer r has already reached with a smaller key.  Layers fold into
+one int64 per coset, min(rank * q^(mn) + index), its minimum and first
+minimum-weight vector, until every coset is reached.
+Memory is O(``moore.BLOCK_ROWS`` + cosets) plus the table, 16 bytes for each
+of its q^m * [n, 1]_q vectors, which the ambient cap admits before it is built,
+and the q^n-entry lookup.
 The whole-space scan, scalar ``fq_rank`` and H.u^T are the walk's test oracles.
 
 The deep-hole routes take a stack U of vectors, one per row.  The distance
@@ -172,17 +178,19 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
     the vectors visited or the packed key do not fit.  The cap counts the vectors
     of rank w (:func:`_layer_size`); layer w forms all [n, w]_q * q^(mw) sums a.B,
     fewer than 3.47 times as many.  Layer w runs only after every layer below it,
-    so a sum of rank < w (a dependent tuple a) never wins its coset."""
+    so a sum of rank < w (a dependent tuple a) never wins its coset.  Layer 1
+    is the table of c * b over every c and every row b of ``_subspace_blocks(n,
+    1, q)``; layer w > 1 gathers the table's columns for the rows of each w x n
+    block B and sums them over the prefixes."""
     t, n, k, N, q = spec.tower, spec.n, spec.k, spec.tower.order, spec.tower.q
     total, coset_count = N**n, N ** (n - k)
     unreached = (n + 1) * total
     if unreached > np.iinfo(np.int64).max or coset_count > budgets.ambient:
         return None
     H = parity_check_matrix(spec)
-    c = np.arange(N)
-    multiples = t.mul_many(c[:, None], np.arange(q))  # [c, a] = a * c
     places = N ** np.arange(n, dtype=np.int64)  # component j of an index
     synd_places = N ** np.arange(n - k - 1, -1, -1, dtype=np.int64)  # entry r of a syndrome
+    row_codes = q ** np.arange(n, dtype=np.int64)  # a digit row's code base q
     best = np.full(coset_count, unreached, dtype=np.int64)
     best[0], visited = 0, 1  # layer 0: the zero vector
     for w in range(1, min(n, t.m) + 1):
@@ -191,22 +199,39 @@ def _walk(spec: CodeSpec, budgets: Budgets) -> Optional[np.ndarray]:
         visited, formed = visited + _layer_size(q, t.m, n, w), 0
         if visited > budgets.ambient:
             return None
-        # each B is a row of q^m vectors c * B, each prefix a row of q^m * len(B)
-        blocks = _subspace_blocks(n, w, q)
-        for B in (blk[step] for blk in blocks for step in moore.blocks(len(blk), N)):
-            # packed index and syndrome of c * B_i, per c, B and i
-            idx_tab = multiples[:, B] @ places
-            syn_tab = t.mul_many(c[:, None, None, None], moore.matmul(t, B, H.T)) @ synd_places
-            prefixes = moore.counter_blocks((w - 1,), [((), range(w - 1))], N)
-            for tuples in (pre[s] for pre in prefixes for s in moore.blocks(len(pre), N * len(B))):
-                idx = syn = np.zeros((len(tuples), len(B)), dtype=np.int64)
-                for i, a in enumerate(tuples.T):
-                    idx = t.add_many(idx, idx_tab[a, :, i], n)
-                    syn = t.add_many(syn, syn_tab[a, :, i], n - k)
-                idx = t.add_many(idx[:, :, None], idx_tab[:, :, w - 1].T, n) + w * total
-                syn = t.add_many(syn[:, :, None], syn_tab[:, :, w - 1].T, n - k)
-                np.minimum.at(best, syn.ravel(), idx.ravel())
-                formed += idx.size
+        if w == 1:
+            # layer 1 is the table: packed index and syndrome of c * b per c
+            # and RREF row b, built and folded a step of c at a time
+            rows = np.concatenate(list(_subspace_blocks(n, 1, q)))[:, 0]
+            row_syn = moore.matmul(t, rows, H.T)
+            idx1 = np.empty((N, len(rows)), dtype=np.int64)
+            syn1 = np.empty_like(idx1)
+            for cs in moore.blocks(N, len(rows) * n):
+                c = np.arange(cs.start, cs.stop)[:, None, None]
+                idx1[cs] = t.mul_many(c, rows) @ places
+                syn1[cs] = t.mul_many(c, row_syn) @ synd_places
+                np.minimum.at(best, syn1[cs].ravel(), idx1[cs].ravel() + total)
+            formed = idx1.size
+            column = np.zeros(q**n, dtype=np.int64)  # a row's code -> its table column
+            column[rows @ row_codes] = np.arange(len(rows))
+        else:
+            # each B is a row of q^m vectors c * B, each prefix a row of q^m * len(B)
+            blocks = _subspace_blocks(n, w, q)
+            for B in (blk[step] for blk in blocks for step in moore.blocks(len(blk), N)):
+                # packed index and syndrome of c * B_i, per c, B and i: B_i is a row b
+                cols = column[B @ row_codes]
+                idx_tab, syn_tab = idx1[:, cols], syn1[:, cols]
+                prefixes = moore.counter_blocks((w - 1,), [((), range(w - 1))], N)
+                width = N * len(B)
+                for tuples in (pre[s] for pre in prefixes for s in moore.blocks(len(pre), width)):
+                    idx = syn = np.zeros((len(tuples), len(B)), dtype=np.int64)
+                    for i, a in enumerate(tuples.T):
+                        idx = t.add_many(idx, idx_tab[a, :, i], n)
+                        syn = t.add_many(syn, syn_tab[a, :, i], n - k)
+                    idx = t.add_many(idx[:, :, None], idx_tab[:, :, w - 1].T, n) + w * total
+                    syn = t.add_many(syn[:, :, None], syn_tab[:, :, w - 1].T, n - k)
+                    np.minimum.at(best, syn.ravel(), idx.ravel())
+                    formed += idx.size
         if formed != gaussian_binomial(n, w, q) * N**w:
             raise ConsistencyError(
                 f"the rank-{w} layer formed {formed} sums, not [{n}, {w}]_{q} * {N}^{w}"

@@ -798,11 +798,22 @@ class TestCoveringMemory:
     }
     DEEP_HOLES = [(i, 1, 0) for i in (2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)]
     SHA256 = "58f9c6fddfdb5ad4dbed785419df5931a40044bf7887336a17715a48f6e6381e"
+    # F_251^2, n = 2, k = 1, one twist at t = 0: layer 1 alone reaches every
+    # coset, and its table of c * b holds 63001 * 252 = 15 876 000 vectors,
+    # within 6% of the default ambient cap.  Report pinned from the walk that
+    # rebuilt its tables per RREF block.
+    FIELD_251 = {"p": 251, "e": 1, "m": 2}
+    CODE_251 = {
+        "alpha": [[1, 0], [0, 1]], "k": 1, "h": 0, "twists": [{"t": 0, "eta": [3, 0]}],
+    }
+    SHA256_251 = "4e789674d202fbe6ca0e1bc52f1fa6ec1053a1ced489d83c611cb890cee986b2"
 
-    def test_largest_default_scan_fits_in_one_gib(self, tmp_path):
+    @staticmethod
+    def covering_under_one_gib(tmp_path, field_obj, code_obj) -> bytes:
+        """stdout of ``python -m twistgab covering`` under a 1 GiB address space."""
         field, code = tmp_path / "field.json", tmp_path / "code.json"
-        field.write_text(json.dumps(self.FIELD))
-        code.write_text(json.dumps(self.CODE))
+        field.write_text(json.dumps(field_obj))
+        code.write_text(json.dumps(code_obj))
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -813,12 +824,24 @@ class TestCoveringMemory:
             preexec_fn=cap_address_space, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr.decode()
-        report = json.loads(proc.stdout)["report"]
+        return proc.stdout
+
+    def test_largest_default_scan_fits_in_one_gib(self, tmp_path):
+        stdout = self.covering_under_one_gib(tmp_path, self.FIELD, self.CODE)
+        report = json.loads(stdout)["report"]
         assert report["rho"] == {"value": 2, "method": "exhaustive"}
         assert report["maximal_coset_count"] == 63750
         holes = [tuple(sum(b << i for i, b in enumerate(c)) for c in u) for u in report["deep_holes"]]
         assert holes == self.DEEP_HOLES
-        assert hashlib.sha256(proc.stdout).hexdigest() == self.SHA256
+        assert hashlib.sha256(stdout).hexdigest() == self.SHA256
+
+    def test_largest_layer_one_table_fits_in_one_gib(self, tmp_path):
+        stdout = self.covering_under_one_gib(tmp_path, self.FIELD_251, self.CODE_251)
+        report = json.loads(stdout)["report"]
+        assert report["rho"] == {"value": 1, "method": "exhaustive"}
+        assert report["maximal_coset_count"] == 63000
+        assert report["coset_count"] == 63001
+        assert hashlib.sha256(stdout).hexdigest() == self.SHA256_251
 
 
 def json_oracle(obj) -> str:

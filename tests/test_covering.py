@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import product as iproduct
 
@@ -12,6 +13,7 @@ import twistgab
 from twistgab import covering as cov
 from twistgab import moore
 from twistgab.budget import Budgets
+from twistgab.cli import main
 from twistgab.codes import CodeSpec, encode, generator_matrix, min_rank_distance
 from twistgab.errors import BudgetExceededError, ConsistencyError, SpecInvariantError
 from twistgab.fieldtower import FieldTower, TowerParams, default_tower
@@ -271,6 +273,41 @@ class TestExhaustiveCoveringRadius:
         monkeypatch.setattr(cov, "gaussian_binomial", lambda n, k, q: binomial(n, k, q) + (k == 2))
         with pytest.raises(ConsistencyError, match="rank-2 layer"):
             cov.covering_radius_exhaustive(c1_spec)
+
+    def test_spoiled_row_table_count_raises_consistency_error(self, c1_spec, monkeypatch):
+        # layer 1 is the table of c * b over the [n, 1]_q rows b: its count of
+        # [n, 1]_q is spoiled; _subspace_blocks keeps its own
+        binomial = cov.gaussian_binomial
+        monkeypatch.setattr(cov, "gaussian_binomial", lambda n, k, q: binomial(n, k, q) + (k == 1))
+        with pytest.raises(ConsistencyError, match="rank-1 layer"):
+            cov.covering_radius_exhaustive(c1_spec)
+
+    def test_rho_outside_theorem_window_raises_and_exits_4(self, c1_spec, tmp_path, capsys,
+                                                           monkeypatch):
+        # one coset moved to rank n - k + 1, past the window [n - k, n - k] of
+        # one twist at t = 0, through the library and through cli.main
+        walk = cov._walk
+
+        def raised(spec, budgets):
+            best = walk(spec, budgets)
+            total = spec.tower.order**spec.n
+            best[-1] = (spec.n - spec.k + 1) * total + best[-1] % total
+            return best
+
+        monkeypatch.setattr(cov, "_walk", raised)
+        with pytest.raises(ConsistencyError, match="violates theorem bounds"):
+            cov.covering_radius_exhaustive(c1_spec)
+        field, code = tmp_path / "field.json", tmp_path / "code.json"
+        field.write_text(json.dumps({"p": 2, "e": 1, "m": 4}))
+        code.write_text(json.dumps({
+            "alpha": [[int(i == j) for i in range(4)] for j in range(4)],
+            "k": 2, "h": 0, "twists": [{"t": 0, "eta": [0, 1, 0, 0]}],
+        }))
+        assert main(["covering", "--field", str(field), "--code", str(code)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal consistency failure: exhaustive rho = 3 violates")
 
     @pytest.mark.parametrize("name", ["F16-n4", "F27", "F4<=F16", "F9"])
     def test_chunk_split_leaves_report_unchanged(self, name, f16, alpha4, monkeypatch):
